@@ -151,19 +151,220 @@ func mustSpec(t *testing.T) RuleConfig {
 	return cfg
 }
 
+// The oracle evaluates a specification point by point: one (kind, arg)
+// entry per point and a switch per point, the simplest reading of the
+// rules. NewRuleSet's per-op plans must reproduce it exactly.
+
+// Oracle rule kinds, one per coverage point.
+const (
+	ruleRDZero uint8 = iota
+	ruleRDNonzero
+	ruleRDEqRS1
+	ruleRDNeRS1
+	rule3AllEq
+	rule3AllNe
+	rule3SomeEq
+	rule3RDEqRS2
+	rule3RS1EqRS2
+	ruleRelEq
+	ruleRelNe
+	ruleRelLt
+	ruleRelGt
+	ruleRS1Val // arg = value index
+	ruleRS2Val
+	ruleImmVal
+	ruleImmRelEq
+	ruleImmRelNe
+	ruleImmRelLt
+	ruleImmRelGt
+)
+
+type rulePoint struct {
+	kind uint8
+	arg  uint8
+}
+
+// oracleRules is the point-per-entry form of a specification: per
+// operation, the applicable points and their global IDs (parallel).
+type oracleRules struct {
+	cfg    RuleConfig
+	points [][]rulePoint
+	ids    [][]uint32
+	total  int
+}
+
+func newOracleRules(cfg RuleConfig) *oracleRules {
+	rs := &oracleRules{cfg: cfg}
+	n := isa.NumOps()
+	rs.points = make([][]rulePoint, n)
+	rs.ids = make([][]uint32, n)
+	next := uint32(0)
+	add := func(op isa.Op, kind, arg uint8) {
+		rs.points[op] = append(rs.points[op], rulePoint{kind, arg})
+		rs.ids[op] = append(rs.ids[op], next)
+		next++
+	}
+	for i := range isa.Instructions {
+		in := &isa.Instructions[i]
+		fl := in.Flags
+		intRD := fl.Is(isa.FlagWritesRD)
+		hasRD := intRD || fl.Is(isa.FlagFPRd)
+		hasRS1 := fl.Is(isa.FlagReadsRS1) || fl.Is(isa.FlagFPRs1)
+		hasRS2 := fl.Is(isa.FlagReadsRS2) || fl.Is(isa.FlagFPRs2)
+		intRS1 := fl.Is(isa.FlagReadsRS1)
+		intRS2 := fl.Is(isa.FlagReadsRS2)
+		hasImm := in.Fmt == isa.FmtI || in.Fmt == isa.FmtIShift || in.Fmt == isa.FmtS ||
+			in.Fmt == isa.FmtB || in.Fmt == isa.FmtU || in.Fmt == isa.FmtJ
+
+		if cfg.RDZero && intRD {
+			add(in.Op, ruleRDZero, 0)
+			add(in.Op, ruleRDNonzero, 0)
+		}
+		if cfg.RDRS1 && intRD && hasRS1 && !fl.Is(isa.FlagFPRs1) {
+			add(in.Op, ruleRDEqRS1, 0)
+			add(in.Op, ruleRDNeRS1, 0)
+		}
+		if cfg.Regs3 && hasRD && hasRS1 && hasRS2 {
+			add(in.Op, rule3AllEq, 0)
+			add(in.Op, rule3AllNe, 0)
+			add(in.Op, rule3SomeEq, 0)
+			add(in.Op, rule3RDEqRS2, 0)
+			add(in.Op, rule3RS1EqRS2, 0)
+		}
+		if cfg.Rel && intRS1 && intRS2 {
+			add(in.Op, ruleRelEq, 0)
+			add(in.Op, ruleRelNe, 0)
+			add(in.Op, ruleRelLt, 0)
+			add(in.Op, ruleRelGt, 0)
+		}
+		if intRS1 {
+			for vi := range cfg.Values {
+				add(in.Op, ruleRS1Val, uint8(vi))
+			}
+		}
+		if intRS2 {
+			for vi := range cfg.Values {
+				add(in.Op, ruleRS2Val, uint8(vi))
+			}
+		}
+		if hasImm {
+			for vi := range cfg.ImmValues {
+				add(in.Op, ruleImmVal, uint8(vi))
+			}
+			if cfg.ImmRel && intRS1 {
+				add(in.Op, ruleImmRelEq, 0)
+				add(in.Op, ruleImmRelNe, 0)
+				add(in.Op, ruleImmRelLt, 0)
+				add(in.Op, ruleImmRelGt, 0)
+			}
+		}
+	}
+	rs.total = int(next)
+	return rs
+}
+
+// eval reports the points the instruction hits, invoking hit for each.
+func (rs *oracleRules) eval(inst *isa.Inst, h *hart.Hart, hit func(uint32)) {
+	pts := rs.points[inst.Op]
+	if len(pts) == 0 {
+		return
+	}
+	ids := rs.ids[inst.Op]
+	info := inst.Info()
+	var rv1, rv2 int32
+	if info.Flags.Is(isa.FlagReadsRS1) {
+		rv1 = int32(h.ReadX(inst.Rs1))
+	}
+	if info.Flags.Is(isa.FlagReadsRS2) {
+		rv2 = int32(h.ReadX(inst.Rs2))
+	}
+	for i, p := range pts {
+		ok := false
+		switch p.kind {
+		case ruleRDZero:
+			ok = inst.Rd == 0
+		case ruleRDNonzero:
+			ok = inst.Rd != 0
+		case ruleRDEqRS1:
+			ok = inst.Rd == inst.Rs1
+		case ruleRDNeRS1:
+			ok = inst.Rd != inst.Rs1
+		case rule3AllEq:
+			ok = inst.Rd == inst.Rs1 && inst.Rs1 == inst.Rs2
+		case rule3AllNe:
+			ok = inst.Rd != inst.Rs1 && inst.Rs1 != inst.Rs2 && inst.Rd != inst.Rs2
+		case rule3RDEqRS2:
+			ok = inst.Rd == inst.Rs2
+		case rule3RS1EqRS2:
+			ok = inst.Rs1 == inst.Rs2
+		case rule3SomeEq:
+			eq := 0
+			if inst.Rd == inst.Rs1 {
+				eq++
+			}
+			if inst.Rs1 == inst.Rs2 {
+				eq++
+			}
+			if inst.Rd == inst.Rs2 {
+				eq++
+			}
+			ok = eq == 1
+		case ruleRelEq:
+			ok = rv1 == rv2
+		case ruleRelNe:
+			ok = rv1 != rv2
+		case ruleRelLt:
+			ok = rv1 < rv2
+		case ruleRelGt:
+			ok = rv1 > rv2
+		case ruleRS1Val:
+			ok = int64(rv1) == int64(int32(rs.cfg.Values[p.arg]))
+		case ruleRS2Val:
+			ok = int64(rv2) == int64(int32(rs.cfg.Values[p.arg]))
+		case ruleImmVal:
+			ok = inst.Imm == immCorner(rs.cfg.ImmValues[p.arg], info.Fmt)
+		case ruleImmRelEq:
+			ok = inst.Imm == rv1
+		case ruleImmRelNe:
+			ok = inst.Imm != rv1
+		case ruleImmRelLt:
+			ok = inst.Imm < rv1
+		case ruleImmRelGt:
+			ok = inst.Imm > rv1
+		}
+		if ok {
+			hit(ids[i])
+		}
+	}
+}
+
+// kindOf names the oracle kind of a point ID.
+func (rs *oracleRules) kindOf(op isa.Op, id uint32) (uint8, bool) {
+	for i, pid := range rs.ids[op] {
+		if pid == id {
+			return rs.points[op][i].kind, true
+		}
+	}
+	return 0, false
+}
+
 func TestRuleEval(t *testing.T) {
-	rs := NewRuleSet(mustSpec(t))
+	cfg := mustSpec(t)
+	rs := NewRuleSet(cfg)
+	oracle := newOracleRules(cfg)
 	h := hart.New(isa.RV32I)
+	m := NewMap(rs.NumPoints())
 	collect := func(inst isa.Inst) map[uint8]bool {
 		kinds := map[uint8]bool{}
-		pts := rs.points[inst.Op]
-		rs.Eval(&inst, h, func(id uint32) {
-			for i, pid := range rs.ids[inst.Op] {
-				if pid == id {
-					kinds[pts[i].kind] = true
-				}
+		rs.Eval(&inst, h, m, 0)
+		for _, p := range m.RunFootprint() {
+			k, ok := oracle.kindOf(inst.Op, p.ID)
+			if !ok {
+				t.Fatalf("%v: point %d belongs to another op", inst.Op, p.ID)
 			}
-		})
+			kinds[k] = true
+		}
+		m.DiscardRun()
 		return kinds
 	}
 
@@ -209,12 +410,100 @@ func TestRuleEval(t *testing.T) {
 func TestRuleEvalNoPointsForBareOps(t *testing.T) {
 	rs := NewRuleSet(mustSpec(t))
 	h := hart.New(isa.RV32I)
+	m := NewMap(rs.NumPoints())
 	inst := isa.Inst{Op: isa.OpECALL}
-	count := 0
-	rs.Eval(&inst, h, func(uint32) { count++ })
-	if count != 0 {
-		t.Errorf("ecall hit %d rule points", count)
+	rs.Eval(&inst, h, m, 0)
+	if fp := m.RunFootprint(); len(fp) != 0 {
+		t.Errorf("ecall hit %d rule points", len(fp))
 	}
+}
+
+// TestRulePlansMatchOracle checks the compiled plans against the oracle
+// on every operation, every register shape (each of rd, rs1, rs2 equal or
+// distinct, rd = x0 or not), register values on and off every corner and
+// immediates on and off every corner of the operation's format: the plan
+// must hit the same point IDs, in the same order, with the same counts.
+// No rule reads both Reg[RS2] and the immediate, so per shape the inputs
+// run through every (Reg[RS1], Reg[RS2]) and every (Reg[RS1], imm) pair.
+func TestRulePlansMatchOracle(t *testing.T) {
+	specs := map[string]string{
+		"default": DefaultSpec,
+		// Non-default value lists, a duplicate corner included, and some
+		// families switched off.
+		"custom":      "rd: zero\nregs3: alleq\nrel: eq\nvalues: 0 7 -2048 7 max 0x55\nimmvalues: min 3 -1 max 3 0x7ff\n",
+		"values-only": "values: -1 1\nimmvalues: 0\n",
+	}
+	for name, src := range specs {
+		t.Run(name, func(t *testing.T) {
+			cfg, err := ParseSpec(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rs := NewRuleSet(cfg)
+			oracle := newOracleRules(cfg)
+			if rs.NumPoints() != oracle.total {
+				t.Fatalf("NumPoints = %d, oracle %d", rs.NumPoints(), oracle.total)
+			}
+			vals := []int32{12345, -777} // off every corner
+			for _, v := range cfg.Values {
+				vals = append(vals, int32(v))
+			}
+			h := hart.New(isa.RV32GC)
+			got, want := NewMap(rs.NumPoints()), NewMap(rs.NumPoints())
+			const base = 3 // a non-zero region offset, as in a Collector
+			for op := isa.Op(0); int(op) < isa.NumOps(); op++ {
+				var fmtKind isa.Format
+				if info := op.Info(); info != nil {
+					fmtKind = info.Fmt
+				}
+				imms := []int32{12345, -777}
+				for _, v := range cfg.ImmValues {
+					imms = append(imms, immCorner(v, fmtKind))
+				}
+				for shape := 0; shape < 27; shape++ {
+					inst := isa.Inst{Op: op, Rd: isa.Reg(shape % 3), Rs1: isa.Reg(shape / 3 % 3), Rs2: isa.Reg(shape / 9)}
+					for i1, v1 := range vals {
+						for k := 0; k < max(len(vals), len(imms)); k++ {
+							v2 := vals[k%len(vals)]
+							inst.Imm = imms[(i1+k)%len(imms)]
+							h.X[1], h.X[2] = uint32(v1), uint32(v2)
+							oracle.eval(&inst, h, func(id uint32) { want.Hit(base + id) })
+							rs.Eval(&inst, h, got, base)
+							if !equalRuns(got, want) {
+								t.Fatalf("%v rd=x%d rs1=x%d rs2=x%d x1=%d x2=%d imm=%d:\nplan   %v\noracle %v",
+									op, inst.Rd, inst.Rs1, inst.Rs2, v1, v2, inst.Imm, runHits(got), runHits(want))
+							}
+							got.DiscardRun()
+							want.DiscardRun()
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// runHits lists the pending run's (point, count) pairs in hit order.
+func runHits(m *Map) [][2]uint32 {
+	out := make([][2]uint32, 0, len(m.touched))
+	for _, id := range m.touched {
+		out = append(out, [2]uint32{id, m.counts[id]})
+	}
+	return out
+}
+
+// equalRuns reports whether two maps hold the same pending run: the same
+// points, first touched in the same order, with the same hit counts.
+func equalRuns(a, b *Map) bool {
+	if len(a.touched) != len(b.touched) {
+		return false
+	}
+	for i, id := range a.touched {
+		if b.touched[i] != id || a.counts[id] != b.counts[id] {
+			return false
+		}
+	}
+	return true
 }
 
 func TestCollectorRegions(t *testing.T) {

@@ -109,56 +109,58 @@ func parseValues(fields []string) ([]int64, error) {
 	return out, nil
 }
 
-// rule kinds evaluated per instruction.
+// Rule families of a compiled plan, in point-ID order. Each family owns a
+// contiguous run of point IDs per operation:
+//
+//	famRD     RD == x0, RD != x0
+//	famRDRS1  RD == RS1, RD != RS1
+//	famRegs3  all equal, all different, exactly two equal, RD == RS2, RS1 == RS2
+//	famRel    Reg[RS1] ==, !=, <, > Reg[RS2]
+//	famRS1Val Reg[RS1] == value i, one point per configured value
+//	famRS2Val Reg[RS2] == value i
+//	famImmVal imm == corner i, one point per configured immediate value
+//	famImmRel imm ==, !=, <, > Reg[RS1]
 const (
-	ruleRDZero uint8 = iota
-	ruleRDNonzero
-	ruleRDEqRS1
-	ruleRDNeRS1
-	rule3AllEq
-	rule3AllNe
-	rule3SomeEq
-	rule3RDEqRS2
-	rule3RS1EqRS2
-	ruleRelEq
-	ruleRelNe
-	ruleRelLt
-	ruleRelGt
-	ruleRS1Val // arg = value index
-	ruleRS2Val
-	ruleImmVal
-	ruleImmRelEq
-	ruleImmRelNe
-	ruleImmRelLt
-	ruleImmRelGt
+	famRD uint8 = 1 << iota
+	famRDRS1
+	famRegs3
+	famRel
+	famRS1Val
+	famRS2Val
+	famImmVal
+	famImmRel
 )
 
-type rulePoint struct {
-	kind uint8
-	arg  uint8
+// opPlan is one operation's compiled share of the specification: the
+// enabled families and the first point ID of each. Everything that
+// depends only on the operation (which families apply, the immediate
+// corners of its format) is resolved here, so Eval only tests register
+// indices, register values and the immediate.
+type opPlan struct {
+	fams                           uint8
+	rd, rdRS1, regs3, rel          uint32
+	rs1Val, rs2Val, immVal, immRel uint32
+	imm                            []int32 // the format's immediate corners (famImmVal)
+	readRS1, readRS2               bool    // integer source registers whose values rules read
 }
 
-// RuleSet is the compiled coverage specification: per operation, the list
-// of applicable coverage points with globally unique IDs.
+// RuleSet is the compiled coverage specification: one plan per operation,
+// with point IDs globally unique across operations.
 type RuleSet struct {
-	cfg    RuleConfig
-	points [][]rulePoint // indexed by Op, parallel ids
-	ids    [][]uint32
+	plans  []opPlan // indexed by Op
+	values []int32  // the configured register corners as 32-bit values
 	total  int
 }
 
 // NewRuleSet compiles a configuration against the instruction database.
+// Point IDs are assigned operation by operation in isa.Instructions
+// order and, within an operation, family by family in plan order.
 func NewRuleSet(cfg RuleConfig) *RuleSet {
-	rs := &RuleSet{cfg: cfg}
-	n := isa.NumOps()
-	rs.points = make([][]rulePoint, n)
-	rs.ids = make([][]uint32, n)
-	next := uint32(0)
-	add := func(op isa.Op, kind, arg uint8) {
-		rs.points[op] = append(rs.points[op], rulePoint{kind, arg})
-		rs.ids[op] = append(rs.ids[op], next)
-		next++
+	rs := &RuleSet{plans: make([]opPlan, isa.NumOps())}
+	for _, v := range cfg.Values {
+		rs.values = append(rs.values, int32(v))
 	}
+	next := uint32(0)
 	for i := range isa.Instructions {
 		in := &isa.Instructions[i]
 		fl := in.Flags
@@ -171,46 +173,28 @@ func NewRuleSet(cfg RuleConfig) *RuleSet {
 		hasImm := in.Fmt == isa.FmtI || in.Fmt == isa.FmtIShift || in.Fmt == isa.FmtS ||
 			in.Fmt == isa.FmtB || in.Fmt == isa.FmtU || in.Fmt == isa.FmtJ
 
-		if cfg.RDZero && intRD {
-			add(in.Op, ruleRDZero, 0)
-			add(in.Op, ruleRDNonzero, 0)
-		}
-		if cfg.RDRS1 && intRD && hasRS1 && !fl.Is(isa.FlagFPRs1) {
-			add(in.Op, ruleRDEqRS1, 0)
-			add(in.Op, ruleRDNeRS1, 0)
-		}
-		if cfg.Regs3 && hasRD && hasRS1 && hasRS2 {
-			add(in.Op, rule3AllEq, 0)
-			add(in.Op, rule3AllNe, 0)
-			add(in.Op, rule3SomeEq, 0)
-			add(in.Op, rule3RDEqRS2, 0)
-			add(in.Op, rule3RS1EqRS2, 0)
-		}
-		if cfg.Rel && intRS1 && intRS2 {
-			add(in.Op, ruleRelEq, 0)
-			add(in.Op, ruleRelNe, 0)
-			add(in.Op, ruleRelLt, 0)
-			add(in.Op, ruleRelGt, 0)
-		}
-		if intRS1 {
-			for vi := range cfg.Values {
-				add(in.Op, ruleRS1Val, uint8(vi))
+		p := &rs.plans[in.Op]
+		p.readRS1, p.readRS2 = intRS1, intRS2
+		family := func(f uint8, on bool, n int) uint32 {
+			if !on || n == 0 {
+				return 0
 			}
+			p.fams |= f
+			first := next
+			next += uint32(n)
+			return first
 		}
-		if intRS2 {
-			for vi := range cfg.Values {
-				add(in.Op, ruleRS2Val, uint8(vi))
-			}
-		}
-		if hasImm {
-			for vi := range cfg.ImmValues {
-				add(in.Op, ruleImmVal, uint8(vi))
-			}
-			if cfg.ImmRel && intRS1 {
-				add(in.Op, ruleImmRelEq, 0)
-				add(in.Op, ruleImmRelNe, 0)
-				add(in.Op, ruleImmRelLt, 0)
-				add(in.Op, ruleImmRelGt, 0)
+		p.rd = family(famRD, cfg.RDZero && intRD, 2)
+		p.rdRS1 = family(famRDRS1, cfg.RDRS1 && intRD && hasRS1 && !fl.Is(isa.FlagFPRs1), 2)
+		p.regs3 = family(famRegs3, cfg.Regs3 && hasRD && hasRS1 && hasRS2, 5)
+		p.rel = family(famRel, cfg.Rel && intRS1 && intRS2, 4)
+		p.rs1Val = family(famRS1Val, intRS1, len(cfg.Values))
+		p.rs2Val = family(famRS2Val, intRS2, len(cfg.Values))
+		p.immVal = family(famImmVal, hasImm, len(cfg.ImmValues))
+		p.immRel = family(famImmRel, hasImm && cfg.ImmRel && intRS1, 4)
+		if p.fams&famImmVal != 0 {
+			for _, v := range cfg.ImmValues {
+				p.imm = append(p.imm, immCorner(v, in.Fmt))
 			}
 		}
 	}
@@ -268,80 +252,89 @@ func immCorner(v int64, fmtKind isa.Format) int32 {
 	return int32(v)
 }
 
-// Eval reports the rule points the instruction hits, invoking hit for each.
-func (rs *RuleSet) Eval(inst *isa.Inst, h *hart.Hart, hit func(uint32)) {
-	pts := rs.points[inst.Op]
-	if len(pts) == 0 {
+// Eval records the rule points the instruction hits into m, offset by
+// base, in ascending point-ID order.
+func (rs *RuleSet) Eval(inst *isa.Inst, h *hart.Hart, m *Map, base uint32) {
+	p := &rs.plans[inst.Op]
+	if p.fams == 0 {
 		return
 	}
-	ids := rs.ids[inst.Op]
-	info := inst.Info()
 	var rv1, rv2 int32
-	if info.Flags.Is(isa.FlagReadsRS1) {
+	if p.readRS1 {
 		rv1 = int32(h.ReadX(inst.Rs1))
 	}
-	if info.Flags.Is(isa.FlagReadsRS2) {
+	if p.readRS2 {
 		rv2 = int32(h.ReadX(inst.Rs2))
 	}
-	for i, p := range pts {
-		ok := false
-		switch p.kind {
-		case ruleRDZero:
-			ok = inst.Rd == 0
-		case ruleRDNonzero:
-			ok = inst.Rd != 0
-		case ruleRDEqRS1:
-			ok = inst.Rd == inst.Rs1
-		case ruleRDNeRS1:
-			ok = inst.Rd != inst.Rs1
-		case rule3AllEq:
-			ok = inst.Rd == inst.Rs1 && inst.Rs1 == inst.Rs2
-		case rule3AllNe:
-			ok = inst.Rd != inst.Rs1 && inst.Rs1 != inst.Rs2 && inst.Rd != inst.Rs2
-		case rule3RDEqRS2:
-			ok = inst.Rd == inst.Rs2
-		case rule3RS1EqRS2:
-			ok = inst.Rs1 == inst.Rs2
-		case rule3SomeEq:
-			eq := 0
-			if inst.Rd == inst.Rs1 {
-				eq++
-			}
-			if inst.Rs1 == inst.Rs2 {
-				eq++
-			}
-			if inst.Rd == inst.Rs2 {
-				eq++
-			}
-			ok = eq == 1
-		case ruleRelEq:
-			ok = rv1 == rv2
-		case ruleRelNe:
-			ok = rv1 != rv2
-		case ruleRelLt:
-			ok = rv1 < rv2
-		case ruleRelGt:
-			ok = rv1 > rv2
-		case ruleRS1Val:
-			ok = int64(rv1) == corner32(rs.cfg.Values[p.arg])
-		case ruleRS2Val:
-			ok = int64(rv2) == corner32(rs.cfg.Values[p.arg])
-		case ruleImmVal:
-			ok = inst.Imm == immCorner(rs.cfg.ImmValues[p.arg], info.Fmt)
-		case ruleImmRelEq:
-			ok = inst.Imm == rv1
-		case ruleImmRelNe:
-			ok = inst.Imm != rv1
-		case ruleImmRelLt:
-			ok = inst.Imm < rv1
-		case ruleImmRelGt:
-			ok = inst.Imm > rv1
+	if p.fams&famRD != 0 {
+		m.Hit(base + p.rd + b2u(inst.Rd != 0))
+	}
+	if p.fams&famRDRS1 != 0 {
+		m.Hit(base + p.rdRS1 + b2u(inst.Rd != inst.Rs1))
+	}
+	if p.fams&famRegs3 != 0 {
+		first := base + p.regs3
+		rdRS1, rs1RS2, rdRS2 := inst.Rd == inst.Rs1, inst.Rs1 == inst.Rs2, inst.Rd == inst.Rs2
+		// Equality is transitive, so zero, one or all three pairs match.
+		switch {
+		case rdRS1 && rs1RS2:
+			m.Hit(first)
+		case !rdRS1 && !rs1RS2 && !rdRS2:
+			m.Hit(first + 1)
+		default:
+			m.Hit(first + 2)
 		}
-		if ok {
-			hit(ids[i])
+		if rdRS2 {
+			m.Hit(first + 3)
+		}
+		if rs1RS2 {
+			m.Hit(first + 4)
+		}
+	}
+	if p.fams&famRel != 0 {
+		hitRel(m, base+p.rel, rv1, rv2)
+	}
+	if p.fams&famRS1Val != 0 {
+		hitValues(m, base+p.rs1Val, rv1, rs.values)
+	}
+	if p.fams&famRS2Val != 0 {
+		hitValues(m, base+p.rs2Val, rv2, rs.values)
+	}
+	if p.fams&famImmVal != 0 {
+		hitValues(m, base+p.immVal, inst.Imm, p.imm)
+	}
+	if p.fams&famImmRel != 0 {
+		hitRel(m, base+p.immRel, inst.Imm, rv1)
+	}
+}
+
+// hitRel records the ==, !=, <, > points starting at first for a OP b.
+func hitRel(m *Map, first uint32, a, b int32) {
+	if a == b {
+		m.Hit(first)
+		return
+	}
+	m.Hit(first + 1)
+	if a < b {
+		m.Hit(first + 2)
+	} else {
+		m.Hit(first + 3)
+	}
+}
+
+// hitValues records, for every corner equal to v, the point of that
+// corner's index starting at first.
+func hitValues(m *Map, first uint32, v int32, corners []int32) {
+	for i, c := range corners {
+		if v == c {
+			m.Hit(first + uint32(i))
 		}
 	}
 }
 
-// corner32 interprets a configured corner value as a signed 32-bit value.
-func corner32(v int64) int64 { return int64(int32(v)) }
+func b2u(b bool) uint32 {
+	if b {
+		return 1
+	}
+	return 0
+}

@@ -186,3 +186,53 @@ func BenchmarkRunBatch(b *testing.B) {
 	}
 	b.ReportMetric(float64(insts)/b.Elapsed().Seconds()/1e6, "Minst/s")
 }
+
+// countHook counts hook calls; it allocates nothing itself.
+type countHook struct{ n uint64 }
+
+func (h *countHook) OnInst(*isa.Inst, *hart.Hart) { h.n++ }
+func (h *countHook) OnEdge(uint32)                { h.n++ }
+
+// TestRunHookedAllocsZero: Executor.Run with a hook attached allocates
+// nothing, on the classical, predecoded and fused paths alike.
+func TestRunHookedAllocsZero(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		pre, fused bool
+	}{{"direct", false, false}, {"predecode", true, false}, {"fused", true, true}} {
+		e := newExec(isa.RV32I, benchRunProgram()...)
+		var cache *DecodeCache
+		if tc.pre {
+			cache = attachCache(e, isa.RV32I)
+			if tc.fused {
+				code, err := e.Mem.ReadBytes(0, fuzzCodeSpan)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if cache.Fuse(analysis.StraightLineExtents(code, false)) == 0 {
+					t.Fatal("no fused blocks installed")
+				}
+			}
+		}
+		hook := &countHook{}
+		e.Hook = hook
+		allocs := testing.AllocsPerRun(20, func() {
+			e.CPU.Reset()
+			e.CPU.Mtvec = testHandler
+			e.Halted = false
+			e.InstCount = 0
+			if cache != nil {
+				cache.Reset()
+			}
+			if err := e.Run(20000); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %v allocs per hooked Run (%d instructions), want 0", tc.name, allocs, e.InstCount)
+		}
+		if hook.n == 0 {
+			t.Errorf("%s: hook never called", tc.name)
+		}
+	}
+}

@@ -65,6 +65,8 @@ func EdgeSpace() int { return isa.NumOps() * 8 }
 type Hook interface {
 	// OnInst is called before a legal instruction executes, with register
 	// values still holding the input state (for value-coverage rules).
+	// inst points at the executor's scratch record and is valid only for
+	// the duration of the call: implementations must not retain it.
 	OnInst(inst *isa.Inst, h *hart.Hart)
 	// OnEdge is called once per executed instruction with a stable
 	// (operation, outcome) edge ID.
@@ -115,6 +117,15 @@ type Executor struct {
 	// TrapCount counts taken traps (telemetry; trap-family runs take many
 	// per test case, user-family runs at most one).
 	TrapCount uint64
+
+	// cur is the scratch record of the instruction being dispatched: the
+	// hook and the handler receive &cur, never a pointer into the decode
+	// cache or a fused block, because a self-modifying store may overwrite
+	// the cached record while its own handler still runs. Reusing one
+	// field keeps the record off the heap; a local whose address reaches
+	// the indirect hook and handler calls would escape on every retired
+	// instruction.
+	cur isa.Inst
 }
 
 // New builds an executor around existing hart and memory.
@@ -177,17 +188,17 @@ func (e *Executor) stepBudget(budget uint64) {
 	c.stats.Hits++
 	e.InstCount++
 	e.CPU.Mcycle++
-	// Copy the record: hooks receive a pointer, and nothing they see may
-	// alias the cache.
-	in := ent.inst
 	if ent.state == entryIllegal || (ent.fp && !e.CPU.FPEnabled()) {
-		e.trap(in.Op, hart.CauseIllegalInstruction, in.Raw)
+		e.trap(ent.inst.Op, hart.CauseIllegalInstruction, ent.inst.Raw)
 		return
 	}
+	// Dispatch from the scratch copy (see Executor.cur): the handler may
+	// store over this very slot.
+	e.cur = ent.inst
 	if e.Hook != nil {
-		e.Hook.OnInst(&in, e.CPU)
+		e.Hook.OnInst(&e.cur, e.CPU)
 	}
-	ent.fn(e, &in)
+	ent.fn(e, &e.cur)
 }
 
 // stepSlow is the classical fetch-decode-execute step. With refill set
@@ -204,7 +215,7 @@ func (e *Executor) stepSlow(refill bool) {
 		e.trap(isa.OpIllegal, hart.CauseFetchAccessFault, h.PC)
 		return
 	}
-	var inst isa.Inst
+	inst := &e.cur
 	switch {
 	case lo&3 == 3:
 		hi, err := e.Mem.Read16(h.PC + 2)
@@ -212,16 +223,16 @@ func (e *Executor) stepSlow(refill bool) {
 			e.trap(isa.OpIllegal, hart.CauseFetchAccessFault, h.PC)
 			return
 		}
-		inst = e.Dec.Decode32(uint32(hi)<<16 | uint32(lo))
+		*inst = e.Dec.Decode32(uint32(hi)<<16 | uint32(lo))
 	case !h.Cfg.Has(isa.ExtC):
 		// Without the C extension the RVC decoder is never entered; the
 		// halfword is simply an illegal encoding.
-		inst = isa.Inst{Op: isa.OpIllegal, Raw: uint32(lo), Size: 2}
+		*inst = isa.Inst{Op: isa.OpIllegal, Raw: uint32(lo), Size: 2}
 	default:
-		inst = e.Dec.DecodeC(lo)
+		*inst = e.Dec.DecodeC(lo)
 	}
 	if refill {
-		e.Cache.fill(h.PC, &inst)
+		e.Cache.fill(h.PC, inst)
 	}
 
 	// Legality for this ISA configuration.
@@ -239,9 +250,9 @@ func (e *Executor) stepSlow(refill bool) {
 	}
 
 	if e.Hook != nil {
-		e.Hook.OnInst(&inst, h)
+		e.Hook.OnInst(inst, h)
 	}
-	handlers[inst.Op](e, &inst)
+	handlers[inst.Op](e, inst)
 }
 
 // trap redirects to the machine trap handler and emits the trap edge.

@@ -380,12 +380,12 @@ func (e *Executor) fusedSlow(c *DecodeCache, st *fusedStep, gen uint64) bool {
 		e.trap(st.inst.Op, hart.CauseIllegalInstruction, st.inst.Raw)
 		return false
 	}
-	// Copy the record: hooks (and, defensively, handlers) must not alias
-	// the shared fused block.
-	in := st.inst
+	// Dispatch from the scratch copy (see Executor.cur): hooks and
+	// handlers must not alias the fused block, which clones share.
+	e.cur = st.inst
 	if e.Hook != nil {
-		e.Hook.OnInst(&in, e.CPU)
+		e.Hook.OnInst(&e.cur, e.CPU)
 	}
-	st.fn(e, &in)
+	st.fn(e, &e.cur)
 	return !e.Halted && e.CPU.PC == st.next && c.gen == gen
 }

@@ -31,10 +31,12 @@ var fuzzQuirks = []isa.Quirks{
 
 // diffTrace records the per-instruction observation sequence: what the
 // coverage hook saw, in order. Any fast/slow divergence in dispatch,
-// trap-vs-execute decisions or edge IDs shows up here.
+// trap-vs-execute decisions or edge IDs shows up here. next, when set,
+// observes the same calls (a coverage collector riding along).
 type diffTrace struct {
 	events []diffEvent
 	edges  []uint32
+	next   Hook
 }
 
 type diffEvent struct {
@@ -45,9 +47,17 @@ type diffEvent struct {
 
 func (tr *diffTrace) OnInst(in *isa.Inst, h *hart.Hart) {
 	tr.events = append(tr.events, diffEvent{h.PC, in.Op, in.Raw})
+	if tr.next != nil {
+		tr.next.OnInst(in, h)
+	}
 }
 
-func (tr *diffTrace) OnEdge(edge uint32) { tr.edges = append(tr.edges, edge) }
+func (tr *diffTrace) OnEdge(edge uint32) {
+	tr.edges = append(tr.edges, edge)
+	if tr.next != nil {
+		tr.next.OnEdge(edge)
+	}
+}
 
 type diffResult struct {
 	cpu      hart.Hart
@@ -60,8 +70,9 @@ type diffResult struct {
 }
 
 // runDiff executes bs from address 0 with the trap handler of newExec,
-// bounded by a step budget, and captures everything observable.
-func runDiff(bs []byte, cfg isa.Config, q isa.Quirks, xq Quirks, pre bool) diffResult {
+// bounded by a step budget, and captures everything observable; cov, when
+// non-nil, observes the run alongside the trace.
+func runDiff(bs []byte, cfg isa.Config, q isa.Quirks, xq Quirks, pre bool, cov Hook) diffResult {
 	m := mem.New(0, 0x8000)
 	if len(bs) > 0x600 {
 		bs = bs[:0x600]
@@ -85,7 +96,7 @@ func runDiff(bs []byte, cfg isa.Config, q isa.Quirks, xq Quirks, pre bool) diffR
 		}
 		e.Cache = NewDecodeCache(dec.Predecode(0, code), cfg)
 	}
-	tr := &diffTrace{}
+	tr := &diffTrace{next: cov}
 	e.Hook = tr
 	res := diffResult{trace: tr}
 	func() {
@@ -150,38 +161,40 @@ func diffSeeds(f *testing.F) {
 	add(3, enc(isa.Inst{Op: isa.OpCSRRS, Rd: 1, CSR: 0x300}))
 }
 
-func FuzzExecPredecodeDifferential(f *testing.F) {
-	diffSeeds(f)
-	f.Fuzz(func(t *testing.T, sel uint8, bs []byte) {
-		cfg := fuzzCfgs[int(sel)&3]
-		q := fuzzQuirks[(int(sel)>>2)%len(fuzzQuirks)]
-		var xq Quirks
-		if sel&0x20 != 0 {
-			xq = Quirks{LinkBeforeAlignCheck: true, SCIgnoresReservation: true, EcallMarksCompletion: true}
-		}
-		slow := runDiff(bs, cfg, q, xq, false)
-		fast := runDiff(bs, cfg, q, xq, true)
-		if slow.panicked != fast.panicked || slow.panicMsg != fast.panicMsg {
-			t.Fatalf("panic diverged on %x: slow (%v, %q) fast (%v, %q)",
-				bs, slow.panicked, slow.panicMsg, fast.panicked, fast.panicMsg)
-		}
-		if slow.cpu != fast.cpu {
-			t.Fatalf("hart state diverged on %x:\nslow pc=%#x mcause=%#x mtval=%#x\nfast pc=%#x mcause=%#x mtval=%#x",
-				bs, slow.cpu.PC, slow.cpu.Mcause, slow.cpu.Mtval,
-				fast.cpu.PC, fast.cpu.Mcause, fast.cpu.Mtval)
-		}
-		if slow.halted != fast.halted || slow.insts != fast.insts {
-			t.Fatalf("termination diverged on %x: slow (halted=%v, n=%d) fast (halted=%v, n=%d)",
-				bs, slow.halted, slow.insts, fast.halted, fast.insts)
-		}
-		if !bytes.Equal(slow.mem, fast.mem) {
-			t.Fatalf("memory diverged on %x", bs)
-		}
-		if !slices.Equal(slow.trace.edges, fast.trace.edges) {
-			t.Fatalf("coverage edges diverged on %x:\nslow %v\nfast %v", bs, slow.trace.edges, fast.trace.edges)
-		}
-		if !slices.Equal(slow.trace.events, fast.trace.events) {
-			t.Fatalf("hook events diverged on %x", bs)
-		}
-	})
+// predecodeDiff runs bs through the classical loop and the predecoded
+// fast path and fails t on any observable divergence. slowCov and
+// fastCov, when non-nil, observe the two runs alongside the trace. The
+// fuzz target lives in the external test package (fuzz_cov_test.go),
+// which can attach coverage collectors: package coverage imports exec.
+func predecodeDiff(t *testing.T, sel uint8, bs []byte, slowCov, fastCov Hook) {
+	cfg := fuzzCfgs[int(sel)&3]
+	q := fuzzQuirks[(int(sel)>>2)%len(fuzzQuirks)]
+	var xq Quirks
+	if sel&0x20 != 0 {
+		xq = Quirks{LinkBeforeAlignCheck: true, SCIgnoresReservation: true, EcallMarksCompletion: true}
+	}
+	slow := runDiff(bs, cfg, q, xq, false, slowCov)
+	fast := runDiff(bs, cfg, q, xq, true, fastCov)
+	if slow.panicked != fast.panicked || slow.panicMsg != fast.panicMsg {
+		t.Fatalf("panic diverged on %x: slow (%v, %q) fast (%v, %q)",
+			bs, slow.panicked, slow.panicMsg, fast.panicked, fast.panicMsg)
+	}
+	if slow.cpu != fast.cpu {
+		t.Fatalf("hart state diverged on %x:\nslow pc=%#x mcause=%#x mtval=%#x\nfast pc=%#x mcause=%#x mtval=%#x",
+			bs, slow.cpu.PC, slow.cpu.Mcause, slow.cpu.Mtval,
+			fast.cpu.PC, fast.cpu.Mcause, fast.cpu.Mtval)
+	}
+	if slow.halted != fast.halted || slow.insts != fast.insts {
+		t.Fatalf("termination diverged on %x: slow (halted=%v, n=%d) fast (halted=%v, n=%d)",
+			bs, slow.halted, slow.insts, fast.halted, fast.insts)
+	}
+	if !bytes.Equal(slow.mem, fast.mem) {
+		t.Fatalf("memory diverged on %x", bs)
+	}
+	if !slices.Equal(slow.trace.edges, fast.trace.edges) {
+		t.Fatalf("coverage edges diverged on %x:\nslow %v\nfast %v", bs, slow.trace.edges, fast.trace.edges)
+	}
+	if !slices.Equal(slow.trace.events, fast.trace.events) {
+		t.Fatalf("hook events diverged on %x", bs)
+	}
 }
