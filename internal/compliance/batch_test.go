@@ -138,20 +138,19 @@ func TestComplianceBatchFaultFallbackBitIdentical(t *testing.T) {
 }
 
 // TestComplianceBatchPredecodeCounters: the decode-cache counter totals
-// (including the superblock fusion counter) must be identical with
-// batching on or off and across worker counts — per-lane deltas fold
-// into the same campaign totals the scalar path produces.
+// must be identical with batching on or off and across worker counts —
+// per-lane deltas fold into the same campaign totals the scalar path
+// produces.
 func TestComplianceBatchPredecodeCounters(t *testing.T) {
 	suite := handSuite()
-	read := func(reg *obs.Registry) [4]uint64 {
-		return [4]uint64{
+	read := func(reg *obs.Registry) [3]uint64 {
+		return [3]uint64{
 			reg.Counter("rvnegtest_compliance_predecode_hits_total").Value(),
 			reg.Counter("rvnegtest_compliance_predecode_misses_total").Value(),
 			reg.Counter("rvnegtest_compliance_predecode_invalidations_total").Value(),
-			reg.Counter("rvnegtest_compliance_predecode_fused_total").Value(),
 		}
 	}
-	run := func(workers, batch int) [4]uint64 {
+	run := func(workers, batch int) [3]uint64 {
 		r := DefaultRunner()
 		r.Workers = workers
 		r.Batch = batch

@@ -185,13 +185,12 @@ func (in *instance) notePredecode() {
 	prev := in.lastPre
 	in.lastPre = cur
 	if cur.Hits < prev.Hits || cur.Misses < prev.Misses ||
-		cur.Invalidations < prev.Invalidations || cur.Fused < prev.Fused {
+		cur.Invalidations < prev.Invalidations {
 		prev = exec.CacheStats{} // counters restarted: count from zero
 	}
 	in.pre.hits.Add(cur.Hits - prev.Hits)
 	in.pre.misses.Add(cur.Misses - prev.Misses)
 	in.pre.invals.Add(cur.Invalidations - prev.Invalidations)
-	in.pre.fused.Add(cur.Fused - prev.Fused)
 }
 
 // runBatch executes up to batchSize inputs in one lockstep batch.
@@ -271,13 +270,12 @@ func (in *instance) notePredecodeBatch(n int) {
 		prev := in.lastBatchPre[i]
 		in.lastBatchPre[i] = cur
 		if cur.Hits < prev.Hits || cur.Misses < prev.Misses ||
-			cur.Invalidations < prev.Invalidations || cur.Fused < prev.Fused {
+			cur.Invalidations < prev.Invalidations {
 			prev = exec.CacheStats{}
 		}
 		in.pre.hits.Add(cur.Hits - prev.Hits)
 		in.pre.misses.Add(cur.Misses - prev.Misses)
 		in.pre.invals.Add(cur.Invalidations - prev.Invalidations)
-		in.pre.fused.Add(cur.Fused - prev.Fused)
 	}
 }
 

@@ -40,7 +40,7 @@ type runnerTelemetry struct {
 // counts: every case contributes the same delta wherever it runs,
 // because cache maintenance re-establishes the same pre-run state.
 type preCounters struct {
-	hits, misses, invals, fused *obs.Counter
+	hits, misses, invals *obs.Counter
 }
 
 // simCounters are one simulator's labeled counter family.
@@ -80,7 +80,6 @@ func newRunnerTelemetry(r *Runner) *runnerTelemetry {
 			hits:   reg.Counter("rvnegtest_compliance_predecode_hits_total"),
 			misses: reg.Counter("rvnegtest_compliance_predecode_misses_total"),
 			invals: reg.Counter("rvnegtest_compliance_predecode_invalidations_total"),
-			fused:  reg.Counter("rvnegtest_compliance_predecode_fused_total"),
 		},
 		perSim: map[string]*simCounters{},
 	}

@@ -64,6 +64,11 @@ type Collector struct {
 	edgeBase uint32
 	ruleBase uint32
 	hashBase uint32
+
+	// prefixKey and prefixHits cache the coverage of the last prefix
+	// SkipPrefix ran.
+	prefixKey  any
+	prefixHits []hitCount
 }
 
 // NewCollector allocates the coverage map for the enabled signals.
@@ -104,6 +109,20 @@ func (c *Collector) OnInst(inst *isa.Inst, h *hart.Hart) {
 	if c.opts.Rules != nil {
 		c.opts.Rules.Eval(inst, h, c.Map, c.ruleBase)
 	}
+}
+
+// SkipPrefix lets a simulator skip executing its input-independent
+// prefix under this collector. The prefix runs once per key into a
+// scratch collector; each call adds the (point, count) pairs it recorded
+// to the pending run in first-touch order, so hit counts, bucket bits
+// and RunFootprint order are those of a run that executed the prefix.
+func (c *Collector) SkipPrefix(key any, run func(exec.Hook)) {
+	if key != c.prefixKey {
+		scratch := NewCollector(c.opts)
+		run(scratch)
+		c.prefixKey, c.prefixHits = key, scratch.Map.pendingHits()
+	}
+	c.Map.addHits(c.prefixHits)
 }
 
 var _ exec.Hook = (*Collector)(nil)

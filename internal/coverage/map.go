@@ -46,6 +46,29 @@ func (m *Map) Hit(id uint32) {
 	m.counts[id]++
 }
 
+// hitCount is one coverage point's hit count in a run.
+type hitCount struct{ id, n uint32 }
+
+// pendingHits returns the current run's hit counts in first-touch order.
+func (m *Map) pendingHits() []hitCount {
+	hs := make([]hitCount, len(m.touched))
+	for i, id := range m.touched {
+		hs[i] = hitCount{id, m.counts[id]}
+	}
+	return hs
+}
+
+// addHits adds hit counts to the current run, exactly as that many Hit
+// calls in the same order would.
+func (m *Map) addHits(hs []hitCount) {
+	for _, h := range hs {
+		if m.counts[h.id] == 0 {
+			m.touched = append(m.touched, h.id)
+		}
+		m.counts[h.id] += h.n
+	}
+}
+
 // bucketBit maps a hit count to its libFuzzer-style bucket bit.
 func bucketBit(n uint32) uint8 {
 	switch {

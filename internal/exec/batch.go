@@ -67,7 +67,7 @@ func (b *Batch) Run(limit uint64) []LaneStatus {
 			if st.Done {
 				continue
 			}
-			runLaneQuantum(e, target, limit, st)
+			runLaneQuantum(e, target, st)
 			if e.Halted {
 				st.Done = true
 			} else if !st.Done && e.InstCount >= limit {
@@ -83,14 +83,11 @@ func (b *Batch) Run(limit uint64) []LaneStatus {
 }
 
 // runLaneQuantum steps one lane until it halts or reaches the round's
-// instruction target, isolating panics into the lane status. Each
-// dispatch gets the TRUE remaining budget (limit, not target): the
-// quantum only decides when the round loop yields to the next lane, so
-// fused blocks are interrupted at exactly the same points as a solo
-// Executor.Run(limit) and every counter — including Fused — matches the
-// scalar run. A lane may overshoot the round target by at most one
-// fused block; the overshoot never crosses limit.
-func runLaneQuantum(e *Executor, target, limit uint64, st *LaneStatus) {
+// instruction target, isolating panics into the lane status. The target
+// never exceeds limit, so the quantum only decides when the round loop
+// yields to the next lane, and a lane stops at exactly the instruction a
+// solo Executor.Run(limit) would.
+func runLaneQuantum(e *Executor, target uint64, st *LaneStatus) {
 	defer func() {
 		if r := recover(); r != nil {
 			st.Done = true
@@ -99,6 +96,6 @@ func runLaneQuantum(e *Executor, target, limit uint64, st *LaneStatus) {
 		}
 	}()
 	for !e.Halted && e.InstCount < target {
-		e.stepBudget(limit - e.InstCount)
+		e.Step()
 	}
 }

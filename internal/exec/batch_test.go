@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"rvnegtest/internal/analysis"
 	"rvnegtest/internal/hart"
 	"rvnegtest/internal/isa"
 	"rvnegtest/internal/mem"
@@ -57,11 +56,30 @@ func TestBatchZeroLimit(t *testing.T) {
 	}
 }
 
+// cachedProgram assembles words at 0 and attaches a decode cache.
+func cachedProgram(cfg isa.Config, words ...uint32) *Executor {
+	e := newExec(cfg, words...)
+	attachCache(e, cfg)
+	return e
+}
+
+func sameArch(t *testing.T, label string, want, got *Executor) {
+	t.Helper()
+	if *want.CPU != *got.CPU {
+		t.Fatalf("%s: hart diverged: want pc=%#x x5=%d minstret=%d, got pc=%#x x5=%d minstret=%d",
+			label, want.CPU.PC, want.CPU.ReadX(5), want.CPU.Minstret,
+			got.CPU.PC, got.CPU.ReadX(5), got.CPU.Minstret)
+	}
+	if want.Halted != got.Halted || want.InstCount != got.InstCount || want.TrapCount != got.TrapCount {
+		t.Fatalf("%s: termination diverged: want (halted=%v n=%d traps=%d) got (halted=%v n=%d traps=%d)",
+			label, want.Halted, want.InstCount, want.TrapCount, got.Halted, got.InstCount, got.TrapCount)
+	}
+}
+
 // TestBatchQuantumInvisible pins the quantum-transparency invariant: a
-// small quantum interrupts the round loop inside a long fused block, but
-// every dispatch still gets the true remaining budget, so the counters
-// (Fused included) and the final state are identical to a solo
-// Run(limit) regardless of quantum size.
+// small quantum interrupts the round loop mid-way through a long
+// straight-line run, but the counters and the final state are identical
+// to a solo Run(limit) regardless of quantum size.
 func TestBatchQuantumInvisible(t *testing.T) {
 	var prog []uint32
 	for i := 1; i <= 40; i++ {
@@ -69,15 +87,12 @@ func TestBatchQuantumInvisible(t *testing.T) {
 	}
 	prog = append(prog, enc(isa.Inst{Op: isa.OpSW, Imm: testHaltAddr}))
 
-	solo, blocks := fuseProgram(t, isa.RV32I, prog...)
-	if blocks == 0 {
-		t.Fatal("no fused blocks installed")
-	}
+	solo := cachedProgram(isa.RV32I, prog...)
 	if err := solo.Run(3000); err != nil {
 		t.Fatal(err)
 	}
 	for _, quantum := range []uint64{1, 3, 7, 64} {
-		lane, _ := fuseProgram(t, isa.RV32I, prog...)
+		lane := cachedProgram(isa.RV32I, prog...)
 		b := Batch{Lanes: []*Executor{lane}, Quantum: quantum}
 		status := b.Run(3000)
 		if !status[0].Done || status[0].Err != nil {
@@ -166,8 +181,8 @@ type batchDiffResult struct {
 }
 
 // batchDiffExec builds one executor over bs exactly like runDiff, with
-// an optionally fused cache (classical when fused is false).
-func batchDiffExec(bs []byte, cfg isa.Config, q isa.Quirks, xq Quirks, fused, trap, hooked bool) (*Executor, *diffTrace) {
+// an optional decode cache (classical when cached is false).
+func batchDiffExec(bs []byte, cfg isa.Config, q isa.Quirks, xq Quirks, cached, hooked bool) (*Executor, *diffTrace) {
 	m := mem.New(0, 0x8000)
 	if len(bs) > 0x600 {
 		bs = bs[:0x600]
@@ -184,13 +199,12 @@ func batchDiffExec(bs []byte, cfg isa.Config, q isa.Quirks, xq Quirks, fused, tr
 	e := New(cpu, m, dec)
 	e.HaltAddr = testHaltAddr
 	e.Quirks = xq
-	if fused {
+	if cached {
 		code, err := m.ReadBytes(0, fuzzCodeSpan)
 		if err != nil {
 			panic(err)
 		}
 		e.Cache = NewDecodeCache(dec.Predecode(0, code), cfg)
-		e.Cache.Fuse(analysis.StraightLineExtents(code, trap))
 	}
 	var tr *diffTrace
 	if hooked {
@@ -213,8 +227,8 @@ func captureBatchDiff(e *Executor, tr *diffTrace) batchDiffResult {
 	return res
 }
 
-// soloBatchDiff runs one executor to the budget via Run (the budgeted
-// path that enters fused blocks, unlike runDiff's Step loop).
+// soloBatchDiff runs one executor to the budget via Run (the path the
+// simulators take, unlike runDiff's Step loop).
 func soloBatchDiff(e *Executor, tr *diffTrace) batchDiffResult {
 	var timedOut bool
 	var panicked bool
@@ -270,13 +284,12 @@ func compareBatchDiff(t *testing.T, label string, bs []byte, want, got batchDiff
 
 // FuzzExecBatchDifferential is the three-way differential over the
 // batch machinery: for each derived input, (A) the classical uncached
-// loop, (B) a solo fused Run, and (C) a lane of an exec.Batch with a
-// fuzz-chosen quantum must be indistinguishable — hart state, memory,
-// traps, timeout classification, decoder panics and (between B and C)
-// the cache counters including Fused. The selector additionally picks
-// the configuration, the decoder/executor quirk set, the extent family
-// and whether a coverage hook is attached (the hooked fused path runs
-// every step through the slow per-step route).
+// loop, (B) a solo predecoded Run, and (C) a predecoded lane of an
+// exec.Batch with a fuzz-chosen quantum must be indistinguishable — hart
+// state, memory, traps, timeout classification, decoder panics and
+// (between B and C) the cache counters. The selector additionally picks
+// the configuration, the decoder/executor quirk set and whether a
+// coverage hook is attached.
 func FuzzExecBatchDifferential(f *testing.F) {
 	diffSeeds(f)
 	f.Fuzz(func(t *testing.T, sel uint8, bs []byte) {
@@ -286,7 +299,6 @@ func FuzzExecBatchDifferential(f *testing.F) {
 		if sel&0x20 != 0 {
 			xq = Quirks{LinkBeforeAlignCheck: true, SCIgnoresReservation: true, EcallMarksCompletion: true}
 		}
-		trap := sel&0x10 != 0
 		hooked := sel&0x80 != 0
 		quantum := []uint64{0, 1, 7, 64}[(int(sel)>>5)&3]
 
@@ -298,12 +310,12 @@ func FuzzExecBatchDifferential(f *testing.F) {
 		lanes := make([]*Executor, len(inputs))
 		traces := make([]*diffTrace, len(inputs))
 		for i, in := range inputs {
-			ce, ctr := batchDiffExec(in, cfg, q, xq, false, trap, hooked)
+			ce, ctr := batchDiffExec(in, cfg, q, xq, false, hooked)
 			classical := soloBatchDiff(ce, ctr)
-			fe, ftr := batchDiffExec(in, cfg, q, xq, true, trap, hooked)
-			want[i] = soloBatchDiff(fe, ftr)
-			compareBatchDiff(t, fmt.Sprintf("fused[%d]", i), in, classical, want[i], false)
-			lanes[i], traces[i] = batchDiffExec(in, cfg, q, xq, true, trap, hooked)
+			pe, ptr := batchDiffExec(in, cfg, q, xq, true, hooked)
+			want[i] = soloBatchDiff(pe, ptr)
+			compareBatchDiff(t, fmt.Sprintf("predecode[%d]", i), in, classical, want[i], false)
+			lanes[i], traces[i] = batchDiffExec(in, cfg, q, xq, true, hooked)
 		}
 
 		b := Batch{Lanes: lanes, Quantum: quantum}

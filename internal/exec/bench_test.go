@@ -3,7 +3,6 @@ package exec
 import (
 	"testing"
 
-	"rvnegtest/internal/analysis"
 	"rvnegtest/internal/hart"
 	"rvnegtest/internal/isa"
 	"rvnegtest/internal/mem"
@@ -97,22 +96,12 @@ func benchRunProgram() []uint32 {
 
 // benchRun measures whole-program Executor.Run throughput; the predecode
 // variant includes the per-run cache maintenance (Reset), exactly like
-// the simulator's run path, and the fused variant additionally installs
-// superblocks over the CFG's straight-line extents.
-func benchRun(b *testing.B, pre, fused bool) {
+// the simulator's run path.
+func benchRun(b *testing.B, pre bool) {
 	e := newExec(isa.RV32I, benchRunProgram()...)
 	var cache *DecodeCache
 	if pre {
 		cache = attachCache(e, isa.RV32I)
-		if fused {
-			code, err := e.Mem.ReadBytes(0, fuzzCodeSpan)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if cache.Fuse(analysis.StraightLineExtents(code, false)) == 0 {
-				b.Fatal("no fused blocks installed")
-			}
-		}
 	}
 	var insts uint64
 	b.ResetTimer()
@@ -133,31 +122,19 @@ func benchRun(b *testing.B, pre, fused bool) {
 }
 
 // BenchmarkRunDirect is the classical fetch-decode-execute loop.
-func BenchmarkRunDirect(b *testing.B) { benchRun(b, false, false) }
+func BenchmarkRunDirect(b *testing.B) { benchRun(b, false) }
 
 // BenchmarkRunPredecode is the same workload on the predecoded fast
 // path; scripts/exec_bench.sh gates its speedup over BenchmarkRunDirect.
-func BenchmarkRunPredecode(b *testing.B) { benchRun(b, true, false) }
+func BenchmarkRunPredecode(b *testing.B) { benchRun(b, true) }
 
-// BenchmarkRunFused is the same workload with superblock fusion on top
-// of the predecode; scripts/exec_bench.sh gates the batch+fusion
-// speedup over BenchmarkRunPredecode.
-func BenchmarkRunFused(b *testing.B) { benchRun(b, true, true) }
-
-// BenchmarkRunBatch runs 8 fused lanes in lockstep through exec.Batch
+// BenchmarkRunBatch runs 8 predecoded lanes in lockstep through exec.Batch
 // (the per-worker shape of the batched fuzz and compliance campaigns);
 // the metric aggregates instructions across all lanes.
 func BenchmarkRunBatch(b *testing.B) {
 	const lanes = 8
 	base := newExec(isa.RV32I, benchRunProgram()...)
 	cache := attachCache(base, isa.RV32I)
-	code, err := base.Mem.ReadBytes(0, fuzzCodeSpan)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if cache.Fuse(analysis.StraightLineExtents(code, false)) == 0 {
-		b.Fatal("no fused blocks installed")
-	}
 	execs := make([]*Executor, lanes)
 	for i := range execs {
 		e := newExec(isa.RV32I, benchRunProgram()...)
@@ -194,25 +171,16 @@ func (h *countHook) OnInst(*isa.Inst, *hart.Hart) { h.n++ }
 func (h *countHook) OnEdge(uint32)                { h.n++ }
 
 // TestRunHookedAllocsZero: Executor.Run with a hook attached allocates
-// nothing, on the classical, predecoded and fused paths alike.
+// nothing, on the classical and predecoded paths alike.
 func TestRunHookedAllocsZero(t *testing.T) {
 	for _, tc := range []struct {
-		name       string
-		pre, fused bool
-	}{{"direct", false, false}, {"predecode", true, false}, {"fused", true, true}} {
+		name string
+		pre  bool
+	}{{"direct", false}, {"predecode", true}} {
 		e := newExec(isa.RV32I, benchRunProgram()...)
 		var cache *DecodeCache
 		if tc.pre {
 			cache = attachCache(e, isa.RV32I)
-			if tc.fused {
-				code, err := e.Mem.ReadBytes(0, fuzzCodeSpan)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if cache.Fuse(analysis.StraightLineExtents(code, false)) == 0 {
-					t.Fatal("no fused blocks installed")
-				}
-			}
 		}
 		hook := &countHook{}
 		e.Hook = hook

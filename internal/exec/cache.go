@@ -24,15 +24,12 @@ type cacheEntry struct {
 	state uint8
 	fp    bool // legal FP op: re-check FPEnabled at dispatch time
 	dirty bool // deviates from the pristine predecode; undone by Reset
-	// blk, when non-nil, marks this slot as the head of a fused
-	// straight-line block (see fuse.go): a fetch here with budget to
-	// spare runs the whole block. Invalidation clears it; Reset restores
-	// it from the shared fuse table.
-	blk *fusedBlock
 }
 
 // CacheStats are the cumulative decode-cache counters of one executor
-// lineage (fed into the predecode_* telemetry series).
+// lineage (fed into the predecode_* telemetry series). Every executed
+// step is exactly one hit or one miss, so Hits+Misses is the number of
+// fetches actually performed through the cache.
 type CacheStats struct {
 	// Hits counts fetches served from the cache (legal and illegal
 	// entries alike).
@@ -43,9 +40,6 @@ type CacheStats struct {
 	// Invalidations counts executed stores (and injection writes) that
 	// overlapped the cached range and knocked out at least one slot.
 	Invalidations uint64
-	// Fused counts the subset of Hits served through a fused block
-	// handler instead of per-slot dispatch.
-	Fused uint64
 }
 
 // Add folds another counter set into s (the deterministic batch-lane and
@@ -54,7 +48,6 @@ func (s *CacheStats) Add(o CacheStats) {
 	s.Hits += o.Hits
 	s.Misses += o.Misses
 	s.Invalidations += o.Invalidations
-	s.Fused += o.Fused
 }
 
 // DecodeCache maps a predecoded code range to ready-to-dispatch entries
@@ -71,12 +64,6 @@ type DecodeCache struct {
 	entries []cacheEntry
 	touched []int32
 	stats   CacheStats
-	// fuse, when non-nil, is the immutable fusion index shared across
-	// clones (see Fuse); gen counts effective invalidations so a fused
-	// run in flight can detect that any cached slot — possibly its own
-	// tail — was knocked out.
-	fuse *fuseTable
-	gen  uint64
 }
 
 // NewDecodeCache derives dispatch entries from a predecode for one ISA
@@ -124,11 +111,11 @@ func makeEntry(in *isa.Inst, cfg isa.Config) cacheEntry {
 }
 
 // Clone returns an independent cache sharing only the immutable
-// predecode and fuse table. The clone copies the current entries (they
-// must match the memory image it is paired with, which is cloned the
-// same way) and starts with fresh counters: per-clone hit/miss/
-// invalidation counts are independent, so a campaign-level fold over
-// clones is a plain sum in clone order. Safe on a nil receiver.
+// predecode. The clone copies the current entries (they must match the
+// memory image it is paired with, which is cloned the same way) and
+// starts with fresh counters: per-clone hit/miss/invalidation counts are
+// independent, so a campaign-level fold over clones is a plain sum in
+// clone order. Safe on a nil receiver.
 func (c *DecodeCache) Clone() *DecodeCache {
 	if c == nil {
 		return nil
@@ -146,11 +133,6 @@ func (c *DecodeCache) Clone() *DecodeCache {
 func (c *DecodeCache) Reset() {
 	for _, i := range c.touched {
 		c.entries[i] = makeEntry(&c.pd.Insts[i], c.cfg)
-		if c.fuse != nil {
-			// A restored head slot regains its fused handler: the block's
-			// body is pristine again by the same reasoning as the entry.
-			c.entries[i].blk = c.fuse.heads[i]
-		}
 	}
 	c.touched = c.touched[:0]
 }
@@ -183,24 +165,7 @@ func (c *DecodeCache) InvalidateRange(addr, size uint32) {
 	if hi > limit {
 		hi = limit
 	}
-	loSlot := (lo - base) >> 1
-	if c.fuse != nil {
-		c.gen++
-		// Splitting fusion: slots inside the range lose blk in the loop
-		// below; the only block that can span INTO the range from before
-		// it is the one owning loSlot with an earlier head.
-		if h := c.fuse.owner[loSlot]; h >= 0 && int64(h) < loSlot {
-			e := &c.entries[h]
-			if e.blk != nil {
-				if !e.dirty {
-					c.touched = append(c.touched, h)
-					e.dirty = true
-				}
-				e.blk = nil
-			}
-		}
-	}
-	for i := loSlot; i < (hi-base+1)>>1; i++ {
+	for i := (lo - base) >> 1; i < (hi-base+1)>>1; i++ {
 		e := &c.entries[i]
 		if !e.dirty {
 			c.touched = append(c.touched, int32(i))

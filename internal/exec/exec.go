@@ -120,11 +120,10 @@ type Executor struct {
 
 	// cur is the scratch record of the instruction being dispatched: the
 	// hook and the handler receive &cur, never a pointer into the decode
-	// cache or a fused block, because a self-modifying store may overwrite
-	// the cached record while its own handler still runs. Reusing one
-	// field keeps the record off the heap; a local whose address reaches
-	// the indirect hook and handler calls would escape on every retired
-	// instruction.
+	// cache, because a self-modifying store may overwrite the cached
+	// record while its own handler still runs. Reusing one field keeps
+	// the record off the heap; a local whose address reaches the indirect
+	// hook and handler calls would escape on every retired instruction.
 	cur isa.Inst
 }
 
@@ -134,15 +133,12 @@ func New(cpu *hart.Hart, m *mem.Memory, dec *isa.Decoder) *Executor {
 }
 
 // Run steps until the program halts or limit instructions have executed.
-// Runs with budget to spare may execute whole fused blocks per dispatch
-// (see fuse.go); the architectural trajectory and the timeout point are
-// identical to single-stepping.
 func (e *Executor) Run(limit uint64) error {
 	for !e.Halted {
 		if e.InstCount >= limit {
 			return ErrTimeout
 		}
-		e.stepBudget(limit - e.InstCount)
+		e.Step()
 	}
 	return nil
 }
@@ -153,17 +149,11 @@ func (e *Executor) edge(op isa.Op, kind uint32) {
 	}
 }
 
-// Step executes one instruction (or takes one trap).
+// Step executes one instruction (or takes one trap). With a cache
+// attached, a fetch from a valid slot skips fetch, decode and the
+// configuration-legality ladder entirely; everything else funnels into
+// stepSlow.
 func (e *Executor) Step() {
-	e.stepBudget(1)
-}
-
-// stepBudget executes at least one and at most budget instructions. With
-// a cache attached, a fetch from a valid slot skips fetch, decode and
-// the configuration-legality ladder entirely; a fetch landing on a fused
-// block head with budget to spare runs the block through its fused
-// handler. Everything else funnels into stepSlow.
-func (e *Executor) stepBudget(budget uint64) {
 	c := e.Cache
 	if c == nil {
 		e.stepSlow(false)
@@ -179,10 +169,6 @@ func (e *Executor) stepBudget(budget uint64) {
 	if ent.state == entryInvalid {
 		c.stats.Misses++
 		e.stepSlow(true)
-		return
-	}
-	if ent.blk != nil && budget > 1 {
-		e.runFused(c, ent.blk, budget)
 		return
 	}
 	c.stats.Hits++

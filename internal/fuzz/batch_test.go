@@ -167,7 +167,6 @@ func TestBatchPredecodeCountersSaneAcrossFaultsAndResume(t *testing.T) {
 			"rvnegtest_fuzz_predecode_hits_total",
 			"rvnegtest_fuzz_predecode_misses_total",
 			"rvnegtest_fuzz_predecode_invalidations_total",
-			"rvnegtest_fuzz_predecode_fused_total",
 		}
 		m := make(map[string]uint64, len(names))
 		for _, n := range names {

@@ -330,13 +330,12 @@ func (f *Fuzzer) notePredecode() {
 	prev := f.lastPre
 	f.lastPre = cur
 	if cur.Hits < prev.Hits || cur.Misses < prev.Misses ||
-		cur.Invalidations < prev.Invalidations || cur.Fused < prev.Fused {
+		cur.Invalidations < prev.Invalidations {
 		prev = exec.CacheStats{} // counters restarted under us: count from zero
 	}
 	f.tel.preHits.Add(cur.Hits - prev.Hits)
 	f.tel.preMiss.Add(cur.Misses - prev.Misses)
 	f.tel.preInval.Add(cur.Invalidations - prev.Invalidations)
-	f.tel.preFused.Add(cur.Fused - prev.Fused)
 }
 
 // Step performs one fuzzer execution; it reports whether the input was

@@ -27,7 +27,6 @@ type telemetry struct {
 	preHits  *obs.Counter
 	preMiss  *obs.Counter
 	preInval *obs.Counter
-	preFused *obs.Counter
 	drops    [analysis.NumReasons]*obs.Counter
 
 	// batchRuns counts successful lockstep batch executions; batchAborts
@@ -69,7 +68,6 @@ func newTelemetry(cfg Config) *telemetry {
 		preHits:     reg.Counter("rvnegtest_fuzz_predecode_hits_total"),
 		preMiss:     reg.Counter("rvnegtest_fuzz_predecode_misses_total"),
 		preInval:    reg.Counter("rvnegtest_fuzz_predecode_invalidations_total"),
-		preFused:    reg.Counter("rvnegtest_fuzz_predecode_fused_total"),
 		batchRuns:   reg.Counter("rvnegtest_fuzz_batch_runs_total"),
 		batchAborts: reg.Counter("rvnegtest_fuzz_batch_aborts_total"),
 		corpusSize:  reg.Gauge("rvnegtest_fuzz_corpus_size"),

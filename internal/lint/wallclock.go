@@ -46,7 +46,7 @@ var wallclockAllow = map[string]string{
 	"internal/fuzz.Fuzzer.stepBatch":               "batch stage timers + execs/sec session accounting",
 	"internal/fuzz.Fuzzer.RunContext":              "wall-clock campaign budget (-duration flag)",
 	"internal/fuzz.Fuzzer.SaveCheckpoint":          "checkpoint stage timer (save latency, never in the fingerprint)",
-	"internal/sim.Simulator.RunHooked":             "per-run stage timers",
+	"internal/sim.lane.start":                      "per-run predecode maintenance timer",
 }
 
 // Wallclock flags time.Now / time.Since / time.Until in

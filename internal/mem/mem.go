@@ -204,6 +204,17 @@ func (m *Memory) Restore() {
 	}
 }
 
+// Dirty reports whether anything was written since the last Snapshot or
+// Restore (always false before the first Snapshot).
+func (m *Memory) Dirty() bool {
+	for _, w := range m.dirty {
+		if w != 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // Clone returns an independent deep copy (snapshot state included).
 func (m *Memory) Clone() *Memory {
 	c := &Memory{base: m.base, data: append([]byte(nil), m.data...)}

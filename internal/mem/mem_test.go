@@ -107,6 +107,34 @@ func TestSnapshotRestore(t *testing.T) {
 	}
 }
 
+// TestDirty: reads never dirty the memory, any write after Snapshot
+// does, and Restore and Snapshot both clear it.
+func TestDirty(t *testing.T) {
+	m := New(0, 0x8000)
+	_ = m.Write32(0x100, 1)
+	if m.Dirty() {
+		t.Fatal("dirty before the first Snapshot")
+	}
+	m.Snapshot()
+	_, _ = m.Read32(0x100)
+	if m.Dirty() {
+		t.Fatal("a read dirtied the memory")
+	}
+	_ = m.Write8(0x7fff, 2)
+	if !m.Dirty() {
+		t.Fatal("a write left the memory clean")
+	}
+	m.Restore()
+	if m.Dirty() {
+		t.Fatal("dirty after Restore")
+	}
+	_ = m.Write32(0, 3)
+	m.Snapshot()
+	if m.Dirty() {
+		t.Fatal("dirty after Snapshot")
+	}
+}
+
 // TestRestoreEquivalentToFullCopy drives random write/restore cycles and
 // checks dirty-page restore matches a full-image restore.
 func TestRestoreEquivalentToFullCopy(t *testing.T) {

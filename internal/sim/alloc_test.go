@@ -8,15 +8,16 @@ import (
 	"rvnegtest/internal/template"
 )
 
-// runAllocs is what one hooked run allocates however many instructions
-// it retires: the hart, the executor and the signature.
-const runAllocs = 3
+// runAllocs is what one run allocates however many instructions it
+// retires: the signature. The hart and executor belong to the simulator
+// and are reused across runs.
+const runAllocs = 1
 
-// TestRunHookedAllocsIndependentOfLength pins RunHooked's allocations to
-// the per-run constant on both template families, with v0 and v3
-// collectors and with predecode on and off: a 15-instruction input must
-// allocate exactly what a 1-instruction input does, so nothing allocates
-// per retired instruction.
+// TestRunHookedAllocsIndependentOfLength pins the allocations of Run and
+// RunHooked to the per-run constant on both template families, unhooked
+// and with v0 and v3 collectors, with predecode on and off: a
+// 15-instruction input must allocate exactly what a 1-instruction input
+// does, so nothing allocates per retired instruction.
 func TestRunHookedAllocsIndependentOfLength(t *testing.T) {
 	short := stream(enc(isa.Inst{Op: isa.OpADDI, Rd: 5, Rs1: 5, Imm: 1}))
 	long := stream(
@@ -41,20 +42,27 @@ func TestRunHookedAllocsIndependentOfLength(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, cov := range []string{"v0", "v3"} {
-			opts, _ := coverage.ByName(cov)
-			col := coverage.NewCollector(opts)
+		for _, cov := range []string{"none", "v0", "v3"} {
+			run := s.Run
+			var col *coverage.Collector
+			if opts, ok := coverage.ByName(cov); ok {
+				col = coverage.NewCollector(opts)
+				run = func(bs []byte) Outcome {
+					out := s.RunHooked(bs, col)
+					col.Map.DiscardRun()
+					return out
+				}
+			}
 			for _, pre := range []bool{true, false} {
 				s.NoPredecode = !pre
 				var insts [2]uint64
 				for i, bs := range [][]byte{short, long} {
 					allocs := testing.AllocsPerRun(20, func() {
-						out := s.RunHooked(bs, col)
+						out := run(bs)
 						if out.Crashed || out.TimedOut || out.Signature == nil {
 							t.Fatalf("%v %s predecode=%v: run failed: %+v", fam, cov, pre, out)
 						}
 						insts[i] = out.Insts
-						col.Map.DiscardRun()
 					})
 					if allocs != runAllocs {
 						t.Errorf("%v %s predecode=%v: %d-word input: %v allocs per run, want %d",

@@ -1,9 +1,9 @@
 // Batched lockstep execution: a BatchRunner owns N persistent lanes —
-// cloned image, decode-cache clone, arena-allocated hart and executor —
-// and runs N test cases at once through exec.Batch. Every lane
-// reproduces RunHooked exactly (injection, cache maintenance, panic
-// isolation, outcome classification, signature extraction), so a batch
-// of N cases returns the same N outcomes as N sequential scalar runs;
+// cloned image, decode-cache clone, hart and executor — and runs N test
+// cases at once through exec.Batch. Every lane reproduces RunHooked
+// exactly (it starts through the same lane.start and classifies through
+// the same lane.outcome; panics are isolated per lane), so a batch of N
+// cases returns the same N outcomes as N sequential scalar runs;
 // batching is purely an execution strategy.
 //
 // The batch path reads no clocks: the per-run predecode maintenance
@@ -16,9 +16,7 @@ import (
 	"errors"
 
 	"rvnegtest/internal/exec"
-	"rvnegtest/internal/hart"
 	"rvnegtest/internal/isa"
-	"rvnegtest/internal/template"
 )
 
 // errNotBatchable reports a wrapper whose inner simulator has no batch
@@ -49,20 +47,11 @@ type BatchRunner interface {
 	LanePredecodeStats(i int) exec.CacheStats
 }
 
-// batchLane is the persistent per-lane state.
-type batchLane struct {
-	img   *template.Image
-	cache *exec.DecodeCache
-}
-
 type simBatch struct {
-	variant *Variant
-	limit   uint64
-	lanes   []batchLane
-	// harts and execs are arena slices: one contiguous allocation each,
-	// so the lockstep rounds walk adjacent memory.
-	harts []hart.Hart
-	execs []exec.Executor
+	limit uint64
+	// lanes is one contiguous allocation, so the lockstep rounds walk
+	// adjacent harts and executors.
+	lanes []lane
 	batch exec.Batch
 	// idx is scratch: the input indexes whose lanes actually ran in the
 	// current chunk (injection failures never start a lane).
@@ -71,36 +60,24 @@ type simBatch struct {
 
 // NewBatch builds a runner with n lanes cloned from this simulator.
 // Each lane owns a private image and decode-cache clone (sharing only
-// the immutable predecode and fuse table), so lanes never observe each
+// the immutable predecode and entry state), so lanes never observe each
 // other. The parent simulator stays usable for scalar runs.
 func (s *Simulator) NewBatch(n int) (BatchRunner, error) {
 	if n < 1 {
 		n = 1
 	}
-	b := &simBatch{
-		variant: s.Variant,
-		limit:   s.Limit,
-		lanes:   make([]batchLane, n),
-		harts:   make([]hart.Hart, n),
-		execs:   make([]exec.Executor, n),
-	}
+	b := &simBatch{limit: s.Limit, lanes: make([]lane, n)}
 	b.batch.Lanes = make([]*exec.Executor, n)
 	// Like Clone, the batch shares nothing mutable with its parent (an
 	// abandoned runner's goroutine may outlive the caller's interest).
 	dec := &isa.Decoder{Quirks: s.Variant.DecQuirks}
-	for i := 0; i < n; i++ {
-		img := s.img.Clone()
-		cache := s.pre.Clone()
+	for i := range b.lanes {
+		cache := s.l.cache.Clone()
 		if s.NoPredecode {
 			cache = nil
 		}
-		e := img.NewExecutorCfg(s.eff, dec, s.Variant.ExecQuirks)
-		b.harts[i] = *e.CPU
-		b.execs[i] = *e
-		b.execs[i].CPU = &b.harts[i]
-		b.execs[i].Cache = cache
-		b.lanes[i] = batchLane{img: img, cache: cache}
-		b.batch.Lanes[i] = &b.execs[i]
+		s.initLane(&b.lanes[i], s.l.img.Clone(), cache, dec)
+		b.batch.Lanes[i] = &b.lanes[i].ex
 	}
 	return b, nil
 }
@@ -117,34 +94,19 @@ func (b *simBatch) RunHookedBatch(inputs [][]byte, hooks []exec.Hook) []Outcome 
 // runChunk runs up to len(lanes) cases in one lockstep round set.
 // hookBase is the chunk's offset into the hooks slice.
 func (b *simBatch) runChunk(inputs [][]byte, hooks []exec.Hook, hookBase int, outs []Outcome) {
-	// Lane setup: mirror the scalar RunHooked prologue per lane.
 	active := b.batch.Lanes[:0]
 	b.idx = b.idx[:0]
 	for i, bs := range inputs {
-		lane := &b.lanes[i]
-		e := &b.execs[i]
-		if err := lane.img.Inject(bs); err != nil {
+		var hook exec.Hook
+		if hooks != nil {
+			hook = hooks[hookBase+i]
+		}
+		if err := b.lanes[i].start(bs, hook, b.limit); err != nil {
 			outs[i] = Outcome{Crashed: true, CrashMsg: err.Error()}
 			continue
 		}
-		if lane.cache != nil {
-			lane.cache.Reset()
-			if n := uint32(len(bs)+3) &^ 3; n > 0 {
-				lane.cache.InvalidateRange(lane.img.InjectAddr, n)
-			}
-		}
-		h := e.CPU
-		h.Reset()
-		h.PC = lane.img.Entry
-		e.Halted = false
-		e.InstCount = 0
-		e.TrapCount = 0
-		e.Hook = nil
-		if hooks != nil {
-			e.Hook = hooks[hookBase+i]
-		}
 		b.idx = append(b.idx, i)
-		active = append(active, e)
+		active = append(active, &b.lanes[i].ex)
 	}
 	if len(active) == 0 {
 		return
@@ -152,33 +114,15 @@ func (b *simBatch) runChunk(inputs [][]byte, hooks []exec.Hook, hookBase int, ou
 	b.batch.Lanes = active
 	status := b.batch.Run(b.limit)
 
-	// Outcome extraction: mirror the scalar RunHooked epilogue per lane.
+	// Outcome extraction: classify each lane exactly like RunHooked.
 	for si, i := range b.idx {
-		outs[i] = laneOutcome(&b.lanes[i], &b.execs[i], status[si])
+		l := &b.lanes[i]
+		if st := status[si]; st.Panicked {
+			outs[i] = Outcome{Crashed: true, CrashMsg: st.PanicMsg, Insts: l.ex.InstCount, Traps: l.ex.TrapCount}
+		} else {
+			outs[i] = l.outcome(st.Err)
+		}
 	}
-}
-
-// laneOutcome classifies one finished lane exactly like RunHooked.
-func laneOutcome(lane *batchLane, e *exec.Executor, st exec.LaneStatus) Outcome {
-	out := Outcome{Insts: e.InstCount, Traps: e.TrapCount}
-	if st.Panicked {
-		out.Crashed = true
-		out.CrashMsg = st.PanicMsg
-		return out
-	}
-	if st.Err != nil {
-		out.TimedOut, out.CrashMsg = classifyRunError(st.Err)
-		out.Crashed = !out.TimedOut
-		return out
-	}
-	signature, err := lane.img.Signature()
-	if err != nil {
-		out.Crashed = true
-		out.CrashMsg = err.Error()
-		return out
-	}
-	out.Signature = signature
-	return out
 }
 
 func (b *simBatch) PredecodeStats() exec.CacheStats {

@@ -99,8 +99,8 @@ func TestBatchMatchesScalar(t *testing.T) {
 func runIsolated(s *Simulator, bs []byte) Outcome { return s.RunHooked(bs, nil) }
 
 // TestBatchMatchesScalarUnfused repeats the equivalence check with
-// predecode (and with it fusion) disabled, so the classical path is
-// covered by the same harness.
+// predecode disabled, so the classical path is covered by the same
+// harness.
 func TestBatchMatchesScalarUnfused(t *testing.T) {
 	cases := batchCases()
 	p := template.PlatformFor(template.FamilyUser, isa.RV32IMC)

@@ -1,0 +1,310 @@
+package sim
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"rvnegtest/internal/coverage"
+	"rvnegtest/internal/exec"
+	"rvnegtest/internal/hart"
+	"rvnegtest/internal/isa"
+	"rvnegtest/internal/mem"
+	"rvnegtest/internal/template"
+)
+
+// fullPath wraps a hook (nil: observe nothing) without implementing
+// prefixSkipper, so a run under it executes the template prefix: the
+// reference every fast-forwarded run must reproduce.
+type fullPath struct{ h exec.Hook }
+
+func (f fullPath) OnInst(in *isa.Inst, h *hart.Hart) {
+	if f.h != nil {
+		f.h.OnInst(in, h)
+	}
+}
+
+func (f fullPath) OnEdge(edge uint32) {
+	if f.h != nil {
+		f.h.OnEdge(edge)
+	}
+}
+
+// fuzzCorpus returns n seeded inputs of 1..16 words in the mix a
+// mutating fuzzer produces: legal 32-bit encodings with random fields,
+// raw words, compressed halfword pairs, and — in one input of sixteen —
+// a jump back into the template prefix.
+func fuzzCorpus(n int, seed int64) [][]byte {
+	rng := rand.New(rand.NewSource(seed))
+	dec := &isa.Decoder{}
+	half := func() uint32 {
+		h := uint32(rng.Intn(1 << 16))
+		if h&3 == 3 {
+			h ^= 1
+		}
+		return h
+	}
+	out := make([][]byte, n)
+	for i := range out {
+		words := make([]uint32, 1+rng.Intn(16))
+		for j := range words {
+			switch rng.Intn(4) {
+			case 0:
+				words[j] = rng.Uint32()
+			case 1:
+				words[j] = half() | half()<<16
+			default:
+				w := rng.Uint32() | 3
+				for dec.Decode32(w).Info() == nil {
+					w = rng.Uint32() | 3
+				}
+				words[j] = w
+			}
+		}
+		if rng.Intn(16) == 0 {
+			j := rng.Intn(len(words))
+			words[j] = enc(isa.Inst{Op: isa.OpJAL, Rd: 1, Imm: -int32(4*j + 8)})
+		}
+		out[i] = stream(words...)
+	}
+	return out
+}
+
+// platforms lists every supported variant × {RV32I, RV32IMC, RV32GC} ×
+// family combination.
+func platforms(t *testing.T) (sims []*Simulator, labels []string) {
+	t.Helper()
+	for _, v := range All {
+		for _, cfg := range []isa.Config{isa.RV32I, isa.RV32IMC, isa.RV32GC} {
+			if !v.Supports(cfg) {
+				continue
+			}
+			for _, fam := range []template.Family{template.FamilyUser, template.FamilyTrap} {
+				s, err := New(v, template.PlatformFor(fam, cfg))
+				if err != nil {
+					t.Fatal(err)
+				}
+				label := v.Name + "/" + cfg.String() + "/" + fam.String()
+				if s.entry == nil {
+					t.Fatalf("%s: no entry state: every run executes the prefix", label)
+				}
+				sims, labels = append(sims, s), append(labels, label)
+			}
+		}
+	}
+	return sims, labels
+}
+
+func fetches(st exec.CacheStats) uint64 { return st.Hits + st.Misses }
+
+// TestFastForwardMatchesFullPath is the fast-forward differential: on
+// every platform, unhooked and under v0 and v3 collectors, a run that
+// starts at the entry state must equal a run that executes the prefix —
+// the same Outcome and the same coverage footprint, order included —
+// over batchCases and a seeded corpus of about 2k executions. The
+// decode-cache counters count exactly the fetches each run performs:
+// Insts minus the prefix when fast-forwarded, Insts on the full path.
+// Many random inputs loop on the trap template; a 2,000-instruction
+// limit keeps them cheap (filter-accepted cases retire far fewer).
+func TestFastForwardMatchesFullPath(t *testing.T) {
+	inputs := append(batchCases(), fuzzCorpus(64, 1)...)
+	sims, labels := platforms(t)
+	for si, s := range sims {
+		s.Limit = 2000
+		for _, cov := range []string{"none", "v0", "v3"} {
+			var fast, full *coverage.Collector
+			fastHook, fullHook := exec.Hook(nil), exec.Hook(fullPath{})
+			if opts, ok := coverage.ByName(cov); ok {
+				fast, full = coverage.NewCollector(opts), coverage.NewCollector(opts)
+				fastHook, fullHook = fast, fullPath{full}
+			}
+			for i, bs := range inputs {
+				label := fmt.Sprintf("%s %s input %d (%x)", labels[si], cov, i, bs)
+				st0 := s.PredecodeStats()
+				got := s.RunHooked(bs, fastHook)
+				st1 := s.PredecodeStats()
+				want := s.RunHooked(bs, fullHook)
+				st2 := s.PredecodeStats()
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: outcome diverged:\nfast %+v\nfull %+v", label, got, want)
+				}
+				if n := fetches(st1) - fetches(st0); n != got.Insts-s.entry.insts {
+					t.Fatalf("%s: fast-forwarded run fetched %d, want Insts %d - prefix %d",
+						label, n, got.Insts, s.entry.insts)
+				}
+				if n := fetches(st2) - fetches(st1); n != want.Insts {
+					t.Fatalf("%s: full-path run fetched %d, want Insts %d", label, n, want.Insts)
+				}
+				if fast == nil {
+					continue
+				}
+				if f, w := fast.Map.RunFootprint(), full.Map.RunFootprint(); !reflect.DeepEqual(f, w) {
+					t.Fatalf("%s: coverage footprint diverged (%d vs %d points)", label, len(f), len(w))
+				}
+				if fast.Map.MergeNew() != full.Map.MergeNew() {
+					t.Fatalf("%s: novelty diverged", label)
+				}
+			}
+			if fast != nil && fast.Map.BucketBits() != full.Map.BucketBits() {
+				t.Fatalf("%s %s: bucket bits %d vs %d", labels[si], cov, fast.Map.BucketBits(), full.Map.BucketBits())
+			}
+		}
+	}
+}
+
+// TestFastForwardLimitAtPrefix: an instruction limit at or below the
+// prefix length leaves nothing to skip to, so the run falls back to the
+// full path and times out exactly where it always did; just above it
+// the fast-forwarded run agrees too.
+func TestFastForwardLimitAtPrefix(t *testing.T) {
+	bs := stream(enc(isa.Inst{Op: isa.OpADDI, Rd: 5, Rs1: 5, Imm: 1}))
+	for _, cfg := range []isa.Config{isa.RV32I, isa.RV32GC} {
+		s, err := New(Reference, template.PlatformFor(template.FamilyUser, cfg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := s.entry.insts
+		col := coverage.NewCollector(coverage.V3())
+		ref := coverage.NewCollector(coverage.V3())
+		for _, limit := range []uint64{0, 1, p - 1, p, p + 1, p + 2} {
+			s.Limit = limit
+			for _, hooks := range [][2]exec.Hook{{nil, fullPath{}}, {col, fullPath{ref}}} {
+				got, want := s.RunHooked(bs, hooks[0]), s.RunHooked(bs, hooks[1])
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%v limit %d: fast %+v, full %+v", cfg, limit, got, want)
+				}
+				if limit <= p+1 && (!got.TimedOut || got.Insts != limit) {
+					t.Fatalf("%v limit %d: %+v, want a timeout after exactly %d", cfg, limit, got, limit)
+				}
+			}
+			if f, w := col.Map.RunFootprint(), ref.Map.RunFootprint(); !reflect.DeepEqual(f, w) {
+				t.Fatalf("%v limit %d: footprint diverged", cfg, limit)
+			}
+			col.Map.DiscardRun()
+			ref.Map.DiscardRun()
+		}
+	}
+}
+
+// TestFastForwardKeySwitch drives one collector through two simulators
+// with different prefixes in alternation: every switch of key must
+// re-derive the prefix coverage, never replay the other simulator's.
+func TestFastForwardKeySwitch(t *testing.T) {
+	a, err := New(Reference, template.PlatformFor(template.FamilyUser, isa.RV32GC))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := New(Grift, template.PlatformFor(template.FamilyTrap, isa.RV32IMC))
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := coverage.NewCollector(coverage.V3())
+	ref := coverage.NewCollector(coverage.V3())
+	for i, bs := range append(batchCases(), fuzzCorpus(16, 2)...) {
+		for _, s := range []*Simulator{a, b, a} {
+			got, want := s.RunHooked(bs, col), s.RunHooked(bs, fullPath{ref})
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("input %d on %s: fast %+v, full %+v", i, s.Variant.Name, got, want)
+			}
+			if f, w := col.Map.RunFootprint(), ref.Map.RunFootprint(); !reflect.DeepEqual(f, w) {
+				t.Fatalf("input %d on %s: footprint diverged", i, s.Variant.Name)
+			}
+			col.Map.DiscardRun()
+			ref.Map.DiscardRun()
+		}
+	}
+}
+
+// TestFastForwardShared: clones and batch lanes share the simulator's
+// entry state, and hooked batch lanes reproduce the scalar footprints.
+func TestFastForwardShared(t *testing.T) {
+	s, err := New(Reference, template.PlatformFor(template.FamilyTrap, isa.RV32GC))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := s.Clone()
+	if c.entry == nil || c.entry != s.entry || c.l.entry != s.entry {
+		t.Fatal("clone does not share the entry state")
+	}
+	r, err := s.NewBatch(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, l := range r.(*simBatch).lanes {
+		if l.entry != s.entry {
+			t.Fatalf("batch lane %d does not share the entry state", i)
+		}
+	}
+	cases := batchCases()
+	hooks := make([]exec.Hook, len(cases))
+	cols := make([]*coverage.Collector, len(cases))
+	for i := range cases {
+		cols[i] = coverage.NewCollector(coverage.V3())
+		hooks[i] = cols[i]
+	}
+	got := r.RunHookedBatch(cases, hooks)
+	ref := coverage.NewCollector(coverage.V3())
+	for i, bs := range cases {
+		want := c.RunHooked(bs, fullPath{ref})
+		if !reflect.DeepEqual(got[i], want) {
+			t.Fatalf("case %d: batch %+v, full-path clone %+v", i, got[i], want)
+		}
+		if f, w := cols[i].Map.RunFootprint(), ref.Map.RunFootprint(); !reflect.DeepEqual(f, w) {
+			t.Fatalf("case %d: batch lane footprint diverged", i)
+		}
+		ref.Map.DiscardRun()
+	}
+}
+
+// TestFastForwardFallbacks runs fastForward over hand-built images whose
+// prefix must not be skipped, and over clean ones that may.
+func TestFastForwardFallbacks(t *testing.T) {
+	p := template.PlatformFor(template.FamilyUser, isa.RV32IMC)
+	const inject = 0x40
+	addi := enc(isa.Inst{Op: isa.OpADDI, Rd: 5, Rs1: 5, Imm: 1})
+	haltHi := (p.Layout.HaltAddr + 0x800) &^ 0xfff
+	for _, tc := range []struct {
+		name  string
+		words []uint32
+		limit uint64
+		quirk isa.Quirks
+		want  uint64 // prefix length; 0: no entry state
+	}{
+		// Every image jumps from the end of its words to the injection
+		// area: the clean prefix is two ADDIs and that JAL.
+		{name: "clean", words: []uint32{addi, addi}, limit: 100, want: 3},
+		{name: "limit reached", words: []uint32{addi, addi}, limit: 3},
+		{name: "limit above", words: []uint32{addi, addi}, limit: 4, want: 3},
+		{name: "halts", limit: 100, words: []uint32{
+			enc(isa.Inst{Op: isa.OpLUI, Rd: 30, Imm: int32(haltHi)}),
+			enc(isa.Inst{Op: isa.OpSW, Rs1: 30, Imm: int32(p.Layout.HaltAddr - haltHi)}),
+		}},
+		{name: "traps", words: []uint32{0xffffffff}, limit: 100},
+		{name: "panics", words: []uint32{0x0000405b}, limit: 100, quirk: isa.Quirks{CrashOnPattern: true}},
+		{name: "writes memory", words: []uint32{enc(isa.Inst{Op: isa.OpSW, Imm: 0x200})}, limit: 100},
+		{name: "reads the injection area", words: []uint32{enc(isa.Inst{Op: isa.OpLW, Rd: 5, Imm: inject + 8})}, limit: 100},
+		{name: "enters the area off its start", words: []uint32{enc(isa.Inst{Op: isa.OpJAL, Imm: inject + 4})}, limit: 100},
+	} {
+		m := mem.New(p.Layout.MemBase, p.Layout.MemSize)
+		for i, w := range tc.words {
+			if err := m.Write32(uint32(4*i), w); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for a := uint32(4 * len(tc.words)); a < inject; a += 4 {
+			if err := m.Write32(a, enc(isa.Inst{Op: isa.OpJAL, Imm: int32(inject - a)})); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m.Snapshot()
+		img := &template.Image{Platform: p, Mem: m, InjectAddr: inject}
+		got := fastForward(img, p.Cfg, &isa.Decoder{Quirks: tc.quirk}, exec.Quirks{}, tc.limit)
+		switch {
+		case tc.want == 0 && got != nil:
+			t.Errorf("%s: got an entry state after %d instructions, want none", tc.name, got.insts)
+		case tc.want != 0 && (got == nil || got.insts != tc.want || got.cpu.PC != inject):
+			t.Errorf("%s: entry state %+v, want %d instructions up to %#x", tc.name, got, tc.want, inject)
+		}
+	}
+}

@@ -10,9 +10,7 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"time"
 
-	"rvnegtest/internal/analysis"
 	"rvnegtest/internal/exec"
 	"rvnegtest/internal/hart"
 	"rvnegtest/internal/isa"
@@ -182,7 +180,8 @@ type HookedSim interface {
 // Simulator is a variant instantiated for one platform, with the test-case
 // template pre-compiled and pre-loaded (the paper's fuzzing-phase setup;
 // the compliance phase re-uses it because the template test suite proves
-// the injected image identical to a full per-test-case compilation).
+// the injected image identical to a full per-test-case compilation) and
+// its input-independent prefix executed once (see entryState).
 type Simulator struct {
 	Variant  *Variant
 	Platform template.Platform
@@ -197,10 +196,9 @@ type Simulator struct {
 	// no clock reads on the run path.
 	PredecodeTimer *obs.Histogram
 
-	img *template.Image
-	dec *isa.Decoder
-	eff isa.Config
-	pre *exec.DecodeCache
+	eff   isa.Config
+	entry *entryState // nil: every run executes the prefix
+	l     lane
 }
 
 // New prepares a simulator for a platform. It fails if the variant does
@@ -214,16 +212,15 @@ func New(v *Variant, p template.Platform) (*Simulator, error) {
 		return nil, err
 	}
 	dec := &isa.Decoder{Quirks: v.DecQuirks}
-	eff := v.Effective(p.Cfg)
-	return &Simulator{
+	s := &Simulator{
 		Variant:  v,
 		Platform: p,
 		Limit:    DefaultInstLimit,
-		img:      img,
-		dec:      dec,
-		eff:      eff,
-		pre:      predecodeImage(img, dec, eff),
-	}, nil
+		eff:      v.Effective(p.Cfg),
+	}
+	s.entry = fastForward(img, s.eff, dec, v.ExecQuirks, s.Limit)
+	s.initLane(&s.l, img, predecodeImage(img, dec, s.eff), dec)
+	return s, nil
 }
 
 // predecodeImage lowers the template's text region once per Variant;
@@ -231,13 +228,6 @@ func New(v *Variant, p template.Platform) (*Simulator, error) {
 // Clones share the immutable predecode and only copy the derived entry
 // table. A layout without a text window ahead of the data base yields no
 // cache (the simulator then always takes the classical path).
-//
-// On top of the per-slot entries, the harness's straight-line basic
-// blocks (from the analysis CFG, reference decoding) are fused into
-// block handlers. The extents are hints: Fuse re-validates every block
-// against this variant's own quirked decode and truncates at any
-// divergence, and injection-range invalidation splits fused blocks back
-// to per-slot entries, so fusion is outcome-invisible.
 func predecodeImage(img *template.Image, dec *isa.Decoder, eff isa.Config) *exec.DecodeCache {
 	l := img.Platform.Layout
 	if l.DataBase <= l.TextBase {
@@ -247,27 +237,26 @@ func predecodeImage(img *template.Image, dec *isa.Decoder, eff isa.Config) *exec
 	if err != nil {
 		return nil
 	}
-	c := exec.NewDecodeCache(dec.Predecode(l.TextBase, code), eff)
-	c.Fuse(analysis.StraightLineExtents(code, img.Platform.Family == template.FamilyTrap))
-	return c
+	return exec.NewDecodeCache(dec.Predecode(l.TextBase, code), eff)
 }
 
 // Clone returns an independent simulator for the same variant and
 // platform: it shares nothing mutable with the original (own pre-loaded
 // image, own decoder), so clones can run test cases concurrently — one
 // clone per worker in the parallel compliance engine. Cloning copies the
-// preloaded memory image instead of re-assembling the template.
+// preloaded memory image instead of re-assembling the template, and
+// shares the immutable entry state.
 func (s *Simulator) Clone() *Simulator {
-	return &Simulator{
+	c := &Simulator{
 		Variant:     s.Variant,
 		Platform:    s.Platform,
 		Limit:       s.Limit,
 		NoPredecode: s.NoPredecode,
-		img:         s.img.Clone(),
-		dec:         &isa.Decoder{Quirks: s.Variant.DecQuirks},
 		eff:         s.eff,
-		pre:         s.pre.Clone(),
+		entry:       s.entry,
 	}
+	c.initLane(&c.l, s.l.img.Clone(), s.l.cache.Clone(), &isa.Decoder{Quirks: s.Variant.DecQuirks})
+	return c
 }
 
 // classifyRunError maps an executor Run error to an outcome class:
@@ -287,60 +276,29 @@ func classifyRunError(err error) (timedOut bool, crashMsg string) {
 func (s *Simulator) Run(bs []byte) Outcome { return s.RunHooked(bs, nil) }
 
 // RunHooked is Run with a coverage hook attached (the fuzzing phase).
+// The run reuses the simulator's hart and executor and starts at the
+// entry state, skipping the template's input-independent prefix, unless
+// the hook has to watch the prefix execute (see lane.start).
 func (s *Simulator) RunHooked(bs []byte, hook exec.Hook) (out Outcome) {
-	if err := s.img.Inject(bs); err != nil {
+	l := &s.l
+	l.ex.Cache, l.timer = l.cache, s.PredecodeTimer
+	if s.NoPredecode {
+		l.ex.Cache = nil
+	}
+	if err := l.start(bs, hook, s.Limit); err != nil {
 		return Outcome{Crashed: true, CrashMsg: err.Error()}
 	}
-	cache := s.pre
-	if s.NoPredecode {
-		cache = nil
-	}
-	if cache != nil {
-		var t0 time.Time
-		if s.PredecodeTimer != nil {
-			t0 = time.Now()
-		}
-		// Inject restored memory to the pristine snapshot and wrote the
-		// bytestream words; mirror both on the cache: roll deviated
-		// slots back to the pristine predecode, then knock out the
-		// freshly written injection area.
-		cache.Reset()
-		if n := uint32(len(bs)+3) &^ 3; n > 0 {
-			cache.InvalidateRange(s.img.InjectAddr, n)
-		}
-		if s.PredecodeTimer != nil {
-			s.PredecodeTimer.ObserveSince(t0)
-		}
-	}
-	e := s.img.NewExecutorCfg(s.eff, s.dec, s.Variant.ExecQuirks)
-	e.Cache = cache
-	e.Hook = hook
 	defer func() {
 		if r := recover(); r != nil {
-			out = Outcome{Crashed: true, CrashMsg: fmt.Sprint(r), Insts: e.InstCount, Traps: e.TrapCount}
+			out = Outcome{Crashed: true, CrashMsg: fmt.Sprint(r), Insts: l.ex.InstCount, Traps: l.ex.TrapCount}
 		}
 	}()
-	err := e.Run(s.Limit)
-	out.Insts = e.InstCount
-	out.Traps = e.TrapCount
-	if err != nil {
-		out.TimedOut, out.CrashMsg = classifyRunError(err)
-		out.Crashed = !out.TimedOut
-		return out
-	}
-	signature, err := s.img.Signature()
-	if err != nil {
-		out.Crashed = true
-		out.CrashMsg = err.Error()
-		return out
-	}
-	out.Signature = signature
-	return out
+	return l.outcome(l.ex.Run(s.Limit))
 }
 
 // PredecodeStats reports the cumulative decode-cache counters of this
 // simulator (zero when predecode is disabled or unavailable).
-func (s *Simulator) PredecodeStats() exec.CacheStats { return s.pre.Stats() }
+func (s *Simulator) PredecodeStats() exec.CacheStats { return s.l.cache.Stats() }
 
 // PredecodeStatser is implemented by simulators that expose decode-cache
 // counters; telemetry reads them through this interface so wrappers stay
