@@ -2,11 +2,14 @@ package campaign
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
+
+	"rvnegtest/internal/resilience"
 )
 
 func fuzzSpec(workers int) JobSpec {
@@ -258,6 +261,65 @@ func TestOpenRecoversKilledRunningJob(t *testing.T) {
 	if onDisk.State != StateQueued {
 		t.Fatalf("recovery not persisted: disk state %s", onDisk.State)
 	}
+}
+
+// TestOpenLoadsJobWithRemovedSpecFields: a job.json persisted while the
+// spec still had "batch" and "disable_predecode" keeps loading, because
+// job files decode non-strictly (new submissions decode strictly and
+// reject both, see TestSubmitInvalidSpecs). The killed job resumes and
+// finishes with artifacts byte-identical to the same spec without them.
+func TestOpenLoadsJobWithRemovedSpecFields(t *testing.T) {
+	spec := fuzzSpec(2)
+	spec.Normalize()
+	want := directArtifacts(t, spec)
+
+	dir := t.TempDir()
+	st, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, err := st.NewJob(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := job.transition(StateRunning); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var old map[string]any
+	if err := json.Unmarshal(raw, &old); err != nil {
+		t.Fatal(err)
+	}
+	oldSpec := old["spec"].(map[string]any)
+	oldSpec["batch"] = 8
+	oldSpec["disable_predecode"] = true
+	if err := resilience.SaveJSON(filepath.Join(st.JobDir(job.ID), jobFileName), jobFormat, jobVersion, old); err != nil {
+		t.Fatal(err)
+	}
+
+	st2, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(st2, SchedulerConfig{})
+	if err != nil {
+		t.Fatalf("reopening a store with a pre-removal job.json: %v", err)
+	}
+	s.Start()
+	defer s.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	final, err := s.Wait(ctx, job.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.State != StateDone || final.Resumes != 1 {
+		t.Fatalf("job finished %s after %d resumes (error %q), want done after 1", final.State, final.Resumes, final.Error)
+	}
+	compareArtifacts(t, want, readArtifacts(t, st2.ArtifactsDir(job.ID)))
 }
 
 func waitForState(t *testing.T, s *Scheduler, id string, want State) {

@@ -9,18 +9,16 @@ import (
 )
 
 // Flags is the shared campaign flag surface of rvfuzz and rvcompliance:
-// checkpoint/resume, quarantine, case timeout, workers, batch, predecode
-// ablation, telemetry address and events file. Registering them through
-// one helper keeps the two CLIs from drifting apart again — the flag
-// names, defaults and help text live here once.
+// checkpoint/resume, quarantine, case timeout, workers, telemetry
+// address and events file. Registering them through one helper keeps
+// the two CLIs from drifting apart again — the flag names, defaults and
+// help text live here once.
 type Flags struct {
 	Checkpoint    string
 	Resume        string
 	Quarantine    string
 	CaseTimeout   float64
 	Workers       int
-	Batch         int
-	NoPredecode   bool
 	TelemetryAddr string
 	Events        string
 }
@@ -35,8 +33,6 @@ func (f *Flags) Register(fs *flag.FlagSet, workersDefault int, workersUsage stri
 	fs.StringVar(&f.Quarantine, "quarantine", "", "save inputs that trigger harness faults into this directory")
 	fs.Float64Var(&f.CaseTimeout, "case-timeout", 0, "per-case wall-clock watchdog in seconds (0 disables)")
 	fs.IntVar(&f.Workers, "workers", workersDefault, workersUsage)
-	fs.IntVar(&f.Batch, "batch", 0, "run in-process simulator lanes in batched lockstep, N lanes per worker (artifacts are identical either way; 0 disables)")
-	fs.BoolVar(&f.NoPredecode, "no-predecode", false, "ablation: disable the predecoded execution core (artifacts are identical either way)")
 	fs.StringVar(&f.TelemetryAddr, "telemetry-addr", "", "serve live telemetry on this address: Prometheus-text /metrics, /debug/vars, net/http/pprof")
 	fs.StringVar(&f.Events, "events", "", "write campaign lifecycle events as NDJSON to this file (render with rvreport -events)")
 }
@@ -135,7 +131,5 @@ func (f *Flags) Env(checkpointDir string, t *Telemetry) Env {
 // flags are applied by each main).
 func (f *Flags) Apply(spec *JobSpec) {
 	spec.Workers = f.Workers
-	spec.Batch = f.Batch
 	spec.CaseTimeoutSec = f.CaseTimeout
-	spec.DisablePredecode = f.NoPredecode
 }

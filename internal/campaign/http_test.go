@@ -91,6 +91,8 @@ func TestSubmitInvalidSpecs(t *testing.T) {
 	}{
 		{`{`, "decoding job spec"},
 		{`{"kind":"fuzz","execs":1,"bogus":true}`, `unknown field \"bogus\"`},
+		{`{"kind":"fuzz","execs":1,"batch":8}`, `unknown field \"batch\"`},
+		{`{"kind":"fuzz","execs":1,"disable_predecode":true}`, `unknown field \"disable_predecode\"`},
 		{`{"kind":"warp"}`, `unknown kind \"warp\"`},
 		{`{"kind":"fuzz"}`, "fuzz job needs an execs budget"},
 		{`{"kind":"fuzz","execs":10,"cov":"v9"}`, `unknown coverage configuration \"v9\"`},

@@ -249,8 +249,6 @@ func executeCompliance(ctx context.Context, spec JobSpec, env Env) (*Result, err
 		CaseTimeout:      spec.caseTimeout(),
 		BreakerThreshold: spec.BreakerThreshold,
 		QuarantineDir:    env.QuarantineDir,
-		DisablePredecode: spec.DisablePredecode,
-		Batch:            spec.Batch,
 		External:         spec.sutSpecs(),
 		HalfOpenAfter:    spec.SUTHalfOpen,
 		Obs:              env.Obs,

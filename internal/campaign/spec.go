@@ -74,9 +74,6 @@ type JobSpec struct {
 	// fuzz jobs the worker count shapes the corpus (each worker owns a
 	// seed); for compliance it never changes the report.
 	Workers int `json:"workers,omitempty"`
-	// Batch enables batched lockstep execution with this many lanes
-	// per worker (0 disables; artifacts are identical either way).
-	Batch int `json:"batch,omitempty"`
 	// CaseTimeoutSec is the per-case wall-clock watchdog in seconds
 	// (0 disables).
 	CaseTimeoutSec float64 `json:"case_timeout_sec,omitempty"`
@@ -89,11 +86,9 @@ type JobSpec struct {
 	// SeedSuite optionally seeds a fuzz campaign with a previously
 	// generated suite file.
 	SeedSuite string `json:"seed_suite,omitempty"`
-	// Ablation switches; artifacts are identical with DisablePredecode
-	// either way, the other two change what the fuzzer finds.
+	// Ablation switches; both change what the fuzzer finds.
 	DisableCustomMutator bool `json:"disable_custom_mutator,omitempty"`
 	DisableFilter        bool `json:"disable_filter,omitempty"`
-	DisablePredecode     bool `json:"disable_predecode,omitempty"`
 
 	// Compliance-only fields.
 
@@ -177,9 +172,6 @@ func (s *JobSpec) Validate() error {
 	}
 	if s.Workers < 0 && s.Kind == KindFuzz {
 		return specErrf("fuzz workers must be >= 1, got %d", s.Workers)
-	}
-	if s.Batch < 0 {
-		return specErrf("batch must be >= 0, got %d", s.Batch)
 	}
 	if s.CaseTimeoutSec < 0 {
 		return specErrf("case timeout must be >= 0, got %v", s.CaseTimeoutSec)
@@ -289,8 +281,6 @@ func (s *JobSpec) fuzzConfig() (fuzz.Config, error) {
 	cfg.Seed = s.Seed
 	cfg.DisableCustomMutator = s.DisableCustomMutator
 	cfg.DisableFilter = s.DisableFilter
-	cfg.DisablePredecode = s.DisablePredecode
-	cfg.Batch = s.Batch
 	cfg.CaseTimeout = s.caseTimeout()
 	return cfg, nil
 }

@@ -357,16 +357,6 @@ type Runner struct {
 	// core (ablation/debug; default-factory simulators only). Reports
 	// are byte-identical either way.
 	DisablePredecode bool
-	// Batch, when >= 2, runs in-process simulator columns in batched
-	// lockstep (exec.Batch): each worker's instance keeps a persistent
-	// lane arena and executes up to Batch cases per round trip. Reports
-	// and checkpoints are byte-identical with batching on or off — a
-	// batch that faults at the harness level is abandoned and its cases
-	// rerun scalar, so classification, breaker and quarantine behaviour
-	// never change — which is why, like DisablePredecode, the knob is
-	// deliberately excluded from the checkpoint fingerprint: a campaign
-	// may resume across it. External adapter columns always run scalar.
-	Batch int
 
 	// Obs, when non-nil, receives run telemetry: execution counters,
 	// per-SUT mismatch counters and per-stage latency histograms
@@ -430,7 +420,6 @@ func (r *Runner) newInstances(v *sim.Variant, p template.Platform, workers int) 
 		if err != nil {
 			return nil, err
 		}
-		in.batchSize = r.Batch
 		if tel := r.tel; tel != nil {
 			in.stExec = tel.execHist()
 			in.pre = tel.preCounters()
@@ -615,16 +604,6 @@ func runCase(cell *Cell, ref sim.Outcome, in *instance, bs []byte, i, maxEx, tra
 		cell.SkippedAdapter++
 		return true
 	}
-	foldVerdict(cell, ref, out, i, maxEx, trapBase, dc, stCmp)
-	return true
-}
-
-// foldVerdict classifies one completed SUT outcome against its reference
-// and folds the verdict into the cell: modeled crash/timeout categories,
-// the signature comparison, and the example list. Shared by the scalar
-// path (after runCase's harness handling) and the batch commit path
-// (whose outcomes are harness-fault-free by construction).
-func foldVerdict(cell *Cell, ref, out sim.Outcome, i, maxEx, trapBase int, dc *sig.DontCare, stCmp *obs.Histogram) {
 	var cat Category
 	switch {
 	case out.Crashed:
@@ -643,7 +622,7 @@ func foldVerdict(cell *Cell, ref, out sim.Outcome, i, maxEx, trapBase int, dc *s
 			stCmp.ObserveSince(t0)
 		}
 		if match {
-			return
+			return true
 		}
 		cat = ClassifyAt(ref.Signature, out.Signature, trapBase)
 	}
@@ -652,82 +631,17 @@ func foldVerdict(cell *Cell, ref, out sim.Outcome, i, maxEx, trapBase int, dc *s
 	if len(cell.Examples) < maxEx {
 		cell.Examples = append(cell.Examples, i)
 	}
+	return true
 }
 
-// runCaseRange executes suite cases [lo, hi) on one SUT instance,
-// batching lockstep chunks when the instance is configured for it and
-// falling back to per-case runCase otherwise. The cell it produces is
-// byte-identical to a scalar loop:
-//
-//   - Gate evaluation order is preserved. Chunk collection evaluates the
-//     reference and breaker gates case by case in index order, exactly
-//     like the scalar loop; a successful batch records one breaker-OK per
-//     case and no faults, so no gate decision inside the chunk could have
-//     differed (in-process Breaker.Allow is pure and depends only on the
-//     fault history, which a clean batch leaves untouched).
-//   - A faulted batch contributes nothing. The poisoned runner is dropped
-//     without reading it and the chunk's collected cases rerun through
-//     the full scalar runCase, whose per-case gates re-fire — so a rerun
-//     fault that trips the breaker skips the chunk's tail as
-//     sut-unhealthy exactly where the scalar schedule would have.
+// runCaseRange executes suite cases [lo, hi) on one SUT instance.
 func runCaseRange(ctx context.Context, cell *Cell, refOuts []sim.Outcome, in *instance, cases [][]byte, lo, hi, maxEx, trapBase int, dc *sig.DontCare, stCmp *obs.Histogram) (int, error) {
 	execs := 0
-	if in.batchSize < 2 || in.adapter != nil {
-		for i := lo; i < hi; i++ {
-			if err := ctx.Err(); err != nil {
-				return execs, err
-			}
-			if runCase(cell, refOuts[i], in, cases[i], i, maxEx, trapBase, dc, stCmp) {
-				execs++
-			}
-		}
-		return execs, nil
-	}
-	idx := make([]int, 0, in.batchSize)
-	inputs := make([][]byte, 0, in.batchSize)
-	for i := lo; i < hi; {
+	for i := lo; i < hi; i++ {
 		if err := ctx.Err(); err != nil {
 			return execs, err
 		}
-		idx = idx[:0]
-		for ; i < hi && len(idx) < in.batchSize; i++ {
-			ref := refOuts[i]
-			if ref.Crashed || ref.TimedOut {
-				cell.Skipped++
-				continue
-			}
-			if !in.breaker.Allow() {
-				cell.Unhealthy = true
-				cell.SkippedUnhealthy++
-				continue
-			}
-			idx = append(idx, i)
-		}
-		if len(idx) < 2 {
-			// Zero or one runnable case in the chunk: run it scalar (the
-			// gates were pure, so rechecking them inside runCase is a no-op).
-			for _, ci := range idx {
-				if runCase(cell, refOuts[ci], in, cases[ci], ci, maxEx, trapBase, dc, stCmp) {
-					execs++
-				}
-			}
-			continue
-		}
-		inputs = inputs[:0]
-		for _, ci := range idx {
-			inputs = append(inputs, cases[ci])
-		}
-		outs, ok := in.runBatch(inputs)
-		if !ok {
-			for _, ci := range idx {
-				if runCase(cell, refOuts[ci], in, cases[ci], ci, maxEx, trapBase, dc, stCmp) {
-					execs++
-				}
-			}
-			continue
-		}
-		for k, ci := range idx {
-			foldVerdict(cell, refOuts[ci], outs[k], ci, maxEx, trapBase, dc, stCmp)
+		if runCase(cell, refOuts[i], in, cases[i], i, maxEx, trapBase, dc, stCmp) {
 			execs++
 		}
 	}
@@ -738,59 +652,16 @@ func runCaseRange(ctx context.Context, cell *Cell, refOuts []sim.Outcome, in *in
 // harnessed reference instance. A reference harness fault surfaces as a
 // crashed outcome, which downstream comparison records as a skipped case;
 // a tripped reference breaker marks the remaining range the same way.
-// When the instance is configured for lockstep batching, non-tripped
-// chunks run batched; the outcomes are identical by the same argument as
-// runCaseRange (a clean batch leaves the breaker history untouched, a
-// faulted batch is abandoned unread and rerun scalar).
 func runRefRange(ctx context.Context, refIn *instance, cases [][]byte, refOuts []sim.Outcome, lo, hi int) error {
-	runScalar := func(i int) {
-		if refIn.breaker.Tripped() {
-			refOuts[i] = sim.Outcome{Crashed: true, CrashMsg: "reference unhealthy (breaker tripped)"}
-			return
-		}
-		out, _, _ := refIn.run(cases[i])
-		refOuts[i] = out
-	}
-	if refIn.batchSize < 2 || refIn.adapter != nil {
-		for i := lo; i < hi; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			runScalar(i)
-		}
-		return nil
-	}
-	idx := make([]int, 0, refIn.batchSize)
-	inputs := make([][]byte, 0, refIn.batchSize)
-	for i := lo; i < hi; {
+	for i := lo; i < hi; i++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		idx, inputs = idx[:0], inputs[:0]
-		for ; i < hi && len(idx) < refIn.batchSize; i++ {
-			if refIn.breaker.Tripped() {
-				refOuts[i] = sim.Outcome{Crashed: true, CrashMsg: "reference unhealthy (breaker tripped)"}
-				continue
-			}
-			idx = append(idx, i)
-			inputs = append(inputs, cases[i])
-		}
-		if len(idx) < 2 {
-			for _, ci := range idx {
-				runScalar(ci)
-			}
+		if refIn.breaker.Tripped() {
+			refOuts[i] = sim.Outcome{Crashed: true, CrashMsg: "reference unhealthy (breaker tripped)"}
 			continue
 		}
-		outs, ok := refIn.runBatch(inputs)
-		if !ok {
-			for _, ci := range idx {
-				runScalar(ci)
-			}
-			continue
-		}
-		for k, ci := range idx {
-			refOuts[ci] = outs[k]
-		}
+		refOuts[i], _, _ = refIn.run(cases[i])
 	}
 	return nil
 }

@@ -37,18 +37,6 @@ type instance struct {
 	// round trips; the counter makes that volume observable).
 	traps *obs.Counter
 
-	// batchSize, when >= 2, enables lockstep batching (in-process
-	// columns only). batch is the live runner, built lazily from the
-	// simulator and dropped on any batch-level harness fault (the
-	// abandoned goroutine owns its lanes) and on scalar rebuilds (the
-	// lanes belong to the replaced simulator's lineage); lastBatchPre
-	// holds the per-lane counter snapshots behind the telemetry deltas.
-	// batchOff latches when the simulator cannot batch at all.
-	batchSize    int
-	batch        sim.BatchRunner
-	lastBatchPre []exec.CacheStats
-	batchOff     bool
-
 	// adapter, when non-nil, marks an external column: runs go through
 	// the subprocess adapter protocol instead of an in-process simulator,
 	// and the adapter owns its own watchdog/restart/backoff machinery.
@@ -117,8 +105,6 @@ func (in *instance) run(bs []byte) (out sim.Outcome, harnessFault, noVerdict boo
 		if s, err := in.make(); err == nil {
 			in.s = s
 			in.lastPre = exec.CacheStats{}
-			in.batch = nil // lanes were cloned from the poisoned simulator's lineage
-			in.lastBatchPre = nil
 		} else {
 			in.breaker.Trip()
 		}
@@ -191,92 +177,6 @@ func (in *instance) notePredecode() {
 	in.pre.hits.Add(cur.Hits - prev.Hits)
 	in.pre.misses.Add(cur.Misses - prev.Misses)
 	in.pre.invals.Add(cur.Invalidations - prev.Invalidations)
-}
-
-// runBatch executes up to batchSize inputs in one lockstep batch.
-// ok == false means batching was unavailable or the batch faulted at
-// the harness level; the caller must rerun the inputs through the
-// scalar path (in.run), which owns the quarantine/breaker/rebuild
-// semantics — so a faulting case is classified exactly as it would be
-// without batching, and the batch layer contributes nothing to the
-// cell. A successful batch returns outcomes identical to sequential
-// in.run calls with no harness faults, and records one breaker-OK per
-// case just like the scalar path.
-func (in *instance) runBatch(inputs [][]byte) (outs []sim.Outcome, ok bool) {
-	if in.adapter != nil || in.batchSize < 2 || in.batchOff {
-		return nil, false
-	}
-	if in.batch == nil {
-		b, isB := in.s.(sim.Batcher)
-		if !isB {
-			in.batchOff = true
-			return nil, false
-		}
-		runner, err := b.NewBatch(in.batchSize)
-		if err != nil {
-			in.batchOff = true
-			return nil, false
-		}
-		in.batch = runner
-		in.lastBatchPre = make([]exec.CacheStats, in.batchSize)
-	}
-	// The watchdog budget scales with the batch: every lane gets the
-	// scalar per-case timeout.
-	runner := in.batch
-	to := in.timeout
-	if to > 0 {
-		to *= time.Duration(len(inputs))
-	}
-	var t0 time.Time
-	if in.stExec != nil {
-		t0 = time.Now()
-	}
-	outs, rec, timedOut := resilience.Guard(to, func() []sim.Outcome {
-		return runner.RunHookedBatch(inputs, nil)
-	})
-	if in.stExec != nil {
-		in.stExec.ObserveSince(t0)
-	}
-	if rec != nil || timedOut {
-		// The runner is poisoned: its abandoned goroutine owns the lanes,
-		// whose stats must never be read again. in.s itself never ran, so
-		// the scalar fallback reruns the inputs on it directly.
-		in.batch = nil
-		in.lastBatchPre = nil
-		return nil, false
-	}
-	for _, out := range outs {
-		in.breaker.RecordOK()
-		if in.traps != nil {
-			in.traps.Add(out.Traps)
-		}
-	}
-	in.notePredecodeBatch(len(inputs))
-	return outs, true
-}
-
-// notePredecodeBatch folds the first n lanes' decode-cache counter
-// growth since their last committed snapshot into the run telemetry.
-// Lane counters are cumulative for the life of the runner, so the
-// deltas are non-negative; the clamp mirrors notePredecode anyway so a
-// published counter can never go backwards. Only called after a
-// successful batch — an abandoned runner's counters are never read.
-func (in *instance) notePredecodeBatch(n int) {
-	if in.pre == nil || in.batch == nil {
-		return
-	}
-	for i := 0; i < n; i++ {
-		cur := in.batch.LanePredecodeStats(i)
-		prev := in.lastBatchPre[i]
-		in.lastBatchPre[i] = cur
-		if cur.Hits < prev.Hits || cur.Misses < prev.Misses ||
-			cur.Invalidations < prev.Invalidations {
-			prev = exec.CacheStats{}
-		}
-		in.pre.hits.Add(cur.Hits - prev.Hits)
-		in.pre.misses.Add(cur.Misses - prev.Misses)
-		in.pre.invals.Add(cur.Invalidations - prev.Invalidations)
-	}
 }
 
 func (in *instance) quarantineWarn(bs []byte, detail string) {

@@ -128,42 +128,6 @@ func BenchmarkRunDirect(b *testing.B) { benchRun(b, false) }
 // path; scripts/exec_bench.sh gates its speedup over BenchmarkRunDirect.
 func BenchmarkRunPredecode(b *testing.B) { benchRun(b, true) }
 
-// BenchmarkRunBatch runs 8 predecoded lanes in lockstep through exec.Batch
-// (the per-worker shape of the batched fuzz and compliance campaigns);
-// the metric aggregates instructions across all lanes.
-func BenchmarkRunBatch(b *testing.B) {
-	const lanes = 8
-	base := newExec(isa.RV32I, benchRunProgram()...)
-	cache := attachCache(base, isa.RV32I)
-	execs := make([]*Executor, lanes)
-	for i := range execs {
-		e := newExec(isa.RV32I, benchRunProgram()...)
-		e.Cache = cache.Clone()
-		execs[i] = e
-	}
-	bt := Batch{Lanes: execs}
-	var insts uint64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, e := range execs {
-			e.CPU.Reset()
-			e.CPU.Mtvec = testHandler
-			e.Halted = false
-			e.InstCount = 0
-			e.Cache.Reset()
-		}
-		for j, st := range bt.Run(20000) {
-			if st.Err != nil || st.Panicked {
-				b.Fatalf("lane %d: %+v", j, st)
-			}
-		}
-		for _, e := range execs {
-			insts += e.InstCount
-		}
-	}
-	b.ReportMetric(float64(insts)/b.Elapsed().Seconds()/1e6, "Minst/s")
-}
-
 // countHook counts hook calls; it allocates nothing itself.
 type countHook struct{ n uint64 }
 

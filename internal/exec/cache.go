@@ -42,14 +42,6 @@ type CacheStats struct {
 	Invalidations uint64
 }
 
-// Add folds another counter set into s (the deterministic batch-lane and
-// campaign-level fold; plain field sums, so fold order never matters).
-func (s *CacheStats) Add(o CacheStats) {
-	s.Hits += o.Hits
-	s.Misses += o.Misses
-	s.Invalidations += o.Invalidations
-}
-
 // DecodeCache maps a predecoded code range to ready-to-dispatch entries
 // for one ISA configuration. The Predecoded itself is immutable and
 // shared across clones; the entries array is per-cache, so invalidation

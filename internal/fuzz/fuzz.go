@@ -71,17 +71,6 @@ type Config struct {
 	// either way, so the knob is deliberately excluded from the
 	// checkpoint fingerprint: a campaign may resume across it.
 	DisablePredecode bool
-	// Batch, when >= 2, runs accepted inputs through the foundation
-	// simulator in batched lockstep (exec.Batch): N cloned lanes march
-	// through the shared immutable predecode together instead of one
-	// case streaming through the CPU cache alone. Corpora, checkpoints
-	// and stats are byte-identical with batching on or off — the batch
-	// layer speculates ahead and rolls back to preserve the scalar
-	// schedule — so like DisablePredecode the knob is deliberately
-	// excluded from the checkpoint fingerprint: a campaign may resume
-	// across it. Targets without batch support fall back to scalar
-	// stepping.
-	Batch int
 	// Seeds is an optional seed corpus (e.g. a previously generated
 	// suite): the inputs are replayed first, collecting those that
 	// produce coverage, before mutation-based generation begins —
@@ -208,12 +197,6 @@ type Fuzzer struct {
 	// Observational only: never checkpointed, never in Stats.
 	lastPre exec.CacheStats
 
-	// bt is the live batched-execution state (nil until first use, and
-	// dropped wholesale on any batch-level harness fault or target
-	// rebuild); batchOff latches when the target cannot batch at all.
-	bt       *fuzzBatch
-	batchOff bool
-
 	// sessElapsed and baseExecs scope the live execution rate to the
 	// current process: a resumed fuzzer restores `elapsed` and `execs`
 	// cumulatively from the checkpoint, which must not dilute the rate
@@ -313,7 +296,6 @@ func (f *Fuzzer) rebuildTarget() {
 	f.target = target
 	f.col = col
 	f.lastPre = exec.CacheStats{} // fresh target: cache counters restart
-	f.bt = nil                    // batch lanes belong to the old target lineage
 	f.wireTarget()
 }
 
@@ -374,22 +356,11 @@ func (f *Fuzzer) Step() bool {
 			}
 			return false
 		}
+		if tel != nil {
+			t = time.Now()
+		}
 	}
-	return f.execScalar(input)
-}
 
-// execScalar runs one accepted input through the scalar target with the
-// full outcome bookkeeping: the per-case watchdog, harness-fault
-// isolation and quarantine, modeled crash/timeout counting, and the
-// coverage merge. It is the post-filter body of Step, shared with the
-// batch layer's fault fallback (stepBatch reruns a poisoned batch's
-// attempts through this path, one guarded case at a time).
-func (f *Fuzzer) execScalar(input []byte) bool {
-	tel := f.tel
-	var t time.Time
-	if tel != nil {
-		t = time.Now()
-	}
 	target, col := f.target, f.col
 	out, rec, timedOut := resilience.Guard(f.cfg.CaseTimeout, func() sim.Outcome {
 		return target.RunHooked(input, col)
@@ -529,11 +500,7 @@ func (f *Fuzzer) RunContext(ctx context.Context, maxExecs uint64, maxDur time.Du
 		if maxDur > 0 && !time.Now().Before(deadline) {
 			return nil
 		}
-		var remaining uint64
-		if maxExecs > 0 {
-			remaining = maxExecs - f.execs
-		}
-		f.stepN(remaining)
+		f.Step()
 	}
 }
 

@@ -3,10 +3,13 @@ package fuzz
 import (
 	"context"
 	"reflect"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"rvnegtest/internal/coverage"
 	"rvnegtest/internal/obs"
+	"rvnegtest/internal/sim"
 )
 
 // TestPredecodeAblationBitIdentical is the campaign-level determinism
@@ -129,4 +132,83 @@ func TestPredecodeCountersObserveCache(t *testing.T) {
 			t.Errorf("predecode disabled but %s = %d", name, v)
 		}
 	}
+}
+
+// TestPredecodeCountersSaneAcrossFaultsAndResume is the counter-clamping
+// regression test: across watchdog reaps (stats never read from an
+// abandoned target, counters restarting on the rebuilt one) and a
+// checkpoint/resume (counters restart from a fresh target), the
+// predecode_* telemetry totals must never go backwards or underflow —
+// an underflowed uint64 delta would show up as an astronomically large
+// counter value.
+func TestPredecodeCountersSaneAcrossFaultsAndResume(t *testing.T) {
+	release := make(chan struct{})
+	defer close(release)
+	var calls atomic.Int64 // Plan runs on guard goroutines, not the test's
+	plan := func([]byte) sim.Fault {
+		if calls.Add(1)%120 == 0 {
+			return sim.FaultWedge
+		}
+		return sim.FaultNone
+	}
+	dir := t.TempDir()
+
+	counters := func(reg *obs.Registry) map[string]uint64 {
+		names := []string{
+			"rvnegtest_fuzz_predecode_hits_total",
+			"rvnegtest_fuzz_predecode_misses_total",
+			"rvnegtest_fuzz_predecode_invalidations_total",
+		}
+		m := make(map[string]uint64, len(names))
+		for _, n := range names {
+			m[n] = reg.Counter(n).Value()
+		}
+		return m
+	}
+	checkSane := func(phase string, vals map[string]uint64) {
+		for n, v := range vals {
+			if v > 1<<60 {
+				t.Fatalf("%s: %s = %d (uint64 underflow: a delta was computed from a stale or reset snapshot)", phase, n, v)
+			}
+		}
+		if vals["rvnegtest_fuzz_predecode_hits_total"] == 0 {
+			t.Fatalf("%s: predecode hit counter is zero despite cached execution", phase)
+		}
+	}
+
+	cfg := smallConfig(coverage.V1(), 53)
+	cfg.CaseTimeout = 50 * time.Millisecond
+	cfg.NewTarget = faultyFactory(plan, "", release)
+	cfg.Obs = obs.NewRegistry()
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Run(1200, 0); err != nil {
+		t.Fatal(err)
+	}
+	if f.Stats().HarnessFaults == 0 {
+		t.Fatal("no watchdog reaps before the checkpoint; the rebuild path was not exercised")
+	}
+	checkSane("pre-checkpoint", counters(cfg.Obs))
+	if err := f.SaveCheckpoint(dir); err != nil {
+		t.Fatal(err)
+	}
+
+	// Resume into a fresh process-equivalent: new registry, counters from
+	// zero, target caches from zero — the deltas must still be computed
+	// against the fresh snapshots, never against pre-resume state.
+	cfg2 := cfg
+	cfg2.Obs = obs.NewRegistry()
+	f2, err := Resume(cfg2, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f2.Run(2400, 0); err != nil {
+		t.Fatal(err)
+	}
+	if f2.Stats().HarnessFaults <= f.Stats().HarnessFaults {
+		t.Fatal("no watchdog reaps after the resume")
+	}
+	checkSane("post-resume", counters(cfg2.Obs))
 }

@@ -29,13 +29,6 @@ type telemetry struct {
 	preInval *obs.Counter
 	drops    [analysis.NumReasons]*obs.Counter
 
-	// batchRuns counts successful lockstep batch executions; batchAborts
-	// counts batches abandoned at the harness level (panic or watchdog)
-	// and rerun scalar. Batch-layer accounting is telemetry-only: Stats
-	// is built entirely from the scalar-equivalent commit path.
-	batchRuns   *obs.Counter
-	batchAborts *obs.Counter
-
 	corpusSize *obs.Gauge
 	covBits    *obs.Gauge
 
@@ -56,28 +49,26 @@ func newTelemetry(cfg Config) *telemetry {
 	}
 	reg := cfg.Obs
 	t := &telemetry{
-		reg:         reg,
-		events:      cfg.Events,
-		worker:      cfg.Worker,
-		execs:       reg.Counter("rvnegtest_fuzz_execs_total"),
-		traps:       reg.Counter("rvnegtest_fuzz_traps_total"),
-		crashes:     reg.Counter("rvnegtest_fuzz_crashes_total"),
-		timeout:     reg.Counter("rvnegtest_fuzz_timeouts_total"),
-		hfaults:     reg.Counter("rvnegtest_fuzz_harness_faults_total"),
-		adds:        reg.Counter("rvnegtest_fuzz_corpus_adds_total"),
-		preHits:     reg.Counter("rvnegtest_fuzz_predecode_hits_total"),
-		preMiss:     reg.Counter("rvnegtest_fuzz_predecode_misses_total"),
-		preInval:    reg.Counter("rvnegtest_fuzz_predecode_invalidations_total"),
-		batchRuns:   reg.Counter("rvnegtest_fuzz_batch_runs_total"),
-		batchAborts: reg.Counter("rvnegtest_fuzz_batch_aborts_total"),
-		corpusSize:  reg.Gauge("rvnegtest_fuzz_corpus_size"),
-		covBits:     reg.Gauge("rvnegtest_fuzz_coverage_bits"),
-		stMutate:    reg.Stage(obs.StageMutate),
-		stFilter:    reg.Stage(obs.StageFilter),
-		stExec:      reg.Stage(obs.StageExecute),
-		stCov:       reg.Stage(obs.StageCoverageEval),
-		stCkpt:      reg.Stage(obs.StageCheckpointWrite),
-		stPre:       reg.Stage(obs.StagePredecode),
+		reg:        reg,
+		events:     cfg.Events,
+		worker:     cfg.Worker,
+		execs:      reg.Counter("rvnegtest_fuzz_execs_total"),
+		traps:      reg.Counter("rvnegtest_fuzz_traps_total"),
+		crashes:    reg.Counter("rvnegtest_fuzz_crashes_total"),
+		timeout:    reg.Counter("rvnegtest_fuzz_timeouts_total"),
+		hfaults:    reg.Counter("rvnegtest_fuzz_harness_faults_total"),
+		adds:       reg.Counter("rvnegtest_fuzz_corpus_adds_total"),
+		preHits:    reg.Counter("rvnegtest_fuzz_predecode_hits_total"),
+		preMiss:    reg.Counter("rvnegtest_fuzz_predecode_misses_total"),
+		preInval:   reg.Counter("rvnegtest_fuzz_predecode_invalidations_total"),
+		corpusSize: reg.Gauge("rvnegtest_fuzz_corpus_size"),
+		covBits:    reg.Gauge("rvnegtest_fuzz_coverage_bits"),
+		stMutate:   reg.Stage(obs.StageMutate),
+		stFilter:   reg.Stage(obs.StageFilter),
+		stExec:     reg.Stage(obs.StageExecute),
+		stCov:      reg.Stage(obs.StageCoverageEval),
+		stCkpt:     reg.Stage(obs.StageCheckpointWrite),
+		stPre:      reg.Stage(obs.StagePredecode),
 	}
 	for r := analysis.Reason(0); r < analysis.NumReasons; r++ {
 		t.drops[r] = reg.Counter(`rvnegtest_fuzz_dropped_total{reason="` + r.Slug() + `"}`)

@@ -21,12 +21,11 @@ import (
 // panic-on-error wrappers). Everything else needs a //rvlint:allow
 // panicgate with a reason, or should return an error.
 var panicgateAllow = map[string]string{
-	"internal/isa.init":                       "init-time instruction-table invariants must stop the process",
-	"internal/isa.Decoder.Decode32":           "seeded sail decoder crash (paper defect class: the crash IS the divergence)",
-	"internal/isa.Decoder.DecodeC":            "seeded sail decoder crash (paper defect class: the crash IS the divergence)",
-	"internal/sim.Faulty.RunHooked":           "fault injection is this type's purpose; the watchdog catches it",
-	"internal/sim.faultyBatch.RunHookedBatch": "batch-level fault injection (same purpose; the batch guard catches it)",
-	"internal/mem.Memory.Restore":             "API-misuse guard (Restore without Snapshot)",
+	"internal/isa.init":             "init-time instruction-table invariants must stop the process",
+	"internal/isa.Decoder.Decode32": "seeded sail decoder crash (paper defect class: the crash IS the divergence)",
+	"internal/isa.Decoder.DecodeC":  "seeded sail decoder crash (paper defect class: the crash IS the divergence)",
+	"internal/sim.Faulty.RunHooked": "fault injection is this type's purpose; the watchdog catches it",
+	"internal/mem.Memory.Restore":   "API-misuse guard (Restore without Snapshot)",
 }
 
 // Panicgate extends the PR 3 panic audit mechanically: no `panic(` in

@@ -38,15 +38,12 @@ var wallclockAllow = map[string]string{
 	"internal/compliance.Runner.run":               "RunStats.Duration / CasesPerSec accounting",
 	"internal/compliance.Runner.runConfigSerial":   "shard_done event timing",
 	"internal/compliance.Runner.runConfigParallel": "per-shard duration telemetry (WorkerStats.DurNS)",
-	"internal/compliance.foldVerdict":              "signature-compare stage timer",
+	"internal/compliance.runCase":                  "signature-compare stage timer",
 	"internal/compliance.instance.run":             "per-SUT stage timers",
-	"internal/compliance.instance.runBatch":        "batched execute-stage timer",
 	"internal/fuzz.Fuzzer.Step":                    "stage timers + execs/sec session accounting",
-	"internal/fuzz.Fuzzer.execScalar":              "execute-stage timer (the post-filter body of Step)",
-	"internal/fuzz.Fuzzer.stepBatch":               "batch stage timers + execs/sec session accounting",
 	"internal/fuzz.Fuzzer.RunContext":              "wall-clock campaign budget (-duration flag)",
 	"internal/fuzz.Fuzzer.SaveCheckpoint":          "checkpoint stage timer (save latency, never in the fingerprint)",
-	"internal/sim.lane.start":                      "per-run predecode maintenance timer",
+	"internal/sim.Simulator.start":                 "per-run predecode maintenance timer",
 }
 
 // Wallclock flags time.Now / time.Since / time.Until in

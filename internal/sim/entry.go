@@ -7,7 +7,6 @@ import (
 	"rvnegtest/internal/exec"
 	"rvnegtest/internal/hart"
 	"rvnegtest/internal/isa"
-	"rvnegtest/internal/obs"
 	"rvnegtest/internal/template"
 )
 
@@ -15,7 +14,7 @@ import (
 // injection area: the result of the template's prefix (trap vector,
 // FS setup, register and FP register loads). It is a deterministic
 // function of the pristine image and the variant, computed once per New
-// and shared by clones and batch lanes.
+// and shared by clones.
 type entryState struct {
 	cpu   hart.Hart
 	insts uint64
@@ -73,46 +72,31 @@ type prefixSkipper interface {
 	SkipPrefix(key any, run func(exec.Hook))
 }
 
-// lane is one reusable run context over a private template image: the
-// image, its decode cache, and the hart and executor every run resets
-// instead of allocating. A Simulator owns one, a batch runner one per
-// lane; both start runs through start, so they execute — and count in
-// the cache — the same fetches.
-type lane struct {
-	img   *template.Image
-	cache *exec.DecodeCache
-	entry *entryState
-	// timer observes the per-run cache maintenance; nil reads no clock.
-	timer *obs.Histogram
-	cpu   hart.Hart
-	ex    exec.Executor
-	// replay is l.replayPrefix, bound once so that handing it to a hook
-	// allocates nothing per run.
-	replay func(exec.Hook)
-}
-
-// initLane wires l over img the way img.NewExecutorCfg wires a fresh
-// executor. l must not move afterwards: the executor and replay point
+// attach wires s over img the way img.NewExecutorCfg wires a fresh
+// executor. s must not move afterwards: the executor and replay point
 // into it.
-func (s *Simulator) initLane(l *lane, img *template.Image, cache *exec.DecodeCache, dec *isa.Decoder) {
+func (s *Simulator) attach(img *template.Image, cache *exec.DecodeCache, dec *isa.Decoder) {
 	e := img.NewExecutorCfg(s.eff, dec, s.Variant.ExecQuirks)
-	*l = lane{img: img, cache: cache, entry: s.entry, cpu: *e.CPU, ex: *e}
-	l.ex.CPU = &l.cpu
-	l.ex.Cache = cache
-	l.replay = l.replayPrefix
+	s.img, s.cache, s.cpu, s.ex = img, cache, *e.CPU, *e
+	s.ex.CPU = &s.cpu
+	s.replay = s.replayPrefix
 }
 
-// start readies l for one run of bs: it injects the input, brings the
-// attached decode cache in line with the injected memory, and sets the
-// hart to the entry state when the prefix may be skipped, to reset
-// otherwise.
-func (l *lane) start(bs []byte, hook exec.Hook, limit uint64) error {
-	if err := l.img.Inject(bs); err != nil {
+// start readies s for one run of bs: it injects the input, brings the
+// decode cache in line with the injected memory, and sets the hart to
+// the entry state when the prefix may be skipped, to reset otherwise.
+func (s *Simulator) start(bs []byte, hook exec.Hook) error {
+	if err := s.img.Inject(bs); err != nil {
 		return err
 	}
-	if c := l.ex.Cache; c != nil {
+	e := &s.ex
+	e.Cache = s.cache
+	if s.NoPredecode {
+		e.Cache = nil
+	}
+	if c := e.Cache; c != nil {
 		var t0 time.Time
-		if l.timer != nil {
+		if s.PredecodeTimer != nil {
 			t0 = time.Now()
 		}
 		// Inject restored memory to the pristine snapshot and wrote the
@@ -121,18 +105,17 @@ func (l *lane) start(bs []byte, hook exec.Hook, limit uint64) error {
 		// freshly written injection area.
 		c.Reset()
 		if n := uint32(len(bs)+3) &^ 3; n > 0 {
-			c.InvalidateRange(l.img.InjectAddr, n)
+			c.InvalidateRange(s.img.InjectAddr, n)
 		}
-		if l.timer != nil {
-			l.timer.ObserveSince(t0)
+		if s.PredecodeTimer != nil {
+			s.PredecodeTimer.ObserveSince(t0)
 		}
 	}
-	e := &l.ex
-	if l.skipPrefix(hook, limit) {
-		l.cpu, e.InstCount = l.entry.cpu, l.entry.insts
+	if s.skipPrefix(hook) {
+		s.cpu, e.InstCount = s.entry.cpu, s.entry.insts
 	} else {
-		l.cpu.Reset()
-		l.cpu.PC = l.img.Entry
+		s.cpu.Reset()
+		s.cpu.PC = s.img.Entry
 		e.InstCount = 0
 	}
 	e.Halted, e.TrapCount, e.Hook = false, 0, hook
@@ -142,8 +125,8 @@ func (l *lane) start(bs []byte, hook exec.Hook, limit uint64) error {
 // skipPrefix reports whether a run under hook may start at the entry
 // state. A nil hook observes nothing, a prefixSkipper accounts for the
 // prefix itself, and any other hook has to watch it execute.
-func (l *lane) skipPrefix(hook exec.Hook, limit uint64) bool {
-	if l.entry == nil || l.entry.insts >= limit {
+func (s *Simulator) skipPrefix(hook exec.Hook) bool {
+	if s.entry == nil || s.entry.insts >= s.Limit {
 		return false
 	}
 	if hook == nil {
@@ -151,42 +134,23 @@ func (l *lane) skipPrefix(hook exec.Hook, limit uint64) bool {
 	}
 	ps, ok := hook.(prefixSkipper)
 	if ok {
-		ps.SkipPrefix(l.entry, l.replay)
+		ps.SkipPrefix(s.entry, s.replay)
 	}
 	return ok
 }
 
 // replayPrefix executes the prefix from reset with hook attached and the
 // decode cache detached, so the replay counts no fetches. It runs on the
-// lane's injected image, which fastForward proved makes no difference:
-// the prefix reads nothing of the injection area.
-func (l *lane) replayPrefix(hook exec.Hook) {
-	e := &l.ex
+// simulator's injected image, which fastForward proved makes no
+// difference: the prefix reads nothing of the injection area.
+func (s *Simulator) replayPrefix(hook exec.Hook) {
+	e := &s.ex
 	cache := e.Cache
 	e.Cache, e.Hook, e.InstCount = nil, hook, 0
-	l.cpu.Reset()
-	l.cpu.PC = l.img.Entry
-	for e.InstCount < l.entry.insts {
+	s.cpu.Reset()
+	s.cpu.PC = s.img.Entry
+	for e.InstCount < s.entry.insts {
 		e.Step()
 	}
 	e.Cache = cache
-}
-
-// outcome classifies a run that returned err (nil: halted) and extracts
-// its signature.
-func (l *lane) outcome(err error) Outcome {
-	out := Outcome{Insts: l.ex.InstCount, Traps: l.ex.TrapCount}
-	if err != nil {
-		out.TimedOut, out.CrashMsg = classifyRunError(err)
-		out.Crashed = !out.TimedOut
-		return out
-	}
-	signature, err := l.img.Signature()
-	if err != nil {
-		out.Crashed = true
-		out.CrashMsg = err.Error()
-		return out
-	}
-	out.Signature = signature
-	return out
 }

@@ -71,6 +71,29 @@ func fuzzCorpus(n int, seed int64) [][]byte {
 	return out
 }
 
+// outcomeMix is a case mix covering the outcome classes: clean bodies,
+// illegal encodings, deliberate traps, a decoder-crash pattern (Sail), a
+// self-loop timeout, and an empty body.
+func outcomeMix() [][]byte {
+	return [][]byte{
+		stream(enc(isa.Inst{Op: isa.OpADD, Rd: 5, Rs1: 1, Rs2: 2})),
+		stream(
+			enc(isa.Inst{Op: isa.OpADDI, Rd: 6, Rs1: 1, Imm: 17}),
+			enc(isa.Inst{Op: isa.OpSLLI, Rd: 7, Rs1: 6, Imm: 3}),
+			enc(isa.Inst{Op: isa.OpXOR, Rd: 8, Rs1: 7, Rs2: 6}),
+		),
+		stream(0xffffffff),
+		stream(0x00000073), // ECALL
+		{0x00, 0x84, 0, 0}, // sail decoder-crash pattern (compressed)
+		stream(enc(isa.Inst{Op: isa.OpJAL, Rd: 0, Imm: 0})), // self-loop: timeout
+		{},
+		stream(
+			enc(isa.Inst{Op: isa.OpLW, Rd: 5, Rs1: 30, Imm: -16}),
+			enc(isa.Inst{Op: isa.OpSW, Rs1: 31, Rs2: 5, Imm: 32}),
+		),
+	}
+}
+
 // platforms lists every supported variant × {RV32I, RV32IMC, RV32GC} ×
 // family combination.
 func platforms(t *testing.T) (sims []*Simulator, labels []string) {
@@ -102,13 +125,13 @@ func fetches(st exec.CacheStats) uint64 { return st.Hits + st.Misses }
 // every platform, unhooked and under v0 and v3 collectors, a run that
 // starts at the entry state must equal a run that executes the prefix —
 // the same Outcome and the same coverage footprint, order included —
-// over batchCases and a seeded corpus of about 2k executions. The
+// over outcomeMix and a seeded corpus of about 2k executions. The
 // decode-cache counters count exactly the fetches each run performs:
 // Insts minus the prefix when fast-forwarded, Insts on the full path.
 // Many random inputs loop on the trap template; a 2,000-instruction
 // limit keeps them cheap (filter-accepted cases retire far fewer).
 func TestFastForwardMatchesFullPath(t *testing.T) {
-	inputs := append(batchCases(), fuzzCorpus(64, 1)...)
+	inputs := append(outcomeMix(), fuzzCorpus(64, 1)...)
 	sims, labels := platforms(t)
 	for si, s := range sims {
 		s.Limit = 2000
@@ -201,7 +224,7 @@ func TestFastForwardKeySwitch(t *testing.T) {
 	}
 	col := coverage.NewCollector(coverage.V3())
 	ref := coverage.NewCollector(coverage.V3())
-	for i, bs := range append(batchCases(), fuzzCorpus(16, 2)...) {
+	for i, bs := range append(outcomeMix(), fuzzCorpus(16, 2)...) {
 		for _, s := range []*Simulator{a, b, a} {
 			got, want := s.RunHooked(bs, col), s.RunHooked(bs, fullPath{ref})
 			if !reflect.DeepEqual(got, want) {
@@ -216,43 +239,28 @@ func TestFastForwardKeySwitch(t *testing.T) {
 	}
 }
 
-// TestFastForwardShared: clones and batch lanes share the simulator's
-// entry state, and hooked batch lanes reproduce the scalar footprints.
+// TestFastForwardShared: a clone shares the simulator's entry state, and
+// its fast-forwarded hooked runs reproduce the full-path footprints.
 func TestFastForwardShared(t *testing.T) {
 	s, err := New(Reference, template.PlatformFor(template.FamilyTrap, isa.RV32GC))
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := s.Clone()
-	if c.entry == nil || c.entry != s.entry || c.l.entry != s.entry {
+	if c.entry == nil || c.entry != s.entry {
 		t.Fatal("clone does not share the entry state")
 	}
-	r, err := s.NewBatch(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, l := range r.(*simBatch).lanes {
-		if l.entry != s.entry {
-			t.Fatalf("batch lane %d does not share the entry state", i)
-		}
-	}
-	cases := batchCases()
-	hooks := make([]exec.Hook, len(cases))
-	cols := make([]*coverage.Collector, len(cases))
-	for i := range cases {
-		cols[i] = coverage.NewCollector(coverage.V3())
-		hooks[i] = cols[i]
-	}
-	got := r.RunHookedBatch(cases, hooks)
+	col := coverage.NewCollector(coverage.V3())
 	ref := coverage.NewCollector(coverage.V3())
-	for i, bs := range cases {
-		want := c.RunHooked(bs, fullPath{ref})
-		if !reflect.DeepEqual(got[i], want) {
-			t.Fatalf("case %d: batch %+v, full-path clone %+v", i, got[i], want)
+	for i, bs := range outcomeMix() {
+		got, want := c.RunHooked(bs, col), s.RunHooked(bs, fullPath{ref})
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("case %d: clone %+v, full-path original %+v", i, got, want)
 		}
-		if f, w := cols[i].Map.RunFootprint(), ref.Map.RunFootprint(); !reflect.DeepEqual(f, w) {
-			t.Fatalf("case %d: batch lane footprint diverged", i)
+		if f, w := col.Map.RunFootprint(), ref.Map.RunFootprint(); !reflect.DeepEqual(f, w) {
+			t.Fatalf("case %d: clone footprint diverged", i)
 		}
+		col.Map.DiscardRun()
 		ref.Map.DiscardRun()
 	}
 }

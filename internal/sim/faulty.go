@@ -122,91 +122,5 @@ func (f *Faulty) PredecodeStats() exec.CacheStats {
 	return exec.CacheStats{}
 }
 
-// NewBatch implements Batcher when the wrapped simulator does, wrapping
-// its runner so batch runs misbehave too. An inner simulator without
-// batch support reports itself unbatchable here the same way a plain
-// scalar simulator would: by not implementing Batcher (callers type-
-// assert), so this method returns an error instead.
-func (f *Faulty) NewBatch(n int) (BatchRunner, error) {
-	b, ok := f.Inner.(Batcher)
-	if !ok {
-		return nil, errNotBatchable
-	}
-	r, err := b.NewBatch(n)
-	if err != nil {
-		return nil, err
-	}
-	return &faultyBatch{f: f, inner: r}, nil
-}
-
-// faultyBatch injects the schedule's faults into batch runs. A faulting
-// input aborts the batch mid-flight: the inputs before it execute first
-// (their lanes' work is then abandoned along with the runner, exactly
-// what the batch degradation paths must tolerate), and then the fault
-// fires at the batch level — a panic unwinds out of RunHookedBatch, a
-// wedge blocks it. Corrupt-signature faults are per-lane and
-// non-aborting, applying the scalar transform to each flagged lane.
-type faultyBatch struct {
-	f     *Faulty
-	inner BatchRunner
-}
-
-func (b *faultyBatch) RunHookedBatch(inputs [][]byte, hooks []exec.Hook) []Outcome {
-	if b.f.Plan != nil {
-		for i, bs := range inputs {
-			switch b.f.Plan(bs) {
-			case FaultPanic:
-				b.runPrefix(inputs[:i], hooks)
-				msg := b.f.PanicMsg
-				if msg == "" {
-					msg = "faulty: injected panic"
-				}
-				panic(msg)
-			case FaultWedge:
-				b.runPrefix(inputs[:i], hooks)
-				if b.f.Release != nil {
-					<-b.f.Release
-				} else {
-					select {}
-				}
-				return make([]Outcome, len(inputs))
-			}
-		}
-	}
-	outs := b.inner.RunHookedBatch(inputs, hooks)
-	if b.f.Plan != nil {
-		for i, bs := range inputs {
-			if b.f.Plan(bs) != FaultCorruptSig || len(outs[i].Signature) == 0 {
-				continue
-			}
-			sig := make([]uint32, len(outs[i].Signature))
-			copy(sig, outs[i].Signature)
-			w := int(inputHash(^int64(0), bs) % uint64(len(sig)))
-			sig[w] ^= 0xdeadbeef
-			outs[i].Signature = sig
-		}
-	}
-	return outs
-}
-
-// runPrefix executes the inputs ahead of a faulting one, so an aborted
-// batch leaves real partial work behind (results discarded — the caller
-// is about to lose the whole batch).
-func (b *faultyBatch) runPrefix(inputs [][]byte, hooks []exec.Hook) {
-	if len(inputs) > 0 {
-		if hooks != nil {
-			hooks = hooks[:len(inputs)]
-		}
-		b.inner.RunHookedBatch(inputs, hooks)
-	}
-}
-
-func (b *faultyBatch) PredecodeStats() exec.CacheStats { return b.inner.PredecodeStats() }
-
-func (b *faultyBatch) LanePredecodeStats(i int) exec.CacheStats {
-	return b.inner.LanePredecodeStats(i)
-}
-
 var _ HookedSim = (*Faulty)(nil)
 var _ PredecodeStatser = (*Faulty)(nil)
-var _ Batcher = (*Faulty)(nil)

@@ -198,7 +198,17 @@ type Simulator struct {
 
 	eff   isa.Config
 	entry *entryState // nil: every run executes the prefix
-	l     lane
+
+	// The run context every run resets instead of allocating: a private
+	// template image, its decode cache, and the hart and executor over
+	// them.
+	img   *template.Image
+	cache *exec.DecodeCache
+	cpu   hart.Hart
+	ex    exec.Executor
+	// replay is s.replayPrefix, bound once so that handing it to a hook
+	// allocates nothing per run.
+	replay func(exec.Hook)
 }
 
 // New prepares a simulator for a platform. It fails if the variant does
@@ -219,7 +229,7 @@ func New(v *Variant, p template.Platform) (*Simulator, error) {
 		eff:      v.Effective(p.Cfg),
 	}
 	s.entry = fastForward(img, s.eff, dec, v.ExecQuirks, s.Limit)
-	s.initLane(&s.l, img, predecodeImage(img, dec, s.eff), dec)
+	s.attach(img, predecodeImage(img, dec, s.eff), dec)
 	return s, nil
 }
 
@@ -255,7 +265,7 @@ func (s *Simulator) Clone() *Simulator {
 		eff:         s.eff,
 		entry:       s.entry,
 	}
-	c.initLane(&c.l, s.l.img.Clone(), s.l.cache.Clone(), &isa.Decoder{Quirks: s.Variant.DecQuirks})
+	c.attach(s.img.Clone(), s.cache.Clone(), &isa.Decoder{Quirks: s.Variant.DecQuirks})
 	return c
 }
 
@@ -278,27 +288,37 @@ func (s *Simulator) Run(bs []byte) Outcome { return s.RunHooked(bs, nil) }
 // RunHooked is Run with a coverage hook attached (the fuzzing phase).
 // The run reuses the simulator's hart and executor and starts at the
 // entry state, skipping the template's input-independent prefix, unless
-// the hook has to watch the prefix execute (see lane.start).
+// the hook has to watch the prefix execute (see Simulator.start).
 func (s *Simulator) RunHooked(bs []byte, hook exec.Hook) (out Outcome) {
-	l := &s.l
-	l.ex.Cache, l.timer = l.cache, s.PredecodeTimer
-	if s.NoPredecode {
-		l.ex.Cache = nil
-	}
-	if err := l.start(bs, hook, s.Limit); err != nil {
+	if err := s.start(bs, hook); err != nil {
 		return Outcome{Crashed: true, CrashMsg: err.Error()}
 	}
+	e := &s.ex
 	defer func() {
 		if r := recover(); r != nil {
-			out = Outcome{Crashed: true, CrashMsg: fmt.Sprint(r), Insts: l.ex.InstCount, Traps: l.ex.TrapCount}
+			out = Outcome{Crashed: true, CrashMsg: fmt.Sprint(r), Insts: e.InstCount, Traps: e.TrapCount}
 		}
 	}()
-	return l.outcome(l.ex.Run(s.Limit))
+	err := e.Run(s.Limit)
+	out = Outcome{Insts: e.InstCount, Traps: e.TrapCount}
+	if err != nil {
+		out.TimedOut, out.CrashMsg = classifyRunError(err)
+		out.Crashed = !out.TimedOut
+		return out
+	}
+	signature, err := s.img.Signature()
+	if err != nil {
+		out.Crashed = true
+		out.CrashMsg = err.Error()
+		return out
+	}
+	out.Signature = signature
+	return out
 }
 
 // PredecodeStats reports the cumulative decode-cache counters of this
 // simulator (zero when predecode is disabled or unavailable).
-func (s *Simulator) PredecodeStats() exec.CacheStats { return s.l.cache.Stats() }
+func (s *Simulator) PredecodeStats() exec.CacheStats { return s.cache.Stats() }
 
 // PredecodeStatser is implemented by simulators that expose decode-cache
 // counters; telemetry reads them through this interface so wrappers stay

@@ -3,10 +3,9 @@
 # classical decode loop and publish BENCH_exec.json.
 #
 # Three layers, old path vs. new path:
-#   - Executor.Run instruction throughput (BenchmarkRunDirect/Predecode/
-#     Batch, with -benchmem); two gates: predecode over direct
-#     (< MIN_SPEEDUP fails) and allocations (any allocs/op above 0 on
-#     Direct or Predecode fails).
+#   - Executor.Run instruction throughput (BenchmarkRunDirect/Predecode,
+#     with -benchmem); two gates: predecode over direct (< MIN_SPEEDUP
+#     fails) and allocations (any allocs/op above 0 fails).
 #   - fuzzer executions/second (BenchmarkFuzzerThroughput[NoPredecode])
 #   - compliance cases/second (BenchmarkTableIParallel1 / NoPredecode)
 #
@@ -28,7 +27,7 @@ MIN_SPEEDUP="${MIN_SPEEDUP:-1.5}"
 
 cd "$(dirname "$0")/.."
 
-run_raw=$(go test -run '^$' -bench 'BenchmarkRun(Direct|Predecode|Batch)$' -benchmem \
+run_raw=$(go test -run '^$' -bench 'BenchmarkRun(Direct|Predecode)$' -benchmem \
   -benchtime "$BENCHTIME" -count "$COUNT" ./internal/exec/)
 echo "$run_raw"
 
@@ -66,7 +65,6 @@ allocs_direct=$(max_allocs "^BenchmarkRunDirect$sfx" <<< "$run_raw")
 allocs_pre=$(max_allocs "^BenchmarkRunPredecode$sfx" <<< "$run_raw")
 minst_direct=$(max_metric "^BenchmarkRunDirect$sfx" 'Minst/s' <<< "$run_raw")
 minst_pre=$(max_metric "^BenchmarkRunPredecode$sfx" 'Minst/s' <<< "$run_raw")
-minst_batch=$(max_metric "^BenchmarkRunBatch$sfx" 'Minst/s' <<< "$run_raw")
 fuzz_pre=$(max_metric "^BenchmarkFuzzerThroughput$sfx" 'execs/s' <<< "$fuzz_raw")
 fuzz_direct=$(max_metric "^BenchmarkFuzzerThroughputNoPredecode$sfx" 'execs/s' <<< "$fuzz_raw")
 table_pre=$(max_metric "^BenchmarkTableIParallel1$sfx" 'cases/s' <<< "$table_raw")
@@ -74,10 +72,10 @@ table_direct=$(max_metric "^BenchmarkTableINoPredecode$sfx" 'cases/s' <<< "$tabl
 
 awk -v d="$run_direct" -v p="$run_pre" \
     -v ad="$allocs_direct" -v ap="$allocs_pre" \
-    -v md="$minst_direct" -v mp="$minst_pre" -v mb="$minst_batch" \
+    -v md="$minst_direct" -v mp="$minst_pre" \
     -v fd="$fuzz_direct" -v fp="$fuzz_pre" -v td="$table_direct" -v tp="$table_pre" \
     -v gate="$MIN_SPEEDUP" -v out="$OUT" 'BEGIN {
-  if (d == 0 || p == 0 || mb == 0 || fd == 0 || fp == 0 || td == 0 || tp == 0 ||
+  if (d == 0 || p == 0 || fd == 0 || fp == 0 || td == 0 || tp == 0 ||
       ad < 0 || ap < 0) {
     print "error: benchmark output missing" > "/dev/stderr"; exit 1
   }
@@ -87,12 +85,11 @@ awk -v d="$run_direct" -v p="$run_pre" \
          "  \"run_allocs_per_op_direct\": %d,\n  \"run_allocs_per_op_predecode\": %d,\n" \
          "  \"max_allocs_per_op\": 0,\n" \
          "  \"run_minst_per_sec_direct\": %.2f,\n  \"run_minst_per_sec_predecode\": %.2f,\n" \
-         "  \"run_minst_per_sec_batch\": %.2f,\n" \
          "  \"run_speedup\": %.3f,\n  \"min_speedup\": %.2f,\n" \
          "  \"fuzz_execs_per_sec_direct\": %.0f,\n  \"fuzz_execs_per_sec_predecode\": %.0f,\n" \
          "  \"compliance_cases_per_sec_direct\": %.0f,\n  \"compliance_cases_per_sec_predecode\": %.0f\n" \
-         "}\n", d, p, ad, ap, md, mp, mb, speedup, gate, fd, fp, td, tp > out
-  printf "Executor.Run speedup: %.2fx (direct %.0fns/op -> predecoded %.0fns/op, gate %.2fx; batch %.1f Minst/s)\n", speedup, d, p, gate, mb
+         "}\n", d, p, ad, ap, md, mp, speedup, gate, fd, fp, td, tp > out
+  printf "Executor.Run speedup: %.2fx (direct %.0fns/op -> predecoded %.0fns/op, gate %.2fx)\n", speedup, d, p, gate
   printf "Executor.Run allocs/op: direct %d, predecode %d (gate 0)\n", ad, ap
   printf "fuzz: %.0f -> %.0f execs/s; compliance: %.0f -> %.0f cases/s\n", fd, fp, td, tp
   if (speedup < gate) { print "error: Executor.Run speedup below gate" > "/dev/stderr"; exit 1 }
