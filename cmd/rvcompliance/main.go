@@ -65,7 +65,7 @@ func main() {
 	var externals sutFlag
 	flag.Var(&externals, "sut", "external SUT adapter column as NAME=COMMAND [ARGS...] (repeatable)")
 	var shared campaign.Flags
-	shared.Register(flag.CommandLine, -1, "compliance engine workers: 1 = serial, N = fixed pool, -1 = one per CPU (report is identical for any value)")
+	shared.Register(flag.CommandLine, -1, "compliance engine workers: N = fixed pool, -1 = one per CPU (report is identical for any value)")
 	flag.Parse()
 
 	if *positive || *tortureN > 0 {

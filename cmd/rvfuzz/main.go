@@ -70,7 +70,8 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	if _, ok := rvnegtest.ParseFamily(*famName); !ok {
+	family, ok := rvnegtest.ParseFamily(*famName)
+	if !ok {
 		fatalf("unknown suite family %q (want user or trap)", *famName)
 	}
 
@@ -96,14 +97,8 @@ func main() {
 		fatalf("%v", err)
 	}
 
-	campaignMode := ckptDir != "" || shared.Workers > 1
-	if campaignMode {
-		if ckptDir != "" && *seconds != 0 {
-			fatalf("-seconds cannot be combined with checkpointing; resume needs a deterministic -execs bound")
-		}
-		if *execs == 0 {
-			fatalf("campaign mode needs -execs (the per-worker budget)")
-		}
+	if ckptDir != "" && *seconds != 0 {
+		fatalf("-seconds cannot be combined with checkpointing; resume needs a deterministic -execs bound")
 	}
 
 	telemetry, err := shared.OpenTelemetry("rvfuzz")
@@ -114,12 +109,8 @@ func main() {
 	env := shared.Env(ckptDir, telemetry)
 	env.WallBudget = dur
 
-	ctx := context.Background()
-	if campaignMode {
-		var stop context.CancelFunc
-		ctx, stop = signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
-		defer stop()
-	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	res, err := campaign.Execute(ctx, spec, env)
 	if errors.Is(err, campaign.ErrInterrupted) {
 		if ckptDir != "" {
@@ -135,13 +126,19 @@ func main() {
 	}
 
 	suite := res.Suite
+	// Trap-family suites end with the directed probes, which the case
+	// counts below leave out: merging and minimizing never touch them.
+	probes := 0
+	if family == template.FamilyTrap {
+		probes = len(fuzz.TrapDirectedCases())
+	}
 	if *seedSuite != "" {
 		fmt.Printf("seeded with %d prior test cases\n", res.SeedCases)
 	}
-	if res.CampaignMode {
+	if ckptDir != "" || shared.Workers > 1 {
 		fmt.Printf("configuration %s on %v (seed %d, %d workers)\n", *cov, isaCfg, *seed, shared.Workers)
 		fmt.Printf("executions:     %d total\n", res.TotalExecs)
-		fmt.Printf("test cases:     %d (merged)\n", res.MergedCases)
+		fmt.Printf("test cases:     %d (merged)\n", len(suite.Cases)-probes)
 		if res.TotalFaults > 0 {
 			fmt.Printf("harness faults: %d (see quarantine directory)\n", res.TotalFaults)
 		}
@@ -165,7 +162,7 @@ func main() {
 			fmt.Print(st.Filter.String())
 		}
 		if *minimize {
-			fmt.Printf("minimized:      %d -> %d cases\n", res.MinimizedFrom, len(suite.Cases))
+			fmt.Printf("minimized:      %d -> %d cases\n", st.TestCases+probes, len(suite.Cases))
 		}
 	}
 	if *stats {

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -27,7 +28,8 @@ func main() {
 	// 1. Parallel campaign + minimization.
 	cfg := rvnegtest.DefaultFuzzConfig()
 	cfg.Seed = 7
-	cases, stats, err := fuzz.ParallelCampaign(cfg, 4, 25000)
+	cases, stats, err := fuzz.Campaign(context.Background(), cfg,
+		fuzz.CampaignConfig{Workers: 4, ExecsEach: 25000, Minimize: true})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -4,11 +4,13 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
+	"rvnegtest/internal/fuzz"
 	"rvnegtest/internal/resilience"
 )
 
@@ -56,8 +58,21 @@ func readArtifacts(t *testing.T, dir string) map[string][]byte {
 // would — Execute on the calling goroutine — and writes its artifacts.
 func directArtifacts(t *testing.T, spec JobSpec) map[string][]byte {
 	t.Helper()
+	arts, _ := executeArtifacts(t, spec, true)
+	return arts
+}
+
+// executeArtifacts runs Execute on the calling goroutine, with a fresh
+// checkpoint directory when checkpoint is set, and returns the written
+// artifacts together with the result.
+func executeArtifacts(t *testing.T, spec JobSpec, checkpoint bool) (map[string][]byte, *Result) {
+	t.Helper()
 	dir := t.TempDir()
-	res, err := Execute(context.Background(), spec, Env{CheckpointDir: filepath.Join(dir, "ck")})
+	var env Env
+	if checkpoint {
+		env.CheckpointDir = filepath.Join(dir, "ck")
+	}
+	res, err := Execute(context.Background(), spec, env)
 	if err != nil {
 		t.Fatalf("direct execute: %v", err)
 	}
@@ -65,7 +80,7 @@ func directArtifacts(t *testing.T, spec JobSpec) map[string][]byte {
 	if err := res.WriteArtifacts(adir); err != nil {
 		t.Fatal(err)
 	}
-	return readArtifacts(t, adir)
+	return readArtifacts(t, adir), res
 }
 
 // daemonArtifacts runs the spec through the persistent store + scheduler
@@ -132,6 +147,39 @@ func TestDaemonFuzzParity(t *testing.T) {
 		}
 		if _, ok := got[ArtifactFuzzStats]; !ok {
 			t.Fatal("fuzz job produced no stats artifact")
+		}
+	}
+}
+
+// TestEnvParity pins the Env contract that Env never influences result
+// bytes: for every worker count, family and minimize setting, Execute
+// without a checkpoint directory and Execute with one write identical
+// artifacts, and a trap suite ends with all four directed probes.
+func TestEnvParity(t *testing.T) {
+	probes := fuzz.TrapDirectedCases()
+	for _, workers := range []int{1, 2, 8} {
+		for _, family := range []string{"user", "trap"} {
+			for _, minimize := range []bool{false, true} {
+				spec := fuzzSpec(workers)
+				spec.Execs = 3000
+				spec.Suite = family
+				spec.Minimize = minimize
+				t.Run(fmt.Sprintf("workers=%d/%s/minimize=%t", workers, family, minimize), func(t *testing.T) {
+					plain, res := executeArtifacts(t, spec, false)
+					ckpt, _ := executeArtifacts(t, spec, true)
+					compareArtifacts(t, plain, ckpt)
+					if family != "trap" {
+						return
+					}
+					cases := res.Suite.Cases
+					n := len(cases) - len(probes)
+					for i, p := range probes {
+						if n+i < 0 || string(cases[n+i]) != string(p) {
+							t.Fatalf("trap suite does not end with directed probe %d", i)
+						}
+					}
+				})
+			}
 		}
 	}
 }
@@ -431,11 +479,11 @@ func TestExecuteSpecGuards(t *testing.T) {
 	if !errors.Is(err, ErrInvalidSpec) {
 		t.Fatalf("wall budget + checkpoint: %v, want ErrInvalidSpec", err)
 	}
-	// Campaign mode needs an execs budget.
+	// A fuzz job needs an execs or a wall-time budget.
 	spec := fuzzSpec(2)
 	spec.Execs = 0
 	if _, err := Execute(context.Background(), spec, Env{}); !errors.Is(err, ErrInvalidSpec) {
-		t.Fatalf("campaign without budget: %v, want ErrInvalidSpec", err)
+		t.Fatalf("fuzz job without budget: %v, want ErrInvalidSpec", err)
 	}
 	// Compliance generation needs some budget.
 	cs := complianceSpec(1)

@@ -33,14 +33,14 @@ var ErrInterrupted = errors.New("campaign: interrupted")
 type Env struct {
 	// CheckpointDir enables checkpoint/resume: engine state persists
 	// under it and an existing checkpoint is resumed instead of
-	// starting over. Empty disables durable state (one-shot runs).
+	// starting over. Empty disables durable state.
 	CheckpointDir string
 	// QuarantineDir, when set, receives inputs that triggered harness
 	// faults.
 	QuarantineDir string
-	// WallBudget bounds one-shot fuzz generation by wall time (the
-	// CLIs' -seconds; incompatible with checkpointing, zero for daemon
-	// jobs).
+	// WallBudget bounds suite generation by wall time: every fuzz
+	// worker, or a compliance job's generation step (the CLIs'
+	// -seconds; incompatible with checkpointing, zero for daemon jobs).
 	WallBudget time.Duration
 	// Obs receives engine telemetry (nil disables).
 	Obs *obs.Registry
@@ -61,22 +61,12 @@ type Result struct {
 	// compliance job ran (loaded or generated) — kept for example
 	// rendering, never written as a compliance artifact.
 	Suite *compliance.Suite
-	// WorkerStats are the per-worker fuzzer stats (one entry for
-	// one-shot runs).
+	// WorkerStats are the per-worker fuzzer stats.
 	WorkerStats []fuzz.Stats
 	// TotalExecs / TotalFaults / Filter aggregate WorkerStats.
 	TotalExecs  uint64
 	TotalFaults uint64
 	Filter      analysis.Stats
-	// CampaignMode records which fuzz path ran (multi-worker or
-	// checkpointed campaign vs. one-shot generation).
-	CampaignMode bool
-	// MinimizedFrom is the pre-minimization case count when a one-shot
-	// suite was minimized (0 otherwise).
-	MinimizedFrom int
-	// MergedCases is the campaign-mode corpus size after the merge,
-	// before any directed trap probes are appended to the suite.
-	MergedCases int
 	// SeedCases is the number of prior cases loaded from SeedSuite.
 	SeedCases int
 
@@ -137,63 +127,32 @@ func executeFuzz(ctx context.Context, spec JobSpec, env Env) (*Result, error) {
 		res.SeedCases = len(prior.Cases)
 	}
 
-	res.CampaignMode = env.CheckpointDir != "" || spec.Workers > 1
-	if res.CampaignMode {
-		if env.CheckpointDir != "" && env.WallBudget != 0 {
-			return nil, specErrf("a wall-time budget cannot be combined with checkpointing; resume needs a deterministic execution bound")
-		}
-		if spec.Execs == 0 {
-			return nil, specErrf("campaign mode needs an executions budget (per worker)")
-		}
-		cases, cstats, err := fuzz.Campaign(ctx, cfg, fuzz.CampaignConfig{
-			Workers:         spec.Workers,
-			ExecsEach:       spec.Execs,
-			CheckpointDir:   env.CheckpointDir,
-			CheckpointEvery: spec.CheckpointEvery,
-			Minimize:        spec.Workers > 1 || spec.Minimize,
-		})
-		if errors.Is(err, fuzz.ErrInterrupted) {
-			return nil, ErrInterrupted
-		}
-		if err != nil {
-			return nil, err
-		}
-		res.WorkerStats = cstats
-		res.MergedCases = len(cases)
-		for _, s := range cstats {
-			res.TotalExecs += s.Execs
-			res.TotalFaults += s.HarnessFaults
-			res.Filter.Merge(s.Filter)
-		}
-		res.Suite = &compliance.Suite{
-			Cases:  cases,
-			Family: cfg.Family,
-			Origin: fmt.Sprintf("parallel fuzzer workers=%d seed=%d execs=%d", spec.Workers, spec.Seed, res.TotalExecs),
-		}
-		if cfg.Family == template.FamilyTrap {
-			// Mirror GenerateSuite: the directed privileged probes ride
-			// along with every generated trap suite.
-			res.Suite.Cases = append(res.Suite.Cases, fuzz.TrapDirectedCases()...)
-		}
-		return res, nil
+	if env.CheckpointDir != "" && env.WallBudget != 0 {
+		return nil, specErrf("a wall-time budget cannot be combined with checkpointing; resume needs a deterministic execution bound")
 	}
-
-	suite, st, err := core.GenerateSuite(cfg, spec.Execs, env.WallBudget)
+	if spec.Execs == 0 && env.WallBudget == 0 {
+		return nil, specErrf("fuzz job needs an executions budget (per worker) or a wall-time budget")
+	}
+	suite, stats, err := core.BuildSuite(ctx, cfg, fuzz.CampaignConfig{
+		Workers:         spec.Workers,
+		ExecsEach:       spec.Execs,
+		WallBudget:      env.WallBudget,
+		CheckpointDir:   env.CheckpointDir,
+		CheckpointEvery: spec.CheckpointEvery,
+		Minimize:        spec.Workers > 1 || spec.Minimize,
+	})
+	if errors.Is(err, fuzz.ErrInterrupted) {
+		return nil, ErrInterrupted
+	}
 	if err != nil {
 		return nil, err
 	}
 	res.Suite = suite
-	res.WorkerStats = []fuzz.Stats{st}
-	res.TotalExecs = st.Execs
-	res.TotalFaults = st.HarnessFaults
-	res.Filter = st.Filter
-	if spec.Minimize {
-		min, err := fuzz.Minimize(suite.Cases, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("minimizing: %w", err)
-		}
-		res.MinimizedFrom = len(suite.Cases)
-		suite.Cases = min
+	res.WorkerStats = stats
+	for _, s := range stats {
+		res.TotalExecs += s.Execs
+		res.TotalFaults += s.HarnessFaults
+		res.Filter.Merge(s.Filter)
 	}
 	return res, nil
 }

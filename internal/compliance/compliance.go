@@ -181,9 +181,10 @@ func (c *Cell) addFaultMsg(msg string) {
 	}
 }
 
-// merge folds a later shard's partial cell into c, preserving the serial
-// engine's semantics: counters add up and example indexes concatenate in
-// shard (= case) order up to the maxEx bound.
+// merge folds a later shard's partial cell into c, so that the merged
+// cell equals one case-order pass over the whole suite: counters add up
+// and example indexes concatenate in shard (= case) order up to the
+// maxEx bound.
 func (c *Cell) merge(p *Cell, maxEx int) {
 	c.Mismatches += p.Mismatches
 	c.Crashes += p.Crashes
@@ -322,10 +323,10 @@ type Runner struct {
 	DontCare *sig.DontCare
 	// MaxExamples bounds the per-cell example list.
 	MaxExamples int
-	// Workers selects the execution engine: 0 or 1 runs the serial
-	// engine, N > 1 shards the suite across N concurrent workers, and a
-	// negative value uses GOMAXPROCS. The report is bit-identical for
-	// every worker count (see parallel.go for the determinism argument).
+	// Workers is the number of concurrent workers the suite is sharded
+	// across: 0 means 1, and a negative value uses GOMAXPROCS. The report
+	// is bit-identical for every worker count (see parallel.go for the
+	// determinism argument).
 	Workers int
 	// Progress, when non-nil, is called after each completed shard of
 	// work (serialized; never concurrently).
@@ -450,14 +451,13 @@ func DefaultRunner() *Runner {
 // a resumed run continues from the first unfinished row.
 var ErrInterrupted = errors.New("compliance: run interrupted")
 
-// Run executes the whole suite on every (configuration, simulator) pair,
-// dispatching to the serial or the sharded parallel engine according to
-// Workers. Both engines produce bit-identical reports.
+// Run executes the whole suite on every (configuration, simulator) pair
+// on the sharded engine; the report is the same for every Workers value.
 func (r *Runner) Run(suite *Suite) (*Report, error) {
 	return r.RunContext(context.Background(), suite)
 }
 
-// RunContext is Run with cancellation: the engines stop cleanly between
+// RunContext is Run with cancellation: the engine stops cleanly between
 // cases when ctx is cancelled and RunContext returns ErrInterrupted.
 func (r *Runner) RunContext(ctx context.Context, suite *Suite) (*Report, error) {
 	return r.run(ctx, suite, "")
@@ -474,9 +474,9 @@ func (r *Runner) RunResumable(ctx context.Context, suite *Suite, dir string) (*R
 	return r.run(ctx, suite, dir)
 }
 
-// run is the engine dispatcher shared by every entry point: it iterates
-// configurations, computing each Table I row with the serial or parallel
-// engine, optionally persisting rows to a checkpoint as they complete.
+// run is shared by every entry point: it iterates configurations,
+// computing each Table I row with runConfig, optionally persisting rows
+// to a checkpoint as they complete.
 func (r *Runner) run(ctx context.Context, suite *Suite, dir string) (*Report, error) {
 	workers := r.workerCount()
 	// More workers than cases only buys idle shards at the price of one
@@ -516,14 +516,7 @@ func (r *Runner) run(ctx context.Context, suite *Suite, dir string) (*Report, er
 		if err := ctx.Err(); err != nil {
 			return nil, ErrInterrupted
 		}
-		var row []Cell
-		var skipped int
-		var err error
-		if workers <= 1 {
-			row, skipped, err = r.runConfigSerial(ctx, suite, cfg)
-		} else {
-			row, skipped, err = r.runConfigParallel(ctx, suite, cfg, workers)
-		}
+		row, skipped, err := r.runConfig(ctx, suite, cfg, workers)
 		if err != nil {
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 				return nil, ErrInterrupted
@@ -549,15 +542,19 @@ func (r *Runner) run(ctx context.Context, suite *Suite, dir string) (*Report, er
 	return rep, nil
 }
 
+// defaultMaxExamples bounds a cell's example list when
+// Runner.MaxExamples is unset.
+const defaultMaxExamples = 10
+
 // maxExamples resolves the example-list bound.
 func (r *Runner) maxExamples() int {
 	if r.MaxExamples > 0 {
 		return r.MaxExamples
 	}
-	return 10
+	return defaultMaxExamples
 }
 
-// newReport builds the report skeleton shared by both engines.
+// newReport builds the report skeleton.
 func (r *Runner) newReport(suite *Suite) *Report {
 	rep := &Report{RefName: r.Ref.Name, Configs: r.Configs, Cases: len(suite.Cases)}
 	for i := range r.cols {
@@ -604,34 +601,43 @@ func runCase(cell *Cell, ref sim.Outcome, in *instance, bs []byte, i, maxEx, tra
 		cell.SkippedAdapter++
 		return true
 	}
+	cell.judge(ref.Signature, out, i, maxEx, trapBase, dc, stCmp)
+	return true
+}
+
+// judge folds one SUT outcome on case i into the cell: a crash or a
+// timeout counts as such, anything else is compared against the
+// reference signature, and every mismatch is classified and, up to maxEx
+// of them, listed as an example. stCmp, when non-nil, times the
+// signature comparison.
+func (c *Cell) judge(ref []uint32, out sim.Outcome, i, maxEx, trapBase int, dc *sig.DontCare, stCmp *obs.Histogram) {
 	var cat Category
 	switch {
 	case out.Crashed:
-		cell.Crashes++
+		c.Crashes++
 		cat = CatCrash
 	case out.TimedOut:
-		cell.Timeouts++
+		c.Timeouts++
 		cat = CatTimeout
 	default:
 		var t0 time.Time
 		if stCmp != nil {
 			t0 = time.Now()
 		}
-		match := len(sig.Compare(sig.Signature(ref.Signature), sig.Signature(out.Signature), dc)) == 0
+		match := len(sig.Compare(sig.Signature(ref), sig.Signature(out.Signature), dc)) == 0
 		if stCmp != nil {
 			stCmp.ObserveSince(t0)
 		}
 		if match {
-			return true
+			return
 		}
-		cat = ClassifyAt(ref.Signature, out.Signature, trapBase)
+		cat = ClassifyAt(ref, out.Signature, trapBase)
 	}
-	cell.Mismatches++
-	cell.Categories[cat]++
-	if len(cell.Examples) < maxEx {
-		cell.Examples = append(cell.Examples, i)
+	c.Mismatches++
+	c.Categories[cat]++
+	if len(c.Examples) < maxEx {
+		c.Examples = append(c.Examples, i)
 	}
-	return true
 }
 
 // runCaseRange executes suite cases [lo, hi) on one SUT instance.
@@ -685,61 +691,6 @@ func (s *Suite) trapBase(cfg isa.Config) int {
 		return 0
 	}
 	return template.PlatformFor(template.FamilyTrap, cfg).BaseSigWords()
-}
-
-// runConfigSerial is the single-goroutine engine (Workers <= 1) for one
-// configuration row.
-func (r *Runner) runConfigSerial(ctx context.Context, suite *Suite, cfg isa.Config) ([]Cell, int, error) {
-	maxEx := r.maxExamples()
-	trapBase := suite.trapBase(cfg)
-	p := template.PlatformFor(suite.Family, cfg)
-	refIns, err := r.newInstances(r.Ref, p, 1)
-	if err != nil {
-		return nil, 0, fmt.Errorf("compliance: reference %s on %v: %w", r.Ref.Name, cfg, err)
-	}
-	// Reference signatures are generated once per configuration
-	// (the paper's "separate set of reference outputs per ISA
-	// config").
-	refOuts := make([]sim.Outcome, len(suite.Cases))
-	if err := runRefRange(ctx, refIns[0], suite.Cases, refOuts, 0, len(suite.Cases)); err != nil {
-		return nil, 0, err
-	}
-	r.addExecs(0, len(suite.Cases))
-	r.emitProgress(ProgressEvent{Config: cfg, Worker: 0, Hi: len(suite.Cases), Execs: len(suite.Cases)})
-	r.tel.event(obs.Event{Type: "shard_done", Config: cfg.String(), Sim: r.Ref.Name,
-		Hi: len(suite.Cases), Execs: uint64(len(suite.Cases))})
-
-	row := make([]Cell, len(r.cols))
-	for j := range r.cols {
-		col := &r.cols[j]
-		cell := &row[j]
-		if !col.supports(cfg, suite.Family) {
-			continue
-		}
-		cell.Supported = true
-		suts, err := r.newColInstances(col, p, 1)
-		if err != nil {
-			return nil, 0, fmt.Errorf("compliance: %s on %v: %w", col.name, cfg, err)
-		}
-		var t0 time.Time
-		if r.tel != nil {
-			t0 = time.Now()
-		}
-		execs, err := runCaseRange(ctx, cell, refOuts, suts[0], suite.Cases, 0, len(suite.Cases),
-			maxEx, trapBase, r.DontCare, r.tel.compareHist())
-		if err != nil {
-			closeInstances(suts)
-			return nil, 0, err
-		}
-		closeInstances(suts)
-		r.addExecs(0, execs)
-		r.emitProgress(ProgressEvent{Config: cfg, Sim: col.name, Worker: 0, Hi: len(suite.Cases), Execs: execs})
-		if r.tel != nil {
-			r.tel.event(obs.Event{Type: "cell_done", Config: cfg.String(), Sim: col.name,
-				Hi: len(suite.Cases), Execs: uint64(execs), DurNS: time.Since(t0).Nanoseconds()})
-		}
-	}
-	return row, countSkipped(refOuts), nil
 }
 
 // BugFindings renders the per-simulator mismatch-category breakdown, the

@@ -1,6 +1,7 @@
 package compliance
 
 import (
+	"reflect"
 	"testing"
 
 	"rvnegtest/internal/isa"
@@ -79,18 +80,22 @@ func TestExportAndVerifySignatures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	examples := 0
 	for ci, cfg := range []isa.Config{isa.RV32I, isa.RV32IMC} {
 		for sj, v := range sim.UnderTest {
 			cell, err := VerifyAgainstSignatures(suite, v, cfg, dir)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := inProc.Cells[ci][sj]
-			if cell.Mismatches != want.Mismatches || cell.Crashes != want.Crashes {
-				t.Errorf("%v/%s: disk verify %d/%d, in-process %d/%d",
-					cfg, v.Name, cell.Mismatches, cell.Crashes, want.Mismatches, want.Crashes)
+			// Whole cells: counters, category histogram and examples.
+			if want := inProc.Cells[ci][sj]; !reflect.DeepEqual(*cell, want) {
+				t.Errorf("%v/%s: disk verify %+v, in-process %+v", cfg, v.Name, *cell, want)
 			}
+			examples += len(cell.Examples)
 		}
+	}
+	if examples == 0 {
+		t.Fatal("no mismatch to compare: the hand suite must expose some")
 	}
 	// Unsupported configurations come back unsupported.
 	if err := ExportReferenceSignatures(suite, sim.OVPSim, isa.RV32GC, dir, nil); err != nil {

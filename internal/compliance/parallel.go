@@ -1,26 +1,26 @@
-// The sharded parallel compliance engine.
+// The sharded compliance engine: the one engine behind Runner.Run at
+// every worker count.
 //
 // Phase B is embarrassingly parallel: every test-case execution owns a
 // pre-loaded simulator image, so case i on clone A never observes case j
 // on clone B. The engine shards suite.Cases into one contiguous
 // index range per worker and gives every worker a private clone of the
-// reference and of each supported SUT for the configuration (the paper's
-// "pre-loaded template" setup, cloned per worker instead of re-assembled).
+// reference and of the SUT column being run (the paper's "pre-loaded
+// template" setup, cloned per worker instead of re-assembled).
 //
 // Determinism argument (the report is bit-identical for every worker
-// count): each worker computes its shard's reference outcomes and then
-// its shard's per-SUT partial Cells; a shard's comparison reads only the
-// reference outcomes the same worker just produced, so there is no
-// cross-shard data flow at all. The partial cells are merged in shard
-// order — and shards are contiguous ascending case ranges, so counter
-// sums and example-index concatenation reproduce exactly the serial
-// engine's case-order traversal. Reference runs overlap SUT runs across
-// workers (worker 0 can be comparing while worker 1 still generates
-// references), which is safe for the same reason.
+// count): the reference pass completes for every shard before any
+// column runs, and a shard's comparisons read only its own range of
+// reference outcomes, so there is no cross-shard data flow at all. The
+// partial cells are merged in shard order, and shards are contiguous
+// ascending case ranges, so counter sums and example-index
+// concatenation reproduce exactly one case-order traversal of the
+// suite, which is what a single worker performs.
 package compliance
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"strings"
@@ -90,8 +90,8 @@ type ProgressEvent struct {
 	Execs int
 }
 
-// workerCount resolves the Workers knob: <=1 serial, N parallel,
-// negative = one worker per available CPU.
+// workerCount resolves the Workers knob: 0 means 1, negative means one
+// worker per available CPU.
 func (r *Runner) workerCount() int {
 	if r.Workers < 0 {
 		return runtime.GOMAXPROCS(0)
@@ -107,13 +107,6 @@ func (r *Runner) addExecs(worker, n int) {
 	r.Stats.PerWorker[worker].Execs += n
 	r.Stats.Execs += n
 	r.tel.addExecs(n)
-}
-
-// emitProgress invokes the Progress hook if set (single-goroutine path).
-func (r *Runner) emitProgress(ev ProgressEvent) {
-	if r.Progress != nil {
-		r.Progress(ev)
-	}
 }
 
 // shard is a contiguous [Lo, Hi) range of case indexes.
@@ -137,12 +130,17 @@ func shardRanges(n, workers int) []shard {
 	return out
 }
 
-// runConfigParallel is the sharded engine (Workers > 1) for one
-// configuration row. Every worker owns private harnessed instances of
-// the reference and each supported SUT — breakers and watchdog rebuilds
-// included — so the resilience machinery needs no locking.
-func (r *Runner) runConfigParallel(ctx context.Context, suite *Suite, cfg isa.Config, workers int) ([]Cell, int, error) {
+// runConfig computes one configuration row. The reference pass runs
+// first, over every worker's shard; then each supported column in turn
+// gets one private instance per worker (breaker and watchdog rebuilds
+// included, so the resilience machinery needs no locking), runs them
+// over their shards, closes them and merges the partial cells in shard
+// order. Taking one column at a time keeps at most two simulators per
+// worker alive, the reference's and the current column's.
+func (r *Runner) runConfig(ctx context.Context, suite *Suite, cfg isa.Config, workers int) ([]Cell, int, error) {
 	maxEx := r.maxExamples()
+	trapBase := suite.trapBase(cfg)
+	p := template.PlatformFor(suite.Family, cfg)
 	shards := shardRanges(len(suite.Cases), workers)
 
 	// The Progress hook is documented as never being called
@@ -157,20 +155,25 @@ func (r *Runner) runConfigParallel(ctx context.Context, suite *Suite, cfg isa.Co
 		r.Progress(ev)
 	}
 
-	trapBase := suite.trapBase(cfg)
-	p := template.PlatformFor(suite.Family, cfg)
 	refIns, err := r.newInstances(r.Ref, p, workers)
 	if err != nil {
 		return nil, 0, fmt.Errorf("compliance: reference %s on %v: %w", r.Ref.Name, cfg, err)
 	}
-	// suts[j] is nil for unsupported simulators, else one instance per
-	// worker.
-	suts := make([][]*instance, len(r.cols))
-	defer func() {
-		for _, ins := range suts {
-			closeInstances(ins)
+	refOuts := make([]sim.Outcome, len(suite.Cases))
+	err = r.eachShard(shards, func(w int, sh shard) (int, error) {
+		if err := runRefRange(ctx, refIns[w], suite.Cases, refOuts, sh.lo, sh.hi); err != nil {
+			return 0, err
 		}
-	}()
+		emit(ProgressEvent{Config: cfg, Worker: w, Lo: sh.lo, Hi: sh.hi, Execs: sh.hi - sh.lo})
+		r.tel.event(obs.Event{Type: "shard_done", Config: cfg.String(), Sim: r.Ref.Name,
+			Worker: w, Lo: sh.lo, Hi: sh.hi, Execs: uint64(sh.hi - sh.lo)})
+		return sh.hi - sh.lo, nil
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+
+	row := make([]Cell, len(r.cols))
 	for j := range r.cols {
 		col := &r.cols[j]
 		if !col.supports(cfg, suite.Family) {
@@ -180,77 +183,54 @@ func (r *Runner) runConfigParallel(ctx context.Context, suite *Suite, cfg isa.Co
 		if err != nil {
 			return nil, 0, fmt.Errorf("compliance: %s on %v: %w", col.name, cfg, err)
 		}
-		suts[j] = ins
-	}
-
-	refOuts := make([]sim.Outcome, len(suite.Cases))
-	partials := make([][]Cell, workers) // partials[w][j]
-	execs := make([]int, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			sh := shards[w]
-			// Reference pass for this shard. Other workers may
-			// already be in their SUT passes — safe, because a
-			// shard's comparisons read only its own refOuts range.
-			if err := runRefRange(ctx, refIns[w], suite.Cases, refOuts, sh.lo, sh.hi); err != nil {
-				errs[w] = err
-				return
+		partials := make([]Cell, workers)
+		err = r.eachShard(shards, func(w int, sh shard) (int, error) {
+			var t0 time.Time
+			if r.tel != nil {
+				t0 = time.Now()
 			}
-			execs[w] += sh.hi - sh.lo
-			emit(ProgressEvent{Config: cfg, Worker: w, Lo: sh.lo, Hi: sh.hi, Execs: sh.hi - sh.lo})
-			r.tel.event(obs.Event{Type: "shard_done", Config: cfg.String(), Sim: r.Ref.Name,
-				Worker: w, Lo: sh.lo, Hi: sh.hi, Execs: uint64(sh.hi - sh.lo)})
-
-			cells := make([]Cell, len(r.cols))
-			for j := range r.cols {
-				if suts[j] == nil {
-					continue
-				}
-				cells[j].Supported = true
-				var t0 time.Time
-				if r.tel != nil {
-					t0 = time.Now()
-				}
-				n, err := runCaseRange(ctx, &cells[j], refOuts, suts[j][w], suite.Cases,
-					sh.lo, sh.hi, maxEx, trapBase, r.DontCare, r.tel.compareHist())
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				execs[w] += n
-				emit(ProgressEvent{Config: cfg, Sim: r.cols[j].name, Worker: w, Lo: sh.lo, Hi: sh.hi, Execs: n})
-				if r.tel != nil {
-					r.tel.event(obs.Event{Type: "cell_done", Config: cfg.String(), Sim: r.cols[j].name,
-						Worker: w, Lo: sh.lo, Hi: sh.hi, Execs: uint64(n), DurNS: time.Since(t0).Nanoseconds()})
-				}
+			n, err := runCaseRange(ctx, &partials[w], refOuts, ins[w], suite.Cases,
+				sh.lo, sh.hi, maxEx, trapBase, r.DontCare, r.tel.compareHist())
+			if err != nil {
+				return n, err
 			}
-			partials[w] = cells
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
+			emit(ProgressEvent{Config: cfg, Sim: col.name, Worker: w, Lo: sh.lo, Hi: sh.hi, Execs: n})
+			if r.tel != nil {
+				r.tel.event(obs.Event{Type: "cell_done", Config: cfg.String(), Sim: col.name,
+					Worker: w, Lo: sh.lo, Hi: sh.hi, Execs: uint64(n), DurNS: time.Since(t0).Nanoseconds()})
+			}
+			return n, nil
+		})
+		closeInstances(ins)
 		if err != nil {
 			return nil, 0, err
 		}
-	}
-
-	// Deterministic merge: shard order equals ascending case order.
-	row := make([]Cell, len(r.cols))
-	for j := range r.cols {
-		if suts[j] == nil {
-			continue
-		}
+		// Deterministic merge: shard order equals ascending case order.
 		row[j].Supported = true
-		for w := 0; w < workers; w++ {
-			row[j].merge(&partials[w][j], maxEx)
+		for w := range partials {
+			row[j].merge(&partials[w], maxEx)
 		}
 	}
+	return row, countSkipped(refOuts), nil
+}
+
+// eachShard runs pass on every worker's shard concurrently, waits for
+// all of them, credits each worker the executions its pass reports and
+// returns the passes' errors joined.
+func (r *Runner) eachShard(shards []shard, pass func(w int, sh shard) (int, error)) error {
+	execs := make([]int, len(shards))
+	errs := make([]error, len(shards))
+	var wg sync.WaitGroup
+	for w, sh := range shards {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			execs[w], errs[w] = pass(w, sh)
+		}()
+	}
+	wg.Wait()
 	for w, n := range execs {
 		r.addExecs(w, n)
 	}
-	return row, countSkipped(refOuts), nil
+	return errors.Join(errs...)
 }

@@ -42,13 +42,12 @@ func TestShardRanges(t *testing.T) {
 }
 
 // TestParallelRunnerBitIdentical is the engine's core guarantee: any
-// worker count produces a report byte-identical to the serial engine —
+// worker count produces a report byte-identical to one worker's —
 // rendered table, JSON (including per-cell categories, examples and
 // skipped counts), everything.
 func TestParallelRunnerBitIdentical(t *testing.T) {
 	suite := handSuite()
-	serial := DefaultRunner()
-	want, err := serial.Run(suite)
+	want, err := DefaultRunner().Run(suite)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,14 +64,14 @@ func TestParallelRunnerBitIdentical(t *testing.T) {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if text := got.Render(); text != wantText {
-			t.Errorf("workers=%d: render differs\nserial:\n%s\nparallel:\n%s", workers, wantText, text)
+			t.Errorf("workers=%d: render differs\none worker:\n%s\nsharded:\n%s", workers, wantText, text)
 		}
 		raw, err := got.JSON()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if string(raw) != string(wantJSON) {
-			t.Errorf("workers=%d: JSON differs\nserial:\n%s\nparallel:\n%s", workers, wantJSON, raw)
+			t.Errorf("workers=%d: JSON differs\none worker:\n%s\nsharded:\n%s", workers, wantJSON, raw)
 		}
 	}
 }
@@ -83,8 +82,8 @@ func TestParallelRunnerBitIdentical(t *testing.T) {
 // shard boundaries.
 func TestParallelRunnerBitIdenticalWithSkips(t *testing.T) {
 	suite := skippingSuite()
-	serial := &Runner{Ref: sim.Sail, SUTs: []*sim.Variant{sim.Reference, sim.Spike}, Configs: []isa.Config{isa.RV32I, isa.RV32IMC}}
-	want, err := serial.Run(suite)
+	one := &Runner{Ref: sim.Sail, SUTs: []*sim.Variant{sim.Reference, sim.Spike}, Configs: []isa.Config{isa.RV32I, isa.RV32IMC}}
+	want, err := one.Run(suite)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,13 +143,13 @@ func TestParallelRunnerStats(t *testing.T) {
 		t.Error("empty stats rendering")
 	}
 
-	// The serial engine fills the same stats shape.
+	// One worker fills the same stats shape.
 	s := DefaultRunner()
 	if _, err := s.Run(suite); err != nil {
 		t.Fatal(err)
 	}
 	if s.Stats.Workers != 1 || s.Stats.Execs != want {
-		t.Errorf("serial stats: %+v", s.Stats)
+		t.Errorf("one-worker stats: %+v", s.Stats)
 	}
 }
 

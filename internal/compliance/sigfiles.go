@@ -77,26 +77,7 @@ func VerifyAgainstSignatures(suite *Suite, sut *sim.Variant, cfg isa.Config, dir
 				return nil, err
 			}
 		}
-		out := s.Run(bs)
-		var cat Category
-		switch {
-		case out.Crashed:
-			cell.Crashes++
-			cat = CatCrash
-		case out.TimedOut:
-			cell.Timeouts++
-			cat = CatTimeout
-		default:
-			if len(sig.Compare(refSig, sig.Signature(out.Signature), dc)) == 0 {
-				continue
-			}
-			cat = ClassifyAt(refSig, out.Signature, trapBase)
-		}
-		cell.Mismatches++
-		cell.Categories[cat]++
-		if len(cell.Examples) < 10 {
-			cell.Examples = append(cell.Examples, i)
-		}
+		cell.judge(refSig, s.Run(bs), i, defaultMaxExamples, trapBase, dc, nil)
 	}
 	return cell, nil
 }

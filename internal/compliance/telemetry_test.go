@@ -98,12 +98,12 @@ func TestComplianceTelemetryCounters(t *testing.T) {
 // TestComplianceTelemetryParallel hammers a multi-worker run with the
 // Progress hook, a shared registry and a shared event stream (run under
 // -race in CI): emission must stay serialized and strictly monotonic, and
-// the deterministic totals must match the serial engine's.
+// the deterministic totals must match a one-worker run's.
 func TestComplianceTelemetryParallel(t *testing.T) {
 	suite := handSuite()
 
-	serial, serialReg, _ := telemetryRunner(1)
-	serialRep, err := serial.Run(suite)
+	one, oneReg, _ := telemetryRunner(1)
+	oneRep, err := one.Run(suite)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,11 +123,11 @@ func TestComplianceTelemetryParallel(t *testing.T) {
 	if progress == 0 {
 		t.Fatal("progress hook never invoked")
 	}
-	if got, want := rep.Render(), serialRep.Render(); got != want {
-		t.Fatalf("parallel report differs from serial with telemetry on:\n%s\nvs\n%s", got, want)
+	if got, want := rep.Render(), oneRep.Render(); got != want {
+		t.Fatalf("4-worker report differs from 1 worker's with telemetry on:\n%s\nvs\n%s", got, want)
 	}
 
-	// Order-independent totals agree with the serial run; per-stage
+	// Order-independent totals agree with the one-worker run; per-stage
 	// counts of the execute stage do too (every execution is timed
 	// exactly once regardless of which worker ran it).
 	for _, name := range []string{
@@ -135,12 +135,12 @@ func TestComplianceTelemetryParallel(t *testing.T) {
 		"rvnegtest_compliance_rows_total",
 		`rvnegtest_compliance_mismatches_total{sim="Spike"}`,
 	} {
-		if got, want := reg.Counter(name).Value(), serialReg.Counter(name).Value(); got != want {
-			t.Errorf("%s = %d parallel, %d serial", name, got, want)
+		if got, want := reg.Counter(name).Value(), oneReg.Counter(name).Value(); got != want {
+			t.Errorf("%s = %d at 4 workers, %d at 1", name, got, want)
 		}
 	}
-	if got, want := reg.Stage(obs.StageExecute).Count(), serialReg.Stage(obs.StageExecute).Count(); got != want {
-		t.Errorf("execute stage count = %d parallel, %d serial", got, want)
+	if got, want := reg.Stage(obs.StageExecute).Count(), oneReg.Stage(obs.StageExecute).Count(); got != want {
+		t.Errorf("execute stage count = %d at 4 workers, %d at 1", got, want)
 	}
 
 	if err := r.Events.Close(); err != nil {

@@ -71,9 +71,9 @@ func TestTrapSuiteCleanSimulatorMatchesReference(t *testing.T) {
 	}
 }
 
-// TestTrapSuiteParallelBitIdentical: the sharded engine reproduces the
-// serial trap-suite report exactly (the user-suite determinism guarantee
-// extends to the trap family).
+// TestTrapSuiteParallelBitIdentical: every worker count reproduces the
+// one-worker trap-suite report exactly (the user-suite determinism
+// guarantee extends to the trap family).
 func TestTrapSuiteParallelBitIdentical(t *testing.T) {
 	suite := trapSuite()
 	run := func(workers int) *Report {
@@ -93,7 +93,7 @@ func TestTrapSuiteParallelBitIdentical(t *testing.T) {
 	for _, workers := range []int{2, 3} {
 		got := run(workers)
 		if got.Render() != want.Render() || got.BugFindings() != want.BugFindings() {
-			t.Fatalf("workers=%d: report differs from serial run", workers)
+			t.Fatalf("workers=%d: report differs from the one-worker run", workers)
 		}
 	}
 }

@@ -6,6 +6,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -15,23 +16,27 @@ import (
 	"rvnegtest/internal/template"
 )
 
-// GenerateSuite runs Phase A: a fuzzing campaign bounded by execution
-// count and/or wall time, returning the collected test suite.
-func GenerateSuite(cfg fuzz.Config, maxExecs uint64, maxDur time.Duration) (*compliance.Suite, fuzz.Stats, error) {
-	f, err := fuzz.New(cfg)
+// BuildSuite runs Phase A as one fuzz.Campaign and packages the result
+// as a suite. It is the only path from a fuzzing configuration to a
+// suite: the origin line depends on the worker count alone, and a
+// trap-family suite gets the directed probes appended once, after any
+// minimization, so checkpointing and minimizing can never change or drop
+// them.
+func BuildSuite(ctx context.Context, cfg fuzz.Config, cc fuzz.CampaignConfig) (*compliance.Suite, []fuzz.Stats, error) {
+	cases, stats, err := fuzz.Campaign(ctx, cfg, cc)
 	if err != nil {
-		return nil, fuzz.Stats{}, err
+		return nil, stats, err
 	}
-	if err := f.Run(maxExecs, maxDur); err != nil {
-		return nil, f.Stats(), err
-	}
-	f.FlushTelemetry()
-	st := f.Stats()
-	suite := &compliance.Suite{
-		Cases:  f.Corpus(),
-		Family: cfg.Family,
-		Origin: fmt.Sprintf("fuzzer seed=%d isa=%v execs=%d cov-points=%d",
-			cfg.Seed, cfg.ISA, st.Execs, st.CovPoints),
+	suite := &compliance.Suite{Cases: cases, Family: cfg.Family}
+	if len(stats) == 1 {
+		suite.Origin = fmt.Sprintf("fuzzer seed=%d isa=%v execs=%d cov-points=%d",
+			cfg.Seed, cfg.ISA, stats[0].Execs, stats[0].CovPoints)
+	} else {
+		var execs uint64
+		for _, st := range stats {
+			execs += st.Execs
+		}
+		suite.Origin = fmt.Sprintf("parallel fuzzer workers=%d seed=%d execs=%d", len(stats), cfg.Seed, execs)
 	}
 	if cfg.Family == template.FamilyTrap {
 		// The directed probes bypass the filter (they write mtvec and
@@ -39,7 +44,17 @@ func GenerateSuite(cfg fuzz.Config, maxExecs uint64, maxDur time.Duration) (*com
 		// least one witnessing case regardless of the fuzzing budget.
 		suite.Cases = append(suite.Cases, fuzz.TrapDirectedCases()...)
 	}
-	return suite, st, nil
+	return suite, stats, nil
+}
+
+// GenerateSuite runs Phase A on one fuzzer, bounded by execution count
+// and/or wall time, returning the collected test suite.
+func GenerateSuite(cfg fuzz.Config, maxExecs uint64, maxDur time.Duration) (*compliance.Suite, fuzz.Stats, error) {
+	suite, stats, err := BuildSuite(context.Background(), cfg, fuzz.CampaignConfig{ExecsEach: maxExecs, WallBudget: maxDur})
+	if err != nil {
+		return nil, fuzz.Stats{}, err
+	}
+	return suite, stats[0], nil
 }
 
 // GrowthResult is one configuration's outcome in the Fig. 4 experiment.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"rvnegtest/internal/fuzz"
 	"rvnegtest/internal/isa"
 	"rvnegtest/internal/sim"
+	"rvnegtest/internal/template"
 )
 
 func quickCfg(seed int64) fuzz.Config {
@@ -29,6 +31,40 @@ func TestGenerateSuite(t *testing.T) {
 	}
 	if !strings.Contains(suite.Origin, "seed=3") {
 		t.Errorf("origin = %q", suite.Origin)
+	}
+}
+
+// TestBuildSuiteOriginAndProbes: the origin line follows the worker
+// count alone, and a minimized trap suite ends with all four directed
+// probes, appended after minimization.
+func TestBuildSuiteOriginAndProbes(t *testing.T) {
+	cfg := quickCfg(3)
+	cfg.Family = template.FamilyTrap
+	probes := fuzz.TrapDirectedCases()
+	for _, tc := range []struct {
+		workers int
+		origin  string
+	}{
+		{1, "fuzzer seed=3 isa=RV32GC execs=3000 cov-points="},
+		{2, "parallel fuzzer workers=2 seed=3 execs=6000"},
+	} {
+		suite, stats, err := BuildSuite(context.Background(), cfg,
+			fuzz.CampaignConfig{Workers: tc.workers, ExecsEach: 3000, Minimize: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(stats) != tc.workers || !strings.HasPrefix(suite.Origin, tc.origin) {
+			t.Errorf("workers=%d: %d stats, origin %q, want prefix %q", tc.workers, len(stats), suite.Origin, tc.origin)
+		}
+		n := len(suite.Cases) - len(probes)
+		if n < 1 {
+			t.Fatalf("workers=%d: %d cases", tc.workers, len(suite.Cases))
+		}
+		for i, p := range probes {
+			if string(suite.Cases[n+i]) != string(p) {
+				t.Errorf("workers=%d: case %d is not directed probe %d", tc.workers, n+i, i)
+			}
+		}
 	}
 }
 

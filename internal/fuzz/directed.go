@@ -19,8 +19,8 @@ import "rvnegtest/internal/isa"
 //     shows whether the WARL write mask was applied.
 //
 // Directed cases deliberately bypass the static filter (a generated case
-// would be dropped for writing mtvec); they are appended by GenerateSuite,
-// not injected into the mutation corpus.
+// would be dropped for writing mtvec); core.BuildSuite appends them after
+// fuzzing and minimization, never into the mutation corpus.
 func TrapDirectedCases() [][]byte {
 	words := func(ws ...uint32) []byte {
 		bs := make([]byte, 0, 4*len(ws))

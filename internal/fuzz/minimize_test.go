@@ -1,6 +1,7 @@
 package fuzz
 
 import (
+	"context"
 	"testing"
 
 	"rvnegtest/internal/coverage"
@@ -72,7 +73,7 @@ func TestMinimizeDropsRedundant(t *testing.T) {
 
 func TestParallelCampaign(t *testing.T) {
 	cfg := smallConfig(coverage.V1(), 23)
-	merged, stats, err := ParallelCampaign(cfg, 4, 4000)
+	merged, stats, err := Campaign(context.Background(), cfg, CampaignConfig{Workers: 4, ExecsEach: 4000, Minimize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestParallelCampaign(t *testing.T) {
 		t.Fatal("empty merged corpus")
 	}
 	// Determinism of the merged result.
-	merged2, _, err := ParallelCampaign(cfg, 4, 4000)
+	merged2, _, err := Campaign(context.Background(), cfg, CampaignConfig{Workers: 4, ExecsEach: 4000, Minimize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestParallelCampaign(t *testing.T) {
 	}
 	// More workers reach at least as much coverage as one worker with the
 	// same per-worker budget.
-	single, _, err := ParallelCampaign(cfg, 1, 4000)
+	single, _, err := Campaign(context.Background(), cfg, CampaignConfig{Workers: 1, ExecsEach: 4000, Minimize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,11 +156,11 @@ func TestParallelCampaignDeterministic(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Seed = 3
 	for _, workers := range []int{1, 2, 8} {
-		a, _, err := ParallelCampaign(cfg, workers, 6000)
+		a, _, err := Campaign(context.Background(), cfg, CampaignConfig{Workers: workers, ExecsEach: 6000, Minimize: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, _, err := ParallelCampaign(cfg, workers, 6000)
+		b, _, err := Campaign(context.Background(), cfg, CampaignConfig{Workers: workers, ExecsEach: 6000, Minimize: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"sync"
+	"time"
 
 	"rvnegtest/internal/obs"
 )
@@ -23,6 +24,10 @@ type CampaignConfig struct {
 	Workers int
 	// ExecsEach is each worker's execution budget.
 	ExecsEach uint64
+	// WallBudget also bounds each worker by wall time (zero: no bound).
+	// Checkpointed workers run to ExecsEach regardless: a resume needs a
+	// deterministic bound.
+	WallBudget time.Duration
 	// CheckpointDir, when set, enables checkpoint/resume: each worker
 	// keeps its state under <dir>/worker-NNN, saved every
 	// CheckpointEvery executions and on cancellation, and an existing
@@ -32,7 +37,7 @@ type CampaignConfig struct {
 	// (default 100000 when checkpointing is enabled).
 	CheckpointEvery uint64
 	// Minimize replays the merged corpus and drops cases that add no
-	// coverage (always on for multi-worker merges via ParallelCampaign).
+	// coverage.
 	Minimize bool
 }
 
@@ -83,7 +88,7 @@ func Campaign(ctx context.Context, cfg Config, cc CampaignConfig) ([][]byte, []S
 				results[w].err = err
 				return
 			}
-			err = runWorker(ctx, f, dir, cc.ExecsEach, every)
+			err = runWorker(ctx, f, dir, cc, every)
 			f.FlushTelemetry()
 			results[w] = result{corpus: f.Corpus(), stats: f.Stats(), err: err}
 		}(w)
@@ -128,12 +133,14 @@ func newOrResume(cfg Config, dir string) (*Fuzzer, error) {
 	return New(cfg)
 }
 
-// runWorker drives one fuzzer to its execution budget in checkpoint-sized
-// chunks, persisting after each chunk and once more on cancellation.
-func runWorker(ctx context.Context, f *Fuzzer, dir string, budget, every uint64) error {
+// runWorker drives one fuzzer to its budget; with a checkpoint directory
+// it runs in checkpoint-sized chunks, persisting after each chunk and
+// once more on cancellation.
+func runWorker(ctx context.Context, f *Fuzzer, dir string, cc CampaignConfig, every uint64) error {
 	if dir == "" {
-		return f.RunContext(ctx, budget, 0)
+		return f.RunContext(ctx, cc.ExecsEach, cc.WallBudget)
 	}
+	budget := cc.ExecsEach
 	for f.Execs() < budget {
 		next := f.Execs() + every
 		if next > budget {
@@ -148,18 +155,4 @@ func runWorker(ctx context.Context, f *Fuzzer, dir string, budget, every uint64)
 		}
 	}
 	return nil
-}
-
-// ParallelCampaign runs `workers` independent fuzzers concurrently and
-// merges their corpora in worker order; the merged corpus is minimized
-// against the configuration's coverage so redundant cases from different
-// workers collapse, with the minimization replay sharded across the same
-// worker count (MinimizeParallel). Kept as the simple non-resumable entry
-// point; Campaign adds cancellation and checkpoint/resume.
-func ParallelCampaign(cfg Config, workers int, execsEach uint64) ([][]byte, []Stats, error) {
-	return Campaign(context.Background(), cfg, CampaignConfig{
-		Workers:   workers,
-		ExecsEach: execsEach,
-		Minimize:  true,
-	})
 }

@@ -35,15 +35,14 @@ var wallclockPaths = []string{
 // campaign-visible result. One-off sites outside these functions use
 // //rvlint:allow wallclock with a reason instead.
 var wallclockAllow = map[string]string{
-	"internal/compliance.Runner.run":               "RunStats.Duration / CasesPerSec accounting",
-	"internal/compliance.Runner.runConfigSerial":   "shard_done event timing",
-	"internal/compliance.Runner.runConfigParallel": "per-shard duration telemetry (WorkerStats.DurNS)",
-	"internal/compliance.runCase":                  "signature-compare stage timer",
-	"internal/compliance.instance.run":             "per-SUT stage timers",
-	"internal/fuzz.Fuzzer.Step":                    "stage timers + execs/sec session accounting",
-	"internal/fuzz.Fuzzer.RunContext":              "wall-clock campaign budget (-duration flag)",
-	"internal/fuzz.Fuzzer.SaveCheckpoint":          "checkpoint stage timer (save latency, never in the fingerprint)",
-	"internal/sim.Simulator.start":                 "per-run predecode maintenance timer",
+	"internal/compliance.Runner.run":       "RunStats.Duration / CasesPerSec accounting",
+	"internal/compliance.Runner.runConfig": "per-shard duration telemetry (cell_done DurNS)",
+	"internal/compliance.Cell.judge":       "signature-compare stage timer",
+	"internal/compliance.instance.run":     "per-SUT stage timers",
+	"internal/fuzz.Fuzzer.Step":            "stage timers + execs/sec session accounting",
+	"internal/fuzz.Fuzzer.RunContext":      "wall-clock campaign budget (-duration flag)",
+	"internal/fuzz.Fuzzer.SaveCheckpoint":  "checkpoint stage timer (save latency, never in the fingerprint)",
+	"internal/sim.Simulator.start":         "per-run predecode maintenance timer",
 }
 
 // Wallclock flags time.Now / time.Since / time.Until in

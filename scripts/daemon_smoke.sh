@@ -23,7 +23,9 @@ KILL_AFTER="${KILL_AFTER:-2}" # seconds before the kill -9
 cd "$(dirname "$0")/.."
 work=$(mktemp -d)
 daemon_pid=""
-trap '{ [ -n "$daemon_pid" ] && kill -9 "$daemon_pid" && wait "$daemon_pid"; } 2>/dev/null; rm -rf "$work"' EXIT
+# The trap runs under set -e: `wait` on the SIGKILLed daemon returns 137,
+# so the kill/wait must not be able to fail the script before the rm.
+trap '{ [ -n "$daemon_pid" ] && kill -9 "$daemon_pid" && wait "$daemon_pid"; } 2>/dev/null || true; rm -rf "$work"' EXIT
 
 go build -o "$work/rvfuzz" ./cmd/rvfuzz
 go build -o "$work/rvcompliance" ./cmd/rvcompliance
@@ -101,6 +103,9 @@ tail -n +3 "$work/cli-report.json" | cmp - "$work/d-report.json"
 tail -n +3 "$work/cli-report.txt" | cmp - "$work/d-report.txt"
 
 echo "== per-job event report renders"
-go run ./cmd/rvreport -events "$work/events.ndjson" -job "$fuzz_id" | head -4
+# Render to a file first: under pipefail, `| head` can kill the report
+# with SIGPIPE once head has its lines, failing a passing run.
+go run ./cmd/rvreport -events "$work/events.ndjson" -job "$fuzz_id" > "$work/report.txt"
+head -4 "$work/report.txt"
 
 echo "OK: daemon jobs survived kill -9 and match direct CLI artifacts byte for byte"
