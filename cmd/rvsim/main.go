@@ -12,6 +12,7 @@ import (
 	"encoding/hex"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"rvnegtest"
@@ -87,7 +88,7 @@ func main() {
 	if *execTrace {
 		s := newSim(v, cfg)
 		fmt.Printf("execution trace (%s):\n", v.Name)
-		out := s.RunHooked(bs, tracer{})
+		out := s.RunHooked(bs, tracer{os.Stdout})
 		fmt.Printf("(%d instructions)\n", out.Insts)
 	}
 
@@ -138,11 +139,13 @@ func run(v *sim.Variant, cfg isa.Config, bs []byte) sim.Outcome {
 	return newSim(v, cfg).Run(bs)
 }
 
-// tracer prints every executed instruction through the coverage hook.
-type tracer struct{}
+// tracer prints every executed instruction through the coverage hook. It
+// does not stand in for the template prefix or dump (no SkipPrefix or
+// SkipExit), so the run executes and prints them too.
+type tracer struct{ w io.Writer }
 
-func (tracer) OnInst(inst *isa.Inst, h *hart.Hart) {
-	fmt.Printf("  %08x: %s\n", h.PC, isa.Disasm(*inst))
+func (t tracer) OnInst(inst *isa.Inst, h *hart.Hart) {
+	fmt.Fprintf(t.w, "  %08x: %s\n", h.PC, isa.Disasm(*inst))
 }
 
 func (tracer) OnEdge(uint32) {}

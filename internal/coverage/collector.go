@@ -66,9 +66,13 @@ type Collector struct {
 	hashBase uint32
 
 	// prefixKey and prefixHits cache the coverage of the last prefix
-	// SkipPrefix ran.
+	// SkipPrefix ran; exitKey, exitSteps and exitTail that of the last
+	// shutdown sequence SkipExit ran.
 	prefixKey  any
 	prefixHits []hitCount
+	exitKey    any
+	exitSteps  []exitStep
+	exitTail   []hitCount
 }
 
 // NewCollector allocates the coverage map for the enabled signals.
@@ -103,9 +107,7 @@ func (c *Collector) OnEdge(edge uint32) {
 
 // OnInst implements exec.Hook.
 func (c *Collector) OnInst(inst *isa.Inst, h *hart.Hart) {
-	if c.opts.HashN > 0 {
-		c.Map.Hit(c.hashBase + fnv1a32(inst.Raw)%uint32(c.opts.HashN))
-	}
+	c.hitHash(inst)
 	if c.opts.Rules != nil {
 		c.opts.Rules.Eval(inst, h, c.Map, c.ruleBase)
 	}
@@ -124,5 +126,87 @@ func (c *Collector) SkipPrefix(key any, run func(exec.Hook)) {
 	}
 	c.Map.addHits(c.prefixHits)
 }
+
+func (c *Collector) hitHash(inst *isa.Inst) {
+	if c.opts.HashN > 0 {
+		c.Map.Hit(c.hashBase + fnv1a32(inst.Raw)%uint32(c.opts.HashN))
+	}
+}
+
+// SkipExit lets a simulator skip executing its shutdown sequence (the
+// dump) under this collector, adding the coverage the dump records when
+// executed from h. The dump runs once per key into an exitRecorder,
+// which splits it at every instruction whose rules read an entry
+// register: a register no earlier dump instruction wrote, so its value
+// comes from h. Each call then adds the recorded (point, count) pairs
+// and evaluates those instructions' rules against h, in program order,
+// so hit counts, bucket bits and RunFootprint order are those of a run
+// that executed the dump. Every other register value the dump reads is
+// the one recorded: the simulator proved it the same whatever h holds.
+func (c *Collector) SkipExit(key any, run func(exec.Hook), h *hart.Hart) {
+	if key != c.exitKey {
+		rec := &exitRecorder{c: NewCollector(c.opts)}
+		run(rec)
+		c.exitKey, c.exitSteps, c.exitTail = key, rec.steps, rec.c.Map.pendingHits()
+	}
+	for i := range c.exitSteps {
+		st := &c.exitSteps[i]
+		c.Map.addHits(st.hits)
+		rv1, rv2 := st.rv1, st.rv2
+		if st.live1 {
+			rv1 = int32(h.ReadX(st.inst.Rs1))
+		}
+		if st.live2 {
+			rv2 = int32(h.ReadX(st.inst.Rs2))
+		}
+		c.opts.Rules.eval(st.plan, &st.inst, rv1, rv2, c.Map, c.ruleBase)
+	}
+	c.Map.addHits(c.exitTail)
+}
+
+// exitStep is one dump instruction whose rules read an entry register,
+// with the input-independent hits recorded since the previous step.
+type exitStep struct {
+	hits         []hitCount
+	plan         *opPlan
+	inst         isa.Inst
+	rv1, rv2     int32 // the source values, where not live
+	live1, live2 bool  // the source is an entry register, read at run time
+}
+
+// exitRecorder is the hook SkipExit runs the dump under.
+type exitRecorder struct {
+	c       *Collector
+	written uint32 // integer registers the dump has written so far
+	steps   []exitStep
+}
+
+func (r *exitRecorder) OnInst(inst *isa.Inst, h *hart.Hart) {
+	c := r.c
+	c.hitHash(inst)
+	if rs := c.opts.Rules; rs != nil {
+		p := &rs.plans[inst.Op]
+		live1 := p.readRS1 && r.entry(inst.Rs1)
+		live2 := p.readRS2 && r.entry(inst.Rs2)
+		if p.fams != 0 && (live1 || live2) {
+			r.steps = append(r.steps, exitStep{
+				hits: c.Map.pendingHits(), plan: p, inst: *inst,
+				rv1: int32(h.ReadX(inst.Rs1)), rv2: int32(h.ReadX(inst.Rs2)),
+				live1: live1, live2: live2,
+			})
+			c.Map.DiscardRun()
+		} else {
+			rs.Eval(inst, h, c.Map, c.ruleBase)
+		}
+	}
+	if inst.Info().Flags.Is(isa.FlagWritesRD) {
+		r.written |= 1 << inst.Rd
+	}
+}
+
+// entry reports whether reg still holds its value at dump:.
+func (r *exitRecorder) entry(reg isa.Reg) bool { return reg != 0 && r.written&(1<<reg) == 0 }
+
+func (r *exitRecorder) OnEdge(edge uint32) { r.c.OnEdge(edge) }
 
 var _ exec.Hook = (*Collector)(nil)

@@ -266,6 +266,12 @@ func (rs *RuleSet) Eval(inst *isa.Inst, h *hart.Hart, m *Map, base uint32) {
 	if p.readRS2 {
 		rv2 = int32(h.ReadX(inst.Rs2))
 	}
+	rs.eval(p, inst, rv1, rv2, m, base)
+}
+
+// eval is Eval with the source register values given: rv1 and rv2 are
+// read only when the plan reads rs1 and rs2.
+func (rs *RuleSet) eval(p *opPlan, inst *isa.Inst, rv1, rv2 int32, m *Map, base uint32) {
 	if p.fams&famRD != 0 {
 		m.Hit(base + p.rd + b2u(inst.Rd != 0))
 	}

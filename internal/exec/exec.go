@@ -196,26 +196,26 @@ func (e *Executor) stepSlow(refill bool) {
 	h.Mcycle++
 
 	// Fetch.
-	lo, err := e.Mem.Read16(h.PC)
-	if err != nil {
+	lo, ok := e.Mem.Load(h.PC, 2)
+	if !ok {
 		e.trap(isa.OpIllegal, hart.CauseFetchAccessFault, h.PC)
 		return
 	}
 	inst := &e.cur
 	switch {
 	case lo&3 == 3:
-		hi, err := e.Mem.Read16(h.PC + 2)
-		if err != nil {
+		hi, ok := e.Mem.Load(h.PC+2, 2)
+		if !ok {
 			e.trap(isa.OpIllegal, hart.CauseFetchAccessFault, h.PC)
 			return
 		}
-		*inst = e.Dec.Decode32(uint32(hi)<<16 | uint32(lo))
+		*inst = e.Dec.Decode32(uint32(hi<<16 | lo))
 	case !h.Cfg.Has(isa.ExtC):
 		// Without the C extension the RVC decoder is never entered; the
 		// halfword is simply an illegal encoding.
 		*inst = isa.Inst{Op: isa.OpIllegal, Raw: uint32(lo), Size: 2}
 	default:
-		*inst = e.Dec.DecodeC(lo)
+		*inst = e.Dec.DecodeC(uint16(lo))
 	}
 	if refill {
 		e.Cache.fill(h.PC, inst)
@@ -318,29 +318,11 @@ func (e *Executor) load(in *isa.Inst, rs1 uint32, size uint32) (uint64, bool) {
 		e.trap(in.Op, hart.CauseMisalignedLoad, addr)
 		return 0, false
 	}
-	var v uint64
-	var err error
-	switch size {
-	case 1:
-		var b uint8
-		b, err = e.Mem.Read8(addr)
-		v = uint64(b)
-	case 2:
-		var hw uint16
-		hw, err = e.Mem.Read16(addr)
-		v = uint64(hw)
-	case 4:
-		var w uint32
-		w, err = e.Mem.Read32(addr)
-		v = uint64(w)
-	default:
-		v, err = e.Mem.Read64(addr)
-	}
-	if err != nil {
+	v, ok := e.Mem.Load(addr, size)
+	if !ok {
 		e.trap(in.Op, hart.CauseLoadAccessFault, addr)
-		return 0, false
 	}
-	return v, true
+	return v, ok
 }
 
 // store performs a data store; false means a trap was taken or the
@@ -355,18 +337,7 @@ func (e *Executor) store(in *isa.Inst, rs1 uint32, size uint32, v uint64) bool {
 		e.Halted = true
 		return false
 	}
-	var err error
-	switch size {
-	case 1:
-		err = e.Mem.Write8(addr, uint8(v))
-	case 2:
-		err = e.Mem.Write16(addr, uint16(v))
-	case 4:
-		err = e.Mem.Write32(addr, uint32(v))
-	default:
-		err = e.Mem.Write64(addr, v)
-	}
-	if err != nil {
+	if !e.Mem.Store(addr, size, v) {
 		e.trap(in.Op, hart.CauseStoreAccessFault, addr)
 		return false
 	}
@@ -384,7 +355,7 @@ func (e *Executor) storeWord(addr, v uint32) bool {
 	}
 	// Alignment and bounds were checked by the caller; a residual error
 	// still traps defensively.
-	if err := e.Mem.Write32(addr, v); err != nil {
+	if !e.Mem.Store(addr, 4, uint64(v)) {
 		e.CPU.Trap(hart.CauseStoreAccessFault, addr)
 		return true
 	}
@@ -400,11 +371,12 @@ func (e *Executor) amo(in *isa.Inst, addr, src uint32) {
 		e.trap(in.Op, hart.CauseMisalignedStore, addr)
 		return
 	}
-	old, err := e.Mem.Read32(addr)
-	if err != nil {
+	v64, ok := e.Mem.Load(addr, 4)
+	if !ok {
 		e.trap(in.Op, hart.CauseStoreAccessFault, addr)
 		return
 	}
+	old := uint32(v64)
 	var v uint32
 	switch in.Op {
 	case isa.OpAMOSWAPW:
@@ -436,7 +408,7 @@ func (e *Executor) amo(in *isa.Inst, addr, src uint32) {
 		e.Halted = true
 		return
 	}
-	if err := e.Mem.Write32(addr, v); err != nil {
+	if !e.Mem.Store(addr, 4, uint64(v)) {
 		e.trap(in.Op, hart.CauseStoreAccessFault, addr)
 		return
 	}

@@ -339,13 +339,13 @@ func init() {
 			e.trap(in.Op, hart.CauseMisalignedLoad, rs1)
 			return
 		}
-		v, err := e.Mem.Read32(rs1)
-		if err != nil {
+		v, ok := e.Mem.Load(rs1, 4)
+		if !ok {
 			e.trap(in.Op, hart.CauseLoadAccessFault, rs1)
 			return
 		}
 		h.ResValid, h.ResAddr = true, rs1
-		h.WriteX(in.Rd, v)
+		h.WriteX(in.Rd, uint32(v))
 		e.retire(in)
 	})
 	set(isa.OpSCW, func(e *Executor, in *isa.Inst) {

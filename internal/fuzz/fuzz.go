@@ -345,7 +345,10 @@ func (f *Fuzzer) Step() bool {
 		res := f.flt.Check(input)
 		f.fstats.Record(res.Reason)
 		if tel != nil {
-			tel.stFilter.ObserveSince(t)
+			// One clock read closes the filter stage and opens execute.
+			now := time.Now()
+			tel.stFilter.Observe(now.Sub(t))
+			t = now
 		}
 		if !res.Accepted {
 			// Dropped inputs return no coverage, so the fuzzer never
@@ -356,9 +359,6 @@ func (f *Fuzzer) Step() bool {
 			}
 			return false
 		}
-		if tel != nil {
-			t = time.Now()
-		}
 	}
 
 	target, col := f.target, f.col
@@ -366,7 +366,10 @@ func (f *Fuzzer) Step() bool {
 		return target.RunHooked(input, col)
 	})
 	if tel != nil {
-		tel.stExec.ObserveSince(t)
+		// One clock read closes execute and opens the merge stage.
+		now := time.Now()
+		tel.stExec.Observe(now.Sub(t))
+		t = now
 		if !timedOut {
 			f.notePredecode()
 		}
@@ -417,7 +420,6 @@ func (f *Fuzzer) Step() bool {
 	}
 	if tel != nil {
 		tel.traps.Add(out.Traps)
-		t = time.Now()
 	}
 	novel := f.col.Map.MergeNew()
 	if tel != nil {

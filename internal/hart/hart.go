@@ -252,23 +252,40 @@ type CSRError struct{ Addr uint16 }
 
 func (e *CSRError) Error() string { return "hart: illegal CSR access " + isa.CSRName(e.Addr) }
 
+// csrErrors holds the error of every 12-bit CSR address, so an illegal
+// access, which the executor turns into a trap and may take on every
+// run, allocates nothing.
+var csrErrors = func() (t [1 << 12]CSRError) {
+	for i := range t {
+		t[i].Addr = uint16(i)
+	}
+	return t
+}()
+
+func csrError(addr uint16) error {
+	if int(addr) < len(csrErrors) {
+		return &csrErrors[addr]
+	}
+	return &CSRError{addr}
+}
+
 // ReadCSR returns the CSR value, or an error if the CSR does not exist (or
 // the FPU CSRs are accessed with the FPU off/absent).
 func (h *Hart) ReadCSR(addr uint16) (uint32, error) {
 	switch addr {
 	case CSRFflags:
 		if !h.FPEnabled() {
-			return 0, &CSRError{addr}
+			return 0, csrError(addr)
 		}
 		return uint32(h.Fflags), nil
 	case CSRFrm:
 		if !h.FPEnabled() {
-			return 0, &CSRError{addr}
+			return 0, csrError(addr)
 		}
 		return uint32(h.Frm), nil
 	case CSRFcsr:
 		if !h.FPEnabled() {
-			return 0, &CSRError{addr}
+			return 0, csrError(addr)
 		}
 		return uint32(h.Frm)<<5 | uint32(h.Fflags), nil
 	case CSRMstatus:
@@ -312,31 +329,31 @@ func (h *Hart) ReadCSR(addr uint16) (uint32, error) {
 	case CSRMvendorid, CSRMarchid, CSRMimpid, CSRMhartid:
 		return 0, nil
 	}
-	return 0, &CSRError{addr}
+	return 0, csrError(addr)
 }
 
 // WriteCSR writes a CSR, applying WARL masking. Writes to read-only CSRs
 // (address bits [11:10] == 11) are illegal.
 func (h *Hart) WriteCSR(addr uint16, v uint32) error {
 	if addr>>10 == 3 {
-		return &CSRError{addr}
+		return csrError(addr)
 	}
 	switch addr {
 	case CSRFflags:
 		if !h.FPEnabled() {
-			return &CSRError{addr}
+			return csrError(addr)
 		}
 		h.Fflags = uint8(v & 0x1f)
 		h.Mstatus |= FSDirty
 	case CSRFrm:
 		if !h.FPEnabled() {
-			return &CSRError{addr}
+			return csrError(addr)
 		}
 		h.Frm = uint8(v & 0x7)
 		h.Mstatus |= FSDirty
 	case CSRFcsr:
 		if !h.FPEnabled() {
-			return &CSRError{addr}
+			return csrError(addr)
 		}
 		h.Fflags = uint8(v & 0x1f)
 		h.Frm = uint8(v >> 5 & 0x7)
@@ -376,7 +393,7 @@ func (h *Hart) WriteCSR(addr uint16, v uint32) error {
 	case CSRMinstretH:
 		h.Minstret = h.Minstret&0xffffffff | uint64(v)<<32
 	default:
-		return &CSRError{addr}
+		return csrError(addr)
 	}
 	return nil
 }

@@ -6,6 +6,8 @@
 package mem
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 )
@@ -55,9 +57,12 @@ func (m *Memory) Contains(addr, size uint32) bool {
 	return addr >= m.base && off+uint64(size) <= uint64(len(m.data))
 }
 
-func (m *Memory) check(addr, size uint32, write bool) ([]byte, error) {
+// span returns the bytes at addr for an access of size bytes, marking
+// their pages dirty on a write; ok is false when the access lies outside
+// the region.
+func (m *Memory) span(addr, size uint32, write bool) (b []byte, ok bool) {
 	if !m.Contains(addr, size) {
-		return nil, &AccessError{Addr: addr, Size: size, Write: write}
+		return nil, false
 	}
 	off := addr - m.base
 	if write && m.dirty != nil {
@@ -65,92 +70,110 @@ func (m *Memory) check(addr, size uint32, write bool) ([]byte, error) {
 			m.dirty[p>>6] |= 1 << (p & 63)
 		}
 	}
-	return m.data[off:], nil
+	return m.data[off:], true
+}
+
+// Load reads a little-endian value of 1, 2, 4 or 8 bytes; ok is false on
+// an access fault. Unlike the Read methods it never allocates, so a
+// simulated access fault costs no garbage.
+func (m *Memory) Load(addr, size uint32) (v uint64, ok bool) {
+	if size == 8 {
+		lo, ok := m.Load(addr, 4)
+		if !ok {
+			return 0, false
+		}
+		hi, ok := m.Load(addr+4, 4)
+		return hi<<32 | lo, ok
+	}
+	b, ok := m.span(addr, size, false)
+	if !ok {
+		return 0, false
+	}
+	switch size {
+	case 1:
+		return uint64(b[0]), true
+	case 2:
+		return uint64(binary.LittleEndian.Uint16(b)), true
+	}
+	return uint64(binary.LittleEndian.Uint32(b)), true
+}
+
+// Store writes the low 1, 2, 4 or 8 bytes of v little-endian; ok is false
+// on an access fault. A doubleword is written as two words, low word
+// first, so when only its high word faults the low word stays written.
+// Like Load it never allocates.
+func (m *Memory) Store(addr, size uint32, v uint64) bool {
+	if size == 8 {
+		return m.Store(addr, 4, v) && m.Store(addr+4, 4, v>>32)
+	}
+	b, ok := m.span(addr, size, true)
+	if !ok {
+		return false
+	}
+	switch size {
+	case 1:
+		b[0] = byte(v)
+	case 2:
+		binary.LittleEndian.PutUint16(b, uint16(v))
+	default:
+		binary.LittleEndian.PutUint32(b, uint32(v))
+	}
+	return true
+}
+
+func (m *Memory) read(addr, size uint32) (uint64, error) {
+	v, ok := m.Load(addr, size)
+	if !ok {
+		return 0, &AccessError{Addr: addr, Size: size}
+	}
+	return v, nil
+}
+
+func (m *Memory) write(addr, size uint32, v uint64) error {
+	if !m.Store(addr, size, v) {
+		return &AccessError{Addr: addr, Size: size, Write: true}
+	}
+	return nil
 }
 
 // Read8 loads one byte.
 func (m *Memory) Read8(addr uint32) (uint8, error) {
-	b, err := m.check(addr, 1, false)
-	if err != nil {
-		return 0, err
-	}
-	return b[0], nil
+	v, err := m.read(addr, 1)
+	return uint8(v), err
 }
 
 // Read16 loads a little-endian halfword.
 func (m *Memory) Read16(addr uint32) (uint16, error) {
-	b, err := m.check(addr, 2, false)
-	if err != nil {
-		return 0, err
-	}
-	return uint16(b[0]) | uint16(b[1])<<8, nil
+	v, err := m.read(addr, 2)
+	return uint16(v), err
 }
 
 // Read32 loads a little-endian word.
 func (m *Memory) Read32(addr uint32) (uint32, error) {
-	b, err := m.check(addr, 4, false)
-	if err != nil {
-		return 0, err
-	}
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24, nil
+	v, err := m.read(addr, 4)
+	return uint32(v), err
 }
 
 // Read64 loads a little-endian doubleword.
-func (m *Memory) Read64(addr uint32) (uint64, error) {
-	lo, err := m.Read32(addr)
-	if err != nil {
-		return 0, err
-	}
-	hi, err := m.Read32(addr + 4)
-	if err != nil {
-		return 0, err
-	}
-	return uint64(hi)<<32 | uint64(lo), nil
-}
+func (m *Memory) Read64(addr uint32) (uint64, error) { return m.read(addr, 8) }
 
 // Write8 stores one byte.
-func (m *Memory) Write8(addr uint32, v uint8) error {
-	b, err := m.check(addr, 1, true)
-	if err != nil {
-		return err
-	}
-	b[0] = v
-	return nil
-}
+func (m *Memory) Write8(addr uint32, v uint8) error { return m.write(addr, 1, uint64(v)) }
 
 // Write16 stores a little-endian halfword.
-func (m *Memory) Write16(addr uint32, v uint16) error {
-	b, err := m.check(addr, 2, true)
-	if err != nil {
-		return err
-	}
-	b[0], b[1] = byte(v), byte(v>>8)
-	return nil
-}
+func (m *Memory) Write16(addr uint32, v uint16) error { return m.write(addr, 2, uint64(v)) }
 
 // Write32 stores a little-endian word.
-func (m *Memory) Write32(addr uint32, v uint32) error {
-	b, err := m.check(addr, 4, true)
-	if err != nil {
-		return err
-	}
-	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-	return nil
-}
+func (m *Memory) Write32(addr uint32, v uint32) error { return m.write(addr, 4, uint64(v)) }
 
 // Write64 stores a little-endian doubleword.
-func (m *Memory) Write64(addr uint32, v uint64) error {
-	if err := m.Write32(addr, uint32(v)); err != nil {
-		return err
-	}
-	return m.Write32(addr+4, uint32(v>>32))
-}
+func (m *Memory) Write64(addr uint32, v uint64) error { return m.write(addr, 8, v) }
 
 // LoadImage copies raw bytes into memory at addr.
 func (m *Memory) LoadImage(addr uint32, img []byte) error {
-	b, err := m.check(addr, uint32(len(img)), true)
-	if err != nil {
-		return err
+	b, ok := m.span(addr, uint32(len(img)), true)
+	if !ok {
+		return &AccessError{Addr: addr, Size: uint32(len(img)), Write: true}
 	}
 	copy(b, img)
 	return nil
@@ -158,9 +181,9 @@ func (m *Memory) LoadImage(addr uint32, img []byte) error {
 
 // ReadBytes copies size bytes starting at addr.
 func (m *Memory) ReadBytes(addr, size uint32) ([]byte, error) {
-	b, err := m.check(addr, size, false)
-	if err != nil {
-		return nil, err
+	b, ok := m.span(addr, size, false)
+	if !ok {
+		return nil, &AccessError{Addr: addr, Size: size}
 	}
 	out := make([]byte, size)
 	copy(out, b[:size])
@@ -202,6 +225,16 @@ func (m *Memory) Restore() {
 		}
 		m.dirty[wi] = 0
 	}
+}
+
+// Pristine reports whether the size bytes at addr still equal the
+// snapshot (false before the first Snapshot or outside the region).
+func (m *Memory) Pristine(addr, size uint32) bool {
+	if m.snapshot == nil || !m.Contains(addr, size) {
+		return false
+	}
+	off := addr - m.base
+	return bytes.Equal(m.data[off:off+size], m.snapshot[off:off+size])
 }
 
 // Dirty reports whether anything was written since the last Snapshot or

@@ -17,7 +17,10 @@ const runAllocs = 1
 // RunHooked to the per-run constant on both template families, unhooked
 // and with v0 and v3 collectors, with predecode on and off: a
 // 15-instruction input must allocate exactly what a 1-instruction input
-// does, so nothing allocates per retired instruction.
+// does, so nothing allocates per retired instruction. On the trap
+// template, inputs that take a load, a store and a fetch access fault,
+// and one that reads a CSR that does not exist, must allocate no more: a
+// fault is a trap, not an error value.
 func TestRunHookedAllocsIndependentOfLength(t *testing.T) {
 	short := stream(enc(isa.Inst{Op: isa.OpADDI, Rd: 5, Rs1: 5, Imm: 1}))
 	long := stream(
@@ -37,6 +40,22 @@ func TestRunHookedAllocsIndependentOfLength(t *testing.T) {
 		enc(isa.Inst{Op: isa.OpSLTU, Rd: 16, Rs1: 0, Rs2: 2}),
 		enc(isa.Inst{Op: isa.OpAND, Rd: 17, Rs1: 16, Rs2: 2}),
 	)
+	// x5 points past the end of memory; x7 at the trap counter's page.
+	farAway := enc(isa.Inst{Op: isa.OpLUI, Rd: 5, Imm: 0x10000000})
+	trapCounter := template.DefaultLayout.TrapSigAddr
+	faults := [][]byte{
+		stream(farAway, enc(isa.Inst{Op: isa.OpLW, Rd: 6, Rs1: 5})),
+		stream(farAway, enc(isa.Inst{Op: isa.OpSW, Rs1: 5, Rs2: 6})),
+		// Jump to the last word of the address space once: the fault
+		// resumes at address 0, and the rerun finds the counter set.
+		stream(
+			enc(isa.Inst{Op: isa.OpLUI, Rd: 7, Imm: int32(trapCounter+0x800) &^ 0xfff}),
+			enc(isa.Inst{Op: isa.OpLW, Rd: 6, Rs1: 7, Imm: int32(trapCounter) - int32(trapCounter+0x800)&^0xfff}),
+			enc(isa.Inst{Op: isa.OpBNE, Rs1: 6, Imm: 8}),
+			enc(isa.Inst{Op: isa.OpJALR, Imm: -4}),
+		),
+		stream(enc(isa.Inst{Op: isa.OpCSRRS, Rd: 5, CSR: 0x7c0})),
+	}
 	for _, fam := range []template.Family{template.FamilyUser, template.FamilyTrap} {
 		s, err := New(Reference, template.PlatformFor(fam, isa.RV32GC))
 		if err != nil {
@@ -72,6 +91,21 @@ func TestRunHookedAllocsIndependentOfLength(t *testing.T) {
 				if insts[1] < insts[0]+14 {
 					t.Errorf("%v %s predecode=%v: long input retired %d insts, short %d",
 						fam, cov, pre, insts[1], insts[0])
+				}
+				if fam != template.FamilyTrap {
+					continue
+				}
+				for i, bs := range faults {
+					allocs := testing.AllocsPerRun(20, func() {
+						out := run(bs)
+						if out.Crashed || out.TimedOut || out.Signature == nil || out.Traps != 1 {
+							t.Fatalf("%v %s predecode=%v: fault input %d: %+v, want one trap", fam, cov, pre, i, out)
+						}
+					})
+					if allocs != runAllocs {
+						t.Errorf("%v %s predecode=%v: fault input %d: %v allocs per run, want %d",
+							fam, cov, pre, i, allocs, runAllocs)
+					}
 				}
 			}
 		}

@@ -64,12 +64,22 @@ func runToEntry(e *exec.Executor, addr uint32, limit uint64) (ok bool) {
 	return e.TrapCount == 0 && e.InstCount < limit
 }
 
-// prefixSkipper is implemented by hooks that can account for the prefix
-// without watching it execute (coverage.Collector). run executes the
-// prefix with the given hook attached; key identifies the prefix (equal
-// keys, equal prefixes), so an implementation may run it once per key.
-type prefixSkipper interface {
+// skipper is implemented by hooks that can account for the template's
+// input-independent prefix and shutdown sequence without watching them
+// execute (coverage.Collector). In both methods run executes the stretch
+// with the given hook attached and key identifies it (equal keys, equal
+// code), so an implementation may run it once per key.
+//
+// SkipPrefix stands for the prefix, which starts from reset. SkipExit
+// stands for the dump executed from h; run leaves h and the run as it
+// found them. Within the dump, an integer register no earlier dump
+// instruction writes (isa.FlagWritesRD) still holds its value in h, while
+// every other register value a dump instruction reads (isa.FlagReadsRS1,
+// isa.FlagReadsRS2) and every hook event is the same whatever h holds:
+// New proved both before keeping the summary.
+type skipper interface {
 	SkipPrefix(key any, run func(exec.Hook))
+	SkipExit(key any, run func(exec.Hook), h *hart.Hart)
 }
 
 // attach wires s over img the way img.NewExecutorCfg wires a fresh
@@ -79,7 +89,7 @@ func (s *Simulator) attach(img *template.Image, cache *exec.DecodeCache, dec *is
 	e := img.NewExecutorCfg(s.eff, dec, s.Variant.ExecQuirks)
 	s.img, s.cache, s.cpu, s.ex = img, cache, *e.CPU, *e
 	s.ex.CPU = &s.cpu
-	s.replay = s.replayPrefix
+	s.replay, s.exitReplay = s.replayPrefix, s.replayExit
 }
 
 // start readies s for one run of bs: it injects the input, brings the
@@ -123,8 +133,8 @@ func (s *Simulator) start(bs []byte, hook exec.Hook) error {
 }
 
 // skipPrefix reports whether a run under hook may start at the entry
-// state. A nil hook observes nothing, a prefixSkipper accounts for the
-// prefix itself, and any other hook has to watch it execute.
+// state. A nil hook observes nothing, a skipper accounts for the prefix
+// itself, and any other hook has to watch it execute.
 func (s *Simulator) skipPrefix(hook exec.Hook) bool {
 	if s.entry == nil || s.entry.insts >= s.Limit {
 		return false
@@ -132,7 +142,7 @@ func (s *Simulator) skipPrefix(hook exec.Hook) bool {
 	if hook == nil {
 		return true
 	}
-	ps, ok := hook.(prefixSkipper)
+	ps, ok := hook.(skipper)
 	if ok {
 		ps.SkipPrefix(s.entry, s.replay)
 	}

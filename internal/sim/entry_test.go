@@ -15,8 +15,8 @@ import (
 )
 
 // fullPath wraps a hook (nil: observe nothing) without implementing
-// prefixSkipper, so a run under it executes the template prefix: the
-// reference every fast-forwarded run must reproduce.
+// skipper, so a run under it executes the template prefix and the dump:
+// the reference every fast-forwarded and summarized run must reproduce.
 type fullPath struct{ h exec.Hook }
 
 func (f fullPath) OnInst(in *isa.Inst, h *hart.Hart) {
@@ -96,7 +96,7 @@ func outcomeMix() [][]byte {
 
 // platforms lists every supported variant × {RV32I, RV32IMC, RV32GC} ×
 // family combination.
-func platforms(t *testing.T) (sims []*Simulator, labels []string) {
+func platforms(t testing.TB) (sims []*Simulator, labels []string) {
 	t.Helper()
 	for _, v := range All {
 		for _, cfg := range []isa.Config{isa.RV32I, isa.RV32IMC, isa.RV32GC} {
@@ -112,6 +112,9 @@ func platforms(t *testing.T) (sims []*Simulator, labels []string) {
 				if s.entry == nil {
 					t.Fatalf("%s: no entry state: every run executes the prefix", label)
 				}
+				if s.exit == nil {
+					t.Fatalf("%s: no exit summary: every run executes the dump", label)
+				}
 				sims, labels = append(sims, s), append(labels, label)
 			}
 		}
@@ -123,11 +126,12 @@ func fetches(st exec.CacheStats) uint64 { return st.Hits + st.Misses }
 
 // TestFastForwardMatchesFullPath is the fast-forward differential: on
 // every platform, unhooked and under v0 and v3 collectors, a run that
-// starts at the entry state must equal a run that executes the prefix —
-// the same Outcome and the same coverage footprint, order included —
-// over outcomeMix and a seeded corpus of about 2k executions. The
-// decode-cache counters count exactly the fetches each run performs:
-// Insts minus the prefix when fast-forwarded, Insts on the full path.
+// starts at the entry state and summarizes the dump must equal a run
+// that executes both — the same Outcome and the same coverage footprint,
+// order included — over outcomeMix and a seeded corpus of about 2k
+// executions. The decode-cache counters count exactly the fetches each
+// run performs: Insts minus the prefix when fast-forwarded, minus the
+// dump too when summarized, and Insts on the full path.
 // Many random inputs loop on the trap template; a 2,000-instruction
 // limit keeps them cheap (filter-accepted cases retire far fewer).
 func TestFastForwardMatchesFullPath(t *testing.T) {
@@ -136,6 +140,7 @@ func TestFastForwardMatchesFullPath(t *testing.T) {
 	for si, s := range sims {
 		s.Limit = 2000
 		for _, cov := range []string{"none", "v0", "v3"} {
+			exits := s.exits
 			var fast, full *coverage.Collector
 			fastHook, fullHook := exec.Hook(nil), exec.Hook(fullPath{})
 			if opts, ok := coverage.ByName(cov); ok {
@@ -144,17 +149,21 @@ func TestFastForwardMatchesFullPath(t *testing.T) {
 			}
 			for i, bs := range inputs {
 				label := fmt.Sprintf("%s %s input %d (%x)", labels[si], cov, i, bs)
-				st0 := s.PredecodeStats()
+				st0, e0 := s.PredecodeStats(), s.exits
 				got := s.RunHooked(bs, fastHook)
 				st1 := s.PredecodeStats()
+				dump := uint64(0)
+				if s.exits != e0 {
+					dump = s.exit.insts
+				}
 				want := s.RunHooked(bs, fullHook)
 				st2 := s.PredecodeStats()
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s: outcome diverged:\nfast %+v\nfull %+v", label, got, want)
 				}
-				if n := fetches(st1) - fetches(st0); n != got.Insts-s.entry.insts {
-					t.Fatalf("%s: fast-forwarded run fetched %d, want Insts %d - prefix %d",
-						label, n, got.Insts, s.entry.insts)
+				if n := fetches(st1) - fetches(st0); n != got.Insts-s.entry.insts-dump {
+					t.Fatalf("%s: fast-forwarded run fetched %d, want Insts %d - prefix %d - dump %d",
+						label, n, got.Insts, s.entry.insts, dump)
 				}
 				if n := fetches(st2) - fetches(st1); n != want.Insts {
 					t.Fatalf("%s: full-path run fetched %d, want Insts %d", label, n, want.Insts)
@@ -171,6 +180,9 @@ func TestFastForwardMatchesFullPath(t *testing.T) {
 			}
 			if fast != nil && fast.Map.BucketBits() != full.Map.BucketBits() {
 				t.Fatalf("%s %s: bucket bits %d vs %d", labels[si], cov, fast.Map.BucketBits(), full.Map.BucketBits())
+			}
+			if s.exits == exits {
+				t.Fatalf("%s %s: no run summarized its dump", labels[si], cov)
 			}
 		}
 	}
@@ -239,16 +251,16 @@ func TestFastForwardKeySwitch(t *testing.T) {
 	}
 }
 
-// TestFastForwardShared: a clone shares the simulator's entry state, and
-// its fast-forwarded hooked runs reproduce the full-path footprints.
+// TestFastForwardShared: a clone shares the simulator's entry state and
+// exit summary, and its hooked runs reproduce the full-path footprints.
 func TestFastForwardShared(t *testing.T) {
 	s, err := New(Reference, template.PlatformFor(template.FamilyTrap, isa.RV32GC))
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := s.Clone()
-	if c.entry == nil || c.entry != s.entry {
-		t.Fatal("clone does not share the entry state")
+	if c.entry == nil || c.entry != s.entry || c.exit == nil || c.exit != s.exit {
+		t.Fatal("clone does not share the entry state and exit summary")
 	}
 	col := coverage.NewCollector(coverage.V3())
 	ref := coverage.NewCollector(coverage.V3())

@@ -157,7 +157,10 @@ type Outcome struct {
 	Crashed   bool
 	CrashMsg  string
 	TimedOut  bool
-	Insts     uint64
+	// Insts counts the instructions the run took, including those
+	// accounted for without being executed: a template prefix the run
+	// starts past and a shutdown sequence it summarizes (DESIGN §19).
+	Insts uint64
 	// Traps counts the traps the executor raised during the run (both
 	// families; only the trap suite turns them into signature content).
 	Traps uint64
@@ -180,8 +183,9 @@ type HookedSim interface {
 // Simulator is a variant instantiated for one platform, with the test-case
 // template pre-compiled and pre-loaded (the paper's fuzzing-phase setup;
 // the compliance phase re-uses it because the template test suite proves
-// the injected image identical to a full per-test-case compilation) and
-// its input-independent prefix executed once (see entryState).
+// the injected image identical to a full per-test-case compilation), its
+// input-independent prefix executed once (see entryState) and its
+// shutdown sequence summarized (see exitSummary).
 type Simulator struct {
 	Variant  *Variant
 	Platform template.Platform
@@ -197,7 +201,8 @@ type Simulator struct {
 	PredecodeTimer *obs.Histogram
 
 	eff   isa.Config
-	entry *entryState // nil: every run executes the prefix
+	entry *entryState  // nil: every run executes the prefix
+	exit  *exitSummary // nil: every run executes the dump
 
 	// The run context every run resets instead of allocating: a private
 	// template image, its decode cache, and the hart and executor over
@@ -206,9 +211,11 @@ type Simulator struct {
 	cache *exec.DecodeCache
 	cpu   hart.Hart
 	ex    exec.Executor
-	// replay is s.replayPrefix, bound once so that handing it to a hook
-	// allocates nothing per run.
-	replay func(exec.Hook)
+	// replay and exitReplay are s.replayPrefix and s.replayExit, bound
+	// once so that handing them to a hook allocates nothing per run.
+	replay, exitReplay func(exec.Hook)
+	// exits counts the runs whose dump the exit summary stood for.
+	exits uint64
 }
 
 // New prepares a simulator for a platform. It fails if the variant does
@@ -230,6 +237,7 @@ func New(v *Variant, p template.Platform) (*Simulator, error) {
 	}
 	s.entry = fastForward(img, s.eff, dec, v.ExecQuirks, s.Limit)
 	s.attach(img, predecodeImage(img, dec, s.eff), dec)
+	s.exit = s.summarizeExit()
 	return s, nil
 }
 
@@ -255,7 +263,7 @@ func predecodeImage(img *template.Image, dec *isa.Decoder, eff isa.Config) *exec
 // image, own decoder), so clones can run test cases concurrently — one
 // clone per worker in the parallel compliance engine. Cloning copies the
 // preloaded memory image instead of re-assembling the template, and
-// shares the immutable entry state.
+// shares the immutable entry state and exit summary.
 func (s *Simulator) Clone() *Simulator {
 	c := &Simulator{
 		Variant:     s.Variant,
@@ -264,6 +272,7 @@ func (s *Simulator) Clone() *Simulator {
 		NoPredecode: s.NoPredecode,
 		eff:         s.eff,
 		entry:       s.entry,
+		exit:        s.exit,
 	}
 	c.attach(s.img.Clone(), s.cache.Clone(), &isa.Decoder{Quirks: s.Variant.DecQuirks})
 	return c
@@ -286,24 +295,35 @@ func classifyRunError(err error) (timedOut bool, crashMsg string) {
 func (s *Simulator) Run(bs []byte) Outcome { return s.RunHooked(bs, nil) }
 
 // RunHooked is Run with a coverage hook attached (the fuzzing phase).
-// The run reuses the simulator's hart and executor and starts at the
-// entry state, skipping the template's input-independent prefix, unless
-// the hook has to watch the prefix execute (see Simulator.start).
-func (s *Simulator) RunHooked(bs []byte, hook exec.Hook) (out Outcome) {
+// The run reuses the simulator's hart and executor. It starts at the
+// entry state, skipping the template's input-independent prefix, and
+// writes the signature from the hart when it reaches the shutdown
+// sequence, unless the hook has to watch them execute (see
+// Simulator.start and Simulator.takeExit).
+func (s *Simulator) RunHooked(bs []byte, hook exec.Hook) Outcome {
 	if err := s.start(bs, hook); err != nil {
 		return Outcome{Crashed: true, CrashMsg: err.Error()}
 	}
+	return s.finish(hook)
+}
+
+// finish runs a started run to its outcome.
+func (s *Simulator) finish(hook exec.Hook) (out Outcome) {
 	e := &s.ex
 	defer func() {
 		if r := recover(); r != nil {
 			out = Outcome{Crashed: true, CrashMsg: fmt.Sprint(r), Insts: e.InstCount, Traps: e.TrapCount}
 		}
 	}()
-	err := e.Run(s.Limit)
+	exited, err := s.run(hook)
 	out = Outcome{Insts: e.InstCount, Traps: e.TrapCount}
 	if err != nil {
 		out.TimedOut, out.CrashMsg = classifyRunError(err)
 		out.Crashed = !out.TimedOut
+		return out
+	}
+	if exited {
+		out.Signature = s.exit.signature(&s.cpu, s.img.Mem)
 		return out
 	}
 	signature, err := s.img.Signature()
@@ -314,6 +334,23 @@ func (s *Simulator) RunHooked(bs []byte, hook exec.Hook) (out Outcome) {
 	}
 	out.Signature = signature
 	return out
+}
+
+// run steps the executor until it halts, as Executor.Run does, except
+// that it hands the shutdown sequence to the exit summary when takeExit
+// allows; exited reports that it did.
+func (s *Simulator) run(hook exec.Hook) (exited bool, err error) {
+	e := &s.ex
+	for !e.Halted {
+		if e.InstCount >= s.Limit {
+			return false, exec.ErrTimeout
+		}
+		if s.exit != nil && s.cpu.PC == s.exit.addr && s.takeExit(hook) {
+			return true, nil
+		}
+		e.Step()
+	}
+	return false, nil
 }
 
 // PredecodeStats reports the cumulative decode-cache counters of this
