@@ -19,6 +19,12 @@ type Verdict struct {
 
 // Analysis is the result of analysing one bytestream: the basic-block
 // CFG, the fixpoint register states, and the accept/drop verdict.
+//
+// The zero value is ready for Analyze, which re-analyses in place and
+// keeps every buffer of earlier calls, so a long-lived Analysis stops
+// allocating once it has seen its longest stream. Each call replaces
+// the previous result entirely. An Analysis is not safe for concurrent
+// use.
 type Analysis struct {
 	// N is the padded bytestream length.
 	N int32
@@ -26,6 +32,14 @@ type Analysis struct {
 	Verdict Verdict
 
 	g cfg
+
+	// Scratch of fixpoint (inWork, work), findCycle (dfs, stack) and
+	// countPaths (memo), reserved at the cfg arenas' n/2 bound.
+	inWork []bool
+	work   []*block
+	dfs    []dfsEntry
+	stack  []int32
+	memo   []int64
 }
 
 // maxPaths saturates the accepted-path count.
@@ -43,19 +57,25 @@ func Analyze(bs []byte) *Analysis { return AnalyzeMode(bs, false) }
 // path, the forbidden set shrinks to TrapForbidden, and the memory
 // discipline keeps only the clean-base store rule.
 func AnalyzeMode(bs []byte, trap bool) *Analysis {
-	a := &Analysis{}
+	a := new(Analysis)
+	a.Analyze(bs, trap)
+	return a
+}
+
+// Analyze re-analyses a with the bytestream bs under the suite family
+// semantics AnalyzeMode describes. The result replaces a's previous one:
+// anything read from a before the call (Blocks, EachInst, CleanAt, ...)
+// describes the old stream only until this call starts.
+func (a *Analysis) Analyze(bs []byte, trap bool) {
 	a.g.build(bs, trap)
-	g := &a.g
-	a.N = g.n
-	if g.n == 0 {
+	a.N = a.g.n
+	if a.N == 0 {
 		// Empty stream: execution falls straight off the end.
 		a.Verdict = Verdict{Reason: ReasonNone, Paths: 1}
-		return a
+		return
 	}
-
 	a.fixpoint()
 	a.deriveVerdict()
-	return a
 }
 
 // fixpoint runs the worklist iteration: block in-states are joined at
@@ -68,9 +88,10 @@ func (a *Analysis) fixpoint() {
 	entry := g.at(0).blk
 	entry.in = entryState()
 
-	inWork := make([]bool, len(g.blocks))
-	work := make([]*block, 1, len(g.blocks))
-	work[0] = entry
+	inWork := reserve(a.inWork, len(g.sites))[:len(g.blocks)]
+	clear(inWork)
+	a.inWork = inWork
+	work := append(reserve(a.work, len(g.sites)), entry)
 	inWork[entry.id] = true
 	for len(work) > 0 {
 		b := work[len(work)-1]
@@ -107,6 +128,7 @@ func (a *Analysis) fixpoint() {
 			}
 		}
 	}
+	a.work = work
 }
 
 // deriveVerdict scans the stabilized CFG for violations in ascending PC
@@ -210,42 +232,48 @@ func (a *Analysis) blockTargets(b *block) ([3]int32, int) {
 	return last.feasibleTargets(&s)
 }
 
+// DFS colours of findCycle.
+const (
+	white = iota // unvisited
+	grey         // on the current DFS path
+	black        // fully explored
+)
+
+// dfsEntry is findCycle's per-block bookkeeping.
+type dfsEntry struct {
+	succs [3]int32
+	nsucc uint8
+	next  uint8 // next successor index to explore
+	color uint8
+}
+
 // findCycle performs an iterative DFS over feasible edges between
 // reachable blocks; a back edge to a block on the current DFS path is a
 // potential loop. Returns the offset of the revisited block head.
 func (a *Analysis) findCycle() (int32, bool) {
 	g := &a.g
-	const (
-		white = iota // unvisited
-		grey         // on the current DFS path
-		black        // fully explored
-	)
 	// Per-block DFS bookkeeping lives in one slice; the stack holds block
 	// ids.
-	type dfsEntry struct {
-		succs [3]int32
-		nsucc uint8
-		next  uint8 // next successor index to explore
-		color uint8
-	}
-	st := make([]dfsEntry, len(g.blocks))
-	stack := make([]int32, 0, len(g.blocks))
+	st := reserve(a.dfs, len(g.sites))[:len(g.blocks)]
+	clear(st)
+	a.dfs = st
+	a.stack = reserve(a.stack, len(g.sites))
 	push := func(b *block) {
 		ts, nt := a.blockTargets(b)
 		st[b.id] = dfsEntry{succs: ts, nsucc: uint8(nt), color: grey}
-		stack = append(stack, int32(b.id))
+		a.stack = append(a.stack, int32(b.id))
 	}
 	entry := g.at(0).blk
 	if !entry.in.reach {
 		return 0, false
 	}
 	push(entry)
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
+	for len(a.stack) > 0 {
+		id := a.stack[len(a.stack)-1]
 		e := &st[id]
 		if e.next == e.nsucc {
 			e.color = black
-			stack = stack[:len(stack)-1]
+			a.stack = a.stack[:len(a.stack)-1]
 			continue
 		}
 		t := e.succs[e.next]
@@ -269,10 +297,11 @@ func (a *Analysis) findCycle() (int32, bool) {
 // This preserves the historical filter's "accepted (N paths)" report.
 func (a *Analysis) countPaths() int {
 	g := &a.g
-	memo := make([]int64, len(g.blocks))
+	memo := reserve(a.memo, len(g.sites))[:len(g.blocks)]
 	for i := range memo {
 		memo[i] = -1
 	}
+	a.memo = memo
 	return int(a.countFrom(g.at(0).blk, memo))
 }
 

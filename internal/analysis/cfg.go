@@ -140,21 +140,40 @@ type block struct {
 func (b *block) head() *node { return b.nodes[0] }
 func (b *block) last() *node { return b.nodes[len(b.nodes)-1] }
 
-// cfg is the control-flow graph over the padded bytestream.
+// cfg is the control-flow graph over the padded bytestream. Its slices
+// are reused by the next build (see Analysis.Analyze).
 type cfg struct {
 	n      int32   // padded length
 	trap   bool    // trap-suite analysis mode
-	padded []byte  // zero-padded copy of the bytestream
+	buf    []byte  // padded stream, then the leader and predecessor maps
+	padded []byte  // zero-padded copy of the bytestream (window of buf)
 	sites  []*node // indexed pc/2; nil where no instruction starts
+	work   []int32 // discovery worklist
 
 	// store, blocks and chain are fixed-capacity arenas (site count is at
 	// most n/2, leader count at most the site count, and every node joins
 	// exactly one block's chain), so append never reallocates and interior
-	// pointers stay valid. blocks is addressed by index == block id;
-	// block.nodes slices are windows into chain.
+	// pointers stay valid: sites point into store, node.blk into blocks,
+	// block.nodes are windows into chain. A reused arena must therefore
+	// reach the capacity a build needs before that build's first append
+	// into it. build reserves all three, like every other buffer of an
+	// Analysis, at the n/2 bound, so one call on a stream of the longest
+	// length sizes them all for good. blocks is addressed by index ==
+	// block id.
 	store  []node
 	blocks []block
 	chain  []*node
+}
+
+// reserve returns s emptied, with capacity at least c: s's own array
+// when it is large enough, otherwise a new one. The array keeps stale
+// entries beyond the length, so callers that reslice past it clear or
+// overwrite what they expose.
+func reserve[T any](s []T, c int) []T {
+	if cap(s) < c {
+		return make([]T, 0, c)
+	}
+	return s[:0]
 }
 
 func (g *cfg) at(pc int32) *node {
@@ -230,24 +249,33 @@ func exitKind(trap bool) nodeKind {
 // offset 0 (following all edges, feasible or not) and partitions the
 // sites into basic blocks. bs is the raw bytestream; it is padded to a
 // whole word with zero bytes, as the template's injection area does.
+// Every slice of an earlier build is reset first, an empty stream's
+// included, so nothing of the previous stream stays visible.
 func (g *cfg) build(bs []byte, trap bool) {
 	n := int32(len(bs)+3) &^ 3
 	g.n = n
 	g.trap = trap
+	// One buffer serves the padded stream and the two per-halfword
+	// leader/predecessor byte maps used below.
+	buf := reserve(g.buf, int(2*n))[:2*n]
+	clear(buf)
+	g.buf = buf
+	g.padded = buf[:n]
+	copy(g.padded, bs)
+	half := int(n / 2)
+	g.sites = reserve(g.sites, half)[:half]
+	clear(g.sites)
+	g.store = reserve(g.store, half)
+	g.blocks = reserve(g.blocks, half)
+	g.chain = reserve(g.chain, half)
 	if n == 0 {
 		return
 	}
-	// One buffer serves the padded stream and the two per-halfword
-	// leader/predecessor byte maps used below.
-	buf := make([]byte, 2*n)
-	g.padded = buf[:n]
-	copy(g.padded, bs)
-	g.sites = make([]*node, n/2)
-	g.store = make([]node, 0, n/2)
 
 	// Discovery: worklist over instruction offsets. Branch/jump offsets
-	// are always even, so sites live on halfword boundaries.
-	work := make([]int32, 1, n/2)
+	// are always even, so sites live on halfword boundaries, and each is
+	// pushed once.
+	work := append(reserve(g.work, half), 0)
 	g.sites[0] = g.decodeNode(0)
 	for len(work) > 0 {
 		pc := work[len(work)-1]
@@ -261,6 +289,7 @@ func (g *cfg) build(bs []byte, trap bool) {
 			work = append(work, t)
 		}
 	}
+	g.work = work
 
 	// Leader identification: offset 0, every target of a node that
 	// transfers control (branch, jump, trap exit, or any node whose
@@ -285,21 +314,15 @@ func (g *cfg) build(bs []byte, trap bool) {
 			}
 		}
 	}
-	nLeaders := 0
 	for i, p := range preds {
 		if p > 1 {
 			leader[i] = 1
-		}
-		if leader[i] != 0 && g.sites[i] != nil {
-			nLeaders++
 		}
 	}
 
 	// Chain formation: from each leader, follow single fall-through
 	// successors until a terminator, a control transfer, or the next
 	// leader.
-	g.blocks = make([]block, 0, nLeaders)
-	g.chain = make([]*node, 0, len(g.store))
 	for i, nd := range g.sites {
 		if nd == nil || leader[i] == 0 {
 			continue

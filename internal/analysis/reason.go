@@ -25,8 +25,8 @@ package analysis
 // Reason classifies why a bytestream was dropped (ReasonNone = accepted).
 // The first eight values mirror the historical filter taxonomy so existing
 // telemetry stays comparable; ReasonPathBudget is only ever produced by
-// the legacy path-enumeration engine kept as a differential oracle
-// (filter.Exhaustive), never by the fixpoint engine.
+// the legacy path-enumeration engine the filter package's tests keep as
+// a differential oracle (Exhaustive), never by the fixpoint engine.
 type Reason uint8
 
 const (

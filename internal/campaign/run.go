@@ -16,6 +16,7 @@ import (
 	"rvnegtest/internal/fuzz"
 	"rvnegtest/internal/isa"
 	"rvnegtest/internal/obs"
+	"rvnegtest/internal/resilience"
 	"rvnegtest/internal/sim"
 	"rvnegtest/internal/template"
 )
@@ -282,29 +283,34 @@ const (
 
 // WriteArtifacts persists the result's canonical artifact files into
 // dir, creating it as needed. The bytes match what the equivalent CLI
-// invocation would have written (suite.Save, -stats-json, -json).
+// invocation would have written (suite.Save, -stats-json, -json). Each
+// file is replaced atomically (resilience.WriteFileAtomic), so an
+// interrupted write leaves the previous file or none, never a torn one.
 func (r *Result) WriteArtifacts(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
+	write := func(name string, data []byte) error {
+		return resilience.WriteFileAtomic(filepath.Join(dir, name), data)
+	}
 	switch r.Kind {
 	case KindFuzz:
-		if err := r.Suite.Save(filepath.Join(dir, ArtifactSuite)); err != nil {
+		if err := write(ArtifactSuite, []byte(r.Suite.Format())); err != nil {
 			return err
 		}
 		stats, err := EncodeFuzzStats(r.WorkerStats, len(r.Suite.Cases))
 		if err != nil {
 			return err
 		}
-		return os.WriteFile(filepath.Join(dir, ArtifactFuzzStats), stats, 0o644)
+		return write(ArtifactFuzzStats, stats)
 	default:
-		if err := os.WriteFile(filepath.Join(dir, ArtifactReport), []byte(r.Report.Render()), 0o644); err != nil {
+		if err := write(ArtifactReport, []byte(r.Report.Render())); err != nil {
 			return err
 		}
 		raw, err := r.Report.JSON()
 		if err != nil {
 			return err
 		}
-		return os.WriteFile(filepath.Join(dir, ArtifactReportJSON), append(raw, '\n'), 0o644)
+		return write(ArtifactReportJSON, append(raw, '\n'))
 	}
 }

@@ -221,7 +221,7 @@ func listDirFiles(dir string) ([]ArtifactFile, error) {
 	}
 	files := make([]ArtifactFile, 0, len(entries))
 	for _, e := range entries {
-		if e.IsDir() {
+		if e.IsDir() || resilience.IsAtomicTemp(e.Name()) {
 			continue
 		}
 		info, err := e.Info()

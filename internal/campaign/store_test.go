@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"rvnegtest/internal/compliance"
 )
 
 func testSpec() JobSpec {
@@ -108,6 +110,56 @@ func TestStoreArtifactsListing(t *testing.T) {
 	}
 	if len(files) != 2 || files[0].Name != "a.txt" || files[0].Size != 1 || files[1].Name != "b.txt" {
 		t.Fatalf("artifact listing = %+v", files)
+	}
+}
+
+// TestWriteArtifactsReplacesAtomically: WriteArtifacts replaces a file
+// by renaming a new one over it, never by rewriting it in place. A
+// reader holding the old file (here a hard link) keeps the old bytes,
+// and the listing skips WriteFileAtomic's temp files.
+func TestWriteArtifactsReplacesAtomically(t *testing.T) {
+	st, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, err := st.NewJob(testSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	adir := st.ArtifactsDir(job.ID)
+	if err := os.MkdirAll(adir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	report := filepath.Join(adir, ArtifactReport)
+	held := filepath.Join(st.JobDir(job.ID), "held.txt")
+	const old = "old report\n"
+	if err := os.WriteFile(report, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Link(report, held); err != nil {
+		t.Skipf("hard links unsupported here: %v", err)
+	}
+	// A temp file of a write in flight (or of one a crash cut short).
+	if err := os.WriteFile(filepath.Join(adir, "."+ArtifactReport+".tmp123"), []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	res := &Result{Kind: KindCompliance, Report: &compliance.Report{RefName: "reference", Cases: 1}}
+	if err := res.WriteArtifacts(adir); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := os.ReadFile(held); string(got) != old {
+		t.Errorf("the old file was rewritten in place: link reads %q, want %q", got, old)
+	}
+	if got, _ := os.ReadFile(report); string(got) != res.Report.Render() {
+		t.Errorf("%s = %q, want the new report %q", ArtifactReport, got, res.Report.Render())
+	}
+	files, err := st.Artifacts(job.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != 2 || files[0].Name != ArtifactReportJSON || files[1].Name != ArtifactReport {
+		t.Errorf("artifact listing = %+v, want exactly %s and %s", files, ArtifactReportJSON, ArtifactReport)
 	}
 }
 

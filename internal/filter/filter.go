@@ -15,9 +15,10 @@
 // basic-block CFG plus a worklist fixpoint over a per-register lattice,
 // linear in blocks x registers where the original enumerated control-flow
 // paths (exponential in branches, requiring a conservative fork budget).
-// The historical path-enumeration engine survives as Exhaustive, serving
-// as the differential-testing oracle: Filter accepts a superset of what
-// Exhaustive accepts, and never drops for budget reasons.
+// The historical path-enumeration engine survives in this package's
+// tests as Exhaustive, the differential-testing oracle: Filter accepts a
+// superset of what Exhaustive accepts, and never drops for budget
+// reasons.
 package filter
 
 import (
@@ -47,7 +48,7 @@ const (
 	// ReasonStraddle: a 32-bit encoding straddles the bytestream end.
 	ReasonStraddle = analysis.ReasonStraddle
 	// ReasonPathBudget: the path fork budget was exhausted (only the
-	// Exhaustive oracle can report this; Filter never does).
+	// test-only Exhaustive oracle reports this; Filter never does).
 	ReasonPathBudget = analysis.ReasonPathBudget
 	// ReasonTooLong: the bytestream exceeds MaxLen.
 	ReasonTooLong = analysis.ReasonTooLong
@@ -74,6 +75,11 @@ func (r Result) String() string {
 
 // Filter checks bytestreams with the fixpoint dataflow engine. The zero
 // value is ready to use (user-suite semantics).
+//
+// A Filter reuses one analysis.Analysis across calls, so Check stops
+// allocating once it has seen its longest stream. A Filter is therefore
+// not safe for concurrent use, and a copy of a used Filter shares its
+// buffers: give each goroutine its own (every fuzz worker owns one).
 type Filter struct {
 	// MaxLen, when nonzero, drops bytestreams longer than this many bytes
 	// (the injection area limit).
@@ -83,6 +89,8 @@ type Filter struct {
 	// word under the recording handler, the forbidden set shrinks to
 	// analysis.TrapForbidden, and only stores keep the clean-base rule.
 	Trap bool
+
+	an analysis.Analysis
 }
 
 // Check analyses the bytestream and returns the accept/drop decision.
@@ -90,7 +98,8 @@ func (f *Filter) Check(bs []byte) Result {
 	if f.MaxLen > 0 && len(bs) > f.MaxLen {
 		return Result{Reason: ReasonTooLong, PC: int32(len(bs))}
 	}
-	v := analysis.AnalyzeMode(bs, f.Trap).Verdict
+	f.an.Analyze(bs, f.Trap)
+	v := f.an.Verdict
 	return Result{
 		Accepted: v.Reason == analysis.ReasonNone,
 		Reason:   v.Reason,

@@ -543,6 +543,30 @@ func TestFilterIsPureFunction(t *testing.T) {
 	}
 }
 
+// TestCheckAllocsZero pins the reused analysis: once a Filter has
+// checked a 64-byte stream, Check allocates nothing on streams of 0–64
+// bytes in either family.
+func TestCheckAllocsZero(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	streams := make([][]byte, 65)
+	for n := range streams {
+		streams[n] = make([]byte, n)
+		rng.Read(streams[n])
+	}
+	for _, trap := range []bool{false, true} {
+		flt := &Filter{MaxLen: 64, Trap: trap}
+		flt.Check(streams[64])
+		i := 0
+		allocs := testing.AllocsPerRun(len(streams), func() {
+			flt.Check(streams[i%len(streams)])
+			i++
+		})
+		if allocs != 0 {
+			t.Errorf("trap=%v: Check makes %.2f allocations per call, want 0", trap, allocs)
+		}
+	}
+}
+
 // TestAUIPCLayoutBoundary documents a known boundary of the paper's filter
 // (ours and the original): AUIPC is not forbidden, yet it materializes an
 // absolute code address, so a filter-accepted stream's signature depends

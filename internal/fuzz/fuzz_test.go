@@ -3,6 +3,7 @@ package fuzz
 import (
 	"encoding/json"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -10,6 +11,7 @@ import (
 	"rvnegtest/internal/coverage"
 	"rvnegtest/internal/filter"
 	"rvnegtest/internal/isa"
+	"rvnegtest/internal/template"
 )
 
 func smallConfig(opts coverage.Options, seed int64) Config {
@@ -20,6 +22,45 @@ func smallConfig(opts coverage.Options, seed int64) Config {
 		LenControl:        500,
 		Seed:              seed,
 		CustomMutatorProb: 0.5,
+	}
+}
+
+// TestStepAllocs pins what a warmed-up step allocates: the mutator's
+// output and the run's signature, plus the occasional corpus addition.
+// The filter and the mutator each reuse one analysis, so generation adds
+// nothing. Both fuzz benchmark configurations must average at most 3.
+// The average is read exactly (testing.AllocsPerRun truncates it).
+func TestStepAllocs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, tc := range []struct {
+		name string
+		cov  coverage.Options
+		fam  template.Family
+	}{
+		{"v3/user", coverage.V3(), template.FamilyUser},
+		{"v0/trap", coverage.V0(), template.FamilyTrap},
+	} {
+		cfg := DefaultConfig()
+		cfg.Seed = 5
+		cfg.Coverage = tc.cov
+		cfg.Family = tc.fam
+		f, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 20000; i++ {
+			f.Step()
+		}
+		const steps = 10000
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < steps; i++ {
+			f.Step()
+		}
+		runtime.ReadMemStats(&after)
+		if avg := float64(after.Mallocs-before.Mallocs) / steps; avg > 3 {
+			t.Errorf("%s: Step makes %.2f allocations on average, want <= 3", tc.name, avg)
+		}
 	}
 }
 

@@ -25,6 +25,18 @@ type mutator struct {
 	rng *rand.Rand
 	// injectable is the weighted op pool for instruction injection.
 	injectable []*isa.OpInfo
+
+	// an and uses are instructionAware's reused scratch: the base
+	// input's analysis and its reachable memory-access base registers.
+	an   analysis.Analysis
+	uses []baseUse
+}
+
+// baseUse is a reachable memory access at offset pc with base register
+// base.
+type baseUse struct {
+	pc   int32
+	base isa.Reg
 }
 
 func newMutator(rng *rand.Rand) *mutator {
@@ -134,18 +146,17 @@ func (m *mutator) instructionAware(base []byte, maxLen int) []byte {
 	// site which registers a LATER memory access still needs clean. The
 	// analysis goes stale as injections land, but the filter arbitrates
 	// the final stream either way — this only biases mutation toward
-	// acceptable results.
-	a := analysis.Analyze(out)
-	type baseUse struct {
-		pc   int32
-		base isa.Reg
-	}
-	var uses []baseUse
+	// acceptable results. The analysis uses user-suite semantics on both
+	// families; the campaign's mode would change trap-family corpora.
+	a := &m.an
+	a.Analyze(out, false)
+	uses := m.uses[:0]
 	a.EachInst(func(pc int32, inst isa.Inst, reachable bool) {
 		if info := inst.Info(); reachable && info != nil && info.Flags.Any(isa.FlagLoad|isa.FlagStore) {
 			uses = append(uses, baseUse{pc, inst.Rs1})
 		}
 	})
+	m.uses = uses
 
 	// The custom mutator uses a 4-byte stride (the paper: "we use a 4
 	// byte format").

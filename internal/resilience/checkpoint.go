@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 )
 
 // WriteFileAtomic writes data so a crash at any point leaves either the
@@ -41,6 +42,13 @@ func WriteFileAtomic(path string, data []byte) error {
 	}
 	defer d.Close()
 	return d.Sync()
+}
+
+// IsAtomicTemp reports whether a directory entry name is one of
+// WriteFileAtomic's temp files: a write in flight, or one a crash left
+// behind. Listings of directories it writes skip them.
+func IsAtomicTemp(name string) bool {
+	return strings.HasPrefix(name, ".") && strings.Contains(name, ".tmp")
 }
 
 // Envelope is the versioned wrapper around every checkpoint state file.
