@@ -103,26 +103,20 @@ func (a *Analysis) fixpoint() {
 		for _, nd := range b.nodes[:len(b.nodes)-1] {
 			transfer(nd.inst, &s)
 		}
+		// A branch reads the state before the edge (and writes nothing);
+		// every other node applies its effect before the edge.
 		last := b.last()
-		if last.terminal() {
-			continue
-		}
-		// Branches read state before any write; everything else applies
-		// its effect before the edge.
-		var out regState
-		if last.kind == kindBranch {
-			out = s
-		} else {
-			out = s
-			transfer(last.inst, &out)
-		}
 		ts, nt := last.feasibleTargets(&s)
+		if nt == 0 {
+			continue // terminal
+		}
+		transfer(last.inst, &s)
 		for _, t := range ts[:nt] {
 			tn := g.at(t)
 			if tn == nil {
 				continue // exit (t == n) or out of bounds: no propagation
 			}
-			if tn.blk.in.joinInto(&out) && !inWork[tn.blk.id] {
+			if tn.blk.in.joinInto(&s) && !inWork[tn.blk.id] {
 				inWork[tn.blk.id] = true
 				work = append(work, tn.blk)
 			}
@@ -133,12 +127,14 @@ func (a *Analysis) fixpoint() {
 
 // deriveVerdict scans the stabilized CFG for violations in ascending PC
 // order (first hit wins, checks within a site ordered as the historical
-// filter ordered them), then runs cycle detection and path counting over
-// the feasible subgraph.
+// filter ordered them), recording every reachable block's feasible
+// successors on the way, then runs cycle detection and path counting
+// over the feasible subgraph.
 func (a *Analysis) deriveVerdict() {
 	g := &a.g
 	// Per-node final in-states: walk each reachable block once, recording
-	// the clean mask for consumers and checking node-level violations.
+	// the clean masks for consumers and the block's feasible successors,
+	// and checking node-level violations.
 	type violation struct {
 		at     int32 // scan key: the site where the violation is observed
 		reason Reason
@@ -160,7 +156,12 @@ func (a *Analysis) deriveVerdict() {
 		}
 		s := b.in
 		for i, nd := range b.nodes {
-			nd.cleanMask = cleanMaskOf(&s)
+			nd.cleanMask = s.clean
+			last := i == len(b.nodes)-1
+			if last {
+				ts, nt := nd.feasibleTargets(&s)
+				b.succs, b.nsucc = ts, uint8(nt)
+			}
 			switch nd.kind {
 			case kindStraddle:
 				consider(violation{nd.pc, ReasonStraddle, nd.pc, isa.OpIllegal})
@@ -193,9 +194,8 @@ func (a *Analysis) deriveVerdict() {
 			}
 			// Feasible successors leaving [0, n] are out-of-bounds control
 			// flow (t == n is the accepted fall-off-the-end exit).
-			if i == len(b.nodes)-1 {
-				ts, nt := nd.feasibleTargets(&s)
-				for _, t := range ts[:nt] {
+			if last {
+				for _, t := range b.succs[:b.nsucc] {
 					if t < 0 || t > g.n {
 						consider(violation{nd.pc, ReasonOutOfBounds, t, isa.OpIllegal})
 					}
@@ -218,20 +218,6 @@ func (a *Analysis) deriveVerdict() {
 	a.Verdict = Verdict{Reason: ReasonNone, Paths: a.countPaths()}
 }
 
-// blockTargets returns the feasible successor offsets of a reachable
-// block's terminator, evaluated against the fixpoint state at that point.
-func (a *Analysis) blockTargets(b *block) ([3]int32, int) {
-	s := b.in
-	for _, nd := range b.nodes[:len(b.nodes)-1] {
-		transfer(nd.inst, &s)
-	}
-	last := b.last()
-	if last.terminal() {
-		return [3]int32{}, 0
-	}
-	return last.feasibleTargets(&s)
-}
-
 // DFS colours of findCycle.
 const (
 	white = iota // unvisited
@@ -241,15 +227,14 @@ const (
 
 // dfsEntry is findCycle's per-block bookkeeping.
 type dfsEntry struct {
-	succs [3]int32
-	nsucc uint8
 	next  uint8 // next successor index to explore
 	color uint8
 }
 
-// findCycle performs an iterative DFS over feasible edges between
-// reachable blocks; a back edge to a block on the current DFS path is a
-// potential loop. Returns the offset of the revisited block head.
+// findCycle performs an iterative DFS over the feasible edges between
+// reachable blocks that deriveVerdict recorded; a back edge to a block on
+// the current DFS path is a potential loop. Returns the offset of the
+// revisited block head.
 func (a *Analysis) findCycle() (int32, bool) {
 	g := &a.g
 	// Per-block DFS bookkeeping lives in one slice; the stack holds block
@@ -259,8 +244,7 @@ func (a *Analysis) findCycle() (int32, bool) {
 	a.dfs = st
 	a.stack = reserve(a.stack, len(g.sites))
 	push := func(b *block) {
-		ts, nt := a.blockTargets(b)
-		st[b.id] = dfsEntry{succs: ts, nsucc: uint8(nt), color: grey}
+		st[b.id].color = grey
 		a.stack = append(a.stack, int32(b.id))
 	}
 	entry := g.at(0).blk
@@ -270,13 +254,13 @@ func (a *Analysis) findCycle() (int32, bool) {
 	push(entry)
 	for len(a.stack) > 0 {
 		id := a.stack[len(a.stack)-1]
-		e := &st[id]
-		if e.next == e.nsucc {
+		e, b := &st[id], &g.blocks[id]
+		if e.next == b.nsucc {
 			e.color = black
 			a.stack = a.stack[:len(a.stack)-1]
 			continue
 		}
-		t := e.succs[e.next]
+		t := b.succs[e.next]
 		e.next++
 		tn := g.at(t)
 		if tn == nil {
@@ -315,8 +299,7 @@ func (a *Analysis) countFrom(b *block, memo []int64) int64 {
 	if b.last().kind == kindExit {
 		total = 1
 	}
-	ts, nt := a.blockTargets(b)
-	for _, t := range ts[:nt] {
+	for _, t := range b.succs[:b.nsucc] {
 		if tn := a.g.at(t); tn != nil {
 			total += a.countFrom(tn.blk, memo)
 		} else {
@@ -328,17 +311,6 @@ func (a *Analysis) countFrom(b *block, memo []int64) int64 {
 	}
 	memo[b.id] = total
 	return total
-}
-
-// cleanMaskOf extracts the bitmask of Clean registers from a state.
-func cleanMaskOf(s *regState) uint32 {
-	var m uint32
-	for i := 1; i < 32; i++ {
-		if s.regs[i].k == vClean {
-			m |= 1 << i
-		}
-	}
-	return m
 }
 
 // Accepted reports whether the bytestream passed every check.
@@ -405,14 +377,11 @@ func (a *Analysis) Blocks() []BlockInfo {
 			Insts:     len(b.nodes),
 			Reachable: b.in.reach,
 		}
-		var ts [3]int32
-		var nt int
+		succs := last.succs[:last.nsucc]
 		if b.in.reach {
-			ts, nt = a.blockTargets(b)
-		} else {
-			ts, nt = last.staticTargets()
+			succs = b.succs[:b.nsucc]
 		}
-		info.Succs = append([]int32(nil), ts[:nt]...)
+		info.Succs = append([]int32(nil), succs...)
 		out = append(out, info)
 	}
 	return out

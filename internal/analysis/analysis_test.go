@@ -18,6 +18,33 @@ func stream(words ...uint32) []byte {
 	return out
 }
 
+// bottom and join are the element-level specification of the lattice;
+// regState.joinInto computes join on whole states.
+var bottom = value{}
+
+// join is the least upper bound of two lattice elements.
+func join(a, b value) value {
+	switch {
+	case a.k == vBottom:
+		return b
+	case b.k == vBottom:
+		return a
+	case a.k == b.k && (a.k != vConst || a.c == b.c):
+		return a
+	default:
+		return dirty
+	}
+}
+
+// elem is the element a state assigns to r: Bottom for every register
+// of an unreachable state.
+func elem(s *regState, r isa.Reg) value {
+	if !s.reach {
+		return bottom
+	}
+	return s.get(r)
+}
+
 func TestJoinLatticeLaws(t *testing.T) {
 	elems := []value{bottom, clean, dirty, constant(0), constant(1), constant(0xffffffff)}
 	for _, a := range elems {
@@ -41,6 +68,70 @@ func TestJoinLatticeLaws(t *testing.T) {
 	}
 	if got := join(clean, constant(1)); got != dirty {
 		t.Errorf("join(clean, const) = %v, want dirty", got)
+	}
+}
+
+// TestJoinIntoMatchesJoin checks joinInto against the element-level
+// join on random pairs of states, unreachable ones included: every
+// register of the result, the change flag, and the clean mask CleanAt
+// reports.
+func TestJoinIntoMatchesJoin(t *testing.T) {
+	rnd := splitmix(7)
+	pool := [...]uint32{0, 1, 0xffffffff} // few constants, so equal ones meet
+	draw := func(s *regState, r isa.Reg) {
+		switch rnd() % 3 {
+		case 0:
+			s.set(r, constant(pool[rnd()%uint64(len(pool))]))
+		case 1:
+			s.set(r, clean)
+		default:
+			s.set(r, dirty)
+		}
+	}
+	for i := range 20000 {
+		a := entryState()
+		for r := isa.Reg(1); r < isa.NumRegs; r++ {
+			draw(&a, r)
+		}
+		b := a
+		if i%4 == 0 {
+			// A near copy: joins that change nothing or one register.
+			for range rnd() % 3 {
+				draw(&b, isa.Reg(1+rnd()%31))
+			}
+		} else {
+			for r := isa.Reg(1); r < isa.NumRegs; r++ {
+				draw(&b, r)
+			}
+		}
+		a.reach, b.reach = rnd()%8 != 0, rnd()%8 != 0
+		got := a
+		changed := got.joinInto(&b)
+		diff := false
+		for r := range isa.Reg(isa.NumRegs) {
+			want := join(elem(&a, r), elem(&b, r))
+			if e := elem(&got, r); e != want {
+				t.Fatalf("pair %d: x%d = %+v, want join(%+v, %+v) = %+v", i, r, e, elem(&a, r), elem(&b, r), want)
+			}
+			diff = diff || want != elem(&a, r)
+		}
+		if changed != diff {
+			t.Fatalf("pair %d: joinInto reported changed=%v, want %v", i, changed, diff)
+		}
+		for _, s := range []*regState{&a, &b, &got} {
+			if !s.reach {
+				continue
+			}
+			var m uint32
+			for r := range isa.Reg(isa.NumRegs) {
+				if s.get(r) == clean {
+					m |= 1 << r
+				}
+			}
+			if s.clean != m {
+				t.Fatalf("pair %d: clean mask %#x, Clean registers %#x", i, s.clean, m)
+			}
+		}
 	}
 }
 

@@ -41,6 +41,10 @@ type node struct {
 	// mode every non-terminal node carries a conservative trap-resume edge
 	// (see resume).
 	trap bool
+	// succs[:nsucc] are the node's static successor offsets
+	// (staticTargets), recorded once by decodeNode.
+	succs [3]int32
+	nsucc uint8
 	// blk is the basic block the node belongs to.
 	blk *block
 	// cleanMask is the bitmask of Clean registers in the node's final
@@ -76,8 +80,8 @@ func (nd *node) addResume(ts [3]int32, n int) ([3]int32, int) {
 	return ts, n + 1
 }
 
-// staticTargets writes the node's static successor offsets into ts and
-// returns how many there are, ignoring feasibility. Targets may lie
+// staticTargets computes the node's static successor offsets, ignoring
+// feasibility, for decodeNode to record in succs. Targets may lie
 // outside [0, n] (bounds are a reachability check, not a decode error)
 // and n itself means "fall off the end" (accepted exit).
 func (nd *node) staticTargets() (ts [3]int32, n int) {
@@ -119,7 +123,7 @@ func (nd *node) feasibleTargets(s *regState) ([3]int32, int) {
 			return nd.addResume(ts, 1)
 		}
 	}
-	return nd.staticTargets()
+	return nd.succs, int(nd.nsucc)
 }
 
 // terminal reports whether the node ends its path unconditionally (no
@@ -130,11 +134,15 @@ func (nd *node) terminal() bool {
 
 // block is one basic block: a maximal straight-line chain of nodes. Only
 // the last node may transfer control; in is the fixpoint's joined
-// abstract state at the block head.
+// abstract state at the block head. succs[:nsucc] are the last node's
+// feasible successors under the final in-state, recorded by
+// deriveVerdict for every reachable block.
 type block struct {
 	id    int
 	nodes []*node
 	in    regState
+	succs [3]int32
+	nsucc uint8
 }
 
 func (b *block) head() *node { return b.nodes[0] }
@@ -183,8 +191,8 @@ func (g *cfg) at(pc int32) *node {
 	return g.sites[pc/2]
 }
 
-// decodeNode decodes the instruction site at pc and classifies it under
-// the graph's analysis mode.
+// decodeNode decodes the instruction site at pc, classifies it under
+// the graph's analysis mode and records its static successors.
 func (g *cfg) decodeNode(pc int32) *node {
 	g.store = append(g.store, node{pc: pc, trap: g.trap})
 	nd := &g.store[len(g.store)-1]
@@ -192,7 +200,7 @@ func (g *cfg) decodeNode(pc int32) *node {
 	if lo&3 == 3 {
 		if pc+4 > g.n {
 			nd.kind = kindStraddle
-			return nd
+			return nd // no successors
 		}
 		word := lo | uint32(g.padded[pc+2])<<16 | uint32(g.padded[pc+3])<<24
 		nd.inst = isa.Ref.Decode32(word)
@@ -234,6 +242,8 @@ func (g *cfg) decodeNode(pc int32) *node {
 	default:
 		nd.kind = kindFall
 	}
+	ts, n := nd.staticTargets()
+	nd.succs, nd.nsucc = ts, uint8(n)
 	return nd
 }
 
@@ -280,8 +290,8 @@ func (g *cfg) build(bs []byte, trap bool) {
 	for len(work) > 0 {
 		pc := work[len(work)-1]
 		work = work[:len(work)-1]
-		ts, nt := g.sites[pc/2].staticTargets()
-		for _, t := range ts[:nt] {
+		nd := g.sites[pc/2]
+		for _, t := range nd.succs[:nd.nsucc] {
 			if t < 0 || t >= n || g.sites[t/2] != nil {
 				continue // out of range (checked later) or already decoded
 			}
@@ -300,9 +310,8 @@ func (g *cfg) build(bs []byte, trap bool) {
 	leader[0] = 1
 	for i := range g.store {
 		nd := &g.store[i]
-		ts, nt := nd.staticTargets()
-		transfers := nd.kind != kindFall || nt > 1
-		for _, t := range ts[:nt] {
+		transfers := nd.kind != kindFall || nd.nsucc > 1
+		for _, t := range nd.succs[:nd.nsucc] {
 			if t < 0 || t >= n {
 				continue
 			}
@@ -336,11 +345,10 @@ func (g *cfg) build(bs []byte, trap bool) {
 			if nd.kind != kindFall {
 				break
 			}
-			ts, nt := nd.staticTargets()
-			if nt != 1 {
+			if nd.nsucc != 1 {
 				break // trap-resume fork: the node terminates its block
 			}
-			t := ts[0]
+			t := nd.succs[0]
 			if t >= g.n || g.sites[t/2] == nil || leader[t/2] != 0 {
 				break
 			}

@@ -1,6 +1,10 @@
 package analysis
 
-import "rvnegtest/internal/isa"
+import (
+	"math/bits"
+
+	"rvnegtest/internal/isa"
+)
 
 // The abstract domain is a flat lattice per integer register:
 //
@@ -34,34 +38,25 @@ type value struct {
 }
 
 var (
-	dirty  = value{k: vDirty}
-	clean  = value{k: vClean}
-	bottom = value{}
+	dirty = value{k: vDirty}
+	clean = value{k: vClean}
 )
 
 func constant(c uint32) value { return value{k: vConst, c: c} }
 
-// join is the least upper bound of two lattice elements.
-func join(a, b value) value {
-	switch {
-	case a.k == vBottom:
-		return b
-	case b.k == vBottom:
-		return a
-	case a.k == b.k && (a.k != vConst || a.c == b.c):
-		return a
-	default:
-		return dirty
-	}
-}
-
-// regState is the abstract machine state at a program point: one lattice
-// value per integer register. x0 is pinned to Const 0. A state with
-// reach == false is the bottom element of the state lattice (the program
-// point has no feasible incoming path yet).
+// regState is the abstract machine state at a program point. A state
+// with reach == false is the bottom element of the state lattice (the
+// program point has no feasible incoming path yet) and its other fields
+// mean nothing. In a reachable state bit r of clean means x_r is Clean,
+// bit r of known means x_r is Const(c[r]), and neither bit means Dirty;
+// the masks are disjoint and x0 is pinned to Const 0. No register of a
+// reachable state is Bottom: entryState sets every register and
+// transfers write only Const or Dirty, so two masks cover the three
+// remaining elements.
 type regState struct {
-	reach bool
-	regs  [32]value
+	reach        bool
+	clean, known uint32
+	c            [32]uint32
 }
 
 // entryState is the abstract state at bytestream offset 0: the template
@@ -69,34 +64,42 @@ type regState struct {
 // architecturally zero; every other register holds template-dependent
 // data (dirty).
 func entryState() regState {
-	var s regState
-	s.reach = true
-	for i := range s.regs {
-		s.regs[i] = dirty
-	}
-	s.regs[0] = constant(0)
-	s.regs[30] = clean
-	s.regs[31] = clean
-	return s
+	return regState{reach: true, known: 1, clean: 1<<30 | 1<<31}
 }
 
-// get reads a register's abstract value (x0 always reads Const 0).
+// get reads a register's abstract value in a reachable state (x0 always
+// reads Const 0).
 func (s *regState) get(r isa.Reg) value {
-	if r == 0 {
-		return constant(0)
+	m := uint32(1) << r
+	switch {
+	case s.known&m != 0:
+		return constant(s.c[r])
+	case s.clean&m != 0:
+		return clean
 	}
-	return s.regs[r]
+	return dirty
 }
 
 // set writes a register's abstract value (writes to x0 are discarded).
 func (s *regState) set(r isa.Reg, v value) {
-	if r != 0 {
-		s.regs[r] = v
+	if r == 0 {
+		return
+	}
+	m := uint32(1) << r
+	s.clean &^= m
+	s.known &^= m
+	switch v.k {
+	case vConst:
+		s.known |= m
+		s.c[r] = v.c
+	case vClean:
+		s.clean |= m
 	}
 }
 
 // joinInto merges o into s, reporting whether s changed (the fixpoint's
-// monotone update at CFG merge points).
+// monotone update at CFG merge points). Per register it is the flat
+// join: a register stays Clean or Const only where both sides agree.
 func (s *regState) joinInto(o *regState) bool {
 	if !o.reach {
 		return false
@@ -105,14 +108,14 @@ func (s *regState) joinInto(o *regState) bool {
 		*s = *o
 		return true
 	}
-	changed := false
-	for i := 1; i < 32; i++ {
-		j := join(s.regs[i], o.regs[i])
-		if j != s.regs[i] {
-			s.regs[i] = j
-			changed = true
+	clean, known := s.clean&o.clean, s.known&o.known
+	for k := known &^ 1; k != 0; k &= k - 1 {
+		if r := bits.TrailingZeros32(k); s.c[r] != o.c[r] {
+			known &^= 1 << r
 		}
 	}
+	changed := clean != s.clean || known != s.known
+	s.clean, s.known = clean, known
 	return changed
 }
 

@@ -98,6 +98,23 @@ func (m *Memory) Load(addr, size uint32) (v uint64, ok bool) {
 	return uint64(binary.LittleEndian.Uint32(b)), true
 }
 
+// LoadWords reads len(dst) consecutive little-endian words from addr on
+// into dst; ok is false, and dst left as it was, when any of them lies
+// outside the region. Like Load it never allocates.
+func (m *Memory) LoadWords(addr uint32, dst []uint32) bool {
+	if len(dst) > len(m.data)/4 {
+		return false
+	}
+	b, ok := m.span(addr, uint32(4*len(dst)), false)
+	if !ok {
+		return false
+	}
+	for i := range dst {
+		dst[i] = binary.LittleEndian.Uint32(b[4*i:])
+	}
+	return true
+}
+
 // Store writes the low 1, 2, 4 or 8 bytes of v little-endian; ok is false
 // on an access fault. A doubleword is written as two words, low word
 // first, so when only its high word faults the low word stays written.

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -77,6 +78,39 @@ func TestBounds(t *testing.T) {
 	}
 	if ae.Error() == "" {
 		t.Error("empty error string")
+	}
+}
+
+func TestLoadWords(t *testing.T) {
+	m := New(0x1000, 0x100)
+	for i := uint32(0); i < 0x100; i++ {
+		if err := m.Write8(0x1000+i, uint8(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dst := make([]uint32, 3)
+	if !m.LoadWords(0x1002, dst) {
+		t.Fatal("in-range read failed")
+	}
+	if want := []uint32{0x05040302, 0x09080706, 0x0d0c0b0a}; !slices.Equal(dst, want) {
+		t.Errorf("LoadWords = %#x, want %#x", dst, want)
+	}
+	if !m.LoadWords(0x10f4, dst) || dst[2] != 0xfffefdfc {
+		t.Errorf("read up to the end = %#x", dst)
+	}
+	// Reads crossing the end, starting past it or below the base fail
+	// and leave dst as it was.
+	for _, addr := range []uint32{0x10f6, 0x10fc, 0x1100, 0xffc, 0xfffffffc} {
+		dst := []uint32{1, 2, 3}
+		if m.LoadWords(addr, dst) || !slices.Equal(dst, []uint32{1, 2, 3}) {
+			t.Errorf("LoadWords(%#x) = true or wrote %#x", addr, dst)
+		}
+	}
+	if m.LoadWords(0x1000, make([]uint32, 0x41)) {
+		t.Error("a read longer than the region succeeded")
+	}
+	if !m.LoadWords(0x1000, nil) || !m.LoadWords(0x1100, []uint32{}) {
+		t.Error("zero-length read failed")
 	}
 }
 

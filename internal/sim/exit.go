@@ -18,23 +18,52 @@ type exitSummary struct {
 	addr, size uint32 // the code the dump fetches: [addr, addr+size)
 	insts      uint64 // instructions the dump takes, halt store included
 	fp         bool   // the dump executes FP instructions
-	words      []sigWord
+	sigWords   int    // the signature's length in words
+	runs       []sigRun
 }
 
-// sigWord is where one signature word comes from.
+// sigWord is where one signature word comes from: val is the word
+// (srcConst), its address (srcMem), the x register (srcX) or the f-register
+// half, 2*register plus 1 for the high word (srcF).
 type sigWord struct {
 	src uint8
-	reg isa.Reg
-	val uint32 // srcConst: the word; srcMem: its address
+	val uint32
 }
 
 const (
 	srcMem   uint8 = iota // not written by the dump: read from memory
 	srcConst              // a constant
-	srcX                  // x[reg]
-	srcFLo                // the low word of f[reg]
-	srcFHi                // the high word of f[reg]
+	srcX                  // an x register
+	srcF                  // one half of an f register
 )
+
+// sigRun is a stretch of n signature words from word at on whose
+// sources follow each other: consecutive memory words, x registers or
+// f-register halves (low, high, next low, ...) starting at sigWord's.
+// A constant is a run of its own.
+type sigRun struct {
+	sigWord
+	at, n int
+}
+
+// runStep is how far a source moves from one word of a run to the next
+// (0: a constant, which never extends a run).
+var runStep = [...]uint32{srcMem: 4, srcConst: 0, srcX: 1, srcF: 1}
+
+// compileRuns groups the per-word sources of a signature into runs.
+func compileRuns(words []sigWord) []sigRun {
+	var runs []sigRun
+	for i, w := range words {
+		k := len(runs) - 1
+		if step := runStep[w.src]; k >= 0 && runs[k].src == w.src && step != 0 &&
+			w.val == runs[k].val+step*uint32(runs[k].n) {
+			runs[k].n++
+			continue
+		}
+		runs = append(runs, sigRun{sigWord: w, at: i, n: 1})
+	}
+	return runs
+}
 
 // exitProofRuns is how many distinct register files New executes the
 // dump from before it trusts a summary: one per mstatus.FS value that
@@ -98,14 +127,15 @@ func (s *Simulator) summarizeExit() *exitSummary {
 			return nil
 		}
 		if sum == nil {
-			sum = &exitSummary{addr: t.lo, size: t.hi - t.lo, insts: s.ex.InstCount, fp: t.fp}
-			sum.words = make([]sigWord, len(sig))
+			words := make([]sigWord, len(sig))
 			for i, v := range sig {
-				sum.words[i] = sourceOf(v, &entry)
+				words[i] = sourceOf(v, &entry)
 				if v == markers[i] {
-					sum.words[i] = sigWord{src: srcMem, val: p.SigWordAddr(i)}
+					words[i] = sigWord{src: srcMem, val: p.SigWordAddr(i)}
 				}
 			}
+			sum = &exitSummary{addr: t.lo, size: t.hi - t.lo, insts: s.ex.InstCount, fp: t.fp,
+				sigWords: len(sig), runs: compileRuns(words)}
 			path, want = t.path, sig
 		}
 		if s.ex.InstCount != sum.insts || t.lo != sum.addr || t.hi-t.lo != sum.size ||
@@ -180,42 +210,41 @@ func (t *exitTrace) read(reads bool, r isa.Reg, data bool, h *hart.Hart) {
 
 func (t *exitTrace) OnEdge(edge uint32) { t.path = append(t.path, edge) }
 
-// sourceOf names the register a signature word was stored from, or the
-// constant it holds.
+// sourceOf names the register (or register half) a signature word was
+// stored from, or the constant it holds.
 func sourceOf(v uint32, h *hart.Hart) sigWord {
-	for r := isa.Reg(1); r < isa.NumRegs; r++ {
+	for r := 1; r < isa.NumRegs; r++ {
 		if v == h.X[r] {
-			return sigWord{src: srcX, reg: r}
+			return sigWord{src: srcX, val: uint32(r)}
 		}
 	}
-	for r := isa.Reg(0); r < isa.NumRegs; r++ {
-		switch v {
-		case uint32(h.F[r]):
-			return sigWord{src: srcFLo, reg: r}
-		case uint32(h.F[r] >> 32):
-			return sigWord{src: srcFHi, reg: r}
+	for half := range uint32(2 * isa.NumRegs) {
+		if v == uint32(h.F[half/2]>>(32*(half%2))) {
+			return sigWord{src: srcF, val: half}
 		}
 	}
 	return sigWord{src: srcConst, val: v}
 }
 
 // signature is the signature of a dump executed from h: the words it
-// writes from h and its constants, the others read from m.
+// writes from h and its constants, the others read from m, filled run by
+// run.
 func (x *exitSummary) signature(h *hart.Hart, m *mem.Memory) []uint32 {
-	sig := make([]uint32, len(x.words))
-	for i, w := range x.words {
-		switch w.src {
+	sig := make([]uint32, x.sigWords)
+	for _, r := range x.runs {
+		dst := sig[r.at : r.at+r.n]
+		switch r.src {
 		case srcMem:
-			v, _ := m.Load(w.val, 4) // read once by summarizeExit: in range
-			sig[i] = uint32(v)
+			m.LoadWords(r.val, dst) // read once by summarizeExit: in range
 		case srcConst:
-			sig[i] = w.val
+			dst[0] = r.val
 		case srcX:
-			sig[i] = h.X[w.reg]
-		case srcFLo:
-			sig[i] = uint32(h.F[w.reg])
+			copy(dst, h.X[r.val:])
 		default:
-			sig[i] = uint32(h.F[w.reg] >> 32)
+			for i := range dst {
+				half := r.val + uint32(i)
+				dst[i] = uint32(h.F[half/2] >> (32 * (half % 2)))
+			}
 		}
 	}
 	return sig

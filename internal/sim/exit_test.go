@@ -148,13 +148,13 @@ func TestExitSummaryFallbacks(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		words []uint32
-		srcs  []uint8 // the sources of the first signature words; nil: no summary
+		srcs  []sigWord // the sources of the signature words up to the first read from memory; nil: no summary
 	}{
-		{"moves x5", []uint32{base, store(5)}, []uint8{srcX, srcMem}},
+		{"moves x5", []uint32{base, store(5)}, []sigWord{{srcX, 5}, {srcMem, p.SigWordAddr(1)}}},
 		{"moves f3", []uint32{base, enc(isa.Inst{Op: isa.OpFSD, Rs1: 31, Rs2: 3, Imm: sigLo})},
-			[]uint8{srcFLo, srcFHi, srcMem}},
+			[]sigWord{{srcF, 6}, {srcF, 7}, {srcMem, p.SigWordAddr(2)}}},
 		{"moves a constant", []uint32{base, enc(isa.Inst{Op: isa.OpADDI, Rd: 6, Imm: 7}), store(6)},
-			[]uint8{srcConst, srcMem}},
+			[]sigWord{{srcConst, 7}, {srcMem, p.SigWordAddr(1)}}},
 		{"copies x5 first", []uint32{base, enc(isa.Inst{Op: isa.OpADDI, Rd: 6, Rs1: 5}), store(6)}, nil},
 		{"stores through x6", []uint32{base, enc(isa.Inst{Op: isa.OpSW, Rs1: 6, Rs2: 5})}, nil},
 		{"stores a single", []uint32{base, enc(isa.Inst{Op: isa.OpFSW, Rs1: 31, Rs2: 3, Imm: sigLo})}, nil},
@@ -189,13 +189,45 @@ func TestExitSummaryFallbacks(t *testing.T) {
 		case x.insts != uint64(len(tc.words)+2) || x.addr != dump || x.size != uint32(4*len(tc.words)+8):
 			t.Errorf("%s: summary of %d instructions over [%#x,+%d)", tc.name, x.insts, x.addr, x.size)
 		default:
-			for i, src := range tc.srcs {
-				if x.words[i].src != src {
-					t.Errorf("%s: word %d from %+v, want source %d", tc.name, i, x.words[i], src)
-				}
+			// One run of the moved words, one of the memory words after them.
+			words := sigSources(t, x)
+			if len(x.runs) != 2 || !slices.Equal(words[:len(tc.srcs)], tc.srcs) {
+				t.Errorf("%s: runs %+v, want words from %+v on", tc.name, x.runs, tc.srcs)
 			}
 		}
 	}
+}
+
+// TestExitSummaryRuns checks that every platform's summary compiles its
+// signature into a few runs that cover it in order: the x registers, the
+// f registers and each memory area are one run each.
+func TestExitSummaryRuns(t *testing.T) {
+	sims, labels := platforms(t)
+	for i, s := range sims {
+		sigSources(t, s.exit)
+		if n := len(s.exit.runs); n > 6 {
+			t.Errorf("%s: %d signature words in %d runs, want at most 6", labels[i], s.exit.sigWords, n)
+		}
+	}
+}
+
+// sigSources expands a summary's runs into the source of every signature
+// word, failing the test unless the runs cover the signature in order.
+func sigSources(t *testing.T, x *exitSummary) []sigWord {
+	t.Helper()
+	var words []sigWord
+	for _, r := range x.runs {
+		if r.at != len(words) || r.n < 1 || r.src == srcConst && r.n != 1 {
+			t.Fatalf("run %+v after %d words", r, len(words))
+		}
+		for i := range r.n {
+			words = append(words, sigWord{r.src, r.val + runStep[r.src]*uint32(i)})
+		}
+	}
+	if len(words) != x.sigWords {
+		t.Fatalf("runs cover %d of %d signature words", len(words), x.sigWords)
+	}
+	return words
 }
 
 // FuzzExitSummaryDifferential compares summarized and executed dumps on
