@@ -142,38 +142,12 @@ func BenchmarkTableIParallel2(b *testing.B) { benchTableIWorkers(b, 2) }
 func BenchmarkTableIParallel4(b *testing.B) { benchTableIWorkers(b, 4) }
 func BenchmarkTableIParallel8(b *testing.B) { benchTableIWorkers(b, 8) }
 
-// E2c — Table I with the predecoded execution core disabled: the
-// classical decode loop baseline scripts/exec_bench.sh compares against.
-func BenchmarkTableINoPredecode(b *testing.B) {
-	suite := sharedSuite(b)
-	b.ResetTimer()
-	var st compliance.RunStats
-	for i := 0; i < b.N; i++ {
-		r := compliance.DefaultRunner()
-		r.Workers = 1
-		r.DisablePredecode = true
-		if _, err := r.Run(suite); err != nil {
-			b.Fatal(err)
-		}
-		st = r.Stats
-	}
-	b.ReportMetric(st.CasesPerSec, "cases/s")
-	b.ReportMetric(float64(len(suite.Cases)), "cases")
-}
-
 // E3 — fuzzer throughput (the paper: 45,873 executions/second average on
 // an i5-7200U, with the template pre-compiled and the memory restored
 // between runs).
-func BenchmarkFuzzerThroughput(b *testing.B) { benchFuzzerThroughput(b, false) }
-
-// E3b — the same workload with the predecoded execution core disabled
-// (every fetch through the classical decode path).
-func BenchmarkFuzzerThroughputNoPredecode(b *testing.B) { benchFuzzerThroughput(b, true) }
-
-func benchFuzzerThroughput(b *testing.B, noPredecode bool) {
+func BenchmarkFuzzerThroughput(b *testing.B) {
 	cfg := fuzz.DefaultConfig()
 	cfg.Seed = 5
-	cfg.DisablePredecode = noPredecode
 	f, err := fuzz.New(cfg)
 	if err != nil {
 		b.Fatal(err)

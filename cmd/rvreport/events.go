@@ -191,9 +191,24 @@ func renderStream(evs []obs.Event, h string) {
 		fmt.Println()
 		fmt.Println("| stage | count | total | mean | share |")
 		fmt.Println("|---|---|---|---|---|")
-		// Canonical stage order, not map order.
+		// Canonical stage order, not map order. Stages this build does
+		// not know (a log written before a stage was retired) follow,
+		// sorted by name, so the printed shares still sum to 100%.
+		var names, seen []string
 		for st := obs.Stage(0); st < obs.NumStages; st++ {
-			s, ok := total[st.String()]
+			names = append(names, st.String())
+		}
+		for st := range total {
+			seen = append(seen, st)
+		}
+		sort.Strings(seen)
+		for _, st := range seen {
+			if _, ok := obs.StageByName(st); !ok {
+				names = append(names, st)
+			}
+		}
+		for _, st := range names {
+			s, ok := total[st]
 			if !ok || s.Count == 0 {
 				continue
 			}

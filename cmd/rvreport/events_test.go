@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -79,5 +80,43 @@ func TestEventsOnlyCampaignReportsStages(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("report lacks %q:\n%s", want, out)
 		}
+	}
+}
+
+// retiredStageLog is an rvfuzz -events log written while the fuzzer
+// still timed a "predecode" stage, which no longer exists.
+const retiredStageLog = `{"seq":1,"t_ns":221387,"type":"campaign_start","worker":-1,"detail":"workers=1 execs_each=3000"}
+{"seq":2,"t_ns":29350080,"type":"stage_summary","worker":0,"execs":3000,"corpus":779,"stages":{"coverage-eval":{"count":2418,"total_ns":3079388},"execute":{"count":2418,"total_ns":12263974},"filter":{"count":3000,"total_ns":3005749},"mutate":{"count":3000,"total_ns":3049054},"predecode":{"count":2418,"total_ns":565594}}}
+{"seq":3,"t_ns":29450276,"type":"campaign_done","worker":-1,"corpus":779}
+`
+
+// TestEventsRetiredStage: a stage the report does not know still gets
+// its row, after the canonical stages, so the shares sum to 100%.
+func TestEventsRetiredStage(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "events.ndjson")
+	if err := os.WriteFile(path, []byte(retiredStageLog), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out := captureStdout(t, func() { renderEvents(path, "") })
+	var stages []string
+	sum := 0.0
+	for _, line := range strings.Split(out, "\n") {
+		cells := strings.Split(line, "|")
+		if len(cells) != 7 || !strings.HasSuffix(cells[5], "% ") {
+			continue
+		}
+		share, err := strconv.ParseFloat(strings.TrimSpace(strings.TrimSuffix(cells[5], "% ")), 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stages = append(stages, strings.TrimSpace(cells[1]))
+		sum += share
+	}
+	want := []string{"filter", "mutate", "execute", "coverage-eval", "predecode"}
+	if strings.Join(stages, ",") != strings.Join(want, ",") {
+		t.Errorf("stage rows %v, want %v:\n%s", stages, want, out)
+	}
+	if sum < 99.8 || sum > 100.2 {
+		t.Errorf("shares sum to %.1f%%, want 100%%:\n%s", sum, out)
 	}
 }

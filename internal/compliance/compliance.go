@@ -354,10 +354,6 @@ type Runner struct {
 	// sim.Faulty here). It must be safe for concurrent calls. Nil uses
 	// sim.New.
 	NewSim func(v *sim.Variant, p template.Platform) (sim.Sim, error)
-	// DisablePredecode turns off the simulators' predecoded execution
-	// core (ablation/debug; default-factory simulators only). Reports
-	// are byte-identical either way.
-	DisablePredecode bool
 
 	// Obs, when non-nil, receives run telemetry: execution counters,
 	// per-SUT mismatch counters and per-stage latency histograms
@@ -402,17 +398,7 @@ func (r *Runner) newInstances(v *sim.Variant, p template.Platform, workers int) 
 		if err != nil {
 			return nil, err
 		}
-		// The base predecodes the template once; every worker clone (and
-		// every post-wedge rebuild) shares that immutable predecode
-		// instead of re-deriving it.
-		base.NoPredecode = r.DisablePredecode
-		factory = func() (sim.Sim, error) {
-			c := base.Clone()
-			if tel := r.tel; tel != nil {
-				c.PredecodeTimer = tel.preHist()
-			}
-			return c, nil
-		}
+		factory = func() (sim.Sim, error) { return base.Clone(), nil }
 	}
 	quar := resilience.NewQuarantine(r.QuarantineDir)
 	out := make([]*instance, workers)
@@ -423,7 +409,6 @@ func (r *Runner) newInstances(v *sim.Variant, p template.Platform, workers int) 
 		}
 		if tel := r.tel; tel != nil {
 			in.stExec = tel.execHist()
-			in.pre = tel.preCounters()
 			in.traps = tel.trapCounter()
 			in.breaker.OnOpen = func() {
 				tel.breakerOpened(v.Name)

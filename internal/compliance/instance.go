@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"rvnegtest/internal/exec"
 	"rvnegtest/internal/obs"
 	"rvnegtest/internal/resilience"
 	"rvnegtest/internal/sim"
@@ -28,10 +27,6 @@ type instance struct {
 	// stExec, when non-nil, times every guarded run (set by the Runner
 	// when telemetry is on; nil means no clock reads at all).
 	stExec *obs.Histogram
-	// pre, when non-nil, receives the simulator's decode-cache counter
-	// growth after each completed run (nil means stats are never read).
-	pre     *preCounters
-	lastPre exec.CacheStats
 	// traps, when non-nil, accumulates the executor trap counts of
 	// completed runs (trap-family campaigns take thousands of deliberate
 	// round trips; the counter makes that volume observable).
@@ -92,7 +87,6 @@ func (in *instance) run(bs []byte) (out sim.Outcome, harnessFault, noVerdict boo
 	}
 	switch {
 	case rec != nil:
-		in.notePredecode()
 		in.breaker.RecordFault()
 		in.quarantineWarn(bs, fmt.Sprintf("%s panic: %s\n\n%s", in.name, rec.Msg, rec.Stack))
 		return sim.Outcome{Crashed: true, CrashMsg: rec.Msg}, true, false
@@ -100,17 +94,13 @@ func (in *instance) run(bs []byte) (out sim.Outcome, harnessFault, noVerdict boo
 		in.breaker.RecordFault()
 		in.quarantineWarn(bs, fmt.Sprintf("%s watchdog: no result within %v", in.name, in.timeout))
 		// The reaped goroutine still owns the old simulator; replace it.
-		// Its decode-cache stats must not be read (the goroutine may
-		// still be stepping it) — the fresh simulator restarts at zero.
 		if s, err := in.make(); err == nil {
 			in.s = s
-			in.lastPre = exec.CacheStats{}
 		} else {
 			in.breaker.Trip()
 		}
 		return sim.Outcome{TimedOut: true}, true, false
 	}
-	in.notePredecode()
 	in.breaker.RecordOK()
 	if in.traps != nil {
 		in.traps.Add(out.Traps)
@@ -154,29 +144,6 @@ func (in *instance) close() {
 	if in.adapter != nil {
 		in.adapter.Close()
 	}
-}
-
-// notePredecode folds the simulator's decode-cache counter growth since
-// the previous run into the run telemetry. Only called when the guarded
-// run actually finished on this goroutine.
-func (in *instance) notePredecode() {
-	if in.pre == nil {
-		return
-	}
-	ps, ok := in.s.(sim.PredecodeStatser)
-	if !ok {
-		return
-	}
-	cur := ps.PredecodeStats()
-	prev := in.lastPre
-	in.lastPre = cur
-	if cur.Hits < prev.Hits || cur.Misses < prev.Misses ||
-		cur.Invalidations < prev.Invalidations {
-		prev = exec.CacheStats{} // counters restarted: count from zero
-	}
-	in.pre.hits.Add(cur.Hits - prev.Hits)
-	in.pre.misses.Add(cur.Misses - prev.Misses)
-	in.pre.invals.Add(cur.Invalidations - prev.Invalidations)
 }
 
 func (in *instance) quarantineWarn(bs []byte, detail string) {

@@ -28,19 +28,8 @@ type runnerTelemetry struct {
 
 	stExec    *obs.Histogram // per-run simulator execution latency
 	stCompare *obs.Histogram // per-case signature comparison latency
-	stPre     *obs.Histogram // per-run decode-cache maintenance latency
-
-	pre preCounters
 
 	perSim map[string]*simCounters
-}
-
-// preCounters groups the decode-cache counter handles instances fold
-// their per-run deltas into. The totals are deterministic across worker
-// counts: every case contributes the same delta wherever it runs,
-// because cache maintenance re-establishes the same pre-run state.
-type preCounters struct {
-	hits, misses, invals *obs.Counter
 }
 
 // simCounters are one simulator's labeled counter family.
@@ -75,13 +64,7 @@ func newRunnerTelemetry(r *Runner) *runnerTelemetry {
 		traps:     reg.Counter("rvnegtest_compliance_traps_total"),
 		stExec:    reg.Stage(obs.StageExecute),
 		stCompare: reg.Stage(obs.StageSignatureCompare),
-		stPre:     reg.Stage(obs.StagePredecode),
-		pre: preCounters{
-			hits:   reg.Counter("rvnegtest_compliance_predecode_hits_total"),
-			misses: reg.Counter("rvnegtest_compliance_predecode_misses_total"),
-			invals: reg.Counter("rvnegtest_compliance_predecode_invalidations_total"),
-		},
-		perSim: map[string]*simCounters{},
+		perSim:    map[string]*simCounters{},
 	}
 	names := []string{r.Ref.Name}
 	for i := range r.cols {
@@ -123,23 +106,6 @@ func (t *runnerTelemetry) execHist() *obs.Histogram {
 		return nil
 	}
 	return t.stExec
-}
-
-// preHist returns the predecode-stage histogram handle.
-func (t *runnerTelemetry) preHist() *obs.Histogram {
-	if t == nil {
-		return nil
-	}
-	return t.stPre
-}
-
-// preCounters returns the decode-cache counter handles (nil when
-// telemetry is off; instance.run treats nil as "don't read stats").
-func (t *runnerTelemetry) preCounters() *preCounters {
-	if t == nil {
-		return nil
-	}
-	return &t.pre
 }
 
 // trapCounter returns the executor-trap counter handle (nil when

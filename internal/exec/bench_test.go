@@ -80,7 +80,7 @@ func benchRunProgram() []uint32 {
 	return []uint32{
 		enc(isa.Inst{Op: isa.OpADDI, Rd: 1, Imm: 200}),
 		enc(isa.Inst{Op: isa.OpADDI, Rd: 6, Imm: 1}),
-		enc(isa.Inst{Op: isa.OpSLLI, Rd: 6, Rs1: 6, Imm: 12}), // x6 = 0x1000, outside the code window
+		enc(isa.Inst{Op: isa.OpSLLI, Rd: 6, Rs1: 6, Imm: 12}), // x6 = 0x1000, a data word past the code
 		// loop:
 		enc(isa.Inst{Op: isa.OpADDI, Rd: 2, Rs1: 2, Imm: 3}),
 		enc(isa.Inst{Op: isa.OpXOR, Rd: 3, Rs1: 3, Rs2: 2}),
@@ -94,25 +94,13 @@ func benchRunProgram() []uint32 {
 	}
 }
 
-// benchRun measures whole-program Executor.Run throughput; the predecode
-// variant includes the per-run cache maintenance (Reset), exactly like
-// the simulator's run path.
-func benchRun(b *testing.B, pre bool) {
+// BenchmarkRun measures whole-program Executor.Run throughput.
+func BenchmarkRun(b *testing.B) {
 	e := newExec(isa.RV32I, benchRunProgram()...)
-	var cache *DecodeCache
-	if pre {
-		cache = attachCache(e, isa.RV32I)
-	}
 	var insts uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.CPU.Reset()
-		e.CPU.Mtvec = testHandler
-		e.Halted = false
-		e.InstCount = 0
-		if cache != nil {
-			cache.Reset()
-		}
+		resetBenchRun(e)
 		if err := e.Run(20000); err != nil {
 			b.Fatal(err)
 		}
@@ -121,12 +109,13 @@ func benchRun(b *testing.B, pre bool) {
 	b.ReportMetric(float64(insts)/b.Elapsed().Seconds()/1e6, "Minst/s")
 }
 
-// BenchmarkRunDirect is the classical fetch-decode-execute loop.
-func BenchmarkRunDirect(b *testing.B) { benchRun(b, false) }
-
-// BenchmarkRunPredecode is the same workload on the predecoded fast
-// path; scripts/exec_bench.sh gates its speedup over BenchmarkRunDirect.
-func BenchmarkRunPredecode(b *testing.B) { benchRun(b, true) }
+// resetBenchRun puts e back at the start of benchRunProgram.
+func resetBenchRun(e *Executor) {
+	e.CPU.Reset()
+	e.CPU.Mtvec = testHandler
+	e.Halted = false
+	e.InstCount = 0
+}
 
 // countHook counts hook calls; it allocates nothing itself.
 type countHook struct{ n uint64 }
@@ -134,37 +123,34 @@ type countHook struct{ n uint64 }
 func (h *countHook) OnInst(*isa.Inst, *hart.Hart) { h.n++ }
 func (h *countHook) OnEdge(uint32)                { h.n++ }
 
+// runAllocs reports the allocations of one Executor.Run of
+// benchRunProgram under hook.
+func runAllocs(t *testing.T, hook Hook) float64 {
+	e := newExec(isa.RV32I, benchRunProgram()...)
+	e.Hook = hook
+	return testing.AllocsPerRun(20, func() {
+		resetBenchRun(e)
+		if err := e.Run(20000); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestRunAllocsZero: an unhooked Executor.Run allocates nothing.
+func TestRunAllocsZero(t *testing.T) {
+	if allocs := runAllocs(t, nil); allocs != 0 {
+		t.Errorf("%v allocs per Run, want 0", allocs)
+	}
+}
+
 // TestRunHookedAllocsZero: Executor.Run with a hook attached allocates
-// nothing, on the classical and predecoded paths alike.
+// nothing.
 func TestRunHookedAllocsZero(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		pre  bool
-	}{{"direct", false}, {"predecode", true}} {
-		e := newExec(isa.RV32I, benchRunProgram()...)
-		var cache *DecodeCache
-		if tc.pre {
-			cache = attachCache(e, isa.RV32I)
-		}
-		hook := &countHook{}
-		e.Hook = hook
-		allocs := testing.AllocsPerRun(20, func() {
-			e.CPU.Reset()
-			e.CPU.Mtvec = testHandler
-			e.Halted = false
-			e.InstCount = 0
-			if cache != nil {
-				cache.Reset()
-			}
-			if err := e.Run(20000); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if allocs != 0 {
-			t.Errorf("%s: %v allocs per hooked Run (%d instructions), want 0", tc.name, allocs, e.InstCount)
-		}
-		if hook.n == 0 {
-			t.Errorf("%s: hook never called", tc.name)
-		}
+	hook := &countHook{}
+	if allocs := runAllocs(t, hook); allocs != 0 {
+		t.Errorf("%v allocs per hooked Run, want 0", allocs)
+	}
+	if hook.n == 0 {
+		t.Error("hook never called")
 	}
 }

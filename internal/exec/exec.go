@@ -8,13 +8,9 @@
 // the role of the Clang -fsanitize=fuzzer instrumentation in the paper:
 // every distinct (operation, outcome) pair is a coverage edge.
 //
-// Execution has two paths. The slow path is the classical loop: fetch a
-// halfword, decode (with the variant's quirks), check legality, dispatch.
-// The fast path serves fetches from an attached DecodeCache — decode and
-// legality precomputed per program image — and falls back to the slow
-// path on invalid slots, odd PCs and fetches outside the cached range.
-// Stores that land in the cached range invalidate the covered slots, so
-// self-modifying streams stay architecturally correct.
+// Every step takes one path: fetch the encoding at PC, decode it (with
+// the variant's quirks) through a small memo keyed by the encoding
+// itself, check legality, dispatch (see Executor.Step).
 package exec
 
 import (
@@ -79,17 +75,13 @@ var ErrTimeout = errors.New("exec: instruction limit exceeded")
 
 // Executor runs a program on a hart and a memory.
 type Executor struct {
-	CPU    *hart.Hart
-	Mem    *mem.Memory
+	CPU *hart.Hart
+	Mem *mem.Memory
+	// Dec decodes the fetched encodings. The executor's decode memo
+	// holds Dec's results, so Dec must not be reassigned after the
+	// first Step.
 	Dec    *isa.Decoder
 	Quirks Quirks
-
-	// Cache, when non-nil, serves fetches from predecoded entries. Its
-	// configuration must match the hart's and its predecode must come
-	// from this executor's decoder over the current memory contents;
-	// outcomes, traps and coverage edges are identical with or without
-	// it.
-	Cache *DecodeCache
 
 	// TrapUnaligned selects the platform's unaligned data-access policy:
 	// trap with a misaligned exception (true) or perform the access
@@ -118,13 +110,33 @@ type Executor struct {
 	// per test case, user-family runs at most one).
 	TrapCount uint64
 
-	// cur is the scratch record of the instruction being dispatched: the
-	// hook and the handler receive &cur, never a pointer into the decode
-	// cache, because a self-modifying store may overwrite the cached
-	// record while its own handler still runs. Reusing one field keeps
-	// the record off the heap; a local whose address reaches the indirect
-	// hook and handler calls would escape on every retired instruction.
+	// cur is the record of the instruction being dispatched: the hook
+	// and the handler receive &cur. Reusing one field keeps the record
+	// off the heap; a local whose address reaches the indirect hook and
+	// handler calls would escape on every retired instruction.
 	cur isa.Inst
+
+	// memo holds recent decodes, keyed by the encoding (see Step).
+	memo [memoSize]memoEntry
+}
+
+// memoBits sizes the decode memo: 256 entries hold a run's input and the
+// trap handler at once.
+const (
+	memoBits = 8
+	memoSize = 1 << memoBits
+)
+
+// memoSlot picks key's memo entry by multiplicative hashing, so the
+// high bits of a 32-bit encoding count as much as its opcode bits.
+func memoSlot(key uint32) uint32 { return key * 0x9e3779b1 >> (32 - memoBits) }
+
+// memoEntry is one decode: inst is exactly what Dec returned for key, a
+// 32-bit encoding or a compressed halfword. A zero Size marks an empty
+// entry.
+type memoEntry struct {
+	key  uint32
+	inst isa.Inst
 }
 
 // New builds an executor around existing hart and memory.
@@ -149,76 +161,44 @@ func (e *Executor) edge(op isa.Op, kind uint32) {
 	}
 }
 
-// Step executes one instruction (or takes one trap). With a cache
-// attached, a fetch from a valid slot skips fetch, decode and the
-// configuration-legality ladder entirely; everything else funnels into
-// stepSlow.
+// Step executes one instruction (or takes one trap): fetch, decode,
+// check legality for this ISA configuration, dispatch.
 func (e *Executor) Step() {
-	c := e.Cache
-	if c == nil {
-		e.stepSlow(false)
-		return
-	}
-	off := e.CPU.PC - c.base
-	if off >= c.span || off&1 != 0 {
-		c.stats.Misses++
-		e.stepSlow(false)
-		return
-	}
-	ent := &c.entries[off>>1]
-	if ent.state == entryInvalid {
-		c.stats.Misses++
-		e.stepSlow(true)
-		return
-	}
-	c.stats.Hits++
-	e.InstCount++
-	e.CPU.Mcycle++
-	if ent.state == entryIllegal || (ent.fp && !e.CPU.FPEnabled()) {
-		e.trap(ent.inst.Op, hart.CauseIllegalInstruction, ent.inst.Raw)
-		return
-	}
-	// Dispatch from the scratch copy (see Executor.cur): the handler may
-	// store over this very slot.
-	e.cur = ent.inst
-	if e.Hook != nil {
-		e.Hook.OnInst(&e.cur, e.CPU)
-	}
-	ent.fn(e, &e.cur)
-}
-
-// stepSlow is the classical fetch-decode-execute step. With refill set
-// (an in-range fetch missed), the decode outcome is written back into
-// the cache so the next fetch of this address hits.
-func (e *Executor) stepSlow(refill bool) {
 	h := e.CPU
 	e.InstCount++
 	h.Mcycle++
 
-	// Fetch.
-	lo, ok := e.Mem.Load(h.PC, 2)
+	// Fetch the encoding: the 32-bit word, or the halfword of a
+	// compressed instruction.
+	key, ok := e.Mem.Fetch(h.PC)
 	if !ok {
-		e.trap(isa.OpIllegal, hart.CauseFetchAccessFault, h.PC)
-		return
-	}
-	inst := &e.cur
-	switch {
-	case lo&3 == 3:
-		hi, ok := e.Mem.Load(h.PC+2, 2)
-		if !ok {
+		if key, ok = e.fetchEdge(h.PC); !ok {
 			e.trap(isa.OpIllegal, hart.CauseFetchAccessFault, h.PC)
 			return
 		}
-		*inst = e.Dec.Decode32(uint32(hi<<16 | lo))
-	case !h.Cfg.Has(isa.ExtC):
+	}
+	if key&3 != 3 {
+		key &= 0xffff
+	}
+
+	// Decode through the memo. The key is the encoding itself, so a
+	// store that rewrites code changes the key and no entry ever goes
+	// stale. The two key spaces never overlap: a 32-bit encoding ends in
+	// 11, a compressed halfword does not.
+	inst := &e.cur
+	if key&3 != 3 && !h.Cfg.Has(isa.ExtC) {
 		// Without the C extension the RVC decoder is never entered; the
 		// halfword is simply an illegal encoding.
-		*inst = isa.Inst{Op: isa.OpIllegal, Raw: uint32(lo), Size: 2}
-	default:
-		*inst = e.Dec.DecodeC(uint16(lo))
-	}
-	if refill {
-		e.Cache.fill(h.PC, inst)
+		*inst = isa.Inst{Op: isa.OpIllegal, Raw: key, Size: 2}
+	} else {
+		m := &e.memo[memoSlot(key)]
+		if m.key != key || m.inst.Size == 0 {
+			// A decode that panics (the modelled decoder crash) stores
+			// nothing, so the crash fires on every fetch of its pattern.
+			m.inst = e.Dec.Decode(key)
+			m.key = key
+		}
+		*inst = m.inst
 	}
 
 	// Legality for this ISA configuration.
@@ -239,6 +219,19 @@ func (e *Executor) stepSlow(refill bool) {
 		e.Hook.OnInst(inst, h)
 	}
 	handlers[inst.Op](e, inst)
+}
+
+// fetchEdge fetches at pc where the word there leaves memory: halfword
+// by halfword, so a compressed instruction in the last halfword still
+// executes. ok is false on a fetch access fault.
+func (e *Executor) fetchEdge(pc uint32) (uint32, bool) {
+	lo, ok := e.Mem.Load(pc, 2)
+	if ok && lo&3 == 3 {
+		var hi uint64
+		hi, ok = e.Mem.Load(pc+2, 2)
+		lo |= hi << 16
+	}
+	return uint32(lo), ok
 }
 
 // trap redirects to the machine trap handler and emits the trap edge.
@@ -341,9 +334,6 @@ func (e *Executor) store(in *isa.Inst, rs1 uint32, size uint32, v uint64) bool {
 		e.trap(in.Op, hart.CauseStoreAccessFault, addr)
 		return false
 	}
-	if e.Cache != nil {
-		e.Cache.InvalidateRange(addr, size)
-	}
 	return true
 }
 
@@ -358,9 +348,6 @@ func (e *Executor) storeWord(addr, v uint32) bool {
 	if !e.Mem.Store(addr, 4, uint64(v)) {
 		e.CPU.Trap(hart.CauseStoreAccessFault, addr)
 		return true
-	}
-	if e.Cache != nil {
-		e.Cache.InvalidateRange(addr, 4)
 	}
 	return false
 }
@@ -411,9 +398,6 @@ func (e *Executor) amo(in *isa.Inst, addr, src uint32) {
 	if !e.Mem.Store(addr, 4, uint64(v)) {
 		e.trap(in.Op, hart.CauseStoreAccessFault, addr)
 		return
-	}
-	if e.Cache != nil {
-		e.Cache.InvalidateRange(addr, 4)
 	}
 	h.WriteX(in.Rd, old)
 	e.retire(in)

@@ -2,6 +2,6 @@ package exec
 
 // Test hooks for the external test package (fuzz_cov_test.go).
 var (
-	DiffSeeds     = diffSeeds
-	PredecodeDiff = predecodeDiff
+	DiffSeeds = diffSeeds
+	MemoDiff  = memoDiff
 )

@@ -5,15 +5,13 @@ import (
 	"rvnegtest/internal/isa"
 )
 
-// handlerFn executes one decoded instruction. Handlers assume the caller
-// already established configuration legality (extension present, FP
-// enabled); the runtime mstatus.FS check stays with the caller because it
-// cannot be precomputed.
+// handlerFn executes one decoded instruction. Handlers assume Step
+// already established legality for the hart (extension present, FP
+// enabled).
 type handlerFn func(e *Executor, in *isa.Inst)
 
-// handlers is the operation-indexed dispatch table that replaces the
-// former execute switch: predecoded cache entries resolve their handler
-// once, and both execution paths dispatch with a single indexed call.
+// handlers is the operation-indexed dispatch table: Step dispatches with
+// a single indexed call instead of a switch over every operation.
 var handlers []handlerFn
 
 func hIllegal(e *Executor, in *isa.Inst) {

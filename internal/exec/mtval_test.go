@@ -27,29 +27,36 @@ func newExec16(cfg isa.Config, halves ...uint16) *Executor {
 	return e
 }
 
+// stepTwiceAt0 fetches and executes the instruction at address 0 twice,
+// calling check after each step: the first decode fills the memo, the
+// second is served from it.
+func stepTwiceAt0(e *Executor, check func(pass int)) {
+	for pass := range 2 {
+		e.CPU.PC = 0
+		e.Step()
+		check(pass)
+	}
+}
+
 // TestMtvalCompressedIllegal pins the satellite-1 audit result: for a
 // faulting *compressed* encoding, mtval must hold the zero-extended
-// 16-bit halfword — never a 32-bit expansion — on the slow path and the
-// predecoded path alike. 0x9c41 is a reserved RVC encoding (c.subw,
+// 16-bit halfword — never a 32-bit expansion — whether the decode is
+// fresh or memoized. 0x9c41 is a reserved RVC encoding (c.subw,
 // RV64-only) that decodes to OpIllegal with the raw halfword preserved.
 func TestMtvalCompressedIllegal(t *testing.T) {
 	const bad = 0x9c41
 	if in := isa.Ref.DecodeC(bad); in.Op != isa.OpIllegal {
 		t.Fatalf("test premise: %#x decodes to %v, want illegal", bad, in.Op)
 	}
-	for _, cached := range []bool{false, true} {
-		e := newExec16(isa.RV32IMC, bad)
-		if cached {
-			attachCache(e, isa.RV32IMC)
-		}
-		e.Step()
+	e := newExec16(isa.RV32IMC, bad)
+	stepTwiceAt0(e, func(pass int) {
 		if e.CPU.Mcause != hart.CauseIllegalInstruction {
-			t.Fatalf("cached=%v: mcause = %d", cached, e.CPU.Mcause)
+			t.Fatalf("pass %d: mcause = %d", pass, e.CPU.Mcause)
 		}
 		if e.CPU.Mtval != bad {
-			t.Errorf("cached=%v: mtval = %#x, want zero-extended halfword %#x", cached, e.CPU.Mtval, bad)
+			t.Errorf("pass %d: mtval = %#x, want zero-extended halfword %#x", pass, e.CPU.Mtval, bad)
 		}
-	}
+	})
 }
 
 // TestMtvalCompressedWithoutC: on a configuration without the C
@@ -58,19 +65,15 @@ func TestMtvalCompressedIllegal(t *testing.T) {
 // fetch window happens to contain.
 func TestMtvalCompressedWithoutC(t *testing.T) {
 	const nop = 0x0001 // c.nop: legal under C, illegal without it
-	for _, cached := range []bool{false, true} {
-		e := newExec16(isa.RV32I, nop, 0xffff)
-		if cached {
-			attachCache(e, isa.RV32I)
-		}
-		e.Step()
+	e := newExec16(isa.RV32I, nop, 0xffff)
+	stepTwiceAt0(e, func(pass int) {
 		if e.CPU.Mcause != hart.CauseIllegalInstruction {
-			t.Fatalf("cached=%v: mcause = %d", cached, e.CPU.Mcause)
+			t.Fatalf("pass %d: mcause = %d", pass, e.CPU.Mcause)
 		}
 		if e.CPU.Mtval != nop {
-			t.Errorf("cached=%v: mtval = %#x, want %#x", cached, e.CPU.Mtval, uint32(nop))
+			t.Errorf("pass %d: mtval = %#x, want %#x", pass, e.CPU.Mtval, uint32(nop))
 		}
-	}
+	})
 }
 
 // TestMtval32BitIllegal: a faulting 32-bit encoding reports the full
@@ -80,16 +83,12 @@ func TestMtval32BitIllegal(t *testing.T) {
 	if in := isa.Ref.Decode32(bad); in.Op != isa.OpIllegal {
 		t.Fatalf("test premise: %#x decodes to %v", bad, in.Op)
 	}
-	for _, cached := range []bool{false, true} {
-		e := newExec(isa.RV32I, bad)
-		if cached {
-			attachCache(e, isa.RV32I)
-		}
-		e.Step()
+	e := newExec(isa.RV32I, bad)
+	stepTwiceAt0(e, func(pass int) {
 		if e.CPU.Mtval != bad {
-			t.Errorf("cached=%v: mtval = %#x, want %#x", cached, e.CPU.Mtval, uint32(bad))
+			t.Errorf("pass %d: mtval = %#x, want %#x", pass, e.CPU.Mtval, uint32(bad))
 		}
-	}
+	})
 }
 
 // TestNestedTrap: a fault inside the handler itself re-enters the

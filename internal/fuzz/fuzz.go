@@ -25,7 +25,6 @@ import (
 
 	"rvnegtest/internal/analysis"
 	"rvnegtest/internal/coverage"
-	"rvnegtest/internal/exec"
 	"rvnegtest/internal/filter"
 	"rvnegtest/internal/isa"
 	"rvnegtest/internal/obs"
@@ -65,12 +64,6 @@ type Config struct {
 	// DisableCustomMutator turns off instruction-aware mutation
 	// (ablation).
 	DisableCustomMutator bool
-	// DisablePredecode turns off the foundation simulator's predecoded
-	// execution core, forcing the classical per-fetch decode path
-	// (ablation/debug). Corpora, checkpoints and stats are byte-identical
-	// either way, so the knob is deliberately excluded from the
-	// checkpoint fingerprint: a campaign may resume across it.
-	DisablePredecode bool
 	// Seeds is an optional seed corpus (e.g. a previously generated
 	// suite): the inputs are replayed first, collecting those that
 	// produce coverage, before mutation-based generation begins —
@@ -192,11 +185,6 @@ type Fuzzer struct {
 	elapsed time.Duration
 	broken  error // set when the target could not be rebuilt after a wedge
 
-	// lastPre is the previous decode-cache counter snapshot of the
-	// target; Step folds the growth into the telemetry counters.
-	// Observational only: never checkpointed, never in Stats.
-	lastPre exec.CacheStats
-
 	// sessElapsed and baseExecs scope the live execution rate to the
 	// current process: a resumed fuzzer restores `elapsed` and `execs`
 	// cumulatively from the checkpoint, which must not dilute the rate
@@ -251,7 +239,6 @@ func New(cfg Config) (*Fuzzer, error) {
 			f.pending = append(f.pending, s)
 		}
 	}
-	f.wireTarget()
 	return f, nil
 }
 
@@ -260,21 +247,6 @@ func makeTarget(cfg Config, p template.Platform) (sim.HookedSim, error) {
 		return cfg.NewTarget(p)
 	}
 	return sim.New(sim.Reference, p)
-}
-
-// wireTarget applies the predecode knobs to a (re)built foundation
-// simulator: the ablation switch and, when telemetry is live, the
-// predecode stage timer. Custom NewTarget factories configure their own
-// simulators and are left untouched.
-func (f *Fuzzer) wireTarget() {
-	s, ok := f.target.(*sim.Simulator)
-	if !ok {
-		return
-	}
-	s.NoPredecode = f.cfg.DisablePredecode
-	if f.tel != nil {
-		s.PredecodeTimer = f.tel.stPre
-	}
 }
 
 // rebuildTarget replaces a target poisoned by an abandoned (wedged) run
@@ -295,29 +267,6 @@ func (f *Fuzzer) rebuildTarget() {
 	}
 	f.target = target
 	f.col = col
-	f.lastPre = exec.CacheStats{} // fresh target: cache counters restart
-	f.wireTarget()
-}
-
-// notePredecode folds the target's decode-cache counter growth since the
-// previous step into the telemetry counters. Only called with telemetry
-// live and only when the run actually finished (a wedged run's goroutine
-// may still be stepping the abandoned target).
-func (f *Fuzzer) notePredecode() {
-	ps, ok := f.target.(sim.PredecodeStatser)
-	if !ok {
-		return
-	}
-	cur := ps.PredecodeStats()
-	prev := f.lastPre
-	f.lastPre = cur
-	if cur.Hits < prev.Hits || cur.Misses < prev.Misses ||
-		cur.Invalidations < prev.Invalidations {
-		prev = exec.CacheStats{} // counters restarted under us: count from zero
-	}
-	f.tel.preHits.Add(cur.Hits - prev.Hits)
-	f.tel.preMiss.Add(cur.Misses - prev.Misses)
-	f.tel.preInval.Add(cur.Invalidations - prev.Invalidations)
 }
 
 // Step performs one fuzzer execution; it reports whether the input was
@@ -370,9 +319,6 @@ func (f *Fuzzer) Step() bool {
 		now := time.Now()
 		tel.stExec.Observe(now.Sub(t))
 		t = now
-		if !timedOut {
-			f.notePredecode()
-		}
 	}
 	switch {
 	case rec != nil:

@@ -18,16 +18,13 @@ type telemetry struct {
 	events *obs.EventLog
 	worker int
 
-	execs    *obs.Counter
-	traps    *obs.Counter
-	crashes  *obs.Counter
-	timeout  *obs.Counter
-	hfaults  *obs.Counter
-	adds     *obs.Counter
-	preHits  *obs.Counter
-	preMiss  *obs.Counter
-	preInval *obs.Counter
-	drops    [analysis.NumReasons]*obs.Counter
+	execs   *obs.Counter
+	traps   *obs.Counter
+	crashes *obs.Counter
+	timeout *obs.Counter
+	hfaults *obs.Counter
+	adds    *obs.Counter
+	drops   [analysis.NumReasons]*obs.Counter
 
 	corpusSize *obs.Gauge
 	covBits    *obs.Gauge
@@ -37,7 +34,6 @@ type telemetry struct {
 	stExec   *obs.Histogram
 	stCov    *obs.Histogram
 	stCkpt   *obs.Histogram
-	stPre    *obs.Histogram
 }
 
 // newTelemetry resolves the fuzzer's metric handles, or returns nil
@@ -58,9 +54,6 @@ func newTelemetry(cfg Config) *telemetry {
 		timeout:    reg.Counter("rvnegtest_fuzz_timeouts_total"),
 		hfaults:    reg.Counter("rvnegtest_fuzz_harness_faults_total"),
 		adds:       reg.Counter("rvnegtest_fuzz_corpus_adds_total"),
-		preHits:    reg.Counter("rvnegtest_fuzz_predecode_hits_total"),
-		preMiss:    reg.Counter("rvnegtest_fuzz_predecode_misses_total"),
-		preInval:   reg.Counter("rvnegtest_fuzz_predecode_invalidations_total"),
 		corpusSize: reg.Gauge("rvnegtest_fuzz_corpus_size"),
 		covBits:    reg.Gauge("rvnegtest_fuzz_coverage_bits"),
 		stMutate:   reg.Stage(obs.StageMutate),
@@ -68,7 +61,6 @@ func newTelemetry(cfg Config) *telemetry {
 		stExec:     reg.Stage(obs.StageExecute),
 		stCov:      reg.Stage(obs.StageCoverageEval),
 		stCkpt:     reg.Stage(obs.StageCheckpointWrite),
-		stPre:      reg.Stage(obs.StagePredecode),
 	}
 	for r := analysis.Reason(0); r < analysis.NumReasons; r++ {
 		t.drops[r] = reg.Counter(`rvnegtest_fuzz_dropped_total{reason="` + r.Slug() + `"}`)

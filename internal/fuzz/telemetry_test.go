@@ -5,12 +5,14 @@ import (
 	"context"
 	"encoding/json"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"rvnegtest/internal/analysis"
 	"rvnegtest/internal/coverage"
 	"rvnegtest/internal/obs"
+	"rvnegtest/internal/sim"
 )
 
 // TestStatsTraceCopy is the regression test for the aliased-trace bug:
@@ -312,3 +314,80 @@ func benchStep(b *testing.B, withTel bool) {
 
 func BenchmarkStepTelemetryOff(b *testing.B) { benchStep(b, false) }
 func BenchmarkStepTelemetryOn(b *testing.B)  { benchStep(b, true) }
+
+// TestTelemetrySaneAcrossFaultsAndResume: across watchdog reaps (the
+// target rebuilt while the abandoned run may still be stepping the old
+// one) and a checkpoint/resume into a fresh registry, the exec, timeout
+// and harness-fault counters equal the session's own counts from
+// Stats() and never underflow. An underflowed uint64 would show up as an
+// astronomically large counter value.
+func TestTelemetrySaneAcrossFaultsAndResume(t *testing.T) {
+	release := make(chan struct{})
+	defer close(release)
+	var calls atomic.Int64 // Plan runs on guard goroutines, not the test's
+	plan := func([]byte) sim.Fault {
+		if calls.Add(1)%120 == 0 {
+			return sim.FaultWedge
+		}
+		return sim.FaultNone
+	}
+	dir := t.TempDir()
+
+	// check compares the registry with the session's share of st: the
+	// stats carry the campaign's counts up to the checkpoint in base.
+	check := func(phase string, reg *obs.Registry, st, base Stats) {
+		for _, c := range []struct {
+			name       string
+			got, since uint64
+		}{
+			{"rvnegtest_fuzz_execs_total", st.Execs, base.Execs},
+			{"rvnegtest_fuzz_timeouts_total", st.Timeouts, base.Timeouts},
+			{"rvnegtest_fuzz_harness_faults_total", st.HarnessFaults, base.HarnessFaults},
+		} {
+			v := reg.Counter(c.name).Value()
+			if v > 1<<60 {
+				t.Fatalf("%s: %s = %d (uint64 underflow)", phase, c.name, v)
+			}
+			if v != c.got-c.since {
+				t.Errorf("%s: %s = %d, want the session's %d", phase, c.name, v, c.got-c.since)
+			}
+		}
+	}
+
+	cfg := smallConfig(coverage.V1(), 53)
+	cfg.CaseTimeout = 50 * time.Millisecond
+	cfg.NewTarget = faultyFactory(plan, "", release)
+	cfg.Obs = obs.NewRegistry()
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Run(1200, 0); err != nil {
+		t.Fatal(err)
+	}
+	before := f.Stats()
+	if before.HarnessFaults == 0 {
+		t.Fatal("no watchdog reaps before the checkpoint; the rebuild path was not exercised")
+	}
+	check("pre-checkpoint", cfg.Obs, before, Stats{})
+	if err := f.SaveCheckpoint(dir); err != nil {
+		t.Fatal(err)
+	}
+
+	// Resume into a fresh process-equivalent: new registry, counters
+	// from zero, while Stats() carries the checkpointed counts forward.
+	cfg2 := cfg
+	cfg2.Obs = obs.NewRegistry()
+	f2, err := Resume(cfg2, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f2.Run(2400, 0); err != nil {
+		t.Fatal(err)
+	}
+	after := f2.Stats()
+	if after.HarnessFaults <= before.HarnessFaults {
+		t.Fatal("no watchdog reaps after the resume")
+	}
+	check("post-resume", cfg2.Obs, after, before)
+}

@@ -10,15 +10,13 @@ import (
 )
 
 // TestTrapCampaignBitIdentical extends the campaign determinism guarantee
-// to the trap family: for workers in {1, 2, 8}, a trap-family campaign
-// with the predecode cache disabled produces exactly the corpus and
-// deterministic stats of the default (cached) campaign — two independent
-// runs compared, so this also pins run-to-run determinism.
+// to the trap family: for workers in {1, 2, 8}, two independent
+// trap-family campaigns produce exactly the same corpus and
+// deterministic stats.
 func TestTrapCampaignBitIdentical(t *testing.T) {
-	run := func(disable bool, workers int) ([][]byte, []string) {
+	run := func(workers int) ([][]byte, []string) {
 		cfg := smallConfig(coverage.V1(), 17)
 		cfg.Family = template.FamilyTrap
-		cfg.DisablePredecode = disable
 		corpus, stats, err := Campaign(context.Background(), cfg, CampaignConfig{Workers: workers, ExecsEach: 3000})
 		if err != nil {
 			t.Fatal(err)
@@ -30,18 +28,18 @@ func TestTrapCampaignBitIdentical(t *testing.T) {
 		return corpus, det
 	}
 	for _, workers := range []int{1, 2, 8} {
-		onCorpus, onStats := run(false, workers)
-		offCorpus, offStats := run(true, workers)
-		if len(onCorpus) == 0 {
+		firstCorpus, firstStats := run(workers)
+		secondCorpus, secondStats := run(workers)
+		if len(firstCorpus) == 0 {
 			t.Fatalf("workers=%d: empty corpus", workers)
 		}
-		if !reflect.DeepEqual(onCorpus, offCorpus) {
-			t.Fatalf("workers=%d: trap corpus differs with predecode disabled: %d vs %d cases",
-				workers, len(onCorpus), len(offCorpus))
+		if !reflect.DeepEqual(firstCorpus, secondCorpus) {
+			t.Fatalf("workers=%d: trap corpus differs between runs: %d vs %d cases",
+				workers, len(firstCorpus), len(secondCorpus))
 		}
-		if !reflect.DeepEqual(onStats, offStats) {
-			t.Fatalf("workers=%d: deterministic stats differ with predecode disabled:\n on:  %v\n off: %v",
-				workers, onStats, offStats)
+		if !reflect.DeepEqual(firstStats, secondStats) {
+			t.Fatalf("workers=%d: deterministic stats differ between runs:\n first:  %v\n second: %v",
+				workers, firstStats, secondStats)
 		}
 	}
 }

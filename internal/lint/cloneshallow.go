@@ -25,8 +25,8 @@ import (
 //     value aliases nothing.
 //
 // Arrays and scalars copy by value; pointer fields are deliberately out
-// of scope (sharing an immutable predecode image via pointer is the
-// intended design).
+// of scope (sharing an immutable entry state or exit summary via pointer
+// is the intended design).
 var Cloneshallow = &Analyzer{
 	Name: "cloneshallow",
 	Doc:  "Clone/Snapshot methods must deep-copy slice and map fields of their receiver",

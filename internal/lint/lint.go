@@ -1,7 +1,7 @@
 // Package lint implements rvnegtest's domain-specific static analysis
 // suite: a set of analyzers that mechanically enforce the repository's
 // determinism and robustness invariants (bit-identical campaigns across
-// worker counts, predecode on/off, and kill-and-resume).
+// worker counts, telemetry on/off, and kill-and-resume).
 //
 // The design follows golang.org/x/tools/go/analysis — an Analyzer is a
 // named check over one type-checked package — but is implemented on the

@@ -51,6 +51,46 @@ func TestAllowlistKeysExist(t *testing.T) {
 	}
 }
 
+// TestAllowlistKeysSuppressFindings: with the built-in allowlists
+// emptied, every key of them still covers a finding in the tree, so an
+// exemption cannot outlive the reads or panics it was granted for, even
+// while the function it names lives on.
+func TestAllowlistKeysSuppressFindings(t *testing.T) {
+	units, err := LoadPackages(moduleRoot(t), "./internal/...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		a     *Analyzer
+		allow *map[string]string
+	}{{Wallclock, &wallclockAllow}, {Panicgate, &panicgateAllow}} {
+		keys := *c.allow
+		*c.allow = map[string]string{}
+		used := map[string]bool{}
+		for _, u := range units {
+			pass := &Pass{Fset: u.Fset, Files: u.Files, Pkg: u.Pkg, PkgPath: u.Path, TypesInfo: u.Info}
+			diags, err := RunAnalyzers(pass, []*Analyzer{c.a})
+			if err != nil {
+				*c.allow = keys
+				t.Fatalf("%s: %v", u.Path, err)
+			}
+			for _, d := range diags {
+				for _, f := range u.Files {
+					if f.FileStart <= d.Pos && d.Pos < f.FileEnd {
+						used[relPath(pass)+"."+pass.FuncKey(f, d.Pos)] = true
+					}
+				}
+			}
+		}
+		*c.allow = keys
+		for key := range keys {
+			if !used[key] {
+				t.Errorf("%s allowlist key %q suppresses no finding: delete it", c.a.Name, key)
+			}
+		}
+	}
+}
+
 // funcKeys returns the FuncKey of every function declared in the
 // non-test Go files of dir.
 func funcKeys(t *testing.T, dir string) map[string]bool {

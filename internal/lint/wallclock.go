@@ -42,7 +42,6 @@ var wallclockAllow = map[string]string{
 	"internal/fuzz.Fuzzer.Step":            "stage timers + execs/sec session accounting",
 	"internal/fuzz.Fuzzer.RunContext":      "wall-clock campaign budget (-duration flag)",
 	"internal/fuzz.Fuzzer.SaveCheckpoint":  "checkpoint stage timer (save latency, never in the fingerprint)",
-	"internal/sim.Simulator.start":         "per-run predecode maintenance timer",
 }
 
 // Wallclock flags time.Now / time.Since / time.Until in

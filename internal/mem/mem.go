@@ -98,6 +98,16 @@ func (m *Memory) Load(addr, size uint32) (v uint64, ok bool) {
 	return uint64(binary.LittleEndian.Uint32(b)), true
 }
 
+// Fetch reads the little-endian word at addr, the way an instruction
+// fetch does; ok is false when the word does not lie inside the region.
+// It is Load(addr, 4) small enough to inline into the executor's step.
+func (m *Memory) Fetch(addr uint32) (uint32, bool) {
+	if !m.Contains(addr, 4) {
+		return 0, false
+	}
+	return binary.LittleEndian.Uint32(m.data[addr-m.base:]), true
+}
+
 // LoadWords reads len(dst) consecutive little-endian words from addr on
 // into dst; ok is false, and dst left as it was, when any of them lies
 // outside the region. Like Load it never allocates.

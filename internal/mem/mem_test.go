@@ -81,6 +81,28 @@ func TestBounds(t *testing.T) {
 	}
 }
 
+// TestFetch: Fetch agrees with Load(addr, 4) at every alignment inside
+// the region, up to its last word, and fails where the word crosses the
+// end, starts past it or lies below the base.
+func TestFetch(t *testing.T) {
+	m := New(0x1000, 0x100)
+	for i := uint32(0); i < 0x100; i++ {
+		if err := m.Write8(0x1000+i, uint8(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, addr := range []uint32{0xffc, 0xffe, 0x1000, 0x1001, 0x1002, 0x10fc, 0x10fd, 0x10fe, 0x1100, 0xfffffffe} {
+		got, ok := m.Fetch(addr)
+		want, wantOK := m.Load(addr, 4)
+		if got != uint32(want) || ok != wantOK {
+			t.Errorf("Fetch(%#x) = %#x, %v; Load = %#x, %v", addr, got, ok, want, wantOK)
+		}
+		if ok != (addr >= 0x1000 && addr <= 0x10fc) {
+			t.Errorf("Fetch(%#x) ok = %v", addr, ok)
+		}
+	}
+}
+
 func TestLoadWords(t *testing.T) {
 	m := New(0x1000, 0x100)
 	for i := uint32(0); i < 0x100; i++ {

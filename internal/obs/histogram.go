@@ -27,16 +27,13 @@ const (
 	StageSignatureCompare
 	// StageCheckpointWrite is campaign state persistence.
 	StageCheckpointWrite
-	// StagePredecode is decode-cache maintenance between simulator runs
-	// (pristine reset and injected-range invalidation).
-	StagePredecode
 	// NumStages bounds the taxonomy.
 	NumStages
 )
 
 var stageNames = [NumStages]string{
 	"filter", "mutate", "execute", "coverage-eval",
-	"signature-compare", "checkpoint-write", "predecode",
+	"signature-compare", "checkpoint-write",
 }
 
 func (s Stage) String() string {

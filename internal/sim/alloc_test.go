@@ -15,12 +15,11 @@ const runAllocs = 1
 
 // TestRunHookedAllocsIndependentOfLength pins the allocations of Run and
 // RunHooked to the per-run constant on both template families, unhooked
-// and with v0 and v3 collectors, with predecode on and off: a
-// 15-instruction input must allocate exactly what a 1-instruction input
-// does, so nothing allocates per retired instruction. On the trap
-// template, inputs that take a load, a store and a fetch access fault,
-// and one that reads a CSR that does not exist, must allocate no more: a
-// fault is a trap, not an error value.
+// and with v0 and v3 collectors: a 15-instruction input must allocate
+// exactly what a 1-instruction input does, so nothing allocates per
+// retired instruction. On the trap template, inputs that take a load, a
+// store and a fetch access fault, and one that reads a CSR that does not
+// exist, must allocate no more: a fault is a trap, not an error value.
 func TestRunHookedAllocsIndependentOfLength(t *testing.T) {
 	short := stream(enc(isa.Inst{Op: isa.OpADDI, Rd: 5, Rs1: 5, Imm: 1}))
 	long := stream(
@@ -72,40 +71,37 @@ func TestRunHookedAllocsIndependentOfLength(t *testing.T) {
 					return out
 				}
 			}
-			for _, pre := range []bool{true, false} {
-				s.NoPredecode = !pre
-				var insts [2]uint64
-				for i, bs := range [][]byte{short, long} {
-					allocs := testing.AllocsPerRun(20, func() {
-						out := run(bs)
-						if out.Crashed || out.TimedOut || out.Signature == nil {
-							t.Fatalf("%v %s predecode=%v: run failed: %+v", fam, cov, pre, out)
-						}
-						insts[i] = out.Insts
-					})
-					if allocs != runAllocs {
-						t.Errorf("%v %s predecode=%v: %d-word input: %v allocs per run, want %d",
-							fam, cov, pre, len(bs)/4, allocs, runAllocs)
+			var insts [2]uint64
+			for i, bs := range [][]byte{short, long} {
+				allocs := testing.AllocsPerRun(20, func() {
+					out := run(bs)
+					if out.Crashed || out.TimedOut || out.Signature == nil {
+						t.Fatalf("%v %s: run failed: %+v", fam, cov, out)
 					}
+					insts[i] = out.Insts
+				})
+				if allocs != runAllocs {
+					t.Errorf("%v %s: %d-word input: %v allocs per run, want %d",
+						fam, cov, len(bs)/4, allocs, runAllocs)
 				}
-				if insts[1] < insts[0]+14 {
-					t.Errorf("%v %s predecode=%v: long input retired %d insts, short %d",
-						fam, cov, pre, insts[1], insts[0])
-				}
-				if fam != template.FamilyTrap {
-					continue
-				}
-				for i, bs := range faults {
-					allocs := testing.AllocsPerRun(20, func() {
-						out := run(bs)
-						if out.Crashed || out.TimedOut || out.Signature == nil || out.Traps != 1 {
-							t.Fatalf("%v %s predecode=%v: fault input %d: %+v, want one trap", fam, cov, pre, i, out)
-						}
-					})
-					if allocs != runAllocs {
-						t.Errorf("%v %s predecode=%v: fault input %d: %v allocs per run, want %d",
-							fam, cov, pre, i, allocs, runAllocs)
+			}
+			if insts[1] < insts[0]+14 {
+				t.Errorf("%v %s: long input retired %d insts, short %d",
+					fam, cov, insts[1], insts[0])
+			}
+			if fam != template.FamilyTrap {
+				continue
+			}
+			for i, bs := range faults {
+				allocs := testing.AllocsPerRun(20, func() {
+					out := run(bs)
+					if out.Crashed || out.TimedOut || out.Signature == nil || out.Traps != 1 {
+						t.Fatalf("%v %s: fault input %d: %+v, want one trap", fam, cov, i, out)
 					}
+				})
+				if allocs != runAllocs {
+					t.Errorf("%v %s: fault input %d: %v allocs per run, want %d",
+						fam, cov, i, allocs, runAllocs)
 				}
 			}
 		}

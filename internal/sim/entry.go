@@ -2,7 +2,6 @@ package sim
 
 import (
 	"bytes"
-	"time"
 
 	"rvnegtest/internal/exec"
 	"rvnegtest/internal/hart"
@@ -85,42 +84,21 @@ type skipper interface {
 // attach wires s over img the way img.NewExecutorCfg wires a fresh
 // executor. s must not move afterwards: the executor and replay point
 // into it.
-func (s *Simulator) attach(img *template.Image, cache *exec.DecodeCache, dec *isa.Decoder) {
+func (s *Simulator) attach(img *template.Image, dec *isa.Decoder) {
 	e := img.NewExecutorCfg(s.eff, dec, s.Variant.ExecQuirks)
-	s.img, s.cache, s.cpu, s.ex = img, cache, *e.CPU, *e
+	s.img, s.cpu, s.ex = img, *e.CPU, *e
 	s.ex.CPU = &s.cpu
 	s.replay, s.exitReplay = s.replayPrefix, s.replayExit
 }
 
-// start readies s for one run of bs: it injects the input, brings the
-// decode cache in line with the injected memory, and sets the hart to
-// the entry state when the prefix may be skipped, to reset otherwise.
+// start readies s for one run of bs: it injects the input and sets the
+// hart to the entry state when the prefix may be skipped, to reset
+// otherwise.
 func (s *Simulator) start(bs []byte, hook exec.Hook) error {
 	if err := s.img.Inject(bs); err != nil {
 		return err
 	}
 	e := &s.ex
-	e.Cache = s.cache
-	if s.NoPredecode {
-		e.Cache = nil
-	}
-	if c := e.Cache; c != nil {
-		var t0 time.Time
-		if s.PredecodeTimer != nil {
-			t0 = time.Now()
-		}
-		// Inject restored memory to the pristine snapshot and wrote the
-		// bytestream words; mirror both on the cache: roll deviated
-		// slots back to the pristine predecode, then knock out the
-		// freshly written injection area.
-		c.Reset()
-		if n := uint32(len(bs)+3) &^ 3; n > 0 {
-			c.InvalidateRange(s.img.InjectAddr, n)
-		}
-		if s.PredecodeTimer != nil {
-			s.PredecodeTimer.ObserveSince(t0)
-		}
-	}
 	if s.skipPrefix(hook) {
 		s.cpu, e.InstCount = s.entry.cpu, s.entry.insts
 	} else {
@@ -149,18 +127,15 @@ func (s *Simulator) skipPrefix(hook exec.Hook) bool {
 	return ok
 }
 
-// replayPrefix executes the prefix from reset with hook attached and the
-// decode cache detached, so the replay counts no fetches. It runs on the
-// simulator's injected image, which fastForward proved makes no
-// difference: the prefix reads nothing of the injection area.
+// replayPrefix executes the prefix from reset with hook attached. It
+// runs on the simulator's injected image, which fastForward proved makes
+// no difference: the prefix reads nothing of the injection area.
 func (s *Simulator) replayPrefix(hook exec.Hook) {
 	e := &s.ex
-	cache := e.Cache
-	e.Cache, e.Hook, e.InstCount = nil, hook, 0
+	e.Hook, e.InstCount = hook, 0
 	s.cpu.Reset()
 	s.cpu.PC = s.img.Entry
 	for e.InstCount < s.entry.insts {
 		e.Step()
 	}
-	e.Cache = cache
 }

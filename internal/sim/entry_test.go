@@ -122,16 +122,32 @@ func platforms(t testing.TB) (sims []*Simulator, labels []string) {
 	return sims, labels
 }
 
-func fetches(st exec.CacheStats) uint64 { return st.Hits + st.Misses }
+// entryMark moves the entry state's mcycle in executedSteps, far from any
+// count a run reaches.
+const entryMark = 1 << 40
+
+// executedSteps reruns bs under hook with the entry state's mcycle moved
+// by entryMark and returns the run and the steps it executed. mcycle
+// counts every step, and the replays of the prefix and the dump put the
+// hart back, so its growth counts exactly what the run executed; the
+// mark tells a run that started at the entry state from one that
+// executed the prefix from reset. The count holds for inputs that write
+// no counter CSR.
+func executedSteps(s *Simulator, bs []byte, hook exec.Hook) (Outcome, uint64) {
+	s.entry.cpu.Mcycle += entryMark
+	defer func() { s.entry.cpu.Mcycle -= entryMark }()
+	out := s.RunHooked(bs, hook)
+	return out, s.cpu.Mcycle - s.entry.cpu.Mcycle
+}
 
 // TestFastForwardMatchesFullPath is the fast-forward differential: on
 // every platform, unhooked and under v0 and v3 collectors, a run that
 // starts at the entry state and summarizes the dump must equal a run
 // that executes both — the same Outcome and the same coverage footprint,
 // order included — over outcomeMix and a seeded corpus of about 2k
-// executions. The decode-cache counters count exactly the fetches each
-// run performs: Insts minus the prefix when fast-forwarded, minus the
-// dump too when summarized, and Insts on the full path.
+// executions. A run executes exactly Insts minus the prefix, minus the
+// dump too when summarized (counted by executedSteps), and the full path
+// executes Insts.
 // Many random inputs loop on the trap template; a 2,000-instruction
 // limit keeps them cheap (filter-accepted cases retire far fewer).
 func TestFastForwardMatchesFullPath(t *testing.T) {
@@ -140,7 +156,7 @@ func TestFastForwardMatchesFullPath(t *testing.T) {
 	for si, s := range sims {
 		s.Limit = 2000
 		for _, cov := range []string{"none", "v0", "v3"} {
-			exits := s.exits
+			exits, counted := s.exits, 0
 			var fast, full *coverage.Collector
 			fastHook, fullHook := exec.Hook(nil), exec.Hook(fullPath{})
 			if opts, ok := coverage.ByName(cov); ok {
@@ -149,33 +165,35 @@ func TestFastForwardMatchesFullPath(t *testing.T) {
 			}
 			for i, bs := range inputs {
 				label := fmt.Sprintf("%s %s input %d (%x)", labels[si], cov, i, bs)
-				st0, e0 := s.PredecodeStats(), s.exits
 				got := s.RunHooked(bs, fastHook)
-				st1 := s.PredecodeStats()
+				want := s.RunHooked(bs, fullHook)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: outcome diverged:\nfast %+v\nfull %+v", label, got, want)
+				}
+				if fast != nil {
+					if f, w := fast.Map.RunFootprint(), full.Map.RunFootprint(); !reflect.DeepEqual(f, w) {
+						t.Fatalf("%s: coverage footprint diverged (%d vs %d points)", label, len(f), len(w))
+					}
+					if fast.Map.MergeNew() != full.Map.MergeNew() {
+						t.Fatalf("%s: novelty diverged", label)
+					}
+				}
+				if s.cpu.Mcycle != want.Insts {
+					continue // the input wrote mcycle: no count to check
+				}
+				e0 := s.exits
+				again, n := executedSteps(s, bs, fastHook)
 				dump := uint64(0)
 				if s.exits != e0 {
 					dump = s.exit.insts
 				}
-				want := s.RunHooked(bs, fullHook)
-				st2 := s.PredecodeStats()
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s: outcome diverged:\nfast %+v\nfull %+v", label, got, want)
+				if n != again.Insts-s.entry.insts-dump {
+					t.Fatalf("%s: fast-forwarded run executed %d, want Insts %d - prefix %d - dump %d",
+						label, n, again.Insts, s.entry.insts, dump)
 				}
-				if n := fetches(st1) - fetches(st0); n != got.Insts-s.entry.insts-dump {
-					t.Fatalf("%s: fast-forwarded run fetched %d, want Insts %d - prefix %d - dump %d",
-						label, n, got.Insts, s.entry.insts, dump)
-				}
-				if n := fetches(st2) - fetches(st1); n != want.Insts {
-					t.Fatalf("%s: full-path run fetched %d, want Insts %d", label, n, want.Insts)
-				}
-				if fast == nil {
-					continue
-				}
-				if f, w := fast.Map.RunFootprint(), full.Map.RunFootprint(); !reflect.DeepEqual(f, w) {
-					t.Fatalf("%s: coverage footprint diverged (%d vs %d points)", label, len(f), len(w))
-				}
-				if fast.Map.MergeNew() != full.Map.MergeNew() {
-					t.Fatalf("%s: novelty diverged", label)
+				counted++
+				if fast != nil {
+					fast.Map.DiscardRun()
 				}
 			}
 			if fast != nil && fast.Map.BucketBits() != full.Map.BucketBits() {
@@ -183,6 +201,9 @@ func TestFastForwardMatchesFullPath(t *testing.T) {
 			}
 			if s.exits == exits {
 				t.Fatalf("%s %s: no run summarized its dump", labels[si], cov)
+			}
+			if counted < len(inputs)*9/10 {
+				t.Fatalf("%s %s: executed steps counted on %d of %d inputs", labels[si], cov, counted, len(inputs))
 			}
 		}
 	}

@@ -146,12 +146,12 @@ func (s *Simulator) summarizeExit() *exitSummary {
 	return sum
 }
 
-// runExitProof executes the dump from s.cpu with t attached and the
-// decode cache detached, and reports whether it halted within Limit
-// without trapping, panicking or breaking t's rules.
+// runExitProof executes the dump from s.cpu with t attached and reports
+// whether it halted within Limit without trapping, panicking or breaking
+// t's rules.
 func (s *Simulator) runExitProof(t *exitTrace) (ok bool) {
 	e := &s.ex
-	e.Cache, e.Hook, e.InstCount, e.TrapCount, e.Halted = nil, t, 0, 0, false
+	e.Hook, e.InstCount, e.TrapCount, e.Halted = t, 0, 0, false
 	defer func() {
 		e.Hook = nil
 		if recover() != nil {
@@ -272,15 +272,14 @@ func (s *Simulator) takeExit(hook exec.Hook) bool {
 	return true
 }
 
-// replayExit executes the dump from the current hart with hook attached
-// and the decode cache detached, so the replay counts no fetches, then
-// puts the hart and executor back: the run goes on as if the dump had
-// not executed. The dump's stores leave alone every word the summary
+// replayExit executes the dump from the current hart with hook attached,
+// then puts the hart and executor back: the run goes on as if the dump
+// had not executed. The dump's stores leave alone every word the summary
 // reads from memory (summarizeExit checked), so the signature comes out
 // as the summary predicts.
 func (s *Simulator) replayExit(hook exec.Hook) {
 	cpu, ex := s.cpu, s.ex
-	s.ex.Cache, s.ex.Hook = nil, hook
+	s.ex.Hook = hook
 	for range s.exit.insts {
 		s.ex.Step()
 	}

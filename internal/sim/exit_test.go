@@ -175,7 +175,7 @@ func TestExitSummaryFallbacks(t *testing.T) {
 		s := &Simulator{Variant: Reference, Platform: p, Limit: 100, eff: p.Cfg}
 		cpu := hart.New(p.Cfg)
 		s.entry = &entryState{cpu: *cpu}
-		s.attach(&template.Image{Platform: p, Mem: m, ExitAddr: dump}, nil, &isa.Decoder{})
+		s.attach(&template.Image{Platform: p, Mem: m, ExitAddr: dump}, &isa.Decoder{})
 		x := s.summarizeExit()
 		if m.Dirty() {
 			t.Fatalf("%s: the proof left the image dirty", tc.name)

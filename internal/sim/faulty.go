@@ -112,15 +112,4 @@ func (f *Faulty) RunHooked(bs []byte, hook exec.Hook) Outcome {
 	return f.Inner.RunHooked(bs, hook)
 }
 
-// PredecodeStats delegates to the wrapped simulator's decode-cache
-// counters when it has them, keeping the fault wrapper transparent to
-// telemetry.
-func (f *Faulty) PredecodeStats() exec.CacheStats {
-	if s, ok := f.Inner.(PredecodeStatser); ok {
-		return s.PredecodeStats()
-	}
-	return exec.CacheStats{}
-}
-
 var _ HookedSim = (*Faulty)(nil)
-var _ PredecodeStatser = (*Faulty)(nil)

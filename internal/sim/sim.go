@@ -14,7 +14,6 @@ import (
 	"rvnegtest/internal/exec"
 	"rvnegtest/internal/hart"
 	"rvnegtest/internal/isa"
-	"rvnegtest/internal/obs"
 	"rvnegtest/internal/template"
 )
 
@@ -191,26 +190,16 @@ type Simulator struct {
 	Platform template.Platform
 	Limit    uint64
 
-	// NoPredecode disables the predecoded execution core, forcing every
-	// fetch through the classical decode path (the ablation/debug knob).
-	// Outcomes are byte-identical either way.
-	NoPredecode bool
-	// PredecodeTimer, when set, observes the per-run decode-cache
-	// maintenance time (reset + injected-range invalidation). Nil means
-	// no clock reads on the run path.
-	PredecodeTimer *obs.Histogram
-
 	eff   isa.Config
 	entry *entryState  // nil: every run executes the prefix
 	exit  *exitSummary // nil: every run executes the dump
 
 	// The run context every run resets instead of allocating: a private
-	// template image, its decode cache, and the hart and executor over
-	// them.
-	img   *template.Image
-	cache *exec.DecodeCache
-	cpu   hart.Hart
-	ex    exec.Executor
+	// template image and the hart and executor over it. The executor's
+	// decode memo stays warm from run to run.
+	img *template.Image
+	cpu hart.Hart
+	ex  exec.Executor
 	// replay and exitReplay are s.replayPrefix and s.replayExit, bound
 	// once so that handing them to a hook allocates nothing per run.
 	replay, exitReplay func(exec.Hook)
@@ -236,26 +225,9 @@ func New(v *Variant, p template.Platform) (*Simulator, error) {
 		eff:      v.Effective(p.Cfg),
 	}
 	s.entry = fastForward(img, s.eff, dec, v.ExecQuirks, s.Limit)
-	s.attach(img, predecodeImage(img, dec, s.eff), dec)
+	s.attach(img, dec)
 	s.exit = s.summarizeExit()
 	return s, nil
-}
-
-// predecodeImage lowers the template's text region once per Variant;
-// the decode work happens here instead of once per retired instruction.
-// Clones share the immutable predecode and only copy the derived entry
-// table. A layout without a text window ahead of the data base yields no
-// cache (the simulator then always takes the classical path).
-func predecodeImage(img *template.Image, dec *isa.Decoder, eff isa.Config) *exec.DecodeCache {
-	l := img.Platform.Layout
-	if l.DataBase <= l.TextBase {
-		return nil
-	}
-	code, err := img.Mem.ReadBytes(l.TextBase, l.DataBase-l.TextBase)
-	if err != nil {
-		return nil
-	}
-	return exec.NewDecodeCache(dec.Predecode(l.TextBase, code), eff)
 }
 
 // Clone returns an independent simulator for the same variant and
@@ -266,15 +238,14 @@ func predecodeImage(img *template.Image, dec *isa.Decoder, eff isa.Config) *exec
 // shares the immutable entry state and exit summary.
 func (s *Simulator) Clone() *Simulator {
 	c := &Simulator{
-		Variant:     s.Variant,
-		Platform:    s.Platform,
-		Limit:       s.Limit,
-		NoPredecode: s.NoPredecode,
-		eff:         s.eff,
-		entry:       s.entry,
-		exit:        s.exit,
+		Variant:  s.Variant,
+		Platform: s.Platform,
+		Limit:    s.Limit,
+		eff:      s.eff,
+		entry:    s.entry,
+		exit:     s.exit,
 	}
-	c.attach(s.img.Clone(), s.cache.Clone(), &isa.Decoder{Quirks: s.Variant.DecQuirks})
+	c.attach(s.img.Clone(), &isa.Decoder{Quirks: s.Variant.DecQuirks})
 	return c
 }
 
@@ -353,16 +324,4 @@ func (s *Simulator) run(hook exec.Hook) (exited bool, err error) {
 	return false, nil
 }
 
-// PredecodeStats reports the cumulative decode-cache counters of this
-// simulator (zero when predecode is disabled or unavailable).
-func (s *Simulator) PredecodeStats() exec.CacheStats { return s.cache.Stats() }
-
-// PredecodeStatser is implemented by simulators that expose decode-cache
-// counters; telemetry reads them through this interface so wrappers stay
-// transparent.
-type PredecodeStatser interface {
-	PredecodeStats() exec.CacheStats
-}
-
 var _ HookedSim = (*Simulator)(nil)
-var _ PredecodeStatser = (*Simulator)(nil)

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"syscall"
+	"time"
 )
 
 // Handler implements the target side of the adapter protocol: identity
@@ -151,7 +152,12 @@ func respondFlush(bw *bufio.Writer, typ byte, payload []byte) error {
 func misbehave(bw *bufio.Writer, m Misbehave) error {
 	switch m {
 	case MisbehaveHang:
-		select {} // wedge until the harness kills us
+		// Wedge until the harness kills us. The pending timer keeps the
+		// runtime's deadlock detector from ending a process that has no
+		// other goroutine, which would turn the wedge into a crash.
+		for {
+			time.Sleep(time.Hour)
+		}
 	case MisbehaveCrash:
 		os.Exit(3)
 	case MisbehaveKill:

@@ -7,7 +7,8 @@
 #   1. produce reference artifacts with the CLIs (rvfuzz -checkpoint,
 #      rvcompliance -checkpoint) for one fuzz and one compliance spec
 #   2. start rvnegtestd, submit both specs as jobs over HTTP
-#   3. kill -9 the daemon while the fuzz job runs
+#   3. kill -9 the daemon as soon as the fuzz job's first worker
+#      checkpoint exists (polled every 0.1 s, error after 60 s)
 #   4. restart the daemon on the same store: jobs resume from their
 #      checkpoints, finish, and the daemon records the resume
 #   5. fetch the job artifacts over HTTP and cmp against step 1
@@ -17,8 +18,7 @@ set -euo pipefail
 
 EXECS="${1:-800000}"
 SEED="${2:-7}"
-GEN="${GEN:-5000}"       # compliance-job generation budget
-KILL_AFTER="${KILL_AFTER:-2}" # seconds before the kill -9
+GEN="${GEN:-5000}" # compliance-job generation budget
 
 cd "$(dirname "$0")/.."
 work=$(mktemp -d)
@@ -62,8 +62,16 @@ fuzz_id=$(curl -sf -X POST "http://$ADDR/api/v1/jobs" -d "$fuzz_spec" | sed -n '
 compl_id=$(curl -sf -X POST "http://$ADDR/api/v1/jobs" -d "$compl_spec" | sed -n 's/.*"id":"\([^"]*\)".*/\1/p')
 echo "   fuzz job $fuzz_id, compliance job $compl_id"
 
-echo "== kill -9 the daemon mid-job"
-sleep "$KILL_AFTER"
+echo "== kill -9 the daemon at the fuzz job's first checkpoint"
+ckpt="$work/store/$fuzz_id/checkpoint/worker-*/state.json"
+for _ in $(seq 600); do
+    compgen -G "$ckpt" > /dev/null && break
+    sleep 0.1
+done
+if ! compgen -G "$ckpt" > /dev/null; then
+    echo "FAIL: no fuzz worker checkpoint within 60 s"
+    exit 1
+fi
 kill -9 "$daemon_pid"
 wait "$daemon_pid" 2>/dev/null || true
 daemon_pid=""
@@ -71,6 +79,10 @@ daemon_pid=""
 # job.json is written indented, so tolerate whitespace after the colon.
 state=$(sed -n 's/.*"state": *"\([a-z]*\)".*/\1/p' "$work/store/$fuzz_id/job.json" | head -1)
 echo "   on-disk state after kill: $fuzz_id=$state"
+if [ "$state" = done ]; then
+    echo "FAIL: the fuzz job finished before the kill landed; nothing was resumed"
+    exit 1
+fi
 
 echo "== restart daemon: jobs must resume and finish"
 start_daemon
@@ -85,7 +97,7 @@ done
 
 resumes=$(sed -n 's/.*"resumes": *\([0-9]*\).*/\1/p' "$work/store/$fuzz_id/job.json" | head -1)
 if [ "${resumes:-0}" -lt 1 ]; then
-    echo "FAIL: fuzz job recorded no resume after kill -9 (raise EXECS or lower KILL_AFTER)"
+    echo "FAIL: fuzz job recorded no resume after kill -9"
     exit 1
 fi
 echo "   $fuzz_id resumed $resumes time(s) across the kill"
