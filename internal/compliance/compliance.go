@@ -356,9 +356,9 @@ type Runner struct {
 	NewSim func(v *sim.Variant, p template.Platform) (sim.Sim, error)
 
 	// Obs, when non-nil, receives run telemetry: execution counters,
-	// per-SUT mismatch counters and per-stage latency histograms
-	// (package obs). Observational only: reports stay bit-identical with
-	// telemetry on or off, and a nil registry costs nothing.
+	// per-SUT mismatch counters and per-stage latency histograms,
+	// published and sampled as package obs describes. Observational
+	// only: reports stay bit-identical with telemetry on or off.
 	Obs *obs.Registry
 	// Events, when non-nil, receives structured lifecycle events
 	// (shard_done, cell_done, row_done, breaker_open, checkpoint) as an
@@ -408,8 +408,7 @@ func (r *Runner) newInstances(v *sim.Variant, p template.Platform, workers int) 
 			return nil, err
 		}
 		if tel := r.tel; tel != nil {
-			in.stExec = tel.execHist()
-			in.traps = tel.trapCounter()
+			in.tel = tel
 			in.breaker.OnOpen = func() {
 				tel.breakerOpened(v.Name)
 				tel.event(obs.Event{Type: "breaker_open", Sim: v.Name, Worker: w, Config: p.Cfg.String()})
@@ -553,7 +552,7 @@ func (r *Runner) newReport(suite *Suite) *Report {
 // cases whose reference run failed are recorded as skipped and never
 // execute, and a SUT whose breaker tripped skips its remaining cases as
 // sut-unhealthy.
-func runCase(cell *Cell, ref sim.Outcome, in *instance, bs []byte, i, maxEx, trapBase int, dc *sig.DontCare, stCmp *obs.Histogram) bool {
+func runCase(cell *Cell, ref sim.Outcome, in *instance, bs []byte, i, maxEx, trapBase int, dc *sig.DontCare) bool {
 	if ref.Crashed || ref.TimedOut {
 		// A reference failure makes the case unusable for signature
 		// comparison; record it so the mismatch denominator stays honest.
@@ -569,7 +568,7 @@ func runCase(cell *Cell, ref sim.Outcome, in *instance, bs []byte, i, maxEx, tra
 		cell.SkippedUnhealthy++
 		return false
 	}
-	out, harnessFault, noVerdict := in.run(bs)
+	out, harnessFault, noVerdict := in.run(i, bs)
 	if harnessFault {
 		cell.HarnessFaults++
 		if out.CrashMsg != "" {
@@ -586,16 +585,18 @@ func runCase(cell *Cell, ref sim.Outcome, in *instance, bs []byte, i, maxEx, tra
 		cell.SkippedAdapter++
 		return true
 	}
-	cell.judge(ref.Signature, out, i, maxEx, trapBase, dc, stCmp)
+	if in.tel != nil && i%obs.SampleEvery == 0 && !out.Crashed && !out.TimedOut {
+		defer in.tel.reg.Lap(obs.StageSignatureCompare, time.Now())
+	}
+	cell.judge(ref.Signature, out, i, maxEx, trapBase, dc)
 	return true
 }
 
 // judge folds one SUT outcome on case i into the cell: a crash or a
 // timeout counts as such, anything else is compared against the
 // reference signature, and every mismatch is classified and, up to maxEx
-// of them, listed as an example. stCmp, when non-nil, times the
-// signature comparison.
-func (c *Cell) judge(ref []uint32, out sim.Outcome, i, maxEx, trapBase int, dc *sig.DontCare, stCmp *obs.Histogram) {
+// of them, listed as an example.
+func (c *Cell) judge(ref []uint32, out sim.Outcome, i, maxEx, trapBase int, dc *sig.DontCare) {
 	var cat Category
 	switch {
 	case out.Crashed:
@@ -605,15 +606,7 @@ func (c *Cell) judge(ref []uint32, out sim.Outcome, i, maxEx, trapBase int, dc *
 		c.Timeouts++
 		cat = CatTimeout
 	default:
-		var t0 time.Time
-		if stCmp != nil {
-			t0 = time.Now()
-		}
-		match := len(sig.Compare(sig.Signature(ref), sig.Signature(out.Signature), dc)) == 0
-		if stCmp != nil {
-			stCmp.ObserveSince(t0)
-		}
-		if match {
+		if len(sig.Compare(sig.Signature(ref), sig.Signature(out.Signature), dc)) == 0 {
 			return
 		}
 		cat = ClassifyAt(ref, out.Signature, trapBase)
@@ -626,13 +619,14 @@ func (c *Cell) judge(ref []uint32, out sim.Outcome, i, maxEx, trapBase int, dc *
 }
 
 // runCaseRange executes suite cases [lo, hi) on one SUT instance.
-func runCaseRange(ctx context.Context, cell *Cell, refOuts []sim.Outcome, in *instance, cases [][]byte, lo, hi, maxEx, trapBase int, dc *sig.DontCare, stCmp *obs.Histogram) (int, error) {
+func runCaseRange(ctx context.Context, cell *Cell, refOuts []sim.Outcome, in *instance, cases [][]byte, lo, hi, maxEx, trapBase int, dc *sig.DontCare) (int, error) {
+	defer in.publish()
 	execs := 0
 	for i := lo; i < hi; i++ {
 		if err := ctx.Err(); err != nil {
 			return execs, err
 		}
-		if runCase(cell, refOuts[i], in, cases[i], i, maxEx, trapBase, dc, stCmp) {
+		if runCase(cell, refOuts[i], in, cases[i], i, maxEx, trapBase, dc) {
 			execs++
 		}
 	}
@@ -644,6 +638,7 @@ func runCaseRange(ctx context.Context, cell *Cell, refOuts []sim.Outcome, in *in
 // crashed outcome, which downstream comparison records as a skipped case;
 // a tripped reference breaker marks the remaining range the same way.
 func runRefRange(ctx context.Context, refIn *instance, cases [][]byte, refOuts []sim.Outcome, lo, hi int) error {
+	defer refIn.publish()
 	for i := lo; i < hi; i++ {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -652,7 +647,7 @@ func runRefRange(ctx context.Context, refIn *instance, cases [][]byte, refOuts [
 			refOuts[i] = sim.Outcome{Crashed: true, CrashMsg: "reference unhealthy (breaker tripped)"}
 			continue
 		}
-		refOuts[i], _, _ = refIn.run(cases[i])
+		refOuts[i], _, _ = refIn.run(i, cases[i])
 	}
 	return nil
 }

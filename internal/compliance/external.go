@@ -166,7 +166,7 @@ func (r *Runner) newExternalInstances(col *column, p template.Platform, workers 
 				ev.Sim, ev.Worker, ev.Config = name, w, cfgStr
 				tel.event(ev)
 			}
-			in.traps = tel.trapCounter()
+			in.tel = tel
 			in.breaker.OnOpen = func() {
 				tel.breakerOpened(name)
 				tel.event(obs.Event{Type: "breaker_open", Sim: name, Worker: w, Config: cfgStr})

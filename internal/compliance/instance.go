@@ -24,13 +24,12 @@ type instance struct {
 	breaker resilience.Breaker
 	timeout time.Duration
 	quar    *resilience.Quarantine
-	// stExec, when non-nil, times every guarded run (set by the Runner
-	// when telemetry is on; nil means no clock reads at all).
-	stExec *obs.Histogram
-	// traps, when non-nil, accumulates the executor trap counts of
-	// completed runs (trap-family campaigns take thousands of deliberate
-	// round trips; the counter makes that volume observable).
-	traps *obs.Counter
+	// tel, when non-nil, times sampled runs and receives traps, the
+	// executor trap counts of completed runs summed since the last
+	// publish (trap-family campaigns take thousands of deliberate round
+	// trips; the sum makes that volume observable).
+	tel   *runnerTelemetry
+	traps uint64
 
 	// adapter, when non-nil, marks an external column: runs go through
 	// the subprocess adapter protocol instead of an in-process simulator,
@@ -68,23 +67,22 @@ func newInstance(name string, make func() (sim.Sim, error), threshold int, timeo
 // outcome carries no verdict at all: the case must be recorded as
 // adapter-skipped, not as a crash finding (in-process instances never
 // set it, keeping their cells byte-identical to the pre-adapter engine).
-func (in *instance) run(bs []byte) (out sim.Outcome, harnessFault, noVerdict bool) {
+// The runs of every obs.SampleEvery-th case index i are timed as the
+// execute stage; sampling by case index keeps the stage counts the same
+// at every worker count.
+func (in *instance) run(i int, bs []byte) (out sim.Outcome, harnessFault, noVerdict bool) {
+	if in.tel != nil && i%obs.SampleEvery == 0 {
+		defer in.tel.reg.Lap(obs.StageExecute, time.Now())
+	}
 	if in.adapter != nil {
 		return in.runExternal(bs)
 	}
 	// Capture the simulator locally: after a wedge in.s is replaced while
 	// the abandoned goroutine still holds the closure.
 	s := in.s
-	var t0 time.Time
-	if in.stExec != nil {
-		t0 = time.Now()
-	}
 	out, rec, timedOut := resilience.Guard(in.timeout, func() sim.Outcome {
 		return s.Run(bs)
 	})
-	if in.stExec != nil {
-		in.stExec.ObserveSince(t0)
-	}
 	switch {
 	case rec != nil:
 		in.breaker.RecordFault()
@@ -102,9 +100,7 @@ func (in *instance) run(bs []byte) (out sim.Outcome, harnessFault, noVerdict boo
 		return sim.Outcome{TimedOut: true}, true, false
 	}
 	in.breaker.RecordOK()
-	if in.traps != nil {
-		in.traps.Add(out.Traps)
-	}
+	in.traps += out.Traps
 	return out, false, false
 }
 
@@ -112,8 +108,8 @@ func (in *instance) run(bs []byte) (out sim.Outcome, harnessFault, noVerdict boo
 // through the adapter, which internally retries with kill-and-restart
 // and backoff. A surviving adapter fault feeds the breaker and is
 // quarantined with its protocol context (last frame type, stderr tail);
-// the case then carries no verdict. No clock reads here — the adapter
-// owns its own wall-clock watchdog.
+// the case then carries no verdict. The adapter owns its own
+// wall-clock watchdog.
 func (in *instance) runExternal(bs []byte) (sim.Outcome, bool, bool) {
 	res, f := in.adapter.Run(in.family, in.config, bs)
 	if f != nil {
@@ -125,9 +121,7 @@ func (in *instance) runExternal(bs []byte) (sim.Outcome, bool, bool) {
 		return sim.Outcome{CrashMsg: "adapter: " + f.Reason}, true, true
 	}
 	in.breaker.RecordOK()
-	if in.traps != nil {
-		in.traps.Add(res.Traps)
-	}
+	in.traps += res.Traps
 	return sim.Outcome{
 		Signature: res.Signature,
 		Crashed:   res.Crashed,
@@ -136,6 +130,14 @@ func (in *instance) runExternal(bs []byte) (sim.Outcome, bool, bool) {
 		Insts:     res.Insts,
 		Traps:     res.Traps,
 	}, false, false
+}
+
+// publish moves the instance's trap sum into the registry.
+func (in *instance) publish() {
+	if in.tel != nil {
+		in.tel.traps.Add(in.traps)
+		in.traps = 0
+	}
 }
 
 // close releases the instance's process resources (external adapters

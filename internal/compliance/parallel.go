@@ -106,7 +106,9 @@ func (r *Runner) workerCount() int {
 func (r *Runner) addExecs(worker, n int) {
 	r.Stats.PerWorker[worker].Execs += n
 	r.Stats.Execs += n
-	r.tel.addExecs(n)
+	if r.tel != nil {
+		r.tel.execs.Add(uint64(n))
+	}
 }
 
 // shard is a contiguous [Lo, Hi) range of case indexes.
@@ -190,7 +192,7 @@ func (r *Runner) runConfig(ctx context.Context, suite *Suite, cfg isa.Config, wo
 				t0 = time.Now()
 			}
 			n, err := runCaseRange(ctx, &partials[w], refOuts, ins[w], suite.Cases,
-				sh.lo, sh.hi, maxEx, trapBase, r.DontCare, r.tel.compareHist())
+				sh.lo, sh.hi, maxEx, trapBase, r.DontCare)
 			if err != nil {
 				return n, err
 			}

@@ -77,7 +77,7 @@ func VerifyAgainstSignatures(suite *Suite, sut *sim.Variant, cfg isa.Config, dir
 				return nil, err
 			}
 		}
-		cell.judge(refSig, s.Run(bs), i, defaultMaxExamples, trapBase, dc, nil)
+		cell.judge(refSig, s.Run(bs), i, defaultMaxExamples, trapBase, dc)
 	}
 	return cell, nil
 }

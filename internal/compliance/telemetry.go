@@ -8,15 +8,15 @@ import (
 
 // runnerTelemetry holds a Run's pre-resolved observability handles. It is
 // nil when both Runner.Obs and Runner.Events are unset, and every use site
-// guards on that nil (zero-cost-off, like fuzz.telemetry). Per-SUT
-// counters are resolved once per Run so the engines never take the
-// registry lock on the hot path; the counters themselves are atomics, so
-// parallel workers share them without locking.
+// guards on that nil. Per-SUT counters are resolved once per Run so the
+// engines never take the registry lock on the hot path; the counters
+// themselves are atomics, so parallel workers share them without locking.
 //
-// Telemetry is observational only: counter adds happen on merged rows and
-// serialized stats paths, event emission is serialized by the EventLog,
-// and nothing here feeds back into the report, the checkpoint or the
-// fingerprint — reports stay bit-identical with telemetry on or off.
+// Telemetry is observational only: counter adds happen when a shard
+// finishes, on merged rows and on serialized stats paths, event emission
+// is serialized by the EventLog, and nothing here feeds back into the
+// report, the checkpoint or the fingerprint — reports stay bit-identical
+// with telemetry on or off.
 type runnerTelemetry struct {
 	reg    *obs.Registry
 	events *obs.EventLog
@@ -25,9 +25,6 @@ type runnerTelemetry struct {
 	rows    *obs.Counter // configuration rows completed this session
 	skipped *obs.Counter // cases skipped (reference crashed / timed out)
 	traps   *obs.Counter // executor traps taken across all runs
-
-	stExec    *obs.Histogram // per-run simulator execution latency
-	stCompare *obs.Histogram // per-case signature comparison latency
 
 	perSim map[string]*simCounters
 }
@@ -56,15 +53,13 @@ func newRunnerTelemetry(r *Runner) *runnerTelemetry {
 	}
 	reg := r.Obs
 	t := &runnerTelemetry{
-		reg:       reg,
-		events:    r.Events,
-		execs:     reg.Counter("rvnegtest_compliance_execs_total"),
-		rows:      reg.Counter("rvnegtest_compliance_rows_total"),
-		skipped:   reg.Counter("rvnegtest_compliance_skipped_total"),
-		traps:     reg.Counter("rvnegtest_compliance_traps_total"),
-		stExec:    reg.Stage(obs.StageExecute),
-		stCompare: reg.Stage(obs.StageSignatureCompare),
-		perSim:    map[string]*simCounters{},
+		reg:     reg,
+		events:  r.Events,
+		execs:   reg.Counter("rvnegtest_compliance_execs_total"),
+		rows:    reg.Counter("rvnegtest_compliance_rows_total"),
+		skipped: reg.Counter("rvnegtest_compliance_skipped_total"),
+		traps:   reg.Counter("rvnegtest_compliance_traps_total"),
+		perSim:  map[string]*simCounters{},
 	}
 	names := []string{r.Ref.Name}
 	for i := range r.cols {
@@ -97,41 +92,6 @@ func (t *runnerTelemetry) event(ev obs.Event) {
 		return
 	}
 	t.events.Emit(ev)
-}
-
-// execHist returns the execution-stage histogram handle (nil when
-// telemetry is off, which instance.run treats as "no clock reads").
-func (t *runnerTelemetry) execHist() *obs.Histogram {
-	if t == nil {
-		return nil
-	}
-	return t.stExec
-}
-
-// trapCounter returns the executor-trap counter handle (nil when
-// telemetry is off; instance.run treats nil as "don't count").
-func (t *runnerTelemetry) trapCounter() *obs.Counter {
-	if t == nil {
-		return nil
-	}
-	return t.traps
-}
-
-// compareHist returns the signature-compare stage histogram handle.
-func (t *runnerTelemetry) compareHist() *obs.Histogram {
-	if t == nil {
-		return nil
-	}
-	return t.stCompare
-}
-
-// addExecs counts simulator executions (called on serialized paths or
-// with atomic counters; both are safe).
-func (t *runnerTelemetry) addExecs(n int) {
-	if t == nil {
-		return
-	}
-	t.execs.Add(uint64(n))
 }
 
 // breakerOpened records a tripped breaker for one simulator (called from

@@ -22,11 +22,49 @@ func telemetryRunner(workers int) (*Runner, *obs.Registry, *bytes.Buffer) {
 	return r, reg, &buf
 }
 
+// sampledSuite cycles handSuite's cases over 3·obs.SampleEvery+1
+// indexes, so four case indexes (0, 256, 512 and 768: an ADD, a
+// misaligned jump, a c.lwsp and the ADD again) are sampled.
+func sampledSuite() *Suite {
+	hand := handSuite()
+	s := &Suite{Origin: hand.Origin}
+	for i := 0; i <= 3*obs.SampleEvery; i++ {
+		s.Cases = append(s.Cases, hand.Cases[i%len(hand.Cases)])
+	}
+	return s
+}
+
+// sampledStages replays the sampled case indexes of suite on a runner
+// without telemetry and returns the runs and signature comparisons the
+// sampled stage timers must stand for: obs.SampleEvery times the
+// executions and the compared outcomes of that replay.
+func sampledStages(t *testing.T, suite *Suite) (execs, compares uint64) {
+	t.Helper()
+	sampled := &Suite{}
+	for i := 0; i < len(suite.Cases); i += obs.SampleEvery {
+		sampled.Cases = append(sampled.Cases, suite.Cases[i])
+	}
+	r := DefaultRunner()
+	rep, err := r.Run(sampled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range rep.Cells {
+		for _, c := range rep.Cells[i] {
+			if c.Supported {
+				compares += uint64(rep.Cases - c.Skipped - c.SkippedUnhealthy - c.SkippedAdapter - c.Crashes - c.Timeouts)
+			}
+		}
+	}
+	return obs.SampleEvery * uint64(r.Stats.Execs), obs.SampleEvery * compares
+}
+
 // TestComplianceTelemetryCounters: the registry's totals must agree with
-// the run's own statistics and with the report, and the event stream must
-// describe every row and cell.
+// the run's own statistics and with the report, the stage timers with
+// the sampled schedule, and the event stream must describe every row and
+// cell.
 func TestComplianceTelemetryCounters(t *testing.T) {
-	suite := handSuite()
+	suite := sampledSuite()
 	r, reg, buf := telemetryRunner(1)
 	rep, err := r.Run(suite)
 	if err != nil {
@@ -52,12 +90,17 @@ func TestComplianceTelemetryCounters(t *testing.T) {
 			t.Errorf("%s harness-fault counter = %d, report says %d", name, got, hf)
 		}
 	}
-	// Every simulator execution (reference + SUT) is timed.
-	if got := reg.Stage(obs.StageExecute).Count(); got != uint64(r.Stats.Execs) {
-		t.Errorf("execute stage count = %d, RunStats.Execs = %d", got, r.Stats.Execs)
+	// The runs of every obs.SampleEvery-th case index (reference + SUT)
+	// are timed with weight obs.SampleEvery.
+	execs, compares := sampledStages(t, suite)
+	if got := reg.Stage(obs.StageExecute).Count(); got != execs {
+		t.Errorf("execute stage count = %d, want %d", got, execs)
 	}
-	if reg.Stage(obs.StageSignatureCompare).Count() == 0 {
-		t.Error("signature-compare stage never observed")
+	if got := reg.Stage(obs.StageSignatureCompare).Count(); got != compares {
+		t.Errorf("signature-compare stage count = %d, want %d", got, compares)
+	}
+	if compares == 0 || compares == execs {
+		t.Errorf("replay compared %d of %d runs; the schedule check is vacuous", compares, execs)
 	}
 
 	if err := r.Events.Close(); err != nil {
@@ -100,7 +143,7 @@ func TestComplianceTelemetryCounters(t *testing.T) {
 // -race in CI): emission must stay serialized and strictly monotonic, and
 // the deterministic totals must match a one-worker run's.
 func TestComplianceTelemetryParallel(t *testing.T) {
-	suite := handSuite()
+	suite := sampledSuite()
 
 	one, oneReg, _ := telemetryRunner(1)
 	oneRep, err := one.Run(suite)
@@ -127,9 +170,9 @@ func TestComplianceTelemetryParallel(t *testing.T) {
 		t.Fatalf("4-worker report differs from 1 worker's with telemetry on:\n%s\nvs\n%s", got, want)
 	}
 
-	// Order-independent totals agree with the one-worker run; per-stage
-	// counts of the execute stage do too (every execution is timed
-	// exactly once regardless of which worker ran it).
+	// Order-independent totals agree with the one-worker run; so do the
+	// stage counts, since the sampled case indexes do not depend on how
+	// the suite is sharded.
 	for _, name := range []string{
 		"rvnegtest_compliance_execs_total",
 		"rvnegtest_compliance_rows_total",
@@ -139,8 +182,11 @@ func TestComplianceTelemetryParallel(t *testing.T) {
 			t.Errorf("%s = %d at 4 workers, %d at 1", name, got, want)
 		}
 	}
-	if got, want := reg.Stage(obs.StageExecute).Count(), oneReg.Stage(obs.StageExecute).Count(); got != want {
-		t.Errorf("execute stage count = %d at 4 workers, %d at 1", got, want)
+	for _, s := range []obs.Stage{obs.StageExecute, obs.StageSignatureCompare} {
+		got, want := reg.Stage(s).Count(), oneReg.Stage(s).Count()
+		if got != want || want == 0 {
+			t.Errorf("%s stage count = %d at 4 workers, %d at 1", s, got, want)
+		}
 	}
 
 	if err := r.Events.Close(); err != nil {

@@ -110,10 +110,7 @@ func readHexLines(path string) ([][]byte, error) {
 // state, and resuming must stay bit-identical whether telemetry was on
 // or off when the checkpoint was written.
 func (f *Fuzzer) SaveCheckpoint(dir string) error {
-	var t0 time.Time
-	if f.tel != nil {
-		t0 = time.Now()
-	}
+	t0 := time.Now()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -150,9 +147,10 @@ func (f *Fuzzer) SaveCheckpoint(dir string) error {
 		return err
 	}
 	pruneBlobs(dir, st)
-	if f.tel != nil {
-		f.tel.stCkpt.ObserveSince(t0)
-		f.tel.event(obs.Event{Type: "checkpoint", Execs: f.execs, Corpus: len(f.corpus)})
+	if t := f.tel; t != nil {
+		t.publish(f)
+		t.reg.Stage(obs.StageCheckpointWrite).Observe(time.Since(t0))
+		t.event(obs.Event{Type: "checkpoint", Execs: f.execs, Corpus: len(f.corpus)})
 	}
 	return nil
 }
@@ -252,5 +250,9 @@ func Resume(cfg Config, dir string) (*Fuzzer, error) {
 			len(st.FilterCounts), len(f.fstats.Counts))
 	}
 	copy(f.fstats.Counts[:], st.FilterCounts)
+	// The registry reports the session's share of the counts.
+	if f.tel != nil {
+		f.tel.last = f.counts()
+	}
 	return f, nil
 }

@@ -85,10 +85,10 @@ type Config struct {
 	NewTarget func(p template.Platform) (sim.HookedSim, error)
 
 	// Obs, when non-nil, receives campaign telemetry: counters, gauges
-	// and per-stage latency histograms (package obs). Telemetry is
-	// observational only — it never influences campaign decisions, is
-	// excluded from checkpoints and from the Fingerprint, and a nil
-	// registry costs nothing on the hot path.
+	// and per-stage latency histograms, published and sampled as package
+	// obs describes. Telemetry is observational only — it never
+	// influences campaign decisions and is excluded from checkpoints and
+	// from the Fingerprint.
 	Obs *obs.Registry
 	// Events, when non-nil, receives structured campaign lifecycle
 	// events (corpus adds, crashes, quarantines, checkpoints) as an
@@ -180,6 +180,7 @@ type Fuzzer struct {
 	crashes uint64
 	timeout uint64
 	hfaults uint64
+	traps   uint64 // executor traps taken this session; telemetry only
 	stall   int
 	curLen  int
 	elapsed time.Duration
@@ -192,7 +193,7 @@ type Fuzzer struct {
 	sessElapsed time.Duration
 	baseExecs   uint64
 
-	tel *telemetry // nil when telemetry is disabled (zero-cost path)
+	tel *telemetry // nil when telemetry is disabled
 }
 
 // New prepares a fuzzer. The foundation simulator is the reference model
@@ -273,64 +274,49 @@ func (f *Fuzzer) rebuildTarget() {
 // collected as a new test case.
 func (f *Fuzzer) Step() bool {
 	start := time.Now()
-	defer func() {
-		d := time.Since(start)
-		f.elapsed += d
-		f.sessElapsed += d
-	}()
 	f.execs++
-	tel := f.tel
-	if tel != nil {
-		tel.execs.Inc()
+	novel := false
+	if f.tel != nil && f.execs%obs.SampleEvery == 0 {
+		novel = f.tel.sampleStep(f, start)
+	} else if input := f.nextInput(); f.admit(input) && f.execute(input) {
+		novel = f.evaluate(input)
 	}
+	d := time.Since(start)
+	f.elapsed += d
+	f.sessElapsed += d
+	return novel
+}
 
-	input := f.nextInput()
-	var t time.Time
-	if tel != nil {
-		t = time.Now()
-		tel.stMutate.Observe(t.Sub(start))
+// admit runs the static filter on input and counts its verdict.
+// Dropped inputs return no coverage, so the fuzzer never collects them
+// (the paper's key automation property).
+func (f *Fuzzer) admit(input []byte) bool {
+	if f.cfg.DisableFilter {
+		return true
 	}
-	if !f.cfg.DisableFilter {
-		res := f.flt.Check(input)
-		f.fstats.Record(res.Reason)
-		if tel != nil {
-			// One clock read closes the filter stage and opens execute.
-			now := time.Now()
-			tel.stFilter.Observe(now.Sub(t))
-			t = now
-		}
-		if !res.Accepted {
-			// Dropped inputs return no coverage, so the fuzzer never
-			// collects them (the paper's key automation property).
-			f.dropped++
-			if tel != nil {
-				tel.drops[res.Reason].Inc()
-			}
-			return false
-		}
+	res := f.flt.Check(input)
+	f.fstats.Record(res.Reason)
+	if !res.Accepted {
+		f.dropped++
 	}
+	return res.Accepted
+}
 
+// execute runs input on the target under the harness. It reports
+// whether the run completed; a crash, a timeout or a harness fault is
+// counted and its coverage discarded.
+func (f *Fuzzer) execute(input []byte) bool {
 	target, col := f.target, f.col
 	out, rec, timedOut := resilience.Guard(f.cfg.CaseTimeout, func() sim.Outcome {
 		return target.RunHooked(input, col)
 	})
-	if tel != nil {
-		// One clock read closes execute and opens the merge stage.
-		now := time.Now()
-		tel.stExec.Observe(now.Sub(t))
-		t = now
-	}
 	switch {
 	case rec != nil:
 		// The simulator unwound past its own recovery — a harness-level
 		// fault, isolated here so the campaign continues.
 		f.crashes++
 		f.hfaults++
-		if tel != nil {
-			tel.crashes.Inc()
-			tel.hfaults.Inc()
-			tel.event(obs.Event{Type: "quarantine", Execs: f.execs, Detail: "panic: " + rec.Msg})
-		}
+		f.tel.event(obs.Event{Type: "quarantine", Execs: f.execs, Detail: "panic: " + rec.Msg})
 		f.quarantineWarn(input, "panic: "+rec.Msg+"\n\n"+rec.Stack)
 		f.col.Map.DiscardRun()
 		return false
@@ -339,39 +325,30 @@ func (f *Fuzzer) Step() bool {
 		// old target and collector, so both are replaced.
 		f.timeout++
 		f.hfaults++
-		if tel != nil {
-			tel.timeout.Inc()
-			tel.hfaults.Inc()
-			tel.event(obs.Event{Type: "quarantine", Execs: f.execs,
-				Detail: fmt.Sprintf("watchdog: no result within %v", f.cfg.CaseTimeout)})
-		}
-		f.quarantineWarn(input, fmt.Sprintf("watchdog: no result within %v", f.cfg.CaseTimeout))
+		detail := fmt.Sprintf("watchdog: no result within %v", f.cfg.CaseTimeout)
+		f.tel.event(obs.Event{Type: "quarantine", Execs: f.execs, Detail: detail})
+		f.quarantineWarn(input, detail)
 		f.rebuildTarget()
 		return false
 	case out.Crashed:
 		f.crashes++
-		if tel != nil {
-			tel.crashes.Inc()
-			tel.event(obs.Event{Type: "crash", Execs: f.execs, Detail: out.CrashMsg})
-		}
+		f.tel.event(obs.Event{Type: "crash", Execs: f.execs, Detail: out.CrashMsg})
 		f.col.Map.DiscardRun()
 		return false
 	case out.TimedOut:
 		f.timeout++
-		if tel != nil {
-			tel.timeout.Inc()
-		}
 		f.col.Map.DiscardRun()
 		return false
 	}
-	if tel != nil {
-		tel.traps.Add(out.Traps)
-	}
-	novel := f.col.Map.MergeNew()
-	if tel != nil {
-		tel.stCov.ObserveSince(t)
-	}
-	if !novel {
+	f.traps += out.Traps
+	return true
+}
+
+// evaluate merges a completed run's coverage and collects input when it
+// is novel. Without new coverage for LenControl executions, the length
+// limit grows (-len_control).
+func (f *Fuzzer) evaluate(input []byte) bool {
+	if !f.col.Map.MergeNew() {
 		f.stall++
 		if f.stall >= f.cfg.LenControl && f.curLen < f.cfg.MaxLen {
 			f.curLen += 4
@@ -382,12 +359,7 @@ func (f *Fuzzer) Step() bool {
 	f.stall = 0
 	f.corpus = append(f.corpus, append([]byte(nil), input...))
 	f.trace = append(f.trace, TracePoint{Execs: f.execs, TestCases: len(f.corpus)})
-	if tel != nil {
-		tel.adds.Inc()
-		tel.corpusSize.Set(int64(len(f.corpus)))
-		tel.covBits.Set(int64(f.col.Map.BucketBits()))
-		tel.event(obs.Event{Type: "corpus_add", Execs: f.execs, Corpus: len(f.corpus)})
-	}
+	f.tel.event(obs.Event{Type: "corpus_add", Execs: f.execs, Corpus: len(f.corpus)})
 	return true
 }
 
@@ -432,6 +404,7 @@ func (f *Fuzzer) RunContext(ctx context.Context, maxExecs uint64, maxDur time.Du
 	if maxExecs == 0 && maxDur == 0 {
 		return fmt.Errorf("fuzz: Run needs an execution or duration bound")
 	}
+	defer f.tel.publish(f)
 	deadline := time.Now().Add(maxDur)
 	for {
 		if f.broken != nil {
@@ -452,12 +425,18 @@ func (f *Fuzzer) RunContext(ctx context.Context, maxExecs uint64, maxDur time.Du
 	}
 }
 
-// FlushTelemetry emits the fuzzer's cumulative stage-timer totals as a
-// stage_summary event — the input of `rvreport -events`. Campaign calls
-// it once per worker when the worker finishes; single-fuzzer drivers
-// call it at the end of a run. No-op when telemetry is disabled.
+// FlushTelemetry publishes the fuzzer's counts and emits its cumulative
+// stage-timer totals as a stage_summary event — the input of `rvreport
+// -events`. Campaign calls it once per worker when the worker finishes;
+// single-fuzzer drivers call it at the end of a run. No-op when
+// telemetry is disabled.
 func (f *Fuzzer) FlushTelemetry() {
-	f.tel.emitSummary(f.execs, len(f.corpus))
+	f.tel.publish(f)
+	if f.tel == nil || f.tel.events == nil {
+		return
+	}
+	f.tel.event(obs.Event{Type: "stage_summary", Execs: f.execs, Corpus: len(f.corpus),
+		Stages: f.tel.reg.StageSummaries()})
 }
 
 // Corpus returns the collected test cases (the generated test suite), in

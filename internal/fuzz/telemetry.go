@@ -1,71 +1,111 @@
 package fuzz
 
 import (
+	"time"
+
 	"rvnegtest/internal/analysis"
 	"rvnegtest/internal/obs"
 )
 
-// telemetry holds a fuzzer's pre-resolved observability handles. It is
-// nil when both Config.Obs and Config.Events are unset, and every use
-// site guards on that nil, so a campaign without telemetry performs no
-// clock reads, no atomic updates and no event encoding beyond the
-// pre-telemetry code — the zero-cost-off contract. Telemetry state
-// never feeds back into campaign decisions, never enters checkpoints
-// and never appears in Stats.Deterministic(), so outputs stay
+// telemetry publishes a fuzzer's own counts to a registry and times its
+// stages on sampled executions (package obs); nil when both Config.Obs
+// and Config.Events are unset. It never feeds back into campaign
+// decisions, checkpoints or Stats.Deterministic(), so outputs stay
 // byte-identical with telemetry on or off.
 type telemetry struct {
 	reg    *obs.Registry
 	events *obs.EventLog
 	worker int
 
-	execs   *obs.Counter
-	traps   *obs.Counter
-	crashes *obs.Counter
-	timeout *obs.Counter
-	hfaults *obs.Counter
-	adds    *obs.Counter
-	drops   [analysis.NumReasons]*obs.Counter
+	counters            [numCounts]*obs.Counter
+	corpusSize, covBits *obs.Gauge
+	last                [numCounts]uint64 // counts as of the previous publish
+}
 
-	corpusSize *obs.Gauge
-	covBits    *obs.Gauge
+// counterNames names the counts Fuzzer.counts lists first; the filter's
+// per-reason counts follow them.
+var counterNames = [...]string{
+	"rvnegtest_fuzz_execs_total",
+	"rvnegtest_fuzz_traps_total",
+	"rvnegtest_fuzz_crashes_total",
+	"rvnegtest_fuzz_timeouts_total",
+	"rvnegtest_fuzz_harness_faults_total",
+	"rvnegtest_fuzz_corpus_adds_total",
+}
 
-	stMutate *obs.Histogram
-	stFilter *obs.Histogram
-	stExec   *obs.Histogram
-	stCov    *obs.Histogram
-	stCkpt   *obs.Histogram
+const numCounts = len(counterNames) + int(analysis.NumReasons)
+
+// counts lists the fuzzer's own counts in counterNames order, then its
+// filter drops by reason; the slot of reason 0, acceptance, stays 0.
+func (f *Fuzzer) counts() [numCounts]uint64 {
+	c := [numCounts]uint64{f.execs, f.traps, f.crashes, f.timeout, f.hfaults, uint64(len(f.corpus))}
+	copy(c[len(counterNames)+1:], f.fstats.Counts[analysis.ReasonNone+1:])
+	return c
 }
 
 // newTelemetry resolves the fuzzer's metric handles, or returns nil
-// when telemetry is disabled. A nil registry with a non-nil event log
-// is valid: the metric handles are nil (no-op) and only events flow.
+// when telemetry is disabled. An event log without a registry gets a
+// private one: its stage_summary events report the stage timers.
 func newTelemetry(cfg Config) *telemetry {
 	if cfg.Obs == nil && cfg.Events == nil {
 		return nil
 	}
 	reg := cfg.Obs
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
 	t := &telemetry{
 		reg:        reg,
 		events:     cfg.Events,
 		worker:     cfg.Worker,
-		execs:      reg.Counter("rvnegtest_fuzz_execs_total"),
-		traps:      reg.Counter("rvnegtest_fuzz_traps_total"),
-		crashes:    reg.Counter("rvnegtest_fuzz_crashes_total"),
-		timeout:    reg.Counter("rvnegtest_fuzz_timeouts_total"),
-		hfaults:    reg.Counter("rvnegtest_fuzz_harness_faults_total"),
-		adds:       reg.Counter("rvnegtest_fuzz_corpus_adds_total"),
 		corpusSize: reg.Gauge("rvnegtest_fuzz_corpus_size"),
 		covBits:    reg.Gauge("rvnegtest_fuzz_coverage_bits"),
-		stMutate:   reg.Stage(obs.StageMutate),
-		stFilter:   reg.Stage(obs.StageFilter),
-		stExec:     reg.Stage(obs.StageExecute),
-		stCov:      reg.Stage(obs.StageCoverageEval),
-		stCkpt:     reg.Stage(obs.StageCheckpointWrite),
+	}
+	for i, name := range counterNames {
+		t.counters[i] = reg.Counter(name)
 	}
 	for r := analysis.Reason(0); r < analysis.NumReasons; r++ {
-		t.drops[r] = reg.Counter(`rvnegtest_fuzz_dropped_total{reason="` + r.Slug() + `"}`)
+		t.counters[len(counterNames)+int(r)] = reg.Counter(`rvnegtest_fuzz_dropped_total{reason="` + r.Slug() + `"}`)
 	}
 	return t
+}
+
+// sampleStep is Step on a sampled execution: the same stages, each
+// timed with weight obs.SampleEvery, followed by a publish.
+func (t *telemetry) sampleStep(f *Fuzzer, start time.Time) bool {
+	defer t.publish(f)
+	input := f.nextInput()
+	lap := t.reg.Lap(obs.StageMutate, start)
+	accepted := f.admit(input)
+	if !f.cfg.DisableFilter {
+		lap = t.reg.Lap(obs.StageFilter, lap)
+	}
+	if !accepted {
+		return false
+	}
+	completed := f.execute(input)
+	lap = t.reg.Lap(obs.StageExecute, lap)
+	if !completed {
+		return false
+	}
+	novel := f.evaluate(input)
+	t.reg.Lap(obs.StageCoverageEval, lap)
+	return novel
+}
+
+// publish adds the fuzzer's counts since the previous publish to the
+// registry and sets the gauges. Safe on a nil receiver.
+func (t *telemetry) publish(f *Fuzzer) {
+	if t == nil {
+		return
+	}
+	now := f.counts()
+	for i, c := range t.counters {
+		c.Add(now[i] - t.last[i])
+	}
+	t.last = now
+	t.corpusSize.Set(int64(len(f.corpus)))
+	t.covBits.Set(int64(f.col.Map.BucketBits()))
 }
 
 // event emits ev with the fuzzer's worker index filled in. Safe on a
@@ -76,18 +116,4 @@ func (t *telemetry) event(ev obs.Event) {
 	}
 	ev.Worker = t.worker
 	t.events.Emit(ev)
-}
-
-// emitSummary emits the cumulative stage-timer totals of this fuzzer's
-// registry as a stage_summary event (the input of `rvreport -events`).
-func (t *telemetry) emitSummary(execs uint64, corpus int) {
-	if t == nil || t.events == nil {
-		return
-	}
-	t.event(obs.Event{
-		Type:   "stage_summary",
-		Execs:  execs,
-		Corpus: corpus,
-		Stages: t.reg.StageSummaries(),
-	})
 }

@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
 	"reflect"
+	"sort"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -172,17 +176,27 @@ func TestTelemetryCountersMatchStats(t *testing.T) {
 		t.Errorf("summed drop counters = %d, stats.Dropped = %d", drops, st.Dropped)
 	}
 
-	// Stage timers cover every execution: mutate runs once per step,
-	// filter once per step (filter enabled), execute once per accepted
-	// input.
-	if got := cfg.Obs.Stage(obs.StageMutate).Count(); got != st.Execs {
-		t.Errorf("mutate stage count = %d, execs = %d", got, st.Execs)
+	// Stage timers time every obs.SampleEvery-th execution with weight
+	// obs.SampleEvery: mutate and filter run on every sampled step,
+	// execute on the sampled steps whose input the filter accepted, and
+	// coverage-eval on those whose run completed.
+	const n = obs.SampleEvery
+	executed, evaluated := sampledStages(t, cfg, st.Execs)
+	for _, c := range []struct {
+		stage obs.Stage
+		want  uint64
+	}{
+		{obs.StageMutate, n * (st.Execs / n)},
+		{obs.StageFilter, n * (st.Execs / n)},
+		{obs.StageExecute, n * executed},
+		{obs.StageCoverageEval, n * evaluated},
+	} {
+		if got := cfg.Obs.Stage(c.stage).Count(); got != c.want {
+			t.Errorf("%s stage count = %d, want %d", c.stage, got, c.want)
+		}
 	}
-	if got := cfg.Obs.Stage(obs.StageFilter).Count(); got != st.Execs {
-		t.Errorf("filter stage count = %d, execs = %d", got, st.Execs)
-	}
-	if got := cfg.Obs.Stage(obs.StageExecute).Count(); got != st.Execs-st.Dropped {
-		t.Errorf("execute stage count = %d, accepted = %d", got, st.Execs-st.Dropped)
+	if executed == 0 || evaluated == 0 {
+		t.Errorf("no sampled step reached execute (%d) or coverage-eval (%d); the schedule check is vacuous", executed, evaluated)
 	}
 
 	if err := cfg.Events.Close(); err != nil {
@@ -208,6 +222,205 @@ func TestTelemetryCountersMatchStats(t *testing.T) {
 	}
 	if adds != st.TestCases {
 		t.Errorf("%d corpus_add events, %d test cases", adds, st.TestCases)
+	}
+}
+
+// sampledStages replays cfg's campaign without telemetry for execs steps
+// and counts the sampled steps (every obs.SampleEvery-th execution) whose
+// input reached the simulator and whose run completed.
+func sampledStages(t *testing.T, cfg Config, execs uint64) (executed, evaluated uint64) {
+	t.Helper()
+	cfg.Obs, cfg.Events = nil, nil
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for f.Execs() < execs {
+		dropped, crashes, timeouts := f.dropped, f.crashes, f.timeout
+		f.Step()
+		if f.Execs()%obs.SampleEvery != 0 || f.dropped != dropped {
+			continue
+		}
+		executed++
+		if f.crashes == crashes && f.timeout == timeouts {
+			evaluated++
+		}
+	}
+	return executed, evaluated
+}
+
+// checkPublished compares every fuzz counter in reg with the fuzzer's
+// own counts minus base, the counts a resumed session started from, and
+// the gauges with the fuzzer's corpus and coverage.
+func checkPublished(t *testing.T, phase string, reg *obs.Registry, f *Fuzzer, base Stats) {
+	t.Helper()
+	st := f.Stats()
+	for _, c := range []struct {
+		name       string
+		got, since uint64
+	}{
+		{"rvnegtest_fuzz_execs_total", st.Execs, base.Execs},
+		{"rvnegtest_fuzz_crashes_total", st.Crashes, base.Crashes},
+		{"rvnegtest_fuzz_timeouts_total", st.Timeouts, base.Timeouts},
+		{"rvnegtest_fuzz_harness_faults_total", st.HarnessFaults, base.HarnessFaults},
+		{"rvnegtest_fuzz_corpus_adds_total", uint64(st.TestCases), uint64(base.TestCases)},
+		{"rvnegtest_fuzz_traps_total", f.traps, 0},
+	} {
+		if v := reg.Counter(c.name).Value(); v != c.got-c.since {
+			t.Errorf("%s: %s = %d, want the session's %d", phase, c.name, v, c.got-c.since)
+		}
+	}
+	for r := analysis.ReasonNone + 1; r < analysis.NumReasons; r++ {
+		name := `rvnegtest_fuzz_dropped_total{reason="` + r.Slug() + `"}`
+		if v, want := reg.Counter(name).Value(), st.Filter.Counts[r]-base.Filter.Counts[r]; v != want {
+			t.Errorf("%s: %s = %d, want the session's %d", phase, name, v, want)
+		}
+	}
+	if v := reg.Gauge("rvnegtest_fuzz_corpus_size").Value(); v != int64(st.TestCases) {
+		t.Errorf("%s: corpus size gauge = %d, test cases = %d", phase, v, st.TestCases)
+	}
+	if v := reg.Gauge("rvnegtest_fuzz_coverage_bits").Value(); v != int64(st.CovBits) {
+		t.Errorf("%s: coverage bits gauge = %d, stats = %d", phase, v, st.CovBits)
+	}
+}
+
+// TestTelemetryPublishPoints pins when the registry sees the fuzzer's
+// counts: exactly the session's share after every publish point (each
+// obs.SampleEvery-th execution, RunContext returning, also when ctx
+// cancels it, SaveCheckpoint, FlushTelemetry and Resume), and fewer than
+// obs.SampleEvery executions behind in between.
+func TestTelemetryPublishPoints(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var runs atomic.Int64
+	cfg := smallConfig(coverage.V1(), 11)
+	cfg.NewTarget = faultyFactory(func([]byte) sim.Fault {
+		if runs.Add(1) == 1000 {
+			cancel()
+		}
+		return sim.FaultNone
+	}, "", nil)
+	cfg.Obs = obs.NewRegistry()
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	execs := cfg.Obs.Counter("rvnegtest_fuzz_execs_total")
+	for f.Execs() < 3*obs.SampleEvery+10 {
+		f.Step()
+		if f.Execs()%obs.SampleEvery == 0 {
+			checkPublished(t, fmt.Sprintf("step %d", f.Execs()), cfg.Obs, f, Stats{})
+		} else if lag := f.Execs() - execs.Value(); lag >= obs.SampleEvery {
+			t.Fatalf("step %d: execs counter lags by %d", f.Execs(), lag)
+		}
+	}
+
+	if err := f.RunContext(ctx, 1<<40, 0); !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunContext = %v, want the cancellation", err)
+	}
+	if f.Execs()%obs.SampleEvery == 0 {
+		t.Fatalf("cancelled on a sampled step (%d); the check is vacuous", f.Execs())
+	}
+	checkPublished(t, "cancelled RunContext", cfg.Obs, f, Stats{})
+
+	dir := t.TempDir()
+	f.Step()
+	if err := f.SaveCheckpoint(dir); err != nil {
+		t.Fatal(err)
+	}
+	checkPublished(t, "SaveCheckpoint", cfg.Obs, f, Stats{})
+	f.Step()
+	f.FlushTelemetry()
+	checkPublished(t, "FlushTelemetry", cfg.Obs, f, Stats{})
+
+	cfg2 := cfg
+	cfg2.Obs = obs.NewRegistry()
+	g, err := Resume(cfg2, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := g.Stats()
+	g.FlushTelemetry()
+	checkPublished(t, "Resume", cfg2.Obs, g, base)
+	if err := g.Run(g.Execs()+obs.SampleEvery+7, 0); err != nil {
+		t.Fatal(err)
+	}
+	checkPublished(t, "resumed Run", cfg2.Obs, g, base)
+}
+
+// TestEventsOnlyStageSummary: a campaign with an event log but no
+// registry still times its stages, so each worker's stage_summary lists
+// mutate, filter, execute and coverage-eval.
+func TestEventsOnlyStageSummary(t *testing.T) {
+	cfg := smallConfig(coverage.V3(), 3)
+	var buf bytes.Buffer
+	cfg.Events = obs.NewEventLog(&buf)
+	if _, _, err := Campaign(context.Background(), cfg, CampaignConfig{Workers: 1, ExecsEach: 2000}); err != nil {
+		t.Fatal(err)
+	}
+	if err := cfg.Events.Close(); err != nil {
+		t.Fatal(err)
+	}
+	evs, err := obs.ReadEvents(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	summaries := 0
+	for _, ev := range evs {
+		if ev.Type != "stage_summary" {
+			continue
+		}
+		summaries++
+		for _, s := range []obs.Stage{obs.StageMutate, obs.StageFilter, obs.StageExecute, obs.StageCoverageEval} {
+			if ev.Stages[s.String()].Count == 0 {
+				t.Errorf("stage_summary lacks the %s stage: %+v", s, ev.Stages)
+			}
+		}
+	}
+	if summaries != 1 {
+		t.Fatalf("%d stage_summary events, want 1", summaries)
+	}
+}
+
+// TestTelemetryScrapeDuringCampaign runs a two-worker campaign while
+// another goroutine keeps rendering the registry, as /metrics and
+// /debug/vars do (run under -race in CI).
+func TestTelemetryScrapeDuringCampaign(t *testing.T) {
+	cfg := smallConfig(coverage.V1(), 21)
+	cfg.Obs = obs.NewRegistry()
+	cfg.Events = obs.NewEventLog(io.Discard)
+	done := make(chan struct{})
+	scraped := make(chan int)
+	go func() {
+		n := 0
+		for {
+			select {
+			case <-done:
+				scraped <- n
+				return
+			default:
+			}
+			if err := cfg.Obs.WritePrometheus(io.Discard); err != nil {
+				t.Error(err)
+			}
+			cfg.Obs.TakeSnapshot()
+			n++
+		}
+	}()
+	_, stats, err := Campaign(context.Background(), cfg, CampaignConfig{Workers: 2, ExecsEach: 3000})
+	close(done)
+	if n := <-scraped; n == 0 {
+		t.Error("the registry was never scraped during the campaign")
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want uint64
+	for _, s := range stats {
+		want += s.Execs
+	}
+	if got := cfg.Obs.Counter("rvnegtest_fuzz_execs_total").Value(); got != want {
+		t.Errorf("execs counter = %d, per-worker sum = %d", got, want)
 	}
 }
 
@@ -290,30 +503,72 @@ func TestCampaignMergedTelemetry(t *testing.T) {
 	}
 }
 
-// Benchmarks pinning the telemetry overhead budget (CI publishes these as
-// BENCH_telemetry.json; enabled-vs-disabled must stay within a few
-// percent on the stepping hot path).
-
-func benchStep(b *testing.B, withTel bool) {
-	cfg := smallConfig(coverage.V1(), 1)
-	if withTel {
-		cfg.Obs = obs.NewRegistry()
+// BenchmarkTelemetryOverhead measures what telemetry costs a fuzz step
+// as one paired, in-process comparison: two warmed fuzzers on the same
+// seed, one bare and one fully wired (registry plus an event log on
+// io.Discard), follow the same trajectory, so each chunk of
+// telemetryChunk steps does the same work on both. Every iteration runs
+// one chunk on each, swapping which goes first, and the benchmark
+// reports the median on/off chunk-time ratio as overhead-% together
+// with the median step times (scripts/telemetry_bench.sh gates on it).
+func BenchmarkTelemetryOverhead(b *testing.B) {
+	const telemetryChunk = 1000
+	warm := func(wired bool) *Fuzzer {
+		cfg := smallConfig(coverage.V1(), 1)
+		if wired {
+			cfg.Obs = obs.NewRegistry()
+			cfg.Events = obs.NewEventLog(io.Discard)
+		}
+		f, err := New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		// Warm the corpus so the steady-state mix of mutate, filter and
+		// execute is what's measured, not the cold start.
+		if err := f.Run(2000, 0); err != nil {
+			b.Fatal(err)
+		}
+		return f
 	}
-	f, err := New(cfg)
-	if err != nil {
-		b.Fatal(err)
+	off, on := warm(false), warm(true)
+	chunk := func(f *Fuzzer) float64 {
+		t0 := time.Now()
+		for i := 0; i < telemetryChunk; i++ {
+			f.Step()
+		}
+		return float64(time.Since(t0).Nanoseconds()) / telemetryChunk
 	}
-	// Warm the corpus so the steady-state mix of mutate/filter/execute is
-	// what's measured, not the cold start.
-	f.Run(2000, 0)
+	offNS := make([]float64, 0, b.N)
+	onNS := make([]float64, 0, b.N)
+	ratios := make([]float64, 0, b.N)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.Step()
+		var a, c float64
+		if i%2 == 0 {
+			a = chunk(off)
+			c = chunk(on)
+		} else {
+			c = chunk(on)
+			a = chunk(off)
+		}
+		offNS, onNS, ratios = append(offNS, a), append(onNS, c), append(ratios, c/a)
 	}
+	b.StopTimer()
+	if off.Execs() != on.Execs() || len(off.Corpus()) != len(on.Corpus()) {
+		b.Fatalf("the fuzzers diverged: %d/%d execs, %d/%d cases",
+			off.Execs(), on.Execs(), len(off.Corpus()), len(on.Corpus()))
+	}
+	median := func(xs []float64) float64 {
+		sort.Float64s(xs)
+		if n := len(xs); n%2 == 0 {
+			return (xs[n/2-1] + xs[n/2]) / 2
+		}
+		return xs[len(xs)/2]
+	}
+	b.ReportMetric(median(offNS), "off-ns/step")
+	b.ReportMetric(median(onNS), "on-ns/step")
+	b.ReportMetric(100*(median(ratios)-1), "overhead-%")
 }
-
-func BenchmarkStepTelemetryOff(b *testing.B) { benchStep(b, false) }
-func BenchmarkStepTelemetryOn(b *testing.B)  { benchStep(b, true) }
 
 // TestTelemetrySaneAcrossFaultsAndResume: across watchdog reaps (the
 // target rebuilt while the abandoned run may still be stepping the old

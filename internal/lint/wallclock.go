@@ -37,9 +37,9 @@ var wallclockPaths = []string{
 var wallclockAllow = map[string]string{
 	"internal/compliance.Runner.run":       "RunStats.Duration / CasesPerSec accounting",
 	"internal/compliance.Runner.runConfig": "per-shard duration telemetry (cell_done DurNS)",
-	"internal/compliance.Cell.judge":       "signature-compare stage timer",
-	"internal/compliance.instance.run":     "per-SUT stage timers",
-	"internal/fuzz.Fuzzer.Step":            "stage timers + execs/sec session accounting",
+	"internal/compliance.runCase":          "sampled signature-compare stage timer",
+	"internal/compliance.instance.run":     "sampled execute stage timer",
+	"internal/fuzz.Fuzzer.Step":            "execs/sec session accounting, opening a sampled step's stage timers",
 	"internal/fuzz.Fuzzer.RunContext":      "wall-clock campaign budget (-duration flag)",
 	"internal/fuzz.Fuzzer.SaveCheckpoint":  "checkpoint stage timer (save latency, never in the fingerprint)",
 }

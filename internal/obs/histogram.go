@@ -97,7 +97,12 @@ func bucketIndex(ns uint64) int {
 }
 
 // Observe records one duration.
-func (h *Histogram) Observe(d time.Duration) {
+func (h *Histogram) Observe(d time.Duration) { h.ObserveN(d, 1) }
+
+// ObserveN records d as n observations of the same duration: a sampled
+// operation weighted by its sampling period, so count and sum estimate
+// every operation the sample stands for.
+func (h *Histogram) ObserveN(d time.Duration, n uint64) {
 	if h == nil {
 		return
 	}
@@ -105,16 +110,9 @@ func (h *Histogram) Observe(d time.Duration) {
 	if d > 0 {
 		ns = uint64(d)
 	}
-	h.count.Add(1)
-	h.sumNS.Add(ns)
-	h.buckets[bucketIndex(ns)].Add(1)
-}
-
-// ObserveSince records the duration elapsed since t0.
-func (h *Histogram) ObserveSince(t0 time.Time) {
-	if h != nil {
-		h.Observe(time.Since(t0))
-	}
+	h.count.Add(n)
+	h.sumNS.Add(n * ns)
+	h.buckets[bucketIndex(ns)].Add(n)
 }
 
 // Count returns the number of observations.

@@ -6,12 +6,20 @@
 //
 // Design constraints, shared with the engines that embed it:
 //
-//   - Zero-cost when disabled. Every type is safe to use through a nil
-//     pointer: a nil *Registry hands out nil *Counter/*Gauge/*Histogram,
-//     and every mutating method on a nil receiver is a single branch.
-//     Engines additionally skip clock reads entirely when telemetry is
-//     off, so the disabled path differs from the pre-telemetry code by
-//     nil checks only.
+//   - One set of counters. The engines keep the only counts and publish
+//     them: the fuzzer every SampleEvery executions and whenever a run
+//     returns, a checkpoint is written or telemetry is flushed, so its
+//     registry counters lag by fewer than SampleEvery executions per
+//     worker; the compliance engine as its shards finish and on every
+//     merged row.
+//
+//   - Sampled stage timing. Engines time one operation in SampleEvery,
+//     chosen by execution count or case index, never by an RNG, with
+//     weight SampleEvery (Histogram.ObserveN), so a stage's count and
+//     sum estimate every operation.
+//
+//   - Safe when disabled. Every type is safe to use through a nil
+//     pointer; methods on a nil receiver are no-ops reading as zero.
 //
 //   - Lock-free on the hot path. Counters, gauges and histogram buckets
 //     are atomics; the only mutex in Registry guards name->metric map
@@ -24,6 +32,10 @@
 package obs
 
 import "sync/atomic"
+
+// SampleEvery is the period of stage-timer sampling and of the fuzzer's
+// counter publishing. A power of two, so the schedule test is a mask.
+const SampleEvery = 256
 
 // Counter is a monotonically increasing atomic counter. The zero value
 // is ready to use; all methods are safe on a nil receiver (no-ops that

@@ -13,7 +13,7 @@ import (
 )
 
 // TestNilSafety: every operation on nil telemetry objects must be a
-// no-op — the zero-cost-when-disabled contract.
+// no-op — the safe-when-disabled contract.
 func TestNilSafety(t *testing.T) {
 	var r *Registry
 	c := r.Counter("x")
@@ -30,7 +30,8 @@ func TestNilSafety(t *testing.T) {
 	}
 	h := r.Stage(StageFilter)
 	h.Observe(time.Second)
-	h.ObserveSince(time.Now())
+	h.ObserveN(time.Second, SampleEvery)
+	r.Lap(StageExecute, time.Now())
 	if h.Count() != 0 || h.SumNS() != 0 || h.Bucket(0) != 0 {
 		t.Fatal("nil histogram must read zero")
 	}
@@ -105,6 +106,12 @@ func TestBucketBoundaries(t *testing.T) {
 	}
 	if h.SumNS() != uint64(3*time.Millisecond) {
 		t.Fatalf("sum = %d, want %d (negative clamps to 0)", h.SumNS(), 3*time.Millisecond)
+	}
+	// A sampled observation stands for SampleEvery operations.
+	h.ObserveN(2*time.Microsecond, SampleEvery)
+	if h.Count() != 2+SampleEvery || h.Bucket(4) != SampleEvery ||
+		h.SumNS() != uint64(3*time.Millisecond+SampleEvery*2*time.Microsecond) {
+		t.Fatalf("ObserveN: count %d, bucket %d, sum %d", h.Count(), h.Bucket(4), h.SumNS())
 	}
 }
 

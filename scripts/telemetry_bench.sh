@@ -2,33 +2,39 @@
 # telemetry_bench.sh — measure the telemetry layer's overhead on the fuzz
 # hot path and publish BENCH_telemetry.json.
 #
-# Runs BenchmarkStepTelemetryOff/On (one fuzzer Step with telemetry absent
-# vs. fully wired: registry + events + stage timers), takes the best of
-# COUNT runs each (min is robust against scheduling noise), and fails if
-# the enabled path is more than BUDGET_PCT slower.
+# Runs BenchmarkTelemetryOverhead: one paired, in-process measurement of
+# two warmed fuzzers on the same seed, one bare and one fully wired
+# (registry plus an event log on io.Discard). They alternate 1,000-step
+# chunks, swapping which goes first each time, so both see the same
+# machine state and, following the same trajectory, the same work. The
+# gate is the median on/off chunk-time ratio: the script fails if the
+# wired fuzzer is more than BUDGET_PCT slower.
 #
 # Usage: scripts/telemetry_bench.sh [out.json]
 set -euo pipefail
 
 OUT="${1:-BENCH_telemetry.json}"
-COUNT="${COUNT:-5}"
-BENCHTIME="${BENCHTIME:-1s}"
+PAIRS=300 # chunk pairs: 300,000 steps per fuzzer, a few seconds
 BUDGET_PCT="${BUDGET_PCT:-2.0}"
 
 cd "$(dirname "$0")/.."
 
-raw=$(go test -run '^$' -bench 'BenchmarkStepTelemetry(Off|On)$' \
-  -benchtime "$BENCHTIME" -count "$COUNT" ./internal/fuzz/)
+raw=$(go test -run '^$' -bench '^BenchmarkTelemetryOverhead$' \
+  -benchtime "${PAIRS}x" -count 1 ./internal/fuzz/)
 echo "$raw"
 
 awk -v budget="$BUDGET_PCT" -v out="$OUT" '
-/^BenchmarkStepTelemetryOff/ { if (off == 0 || $3 < off) off = $3 }
-/^BenchmarkStepTelemetryOn/  { if (on == 0 || $3 < on) on = $3 }
+/^BenchmarkTelemetryOverhead/ {
+  for (i = 3; i < NF; i++) {
+    if ($(i+1) == "off-ns/step") off = $i
+    if ($(i+1) == "on-ns/step") on = $i
+    if ($(i+1) == "overhead-%") { pct = $i; seen = 1 }
+  }
+}
 END {
-  if (off == 0 || on == 0) { print "error: benchmark output missing" > "/dev/stderr"; exit 1 }
-  pct = 100 * (on - off) / off
+  if (!seen || off == 0 || on == 0) { print "error: benchmark output missing" > "/dev/stderr"; exit 1 }
   printf "{\n  \"step_ns_telemetry_off\": %.1f,\n  \"step_ns_telemetry_on\": %.1f,\n  \"overhead_pct\": %.2f,\n  \"budget_pct\": %.1f\n}\n", off, on, pct, budget > out
-  printf "telemetry overhead: %.2f%% (off %.0fns/op, on %.0fns/op, budget %.1f%%)\n", pct, off, on, budget
+  printf "telemetry overhead: %.2f%% (median chunk ratio; off %.0fns/step, on %.0fns/step, budget %.1f%%)\n", pct, off, on, budget
   if (pct > budget) { print "error: telemetry overhead exceeds budget" > "/dev/stderr"; exit 1 }
 }' <<< "$raw"
 

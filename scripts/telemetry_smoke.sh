@@ -48,8 +48,9 @@ echo "== rvfuzz with live telemetry"
   -telemetry-addr "127.0.0.1:$FUZZ_PORT" -events "$work/fuzz-events.ndjson" \
   -out "$work/suite.txt" &
 fuzz_pid=$!
-# The fuzz counters update per execution, so a mid-run scrape must show
-# nonzero totals; [1-9] rejects a scrape that only caught the zero value.
+# Each worker publishes its counts every 256 executions (obs.SampleEvery),
+# so a mid-run scrape must show nonzero totals; [1-9] rejects a scrape
+# that only caught the zero value.
 scrape "http://127.0.0.1:$FUZZ_PORT/metrics" 'rvnegtest_fuzz_execs_total [1-9]'
 grep -E 'rvnegtest_fuzz_(execs_total|corpus_size)' "$work/scrape.out"
 scrape "http://127.0.0.1:$FUZZ_PORT/metrics" 'rvnegtest_stage_duration_seconds_bucket\{stage="execute"'
