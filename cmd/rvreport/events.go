@@ -12,9 +12,9 @@ import (
 // renderEvents implements `rvreport -events FILE [-job ID]`: it reads a
 // telemetry event stream written by `rvfuzz -events`, `rvcompliance
 // -events` or `rvnegtestd -events` and renders a markdown report — the
-// per-stage time breakdown (from the last stage_summary each worker
-// emitted), the event-type counts, and the per-simulator cell timings
-// and health when the stream came from a compliance run.
+// per-stage time breakdown (the sum of every stage_summary), the
+// event-type counts, and the per-simulator cell timings and health when
+// the stream came from a compliance run.
 //
 // A daemon stream interleaves events from many jobs (each stamped with a
 // job ID); folding them into one aggregate would blend unrelated
@@ -104,10 +104,11 @@ func lifecycleNote(evs []obs.Event) string {
 // level h ("##" for a whole-file stream, "###" under a per-job heading).
 func renderStream(evs []obs.Event, h string) {
 	counts := map[string]int{}
-	// The last stage_summary per worker carries that worker's cumulative
-	// stage totals; summing the latest one of each worker gives the
-	// campaign-wide breakdown without double counting.
-	summaries := map[int]map[string]obs.StageSummary{}
+	// Each stage_summary covers its worker's stages since the worker's
+	// previous one, so summing them all gives the campaign-wide
+	// breakdown, also over the sessions of a resumed job.
+	var summaries []map[string]obs.StageSummary
+	workers := map[int]bool{}
 	simTime := map[string]int64{} // cell_done DurNS per simulator
 	health := map[string]*sutHealth{}
 	crashes := 0
@@ -123,7 +124,8 @@ func renderStream(evs []obs.Event, h string) {
 		counts[ev.Type]++
 		switch ev.Type {
 		case "stage_summary":
-			summaries[ev.Worker] = ev.Stages
+			summaries = append(summaries, ev.Stages)
+			workers[ev.Worker] = true
 		case "cell_done":
 			simTime[ev.Sim] += ev.DurNS
 		case "crash", "quarantine":
@@ -160,12 +162,11 @@ func renderStream(evs []obs.Event, h string) {
 	fmt.Println()
 
 	if len(summaries) > 0 {
-		// Fold the per-worker summaries into campaign-wide stage
-		// totals. The maps are flattened into a pair slice first (the
-		// collect is order-insensitive, the fold over it is a
-		// commutative sum), and the table below renders in canonical
-		// stage order — so worker/stage map iteration order cannot
-		// leak into the report.
+		// Fold the summaries into campaign-wide stage totals. The maps
+		// are flattened into a pair slice first (the collect is
+		// order-insensitive, the fold over it is a commutative sum),
+		// and the table below renders in canonical stage order — so
+		// stage map iteration order cannot leak into the report.
 		type stagePair struct {
 			stage string
 			s     obs.StageSummary
@@ -187,7 +188,7 @@ func renderStream(evs []obs.Event, h string) {
 		for _, s := range total {
 			grand += s.TotalNS
 		}
-		fmt.Printf("%s Stage-time breakdown (%d worker(s))\n", h, len(summaries))
+		fmt.Printf("%s Stage-time breakdown (%d worker(s))\n", h, len(workers))
 		fmt.Println()
 		fmt.Println("| stage | count | total | mean | share |")
 		fmt.Println("|---|---|---|---|---|")

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"rvnegtest/internal/fuzz"
+	"rvnegtest/internal/obs"
 	"rvnegtest/internal/resilience"
 )
 
@@ -202,19 +204,23 @@ func TestDaemonComplianceParity(t *testing.T) {
 // TestSchedulerSuspendResumeParity closes the scheduler mid-job (the
 // graceful-shutdown path), reopens the store with a fresh scheduler, and
 // verifies the resumed job's artifacts are byte-identical to an
-// uninterrupted direct run.
+// uninterrupted direct run. Each session's stage_summary events cover
+// that session only, so a worker's mutate counts over both sessions sum
+// to its sampled steps over the whole budget.
 func TestSchedulerSuspendResumeParity(t *testing.T) {
 	spec := fuzzSpec(2)
 	spec.Execs = 60000
 	spec.CheckpointEvery = 3000
 	want := directArtifacts(t, spec)
 
+	var stream bytes.Buffer
+	events := obs.NewEventLog(&stream)
 	dir := t.TempDir()
 	st, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := Open(st, SchedulerConfig{})
+	s, err := Open(st, SchedulerConfig{Events: events})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +252,7 @@ func TestSchedulerSuspendResumeParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := Open(st2, SchedulerConfig{})
+	s2, err := Open(st2, SchedulerConfig{Events: events})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,6 +268,26 @@ func TestSchedulerSuspendResumeParity(t *testing.T) {
 		t.Fatalf("resumed job finished %s (error %q), want done", final.State, final.Error)
 	}
 	compareArtifacts(t, want, readArtifacts(t, st2.ArtifactsDir(job.ID)))
+
+	if err := events.Close(); err != nil {
+		t.Fatal(err)
+	}
+	evs, err := obs.ReadEvents(&stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mutate := map[int]uint64{}
+	for _, ev := range evs {
+		if ev.Type == "stage_summary" {
+			mutate[ev.Worker] += ev.Stages[obs.StageMutate.String()].Count
+		}
+	}
+	sampled := obs.SampleEvery * (spec.Execs / obs.SampleEvery)
+	for w := 0; w < spec.Workers; w++ {
+		if mutate[w] != sampled {
+			t.Errorf("worker %d: stage_summary mutate counts sum to %d, want %d", w, mutate[w], sampled)
+		}
+	}
 }
 
 // TestOpenRecoversKilledRunningJob simulates kill -9: job.json says
@@ -442,6 +468,57 @@ func TestCancelRunningJob(t *testing.T) {
 	}
 	if final.State != StateCanceled {
 		t.Fatalf("state %s, want canceled", final.State)
+	}
+}
+
+// TestSchedulerRegistrySeesRunningFuzzJob: a running fuzz job's workers
+// publish into the registry the scheduler was given, so the daemon's
+// /metrics shows the job's executions before the job ends.
+func TestSchedulerRegistrySeesRunningFuzzJob(t *testing.T) {
+	st, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	s, err := Open(st, SchedulerConfig{Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	defer s.Close()
+	spec := fuzzSpec(2)
+	spec.Execs = 1 << 40 // never finishes: the test cancels it
+	spec.CheckpointEvery = 0
+	job, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitForState(t, s, job.ID, StateRunning)
+	deadline := time.Now().Add(30 * time.Second)
+	for reg.TakeSnapshot().Counters["rvnegtest_fuzz_execs_total"] == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the registry showed no fuzz executions within 30 s of the job starting")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	got, err := s.Get(job.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.State != StateRunning {
+		t.Fatalf("job is %s when its executions showed, want running", got.State)
+	}
+	if err := s.Cancel(job.ID); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	final, err := s.Wait(ctx, job.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.State != StateCanceled {
+		t.Fatalf("job ended %s, want canceled", final.State)
 	}
 }
 

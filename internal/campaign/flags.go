@@ -57,9 +57,8 @@ func (f *Flags) CheckpointDir(hasCheckpoint func(dir string) bool) (string, erro
 // Telemetry is the CLI-side telemetry bundle opened from the shared
 // flags: the optional live-metrics server and NDJSON event stream.
 type Telemetry struct {
-	// Registry is non-nil when a telemetry address or an events file
-	// was given: its stage timers feed the stage_summary events as well
-	// as the server.
+	// Registry is non-nil when a telemetry address was given; the
+	// server exposes it.
 	Registry *obs.Registry
 	// Events is non-nil when an events file was given.
 	Events *obs.EventLog
@@ -69,18 +68,14 @@ type Telemetry struct {
 	closers []func()
 }
 
-// OpenTelemetry wires -telemetry-addr and -events. Either flag builds
-// the registry, since -events alone still needs the stage timers its
-// stage_summary events report; only -telemetry-addr serves it. prog
-// names the CLI for the stderr notice and error prefixes. Close flushes
-// the event file and shuts the server down; it is safe to call more than
-// once (needed because os.Exit paths skip deferred calls).
+// OpenTelemetry wires -telemetry-addr and -events. prog names the CLI
+// for the stderr notice and error prefixes. Close flushes the event file
+// and shuts the server down; it is safe to call more than once (needed
+// because os.Exit paths skip deferred calls).
 func (f *Flags) OpenTelemetry(prog string) (*Telemetry, error) {
 	t := &Telemetry{prog: prog}
-	if f.TelemetryAddr != "" || f.Events != "" {
-		t.Registry = obs.NewRegistry()
-	}
 	if f.TelemetryAddr != "" {
+		t.Registry = obs.NewRegistry()
 		srv, err := obs.Serve(f.TelemetryAddr, t.Registry)
 		if err != nil {
 			return nil, fmt.Errorf("telemetry server: %w", err)

@@ -21,8 +21,9 @@ type SchedulerConfig struct {
 	// Slots is the number of jobs running concurrently (each job may
 	// itself use multiple engine workers); values below 1 mean 1.
 	Slots int
-	// Obs, when non-nil, receives scheduler counters plus one child
-	// registry per job (the daemon's /metrics aggregates them live).
+	// Obs, when non-nil, receives the scheduler's counters and every
+	// job's engine telemetry, so the daemon's /metrics sees running
+	// jobs. Values sum over every job the scheduler has run.
 	Obs *obs.Registry
 	// Events, when non-nil, receives job lifecycle events and every
 	// engine event, each stamped with its job ID.
@@ -321,7 +322,7 @@ func (s *Scheduler) worker() {
 		env := Env{
 			CheckpointDir: s.store.CheckpointDir(id),
 			QuarantineDir: s.store.QuarantineDir(id),
-			Obs:           s.obs.NewChild(),
+			Obs:           s.obs,
 			Events:        s.events.ForJob(id),
 		}
 		res, err := Execute(jobCtx, spec, env)

@@ -149,7 +149,9 @@ func (f *Fuzzer) SaveCheckpoint(dir string) error {
 	pruneBlobs(dir, st)
 	if t := f.tel; t != nil {
 		t.publish(f)
-		t.reg.Stage(obs.StageCheckpointWrite).Observe(time.Since(t0))
+		d := time.Since(t0)
+		t.reg.Stage(obs.StageCheckpointWrite).Observe(d)
+		t.addStage(obs.StageCheckpointWrite, d, 1)
 		t.event(obs.Event{Type: "checkpoint", Execs: f.execs, Corpus: len(f.corpus)})
 	}
 	return nil
@@ -250,7 +252,8 @@ func Resume(cfg Config, dir string) (*Fuzzer, error) {
 			len(st.FilterCounts), len(f.fstats.Counts))
 	}
 	copy(f.fstats.Counts[:], st.FilterCounts)
-	// The registry reports the session's share of the counts.
+	// The registry reports the session's share of the counts; the gauges
+	// start from zero, so they still report the absolute values.
 	if f.tel != nil {
 		f.tel.last = f.counts()
 	}

@@ -425,18 +425,18 @@ func (f *Fuzzer) RunContext(ctx context.Context, maxExecs uint64, maxDur time.Du
 	}
 }
 
-// FlushTelemetry publishes the fuzzer's counts and emits its cumulative
-// stage-timer totals as a stage_summary event — the input of `rvreport
-// -events`. Campaign calls it once per worker when the worker finishes;
-// single-fuzzer drivers call it at the end of a run. No-op when
-// telemetry is disabled.
+// FlushTelemetry publishes the fuzzer's counts and emits its stage-timer
+// totals since its previous stage_summary as a stage_summary event — the
+// input of `rvreport -events`, which sums them. Campaign calls it once
+// per worker when the worker finishes; single-fuzzer drivers call it at
+// the end of a run. No-op when telemetry is disabled.
 func (f *Fuzzer) FlushTelemetry() {
 	f.tel.publish(f)
 	if f.tel == nil || f.tel.events == nil {
 		return
 	}
 	f.tel.event(obs.Event{Type: "stage_summary", Execs: f.execs, Corpus: len(f.corpus),
-		Stages: f.tel.reg.StageSummaries()})
+		Stages: f.tel.takeStages()})
 }
 
 // Corpus returns the collected test cases (the generated test suite), in

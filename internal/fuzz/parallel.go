@@ -74,11 +74,6 @@ func Campaign(ctx context.Context, cfg Config, cc CampaignConfig) ([][]byte, []S
 			c := cfg
 			c.Seed = cfg.Seed + int64(w)
 			c.Worker = w
-			// Each worker fills a private child registry: the hot path
-			// stays contention-free, live scrapes aggregate the children,
-			// and the post-run Collapse folds them into the parent in
-			// worker order (sums commute, so the totals are deterministic).
-			c.Obs = cfg.Obs.NewChild()
 			var dir string
 			if cc.CheckpointDir != "" {
 				dir = filepath.Join(cc.CheckpointDir, fmt.Sprintf("worker-%03d", w))
@@ -94,7 +89,6 @@ func Campaign(ctx context.Context, cfg Config, cc CampaignConfig) ([][]byte, []S
 		}(w)
 	}
 	wg.Wait()
-	cfg.Obs.Collapse()
 
 	var merged [][]byte
 	var stats []Stats

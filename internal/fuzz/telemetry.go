@@ -12,14 +12,21 @@ import (
 // and Config.Events are unset. It never feeds back into campaign
 // decisions, checkpoints or Stats.Deterministic(), so outputs stay
 // byte-identical with telemetry on or off.
+//
+// Every worker of a campaign publishes into the same registry, so the
+// fuzzer adds deltas only, gauges included: a Set from one worker would
+// overwrite the others'.
 type telemetry struct {
 	reg    *obs.Registry
 	events *obs.EventLog
 	worker int
 
-	counters            [numCounts]*obs.Counter
-	corpusSize, covBits *obs.Gauge
-	last                [numCounts]uint64 // counts as of the previous publish
+	counters                [numCounts]*obs.Counter
+	corpusSize, covBits     *obs.Gauge
+	last                    [numCounts]uint64 // counts as of the previous publish
+	lastCorpus, lastCovBits int64             // gauge values as of the previous publish
+
+	stages [obs.NumStages]obs.StageSummary // stage sums since the previous stage_summary
 }
 
 // counterNames names the counts Fuzzer.counts lists first; the filter's
@@ -44,16 +51,12 @@ func (f *Fuzzer) counts() [numCounts]uint64 {
 }
 
 // newTelemetry resolves the fuzzer's metric handles, or returns nil
-// when telemetry is disabled. An event log without a registry gets a
-// private one: its stage_summary events report the stage timers.
+// when telemetry is disabled.
 func newTelemetry(cfg Config) *telemetry {
 	if cfg.Obs == nil && cfg.Events == nil {
 		return nil
 	}
 	reg := cfg.Obs
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
 	t := &telemetry{
 		reg:        reg,
 		events:     cfg.Events,
@@ -75,26 +78,55 @@ func newTelemetry(cfg Config) *telemetry {
 func (t *telemetry) sampleStep(f *Fuzzer, start time.Time) bool {
 	defer t.publish(f)
 	input := f.nextInput()
-	lap := t.reg.Lap(obs.StageMutate, start)
+	lap := t.lap(obs.StageMutate, start)
 	accepted := f.admit(input)
 	if !f.cfg.DisableFilter {
-		lap = t.reg.Lap(obs.StageFilter, lap)
+		lap = t.lap(obs.StageFilter, lap)
 	}
 	if !accepted {
 		return false
 	}
 	completed := f.execute(input)
-	lap = t.reg.Lap(obs.StageExecute, lap)
+	lap = t.lap(obs.StageExecute, lap)
 	if !completed {
 		return false
 	}
 	novel := f.evaluate(input)
-	t.reg.Lap(obs.StageCoverageEval, lap)
+	t.lap(obs.StageCoverageEval, lap)
 	return novel
 }
 
-// publish adds the fuzzer's counts since the previous publish to the
-// registry and sets the gauges. Safe on a nil receiver.
+// lap closes stage s of a sampled step in the registry (obs.Registry.Lap)
+// and in the fuzzer's own stage sums, and returns the clock reading that
+// opens the next stage.
+func (t *telemetry) lap(s obs.Stage, t0 time.Time) time.Time {
+	next, d := t.reg.Lap(s, t0)
+	t.addStage(s, d, obs.SampleEvery)
+	return next
+}
+
+// addStage adds n operations of duration d to stage s's sums, as
+// obs.Histogram.ObserveN adds them to the registry's timer.
+func (t *telemetry) addStage(s obs.Stage, d time.Duration, n uint64) {
+	t.stages[s].Count += n
+	t.stages[s].TotalNS += n * uint64(d)
+}
+
+// takeStages returns the non-empty stage sums since the previous call,
+// keyed by stage name, and starts new ones.
+func (t *telemetry) takeStages() map[string]obs.StageSummary {
+	out := map[string]obs.StageSummary{}
+	for s, sum := range t.stages {
+		if sum.Count > 0 {
+			out[obs.Stage(s).String()] = sum
+		}
+	}
+	t.stages = [obs.NumStages]obs.StageSummary{}
+	return out
+}
+
+// publish adds the fuzzer's counts and gauge values since the previous
+// publish to the registry. Safe on a nil receiver.
 func (t *telemetry) publish(f *Fuzzer) {
 	if t == nil {
 		return
@@ -104,8 +136,10 @@ func (t *telemetry) publish(f *Fuzzer) {
 		c.Add(now[i] - t.last[i])
 	}
 	t.last = now
-	t.corpusSize.Set(int64(len(f.corpus)))
-	t.covBits.Set(int64(f.col.Map.BucketBits()))
+	corpus, covBits := int64(len(f.corpus)), int64(f.col.Map.BucketBits())
+	t.corpusSize.Add(corpus - t.lastCorpus)
+	t.covBits.Add(covBits - t.lastCovBits)
+	t.lastCorpus, t.lastCovBits = corpus, covBits
 }
 
 // event emits ev with the fuzzer's worker index filled in. Safe on a

@@ -462,24 +462,35 @@ func TestTelemetryDoesNotPerturbDeterminism(t *testing.T) {
 	}
 }
 
-// TestCampaignMergedTelemetry: per-worker child registries must collapse
-// into parent totals that match the per-worker stats, and the lifecycle
-// events must bracket the campaign.
+// TestCampaignMergedTelemetry: the workers of a checkpointed campaign
+// publish into one registry, whose counters, gauges and stage counts
+// must equal the sums of the per-worker stats and stage_summary events,
+// and the lifecycle events must bracket the campaign.
 func TestCampaignMergedTelemetry(t *testing.T) {
 	cfg := smallConfig(coverage.V1(), 3)
 	cfg.Obs = obs.NewRegistry()
 	var buf bytes.Buffer
 	cfg.Events = obs.NewEventLog(&buf)
-	_, stats, err := Campaign(context.Background(), cfg, CampaignConfig{Workers: 2, ExecsEach: 3000})
+	cc := CampaignConfig{Workers: 2, ExecsEach: 3000, CheckpointDir: t.TempDir(), CheckpointEvery: 1000}
+	_, stats, err := Campaign(context.Background(), cfg, cc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var wantExecs uint64
+	var wantCorpus, wantCovBits int64
 	for _, s := range stats {
 		wantExecs += s.Execs
+		wantCorpus += int64(s.TestCases)
+		wantCovBits += int64(s.CovBits)
 	}
 	if got := cfg.Obs.Counter("rvnegtest_fuzz_execs_total").Value(); got != wantExecs {
-		t.Errorf("collapsed execs counter = %d, per-worker sum = %d", got, wantExecs)
+		t.Errorf("execs counter = %d, per-worker sum = %d", got, wantExecs)
+	}
+	if got := cfg.Obs.Gauge("rvnegtest_fuzz_corpus_size").Value(); got != wantCorpus {
+		t.Errorf("corpus size gauge = %d, per-worker test cases sum to %d", got, wantCorpus)
+	}
+	if got := cfg.Obs.Gauge("rvnegtest_fuzz_coverage_bits").Value(); got != wantCovBits {
+		t.Errorf("coverage bits gauge = %d, per-worker coverage sums to %d", got, wantCovBits)
 	}
 	if err := cfg.Events.Close(); err != nil {
 		t.Fatal(err)
@@ -489,8 +500,20 @@ func TestCampaignMergedTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	counts := map[string]int{}
+	summed := map[string]uint64{}
 	for _, ev := range evs {
 		counts[ev.Type]++
+		for name, s := range ev.Stages {
+			summed[name] += s.Count
+		}
+	}
+	for s := obs.Stage(0); s < obs.NumStages; s++ {
+		if got, want := cfg.Obs.Stage(s).Count(), summed[s.String()]; got != want {
+			t.Errorf("%s stage count = %d, stage_summary counts sum to %d", s, got, want)
+		}
+	}
+	if summed[obs.StageMutate.String()] == 0 || summed[obs.StageCheckpointWrite.String()] == 0 {
+		t.Errorf("stage_summary events lack mutate or checkpoint-write counts: %v", summed)
 	}
 	if counts["campaign_start"] != 1 || counts["campaign_done"] != 1 {
 		t.Errorf("campaign bracket events = %+v", counts)

@@ -8,7 +8,7 @@ import (
 
 // mapdetPaths are the packages whose outputs must be bit-identical
 // across runs: report rendering, shard merge, checkpoint encoding, the
-// obs Collapse/snapshot surface, and the linter's own diagnostics.
+// obs snapshot and exposition surface, and the linter's own diagnostics.
 // Map iteration order is randomized per run, so a bare `range m` in
 // these packages is a determinism hazard unless the loop body is an
 // order-insensitive fold (see orderInsensitive) or the keys were

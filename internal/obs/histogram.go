@@ -57,8 +57,8 @@ func StageByName(name string) (Stage, bool) {
 // BucketBounds are the fixed upper bounds (inclusive, in nanoseconds)
 // of the latency histogram buckets, a 1-2.5-5 ladder from 100ns to 10s.
 // A final implicit +Inf bucket catches everything above. The table is
-// part of the telemetry contract: checkpointed campaigns, merged
-// worker registries and report tooling all assume identical buckets.
+// part of the telemetry contract: checkpointed campaigns and report
+// tooling all assume identical buckets.
 var BucketBounds = [...]uint64{
 	100, 250, 500, // ns
 	1_000, 2_500, 5_000, // µs
@@ -138,17 +138,4 @@ func (h *Histogram) Bucket(i int) uint64 {
 		return 0
 	}
 	return h.buckets[i].Load()
-}
-
-// merge adds o's observations into h (registry collapse; see
-// Registry.Merge for the determinism contract).
-func (h *Histogram) merge(o *Histogram) {
-	if h == nil || o == nil {
-		return
-	}
-	h.count.Add(o.count.Load())
-	h.sumNS.Add(o.sumNS.Load())
-	for i := range h.buckets {
-		h.buckets[i].Add(o.buckets[i].Load())
-	}
 }

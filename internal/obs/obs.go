@@ -13,6 +13,11 @@
 //     worker; the compliance engine as its shards finish and on every
 //     merged row.
 //
+//   - One registry level. Every worker of every engine adds into the
+//     registry it was given, gauges included, so a scrape of that
+//     registry sees every running worker and its values are sums over
+//     them.
+//
 //   - Sampled stage timing. Engines time one operation in SampleEvery,
 //     chosen by execution count or case index, never by an RNG, with
 //     weight SampleEvery (Histogram.ObserveN), so a stage's count and

@@ -15,22 +15,20 @@ import (
 // mutex; engines resolve their metric pointers once at construction and
 // then touch only lock-free atomics on the hot path.
 //
-// A registry can have child registries (one per campaign worker). The
-// exposition methods aggregate parent and children live, and Collapse
-// folds the children into the parent deterministically — in creation
-// (worker) order — when the campaign ends. All values are sums, and
-// addition commutes, so the collapsed totals equal what any interleaving
-// of worker updates would have produced.
+// Every engine worker publishes into the one registry it is given, so
+// the exposition methods read that registry's own metrics and a scrape
+// sees every running worker. Workers add their deltas, and addition
+// commutes, so the totals equal what any interleaving of worker updates
+// would have produced.
 //
 // All methods are safe on a nil *Registry: lookups return nil metrics
-// (whose methods are no-ops) and aggregations are empty.
+// (whose methods are no-ops) and snapshots are empty.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 	stages   [NumStages]*Histogram
-	children []*Registry
 }
 
 // NewRegistry returns an empty registry.
@@ -107,10 +105,13 @@ func (r *Registry) Stage(s Stage) *Histogram {
 // since t0, less the cost of the clock read every timed interval
 // contains, in stage s's timer with weight SampleEvery. It returns a
 // clock reading taken after the recording, which opens the operation's
-// next stage, so no stage pays for timing another.
-func (r *Registry) Lap(s Stage, t0 time.Time) time.Time {
-	r.Stage(s).ObserveN(time.Since(t0)-clockRead, SampleEvery)
-	return time.Now()
+// next stage, so no stage pays for timing another, and the duration it
+// recorded, so a caller can keep its own stage sums (also when r is
+// nil).
+func (r *Registry) Lap(s Stage, t0 time.Time) (time.Time, time.Duration) {
+	d := max(time.Since(t0)-clockRead, 0)
+	r.Stage(s).ObserveN(d, SampleEvery)
+	return time.Now(), d
 }
 
 // clockRead is the shortest interval the clock measures between two
@@ -123,74 +124,6 @@ var clockRead = func() time.Duration {
 	return best
 }()
 
-// NewChild creates a child registry whose values the parent's
-// exposition aggregates live and whose contents Collapse folds into the
-// parent at campaign end.
-func (r *Registry) NewChild() *Registry {
-	if r == nil {
-		return nil
-	}
-	c := NewRegistry()
-	r.mu.Lock()
-	r.children = append(r.children, c)
-	r.mu.Unlock()
-	return c
-}
-
-// Merge adds o's metrics into r by name (o is left unchanged). Metric
-// updates are sums and addition commutes, so merging per-worker
-// registries in worker order yields totals independent of runtime
-// scheduling — the deterministic-merge contract campaign stats rely on.
-func (r *Registry) Merge(o *Registry) {
-	if r == nil || o == nil {
-		return
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	//rvlint:allow mapdet -- merge is a sum fold per name; addition commutes, render paths sort
-	for name, c := range o.counters {
-		r.Counter(name).Add(c.Value())
-	}
-	//rvlint:allow mapdet -- merge is a sum fold per name; addition commutes, render paths sort
-	for name, g := range o.gauges {
-		r.Gauge(name).Add(g.Value())
-	}
-	//rvlint:allow mapdet -- histogram merge is a per-bucket sum; addition commutes
-	for name, h := range o.hists {
-		r.Histogram(name).merge(h)
-	}
-	for i := range o.stages {
-		r.stages[i].merge(o.stages[i])
-	}
-}
-
-// Collapse folds every child registry into r in creation (worker)
-// order and detaches them. Call once when the campaign's workers have
-// finished.
-func (r *Registry) Collapse() {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	children := r.children
-	r.children = nil
-	r.mu.Unlock()
-	for _, c := range children {
-		r.Merge(c)
-	}
-}
-
-// withChildren snapshots the child list and visits r plus each child.
-func (r *Registry) withChildren(visit func(*Registry)) {
-	r.mu.Lock()
-	children := append([]*Registry(nil), r.children...)
-	r.mu.Unlock()
-	visit(r)
-	for _, c := range children {
-		visit(c)
-	}
-}
-
 // StageSummary is the cumulative view of one stage timer, the payload
 // of stage_summary events and of the /debug/vars snapshot.
 type StageSummary struct {
@@ -198,23 +131,18 @@ type StageSummary struct {
 	TotalNS uint64 `json:"total_ns"`
 }
 
-// StageSummaries returns the non-empty stage timers (aggregated over
-// children), keyed by stage name.
+// StageSummaries returns the non-empty stage timers, keyed by stage
+// name.
 func (r *Registry) StageSummaries() map[string]StageSummary {
 	if r == nil {
 		return nil
 	}
 	out := map[string]StageSummary{}
-	r.withChildren(func(reg *Registry) {
-		for i, h := range reg.stages {
-			if n := h.Count(); n > 0 {
-				s := out[Stage(i).String()]
-				s.Count += n
-				s.TotalNS += h.SumNS()
-				out[Stage(i).String()] = s
-			}
+	for i, h := range r.stages {
+		if n := h.Count(); n > 0 {
+			out[Stage(i).String()] = StageSummary{Count: n, TotalNS: h.SumNS()}
 		}
-	})
+	}
 	if len(out) == 0 {
 		return nil
 	}
@@ -228,8 +156,8 @@ type Snapshot struct {
 	Stages   map[string]StageSummary `json:"stages,omitempty"`
 }
 
-// TakeSnapshot aggregates the registry and its children into a
-// Snapshot.
+// TakeSnapshot reads the registry's counters, gauges and stage timers
+// into a Snapshot.
 func (r *Registry) TakeSnapshot() Snapshot {
 	var s Snapshot
 	if r == nil {
@@ -237,16 +165,14 @@ func (r *Registry) TakeSnapshot() Snapshot {
 	}
 	s.Counters = map[string]uint64{}
 	s.Gauges = map[string]int64{}
-	r.withChildren(func(reg *Registry) {
-		reg.mu.Lock()
-		for name, c := range reg.counters {
-			s.Counters[name] += c.Value()
-		}
-		for name, g := range reg.gauges {
-			s.Gauges[name] += g.Value()
-		}
-		reg.mu.Unlock()
-	})
+	r.mu.Lock()
+	for name, c := range r.counters {
+		s.Counters[name] = c.Value()
+	}
+	for name, g := range r.gauges {
+		s.Gauges[name] = g.Value()
+	}
+	r.mu.Unlock()
 	s.Stages = r.StageSummaries()
 	return s
 }
@@ -260,10 +186,10 @@ func family(name string) string {
 	return name
 }
 
-// WritePrometheus renders the registry (aggregated over children) in
-// the Prometheus text exposition format: counters and gauges first,
-// then named histograms, then the stage-timer histogram family keyed by
-// a `stage` label. Series are sorted for stable scrapes.
+// WritePrometheus renders the registry in the Prometheus text
+// exposition format: counters and gauges first, then named histograms,
+// then the stage-timer histogram family keyed by a `stage` label.
+// Series are sorted for stable scrapes.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
@@ -306,42 +232,26 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 	}
 
-	// Named histograms: aggregate each name over children, then render.
-	hnames := map[string]bool{}
-	r.withChildren(func(reg *Registry) {
-		reg.mu.Lock()
-		for name := range reg.hists {
-			hnames[name] = true
-		}
-		reg.mu.Unlock()
-	})
-	sorted := make([]string, 0, len(hnames))
-	for name := range hnames {
-		sorted = append(sorted, name)
+	r.mu.Lock()
+	hnames := make([]string, 0, len(r.hists))
+	for name := range r.hists {
+		hnames = append(hnames, name)
 	}
-	sort.Strings(sorted)
-	for _, name := range sorted {
-		agg := &Histogram{}
-		r.withChildren(func(reg *Registry) {
-			reg.mu.Lock()
-			h := reg.hists[name]
-			reg.mu.Unlock()
-			agg.merge(h)
-		})
-		if err := writeHistogram(w, family(name), labelsOf(name), agg); err != nil {
+	r.mu.Unlock()
+	sort.Strings(hnames)
+	for _, name := range hnames {
+		if err := writeHistogram(w, family(name), labelsOf(name), r.Histogram(name)); err != nil {
 			return err
 		}
 	}
 
 	// Stage timers as one family with a stage label.
-	for i := Stage(0); i < NumStages; i++ {
-		agg := &Histogram{}
-		r.withChildren(func(reg *Registry) { agg.merge(reg.stages[i]) })
-		if agg.Count() == 0 {
+	for i, h := range r.stages {
+		if h.Count() == 0 {
 			continue
 		}
-		labels := `stage="` + i.String() + `"`
-		if err := writeHistogram(w, "rvnegtest_stage_duration_seconds", labels, agg); err != nil {
+		labels := `stage="` + Stage(i).String() + `"`
+		if err := writeHistogram(w, "rvnegtest_stage_duration_seconds", labels, h); err != nil {
 			return err
 		}
 	}

@@ -25,8 +25,8 @@ type Server struct {
 }
 
 // Serve starts serving reg on addr in a background goroutine. The
-// registry may gain metrics and children after the server starts; every
-// scrape aggregates live.
+// registry may gain metrics after the server starts; every scrape reads
+// it live.
 func Serve(addr string, reg *Registry) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

@@ -7,8 +7,9 @@
 #   1. produce reference artifacts with the CLIs (rvfuzz -checkpoint,
 #      rvcompliance -checkpoint) for one fuzz and one compliance spec
 #   2. start rvnegtestd, submit both specs as jobs over HTTP
-#   3. kill -9 the daemon as soon as the fuzz job's first worker
-#      checkpoint exists (polled every 0.1 s, error after 60 s)
+#   3. at the fuzz job's first worker checkpoint (polled every 0.1 s,
+#      error after 60 s), require the daemon's /metrics to show the
+#      running job's executions, then kill -9 the daemon
 #   4. restart the daemon on the same store: jobs resume from their
 #      checkpoints, finish, and the daemon records the resume
 #   5. fetch the job artifacts over HTTP and cmp against step 1
@@ -70,6 +71,14 @@ for _ in $(seq 600); do
 done
 if ! compgen -G "$ckpt" > /dev/null; then
     echo "FAIL: no fuzz worker checkpoint within 60 s"
+    exit 1
+fi
+# The fuzz workers publish into the daemon's registry as they run, so
+# by the first checkpoint /metrics shows at least one interval's worth.
+execs=$(curl -sf "http://$ADDR/metrics" | sed -n 's/^rvnegtest_fuzz_execs_total \([0-9]*\)$/\1/p')
+echo "   /metrics at the first checkpoint: rvnegtest_fuzz_execs_total ${execs:-absent}"
+if [ "${execs:-0}" -le 0 ]; then
+    echo "FAIL: the daemon's /metrics shows no executions of the running fuzz job"
     exit 1
 fi
 kill -9 "$daemon_pid"
