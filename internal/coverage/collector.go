@@ -66,13 +66,14 @@ type Collector struct {
 	hashBase uint32
 
 	// prefixKey and prefixHits cache the coverage of the last prefix
-	// SkipPrefix ran; exitKey, exitSteps and exitTail that of the last
-	// shutdown sequence SkipExit ran.
+	// SkipPrefix ran; exitKey, exitHits and exitSteps that of the last
+	// shutdown sequence SkipExit ran. Map holds their sum as its
+	// baseline.
 	prefixKey  any
 	prefixHits []hitCount
 	exitKey    any
+	exitHits   []hitCount
 	exitSteps  []exitStep
-	exitTail   []hitCount
 }
 
 // NewCollector allocates the coverage map for the enabled signals.
@@ -115,16 +116,21 @@ func (c *Collector) OnInst(inst *isa.Inst, h *hart.Hart) {
 
 // SkipPrefix lets a simulator skip executing its input-independent
 // prefix under this collector. The prefix runs once per key into a
-// scratch collector; each call adds the (point, count) pairs it recorded
-// to the pending run in first-touch order, so hit counts, bucket bits
-// and RunFootprint order are those of a run that executed the prefix.
+// scratch collector, whose (point, count) pairs become the prefix part
+// of the map's baseline. A run leaves those pairs to the baseline unless
+// no baseline could be installed or a pending run has left pairs to it
+// already; then it adds them. Either way hit counts, bucket bits and
+// RunFootprint are those of a run that executed the prefix.
 func (c *Collector) SkipPrefix(key any, run func(exec.Hook)) {
 	if key != c.prefixKey {
 		scratch := NewCollector(c.opts)
 		run(scratch)
 		c.prefixKey, c.prefixHits = key, scratch.Map.pendingHits()
+		c.Map.rebase(c.prefixHits, c.exitHits)
 	}
-	c.Map.addHits(c.prefixHits)
+	if !c.Map.skipPrefix() {
+		c.Map.addHits(c.prefixHits)
+	}
 }
 
 func (c *Collector) hitHash(inst *isa.Inst) {
@@ -136,22 +142,30 @@ func (c *Collector) hitHash(inst *isa.Inst) {
 // SkipExit lets a simulator skip executing its shutdown sequence (the
 // dump) under this collector, adding the coverage the dump records when
 // executed from h. The dump runs once per key into an exitRecorder,
-// which splits it at every instruction whose rules read an entry
-// register: a register no earlier dump instruction wrote, so its value
-// comes from h. Each call then adds the recorded (point, count) pairs
-// and evaluates those instructions' rules against h, in program order,
-// so hit counts, bucket bits and RunFootprint order are those of a run
-// that executed the dump. Every other register value the dump reads is
-// the one recorded: the simulator proved it the same whatever h holds.
+// which records its (point, count) pairs, the dump part of the map's
+// baseline, and every step whose rules read an entry register: a
+// register no earlier dump instruction wrote, so its value comes from
+// h. A run that left the prefix to the baseline leaves the dump to it
+// too; any other run adds the recorded pairs. Each call then compares
+// every step's entry registers in h with the recorded values and, only
+// where one differs, takes back the step's recorded rule hits and
+// evaluates its rules against h. RuleSet.eval is pure in the operation,
+// the instruction and the two values, so hit counts, bucket bits and
+// RunFootprint are those of a run that executed the dump. Every other
+// register value the dump reads is the one recorded: the simulator
+// proved it the same whatever h holds.
 func (c *Collector) SkipExit(key any, run func(exec.Hook), h *hart.Hart) {
 	if key != c.exitKey {
-		rec := &exitRecorder{c: NewCollector(c.opts)}
+		rec := &exitRecorder{c: NewCollector(c.opts), rule: NewMap(c.Map.Size())}
 		run(rec)
-		c.exitKey, c.exitSteps, c.exitTail = key, rec.steps, rec.c.Map.pendingHits()
+		c.exitKey, c.exitHits, c.exitSteps = key, rec.c.Map.pendingHits(), rec.steps
+		c.Map.rebase(c.prefixHits, c.exitHits)
+	}
+	if !c.Map.skipDump() {
+		c.Map.addHits(c.exitHits)
 	}
 	for i := range c.exitSteps {
 		st := &c.exitSteps[i]
-		c.Map.addHits(st.hits)
 		rv1, rv2 := st.rv1, st.rv2
 		if st.live1 {
 			rv1 = int32(h.ReadX(st.inst.Rs1))
@@ -159,24 +173,27 @@ func (c *Collector) SkipExit(key any, run func(exec.Hook), h *hart.Hart) {
 		if st.live2 {
 			rv2 = int32(h.ReadX(st.inst.Rs2))
 		}
-		c.opts.Rules.eval(st.plan, &st.inst, rv1, rv2, c.Map, c.ruleBase)
+		if rv1 != st.rv1 || rv2 != st.rv2 {
+			c.Map.subHits(st.hits)
+			c.opts.Rules.eval(st.plan, &st.inst, rv1, rv2, c.Map, c.ruleBase)
+		}
 	}
-	c.Map.addHits(c.exitTail)
 }
 
 // exitStep is one dump instruction whose rules read an entry register,
-// with the input-independent hits recorded since the previous step.
+// with the rule hits recorded at the recorded source values.
 type exitStep struct {
 	hits         []hitCount
 	plan         *opPlan
 	inst         isa.Inst
-	rv1, rv2     int32 // the source values, where not live
+	rv1, rv2     int32 // the recorded source values
 	live1, live2 bool  // the source is an entry register, read at run time
 }
 
 // exitRecorder is the hook SkipExit runs the dump under.
 type exitRecorder struct {
 	c       *Collector
+	rule    *Map   // one step's rule hits
 	written uint32 // integer registers the dump has written so far
 	steps   []exitStep
 }
@@ -189,12 +206,15 @@ func (r *exitRecorder) OnInst(inst *isa.Inst, h *hart.Hart) {
 		live1 := p.readRS1 && r.entry(inst.Rs1)
 		live2 := p.readRS2 && r.entry(inst.Rs2)
 		if p.fams != 0 && (live1 || live2) {
+			rs.Eval(inst, h, r.rule, c.ruleBase)
+			hits := r.rule.pendingHits()
+			r.rule.DiscardRun()
+			c.Map.addHits(hits)
 			r.steps = append(r.steps, exitStep{
-				hits: c.Map.pendingHits(), plan: p, inst: *inst,
+				hits: hits, plan: p, inst: *inst,
 				rv1: int32(h.ReadX(inst.Rs1)), rv2: int32(h.ReadX(inst.Rs2)),
 				live1: live1, live2: live2,
 			})
-			c.Map.DiscardRun()
 		} else {
 			rs.Eval(inst, h, c.Map, c.ruleBase)
 		}

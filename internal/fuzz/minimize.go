@@ -1,8 +1,6 @@
 package fuzz
 
 import (
-	"sync"
-
 	"rvnegtest/internal/coverage"
 	"rvnegtest/internal/sim"
 	"rvnegtest/internal/template"
@@ -42,7 +40,10 @@ func Minimize(cases [][]byte, cfg Config) ([][]byte, error) {
 // case itself, so the footprints are computed concurrently and then
 // greedily merged in case order — reproducing Minimize's sequential
 // semantics bit-for-bit (same kept subset, same order) at any worker
-// count.
+// count. Worker w replays cases w, w+workers, ... and sends their
+// footprints in that order on its own bounded channel, so the merger
+// takes case i from channel i%workers, and at most footprintBuffer
+// footprints per worker are held at once, not one per case.
 func MinimizeParallel(cases [][]byte, cfg Config, workers int) ([][]byte, error) {
 	if workers <= 1 || len(cases) < 2 {
 		return Minimize(cases, cfg)
@@ -57,10 +58,6 @@ func MinimizeParallel(cases [][]byte, cfg Config, workers int) ([][]byte, error)
 	if err != nil {
 		return nil, err
 	}
-	// footprints[i] is case i's coverage; nil for crashed/timed-out or
-	// zero-coverage cases (equivalent under the greedy merge: neither can
-	// contribute a new bit).
-	footprints := make([][]coverage.RunPoint, len(cases))
 	// All clones must exist before any worker starts: cloning copies the
 	// base image's memory, which a running worker mutates.
 	targets := make([]*sim.Simulator, workers)
@@ -68,34 +65,41 @@ func MinimizeParallel(cases [][]byte, cfg Config, workers int) ([][]byte, error)
 	for w := 1; w < workers; w++ {
 		targets[w] = base.Clone()
 	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
+	// A case's footprint is nil when it crashed, timed out or covered
+	// nothing (equivalent under the greedy merge: none can contribute a
+	// new bit).
+	out := make([]chan []coverage.RunPoint, workers)
+	for w := range out {
+		out[w] = make(chan []coverage.RunPoint, footprintBuffer)
 		go func(w int, target *sim.Simulator) {
-			defer wg.Done()
 			col := coverage.NewCollector(cfg.Coverage)
 			for i := w; i < len(cases); i += workers {
-				out := target.RunHooked(cases[i], col)
-				if out.Crashed || out.TimedOut {
-					col.Map.DiscardRun()
-					continue
+				var fp []coverage.RunPoint
+				if o := target.RunHooked(cases[i], col); !o.Crashed && !o.TimedOut {
+					fp = col.Map.RunFootprint()
 				}
-				footprints[i] = col.Map.RunFootprint()
 				col.Map.DiscardRun()
+				out[w] <- fp
 			}
 		}(w, targets[w])
 	}
-	wg.Wait()
 
 	global := coverage.NewCollector(cfg.Coverage).Map
 	var kept [][]byte
-	for i, fp := range footprints {
-		if global.MergeFootprint(fp) {
-			kept = append(kept, cases[i])
+	for i, bs := range cases {
+		if global.MergeFootprint(<-out[i%workers]) {
+			kept = append(kept, bs)
 		}
 	}
 	return kept, nil
 }
+
+// footprintBuffer is how many footprints a MinimizeParallel worker may
+// run ahead of the merger. A case that runs to the instruction limit
+// takes about as long as 50 ordinary cases, so a buffer of that order
+// keeps the other workers busy meanwhile, and the footprints held stay
+// in the hundreds of kilobytes.
+const footprintBuffer = 64
 
 // CoverageBits replays a corpus and returns the bucket-bit count it
 // reaches under the given coverage configuration (for judging

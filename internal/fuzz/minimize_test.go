@@ -2,9 +2,14 @@ package fuzz
 
 import (
 	"context"
+	"encoding/binary"
+	"slices"
 	"testing"
 
 	"rvnegtest/internal/coverage"
+	"rvnegtest/internal/isa"
+	"rvnegtest/internal/sim"
+	"rvnegtest/internal/template"
 )
 
 func TestMinimizePreservesCoverage(t *testing.T) {
@@ -116,7 +121,9 @@ func TestParallelCampaign(t *testing.T) {
 
 // TestMinimizeParallelBitIdentical: the sharded replay must keep exactly
 // the same subset in the same order as the serial Minimize, for any
-// worker count.
+// worker count: 3 does not divide the case count, and the cases include
+// a self-loop that times out, whose nil footprint the streamed merge
+// must take in its turn.
 func TestMinimizeParallelBitIdentical(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Seed = 7
@@ -125,8 +132,20 @@ func TestMinimizeParallelBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Run(30000, 0)
+	loop := binary.LittleEndian.AppendUint32(nil, isa.MustEncode(isa.Inst{Op: isa.OpJAL}))
+	ref, err := sim.New(sim.Reference, template.PlatformFor(cfg.Family, cfg.ISA))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out := ref.Run(loop); !out.TimedOut {
+		t.Fatalf("jal x0, 0: %+v, want a timeout", out)
+	}
 	// Duplicate the corpus so minimization has real work to do.
-	cases := append(append([][]byte{}, f.Corpus()...), f.Corpus()...)
+	cases := append(append([][]byte{loop}, f.Corpus()...), f.Corpus()...)
+	cases = slices.Insert(cases, len(cases)/2, loop)
+	if len(cases)%3 == 0 {
+		cases = append(cases, loop)
+	}
 	want, err := Minimize(cases, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +153,7 @@ func TestMinimizeParallelBitIdentical(t *testing.T) {
 	if len(want) == 0 || len(want) >= len(cases) {
 		t.Fatalf("degenerate minimization: %d -> %d", len(cases), len(want))
 	}
-	for _, workers := range []int{1, 2, 8} {
+	for _, workers := range []int{1, 2, 3, 8} {
 		got, err := MinimizeParallel(cases, cfg, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)

@@ -1,6 +1,6 @@
 // Package obs is the campaign observability layer: dependency-free
-// (standard library only) counters, gauges and fixed-bucket latency
-// histograms, a per-stage timer taxonomy, a structured NDJSON event
+// (standard library only) counters, gauges, a per-stage taxonomy of
+// fixed-bucket latency histograms, a structured NDJSON event
 // stream for campaign lifecycle events, and an HTTP exposition surface
 // (Prometheus text /metrics, JSON /debug/vars, net/http/pprof).
 //

@@ -10,8 +10,8 @@ import (
 	"time"
 )
 
-// Registry is a namespace of counters, gauges, named histograms and the
-// fixed per-stage timer histograms. Metric lookup takes the registry
+// Registry is a namespace of counters, gauges and the fixed per-stage
+// timer histograms. Metric lookup takes the registry
 // mutex; engines resolve their metric pointers once at construction and
 // then touch only lock-free atomics on the hot path.
 //
@@ -27,7 +27,6 @@ type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
 	stages   [NumStages]*Histogram
 }
 
@@ -36,7 +35,6 @@ func NewRegistry() *Registry {
 	r := &Registry{
 		counters: map[string]*Counter{},
 		gauges:   map[string]*Gauge{},
-		hists:    map[string]*Histogram{},
 	}
 	for i := range r.stages {
 		r.stages[i] = &Histogram{}
@@ -75,22 +73,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 		r.gauges[name] = g
 	}
 	return g
-}
-
-// Histogram returns the named latency histogram, creating it on first
-// use.
-func (r *Registry) Histogram(name string) *Histogram {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h := r.hists[name]
-	if h == nil {
-		h = &Histogram{}
-		r.hists[name] = h
-	}
-	return h
 }
 
 // Stage returns the timer histogram of one taxonomy stage.
@@ -187,8 +169,8 @@ func family(name string) string {
 }
 
 // WritePrometheus renders the registry in the Prometheus text
-// exposition format: counters and gauges first, then named histograms,
-// then the stage-timer histogram family keyed by a `stage` label.
+// exposition format: counters and gauges first, then the stage-timer
+// histogram family keyed by a `stage` label.
 // Series are sorted for stable scrapes.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
@@ -232,19 +214,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 	}
 
-	r.mu.Lock()
-	hnames := make([]string, 0, len(r.hists))
-	for name := range r.hists {
-		hnames = append(hnames, name)
-	}
-	r.mu.Unlock()
-	sort.Strings(hnames)
-	for _, name := range hnames {
-		if err := writeHistogram(w, family(name), labelsOf(name), r.Histogram(name)); err != nil {
-			return err
-		}
-	}
-
 	// Stage timers as one family with a stage label.
 	for i, h := range r.stages {
 		if h.Count() == 0 {
@@ -258,50 +227,25 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	return nil
 }
 
-// labelsOf extracts the label body of a metric name ("" when absent).
-func labelsOf(name string) string {
-	i := strings.IndexByte(name, '{')
-	if i < 0 {
-		return ""
-	}
-	return strings.TrimSuffix(name[i+1:], "}")
-}
-
-// writeHistogram renders one histogram in Prometheus text format with
-// seconds-valued buckets.
+// writeHistogram renders one labelled histogram in Prometheus text
+// format with seconds-valued buckets.
 func writeHistogram(w io.Writer, fam, labels string, h *Histogram) error {
 	if _, err := fmt.Fprintf(w, "# TYPE %s histogram\n", fam); err != nil {
 		return err
-	}
-	join := func(extra string) string {
-		switch {
-		case labels == "":
-			return extra
-		case extra == "":
-			return labels
-		default:
-			return labels + "," + extra
-		}
 	}
 	cum := uint64(0)
 	for i, bound := range BucketBounds {
 		cum += h.Bucket(i)
 		le := strconv.FormatFloat(float64(bound)/1e9, 'g', -1, 64)
-		if _, err := fmt.Fprintf(w, "%s_bucket{%s} %d\n", fam, join(`le="`+le+`"`), cum); err != nil {
+		if _, err := fmt.Fprintf(w, "%s_bucket{%s,le=\"%s\"} %d\n", fam, labels, le, cum); err != nil {
 			return err
 		}
 	}
 	cum += h.Bucket(NumBuckets - 1)
-	if _, err := fmt.Fprintf(w, "%s_bucket{%s} %d\n", fam, join(`le="+Inf"`), cum); err != nil {
+	if _, err := fmt.Fprintf(w, "%s_bucket{%s,le=\"+Inf\"} %d\n", fam, labels, cum); err != nil {
 		return err
 	}
 	sum := strconv.FormatFloat(float64(h.SumNS())/1e9, 'g', -1, 64)
-	if labels == "" {
-		if _, err := fmt.Fprintf(w, "%s_sum %s\n%s_count %d\n", fam, sum, fam, h.Count()); err != nil {
-			return err
-		}
-		return nil
-	}
 	_, err := fmt.Fprintf(w, "%s_sum{%s} %s\n%s_count{%s} %d\n", fam, labels, sum, fam, labels, h.Count())
 	return err
 }
