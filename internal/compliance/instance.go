@@ -77,12 +77,9 @@ func (in *instance) run(i int, bs []byte) (out sim.Outcome, harnessFault, noVerd
 	if in.adapter != nil {
 		return in.runExternal(bs)
 	}
-	// Capture the simulator locally: after a wedge in.s is replaced while
-	// the abandoned goroutine still holds the closure.
-	s := in.s
-	out, rec, timedOut := resilience.Guard(in.timeout, func() sim.Outcome {
-		return s.Run(bs)
-	})
+	// The guarded run holds the simulator: after a wedge in.s is replaced
+	// while the abandoned goroutine still uses the old one.
+	out, rec, timedOut := resilience.Guard(in.timeout, simRun.run, simRun{in.s, bs})
 	switch {
 	case rec != nil:
 		in.breaker.RecordFault()
@@ -103,6 +100,14 @@ func (in *instance) run(i int, bs []byte) (out sim.Outcome, harnessFault, noVerd
 	in.traps += out.Traps
 	return out, false, false
 }
+
+// simRun is one guarded run of bs on s.
+type simRun struct {
+	s  sim.Sim
+	bs []byte
+}
+
+func (r simRun) run() sim.Outcome { return r.s.Run(r.bs) }
 
 // runExternal is the external-column run path: one protocol round trip
 // through the adapter, which internally retries with kill-and-restart

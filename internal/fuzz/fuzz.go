@@ -302,14 +302,22 @@ func (f *Fuzzer) admit(input []byte) bool {
 	return res.Accepted
 }
 
+// hookedRun is one guarded run. It carries its own target, collector
+// and input, so a reaped run keeps using those after the fuzzer has
+// replaced them.
+type hookedRun struct {
+	target sim.HookedSim
+	col    *coverage.Collector
+	input  []byte
+}
+
+func (r hookedRun) run() sim.Outcome { return r.target.RunHooked(r.input, r.col) }
+
 // execute runs input on the target under the harness. It reports
 // whether the run completed; a crash, a timeout or a harness fault is
 // counted and its coverage discarded.
 func (f *Fuzzer) execute(input []byte) bool {
-	target, col := f.target, f.col
-	out, rec, timedOut := resilience.Guard(f.cfg.CaseTimeout, func() sim.Outcome {
-		return target.RunHooked(input, col)
-	})
+	out, rec, timedOut := resilience.Guard(f.cfg.CaseTimeout, hookedRun.run, hookedRun{f.target, f.col, input})
 	switch {
 	case rec != nil:
 		// The simulator unwound past its own recovery — a harness-level
@@ -321,14 +329,17 @@ func (f *Fuzzer) execute(input []byte) bool {
 		f.col.Map.DiscardRun()
 		return false
 	case timedOut:
-		// Wedged run reaped by the watchdog; its goroutine still owns the
-		// old target and collector, so both are replaced.
+		// Wedged run reaped by the watchdog. Its goroutine still owns the
+		// old target and collector, so both are replaced, and may still
+		// read input, which lives in the mutator's buffer: the next
+		// candidate gets a fresh one.
 		f.timeout++
 		f.hfaults++
 		detail := fmt.Sprintf("watchdog: no result within %v", f.cfg.CaseTimeout)
 		f.tel.event(obs.Event{Type: "quarantine", Execs: f.execs, Detail: detail})
 		f.quarantineWarn(input, detail)
 		f.rebuildTarget()
+		f.mut.buf = nil
 		return false
 	case out.Crashed:
 		f.crashes++

@@ -26,6 +26,11 @@ type mutator struct {
 	// injectable is the weighted op pool for instruction injection.
 	injectable []*isa.OpInfo
 
+	// buf is the buffer both mutators build their candidate in: the
+	// slice a call returns is only valid until the next call. The fuzzer
+	// sets it to nil when a reaped run may still read the last candidate.
+	buf []byte
+
 	// an and uses are instructionAware's reused scratch: the base
 	// input's analysis and its reachable memory-access base registers.
 	an   analysis.Analysis
@@ -60,9 +65,10 @@ func newMutator(rng *rand.Rand) *mutator {
 	return m
 }
 
-// generic applies a random stack of libFuzzer-style byte mutations.
+// generic applies a random stack of libFuzzer-style byte mutations to a
+// copy of base in m.buf. cross must not alias m.buf.
 func (m *mutator) generic(base, cross []byte, maxLen int) []byte {
-	out := append([]byte(nil), base...)
+	out := append(m.buf[:0], base...)
 	n := 1 + m.rng.Intn(4)
 	for i := 0; i < n; i++ {
 		switch m.rng.Intn(8) {
@@ -75,7 +81,9 @@ func (m *mutator) generic(base, cross []byte, maxLen int) []byte {
 		case 1: // insert a byte
 			if len(out) < maxLen {
 				p := m.rng.Intn(len(out) + 1)
-				out = append(out[:p], append([]byte{byte(m.rng.Intn(256))}, out[p:]...)...)
+				out = append(out, 0)
+				copy(out[p+1:], out[p:])
+				out[p] = byte(m.rng.Intn(256))
 			}
 		case 2: // change a byte
 			if len(out) > 0 {
@@ -109,38 +117,31 @@ func (m *mutator) generic(base, cross []byte, maxLen int) []byte {
 			if len(cross) > 0 && len(out) > 0 {
 				p := m.rng.Intn(len(out))
 				q := m.rng.Intn(len(cross))
-				spliced := append([]byte(nil), out[:p]...)
-				spliced = append(spliced, cross[q:]...)
-				out = spliced
+				out = append(out[:p], cross[q:]...)
 			}
 		}
 	}
 	if len(out) == 0 {
-		out = []byte{byte(m.rng.Intn(256)), byte(m.rng.Intn(256)), byte(m.rng.Intn(256)), byte(m.rng.Intn(256))}
+		out = append(out, byte(m.rng.Intn(256)), byte(m.rng.Intn(256)), byte(m.rng.Intn(256)), byte(m.rng.Intn(256)))
 	}
-	if len(out) > maxLen {
-		out = out[:maxLen]
-	}
-	return out
+	m.buf = out
+	return out[:min(len(out), maxLen)]
 }
 
 // instructionAware injects valid opcode patterns word by word (the custom
-// mutator of section IV-D). An empty base is seeded with fresh random
-// instructions.
+// mutator of section IV-D) into a copy of base in m.buf. An empty base
+// is seeded with fresh random instructions.
 func (m *mutator) instructionAware(base []byte, maxLen int) []byte {
-	var out []byte
+	out := m.buf[:0]
 	if len(base) == 0 {
 		nWords := 1 + m.rng.Intn(max(maxLen/4, 1))
-		out = make([]byte, nWords*4)
-		for i := range out {
-			out[i] = byte(m.rng.Intn(256))
+		for range nWords * 4 {
+			out = append(out, byte(m.rng.Intn(256)))
 		}
 	} else {
-		out = append([]byte(nil), base...)
-		if len(out) > maxLen {
-			out = out[:maxLen]
-		}
+		out = append(out, base[:min(len(base), maxLen)]...)
 	}
+	m.buf = out
 	// Analyse the base input once: per-site clean-register masks guide
 	// base-register choice, and the backward base-usage scan tells each
 	// site which registers a LATER memory access still needs clean. The

@@ -1,6 +1,7 @@
 package fuzz
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -8,11 +9,13 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"rvnegtest/internal/coverage"
+	"rvnegtest/internal/exec"
 	"rvnegtest/internal/sim"
 	"rvnegtest/internal/template"
 )
@@ -250,5 +253,76 @@ func TestWatchdogReapsWedgedTarget(t *testing.T) {
 	}
 	if st.TestCases == 0 {
 		t.Fatal("no test cases collected after target rebuild")
+	}
+}
+
+// inputWatch is a foundation simulator whose holdAt-th run outlives the
+// watchdog: it keeps a copy of its input, blocks until the campaign has
+// made movedOn more runs on the rebuilt targets, and then reports
+// whether its input still holds the bytes it was given.
+type inputWatch struct {
+	sim.HookedSim
+	calls *atomic.Int64
+	moved func()
+	wait  <-chan struct{}
+	kept  chan<- bool
+}
+
+const holdAt, movedOn = 10, 200
+
+func (w inputWatch) RunHooked(bs []byte, hook exec.Hook) sim.Outcome {
+	switch w.calls.Add(1) {
+	case holdAt:
+		given := bytes.Clone(bs)
+		<-w.wait
+		w.kept <- bytes.Equal(bs, given)
+		return sim.Outcome{}
+	case holdAt + movedOn:
+		w.moved()
+	}
+	return w.HookedSim.RunHooked(bs, hook)
+}
+
+// TestReapedRunKeepsItsInput: a reaped run may still read its input, so
+// the mutator must not build later candidates in the same buffer. The
+// run the watchdog abandons checks its input once the campaign has
+// moved on past it.
+func TestReapedRunKeepsItsInput(t *testing.T) {
+	var calls atomic.Int64
+	wait := make(chan struct{})
+	var once sync.Once
+	moved := func() { once.Do(func() { close(wait) }) }
+	defer moved() // release the abandoned run if the campaign stopped short
+	kept := make(chan bool, 1)
+	cfg := smallConfig(coverage.V1(), 6)
+	cfg.CaseTimeout = 50 * time.Millisecond
+	cfg.NewTarget = func(p template.Platform) (sim.HookedSim, error) {
+		inner, err := sim.New(sim.Reference, p)
+		if err != nil {
+			return nil, err
+		}
+		return inputWatch{inner, &calls, moved, wait, kept}, nil
+	}
+
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Run(3000, 0); err != nil {
+		t.Fatal(err)
+	}
+	if st := f.Stats(); st.Timeouts != 1 || st.HarnessFaults != 1 {
+		t.Fatalf("want one reaped run: timeouts=%d, harness faults=%d", st.Timeouts, st.HarnessFaults)
+	}
+	if n := calls.Load(); n < holdAt+movedOn {
+		t.Fatalf("the campaign made %d runs, want at least %d", n, holdAt+movedOn)
+	}
+	select {
+	case ok := <-kept:
+		if !ok {
+			t.Fatal("a later candidate overwrote the input of the reaped run")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the reaped run never finished its check")
 	}
 }

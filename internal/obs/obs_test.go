@@ -124,8 +124,9 @@ func TestStageNamesRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWritePrometheus pins the text exposition format: TYPE lines,
-// sorted series, label pass-through, cumulative le buckets in seconds.
+// TestWritePrometheus pins the text exposition format: one TYPE line per
+// family (the stage family with two active stages included), sorted
+// series, label pass-through, cumulative le buckets in seconds.
 func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("rv_execs_total").Add(42)
@@ -134,6 +135,7 @@ func TestWritePrometheus(t *testing.T) {
 	r.Gauge("rv_corpus_size").Set(13)
 	r.Stage(StageFilter).Observe(150 * time.Nanosecond) // bucket le=2.5e-07
 	r.Stage(StageFilter).Observe(2 * time.Second)       // bucket le=2.5
+	r.Stage(StageExecute).Observe(time.Microsecond)
 
 	var b bytes.Buffer
 	if err := r.WritePrometheus(&b); err != nil {
@@ -151,6 +153,7 @@ func TestWritePrometheus(t *testing.T) {
 		`rvnegtest_stage_duration_seconds_bucket{stage="filter",le="+Inf"} 2`,
 		`rvnegtest_stage_duration_seconds_sum{stage="filter"} 2.00000015`,
 		`rvnegtest_stage_duration_seconds_count{stage="filter"} 2`,
+		`rvnegtest_stage_duration_seconds_count{stage="execute"} 1`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q in exposition:\n%s", want, out)
@@ -158,6 +161,21 @@ func TestWritePrometheus(t *testing.T) {
 	}
 	if strings.Contains(out, `stage="mutate"`) {
 		t.Error("empty stage histograms must be omitted")
+	}
+	// The text format allows one TYPE line per metric family.
+	types := map[string]int{}
+	for _, line := range strings.Split(out, "\n") {
+		if f, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			types[strings.Fields(f)[0]]++
+		}
+	}
+	for _, fam := range []string{"rv_execs_total", "rv_mismatches_total", "rv_corpus_size", "rvnegtest_stage_duration_seconds"} {
+		if types[fam] != 1 {
+			t.Errorf("family %s has %d TYPE lines, want 1:\n%s", fam, types[fam], out)
+		}
+	}
+	if len(types) != 4 {
+		t.Errorf("TYPE lines for %d families, want 4: %v", len(types), types)
 	}
 }
 

@@ -214,25 +214,32 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 	}
 
-	// Stage timers as one family with a stage label.
+	// Stage timers as one family with a stage label: one TYPE line
+	// before the first active stage, as the text format requires.
+	const stageFam = "rvnegtest_stage_duration_seconds"
+	typed := false
 	for i, h := range r.stages {
 		if h.Count() == 0 {
 			continue
 		}
+		if !typed {
+			if _, err := fmt.Fprintf(w, "# TYPE %s histogram\n", stageFam); err != nil {
+				return err
+			}
+			typed = true
+		}
 		labels := `stage="` + Stage(i).String() + `"`
-		if err := writeHistogram(w, "rvnegtest_stage_duration_seconds", labels, h); err != nil {
+		if err := writeHistogram(w, stageFam, labels, h); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// writeHistogram renders one labelled histogram in Prometheus text
-// format with seconds-valued buckets.
+// writeHistogram renders the series of one labelled histogram of family
+// fam in Prometheus text format with seconds-valued buckets; the
+// family's TYPE line is the caller's.
 func writeHistogram(w io.Writer, fam, labels string, h *Histogram) error {
-	if _, err := fmt.Fprintf(w, "# TYPE %s histogram\n", fam); err != nil {
-		return err
-	}
 	cum := uint64(0)
 	for i, bound := range BucketBounds {
 		cum += h.Bucket(i)

@@ -88,30 +88,62 @@ func TestSafeCapturesPanic(t *testing.T) {
 }
 
 func TestGuard(t *testing.T) {
+	inc := func(x int) int { return x + 1 }
+	boom := func(msg string) int { panic(msg) }
 	// Inline path: value through, panic captured.
-	v, rec, to := Guard(0, func() int { return 41 })
+	v, rec, to := Guard(0, inc, 40)
 	if v != 41 || rec != nil || to {
 		t.Fatalf("inline: %v %v %v", v, rec, to)
 	}
-	_, rec, to = Guard(0, func() int { panic("boom") })
+	_, rec, to = Guard(0, boom, "boom")
 	if rec == nil || rec.Msg != "boom" || to {
 		t.Fatalf("inline panic: %v %v", rec, to)
 	}
 
 	// Goroutine path: fast fn completes, wedge is reaped.
-	v, rec, to = Guard(time.Second, func() int { return 7 })
+	v, rec, to = Guard(time.Second, inc, 6)
 	if v != 7 || rec != nil || to {
 		t.Fatalf("guarded: %v %v %v", v, rec, to)
 	}
-	_, rec, to = Guard(time.Second, func() int { panic("guarded boom") })
+	_, rec, to = Guard(time.Second, boom, "guarded boom")
 	if rec == nil || rec.Msg != "guarded boom" || to {
 		t.Fatalf("guarded panic: %v %v", rec, to)
 	}
 	release := make(chan struct{})
 	defer close(release)
-	_, rec, to = Guard(20*time.Millisecond, func() int { <-release; return 0 })
+	_, rec, to = Guard(20*time.Millisecond, func(c chan struct{}) int { <-c; return 0 }, release)
 	if !to || rec != nil {
 		t.Fatalf("wedge not reaped: %v %v", rec, to)
+	}
+}
+
+// guardedCase is the shape of the engines' guarded calls: a simulator
+// instance, a buffer and the value they produce, passed by value.
+type guardedCase struct {
+	sum *int
+	in  []byte
+}
+
+func (c guardedCase) run() int {
+	*c.sum += len(c.in)
+	return *c.sum
+}
+
+// TestGuardInlineAllocsZero pins the inline path at 0 allocations: the
+// per-case call of both engines when CaseTimeout is 0. The argument
+// carries pointers, as the engines' do, so it must stay off the heap.
+func TestGuardInlineAllocsZero(t *testing.T) {
+	sum, in := new(int), make([]byte, 8)
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, rec, to := Guard(0, guardedCase.run, guardedCase{sum, in}); rec != nil || to {
+			t.Fatalf("inline: %v %v", rec, to)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Guard(0, ...) makes %v allocations per call, want 0", allocs)
+	}
+	if *sum != 8*101 {
+		t.Fatalf("fn ran to a sum of %d, want %d", *sum, 8*101)
 	}
 }
 

@@ -8,18 +8,16 @@ import (
 	"rvnegtest/internal/template"
 )
 
-// runAllocs is what one run allocates however many instructions it
-// retires: the signature. The hart and executor belong to the simulator
-// and are reused across runs.
-const runAllocs = 1
-
 // TestRunHookedAllocsIndependentOfLength pins the allocations of Run and
-// RunHooked to the per-run constant on both template families, unhooked
-// and with v0 and v3 collectors: a 15-instruction input must allocate
-// exactly what a 1-instruction input does, so nothing allocates per
-// retired instruction. On the trap template, inputs that take a load, a
-// store and a fetch access fault, and one that reads a CSR that does not
-// exist, must allocate no more: a fault is a trap, not an error value.
+// RunHooked on both template families however many instructions a run
+// retires. The hart and executor belong to the simulator and are reused
+// across runs, so an unhooked run allocates only its signature and a run
+// under a v0 or v3 collector, which builds none, allocates nothing. A
+// 15-instruction input must allocate exactly what a 1-instruction input
+// does, so nothing allocates per retired instruction. On the trap
+// template, inputs that take a load, a store and a fetch access fault,
+// and one that reads a CSR that does not exist, must allocate no more: a
+// fault is a trap, not an error value.
 func TestRunHookedAllocsIndependentOfLength(t *testing.T) {
 	short := stream(enc(isa.Inst{Op: isa.OpADDI, Rd: 5, Rs1: 5, Imm: 1}))
 	long := stream(
@@ -61,27 +59,27 @@ func TestRunHookedAllocsIndependentOfLength(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, cov := range []string{"none", "v0", "v3"} {
-			run := s.Run
-			var col *coverage.Collector
+			run, runAllocs, signed := s.Run, 1.0, true
 			if opts, ok := coverage.ByName(cov); ok {
-				col = coverage.NewCollector(opts)
+				col := coverage.NewCollector(opts)
 				run = func(bs []byte) Outcome {
 					out := s.RunHooked(bs, col)
 					col.Map.DiscardRun()
 					return out
 				}
+				runAllocs, signed = 0, false
 			}
 			var insts [2]uint64
 			for i, bs := range [][]byte{short, long} {
 				allocs := testing.AllocsPerRun(20, func() {
 					out := run(bs)
-					if out.Crashed || out.TimedOut || out.Signature == nil {
+					if out.Crashed || out.TimedOut || (out.Signature != nil) != signed {
 						t.Fatalf("%v %s: run failed: %+v", fam, cov, out)
 					}
 					insts[i] = out.Insts
 				})
 				if allocs != runAllocs {
-					t.Errorf("%v %s: %d-word input: %v allocs per run, want %d",
+					t.Errorf("%v %s: %d-word input: %v allocs per run, want %v",
 						fam, cov, len(bs)/4, allocs, runAllocs)
 				}
 			}
@@ -95,12 +93,12 @@ func TestRunHookedAllocsIndependentOfLength(t *testing.T) {
 			for i, bs := range faults {
 				allocs := testing.AllocsPerRun(20, func() {
 					out := run(bs)
-					if out.Crashed || out.TimedOut || out.Signature == nil || out.Traps != 1 {
+					if out.Crashed || out.TimedOut || (out.Signature != nil) != signed || out.Traps != 1 {
 						t.Fatalf("%v %s: fault input %d: %+v, want one trap", fam, cov, i, out)
 					}
 				})
 				if allocs != runAllocs {
-					t.Errorf("%v %s: fault input %d: %v allocs per run, want %d",
+					t.Errorf("%v %s: fault input %d: %v allocs per run, want %v",
 						fam, cov, i, allocs, runAllocs)
 				}
 			}

@@ -65,9 +65,13 @@ func runToEntry(e *exec.Executor, addr uint32, limit uint64) (ok bool) {
 
 // skipper is implemented by hooks that can account for the template's
 // input-independent prefix and shutdown sequence without watching them
-// execute (coverage.Collector). In both methods run executes the stretch
-// with the given hook attached and key identifies it (equal keys, equal
-// code), so an implementation may run it once per key.
+// execute (coverage.Collector). A skipper reads a run's coverage, never
+// its signature, so a run under one returns Outcome.Signature nil
+// whether the dump was summarized or executed; a run under any other
+// hook builds the signature as an unhooked run does. In both methods
+// run executes the stretch with the given hook attached and key
+// identifies it (equal keys, equal code), so an implementation may run
+// it once per key.
 //
 // SkipPrefix stands for the prefix, which starts from reset. SkipExit
 // stands for the dump executed from h; run leaves h and the run as it

@@ -31,6 +31,27 @@ func (f fullPath) OnEdge(edge uint32) {
 	}
 }
 
+// sameOutcome fails the test unless got, a run under hook, equals want,
+// the same run executed under fullPath. A coverage collector's run
+// returns no signature: got must leave it nil and equal want in every
+// other field, and want's signature must equal sig, the signature of the
+// same run with no hook.
+func sameOutcome(t testing.TB, label string, hook exec.Hook, got, want Outcome, sig []uint32) {
+	t.Helper()
+	if _, ok := hook.(skipper); ok {
+		if got.Signature != nil {
+			t.Fatalf("%s: a collector's run returned a signature: %+v", label, got)
+		}
+		if !reflect.DeepEqual(want.Signature, sig) {
+			t.Fatalf("%s: executed signature %v, unhooked %v", label, want.Signature, sig)
+		}
+		got.Signature = want.Signature
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: outcome diverged:\nfast %+v\nfull %+v", label, got, want)
+	}
+}
+
 // fuzzCorpus returns n seeded inputs of 1..16 words in the mix a
 // mutating fuzzer produces: legal 32-bit encodings with random fields,
 // raw words, compressed halfword pairs, and — in one input of sixteen —
@@ -145,7 +166,8 @@ func executedSteps(s *Simulator, bs []byte, hook exec.Hook) (Outcome, uint64) {
 // starts at the entry state and summarizes the dump must equal a run
 // that executes both — the same Outcome and the same coverage footprint,
 // order included — over outcomeMix and a seeded corpus of about 2k
-// executions. A run executes exactly Insts minus the prefix, minus the
+// executions; a collector's run leaves the signature to an unhooked run
+// of the same input (sameOutcome). A run executes exactly Insts minus the prefix, minus the
 // dump too when summarized (counted by executedSteps), and the full path
 // executes Insts.
 // Many random inputs loop on the trap template; a 2,000-instruction
@@ -166,10 +188,12 @@ func TestFastForwardMatchesFullPath(t *testing.T) {
 			for i, bs := range inputs {
 				label := fmt.Sprintf("%s %s input %d (%x)", labels[si], cov, i, bs)
 				got := s.RunHooked(bs, fastHook)
-				want := s.RunHooked(bs, fullHook)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s: outcome diverged:\nfast %+v\nfull %+v", label, got, want)
+				var sig []uint32
+				if fast != nil {
+					sig = s.Run(bs).Signature
 				}
+				want := s.RunHooked(bs, fullHook)
+				sameOutcome(t, label, fastHook, got, want, sig)
 				if fast != nil {
 					if f, w := fast.Map.RunFootprint(), full.Map.RunFootprint(); !reflect.DeepEqual(f, w) {
 						t.Fatalf("%s: coverage footprint diverged (%d vs %d points)", label, len(f), len(w))
@@ -225,11 +249,10 @@ func TestFastForwardLimitAtPrefix(t *testing.T) {
 		ref := coverage.NewCollector(coverage.V3())
 		for _, limit := range []uint64{0, 1, p - 1, p, p + 1, p + 2} {
 			s.Limit = limit
+			sig := s.Run(bs).Signature
 			for _, hooks := range [][2]exec.Hook{{nil, fullPath{}}, {col, fullPath{ref}}} {
 				got, want := s.RunHooked(bs, hooks[0]), s.RunHooked(bs, hooks[1])
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%v limit %d: fast %+v, full %+v", cfg, limit, got, want)
-				}
+				sameOutcome(t, fmt.Sprintf("%v limit %d", cfg, limit), hooks[0], got, want, sig)
 				if limit <= p+1 && (!got.TimedOut || got.Insts != limit) {
 					t.Fatalf("%v limit %d: %+v, want a timeout after exactly %d", cfg, limit, got, limit)
 				}
@@ -259,10 +282,8 @@ func TestFastForwardKeySwitch(t *testing.T) {
 	ref := coverage.NewCollector(coverage.V3())
 	for i, bs := range append(outcomeMix(), fuzzCorpus(16, 2)...) {
 		for _, s := range []*Simulator{a, b, a} {
-			got, want := s.RunHooked(bs, col), s.RunHooked(bs, fullPath{ref})
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("input %d on %s: fast %+v, full %+v", i, s.Variant.Name, got, want)
-			}
+			got, sig, want := s.RunHooked(bs, col), s.Run(bs).Signature, s.RunHooked(bs, fullPath{ref})
+			sameOutcome(t, fmt.Sprintf("input %d on %s", i, s.Variant.Name), col, got, want, sig)
 			if f, w := col.Map.RunFootprint(), ref.Map.RunFootprint(); !reflect.DeepEqual(f, w) {
 				t.Fatalf("input %d on %s: footprint diverged", i, s.Variant.Name)
 			}
@@ -286,10 +307,8 @@ func TestFastForwardShared(t *testing.T) {
 	col := coverage.NewCollector(coverage.V3())
 	ref := coverage.NewCollector(coverage.V3())
 	for i, bs := range outcomeMix() {
-		got, want := c.RunHooked(bs, col), s.RunHooked(bs, fullPath{ref})
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("case %d: clone %+v, full-path original %+v", i, got, want)
-		}
+		got, sig, want := c.RunHooked(bs, col), c.Run(bs).Signature, s.RunHooked(bs, fullPath{ref})
+		sameOutcome(t, fmt.Sprintf("case %d: clone against the full-path original", i), col, got, want, sig)
 		if f, w := col.Map.RunFootprint(), ref.Map.RunFootprint(); !reflect.DeepEqual(f, w) {
 			t.Fatalf("case %d: clone footprint diverged", i)
 		}

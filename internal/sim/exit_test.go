@@ -16,21 +16,22 @@ import (
 
 // runPair runs bs on s under hook and under fullPath{ref}: the summarized
 // run and the executed one. It fails the test unless both give the same
-// Outcome and footprint, and reports the outcome and whether the
-// summary stood for the dump.
+// Outcome (sameOutcome: a collector's run leaves the signature to an
+// unhooked one) and footprint, and reports the executed run's outcome,
+// signature included, and whether the summary stood for the dump.
 func runPair(t *testing.T, s *Simulator, bs []byte, col, ref *coverage.Collector, label string) (Outcome, bool) {
 	t.Helper()
 	hook, full := exec.Hook(nil), exec.Hook(fullPath{})
+	var sig []uint32
 	if col != nil {
 		hook, full = col, fullPath{ref}
+		sig = s.Run(bs).Signature
 	}
 	e0 := s.exits
 	got := s.RunHooked(bs, hook)
 	exited := s.exits != e0
 	want := s.RunHooked(bs, full)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("%s: summarized %+v, executed %+v", label, got, want)
-	}
+	sameOutcome(t, label, hook, got, want, sig)
 	if col != nil {
 		if f, w := col.Map.RunFootprint(), ref.Map.RunFootprint(); !reflect.DeepEqual(f, w) {
 			t.Fatalf("%s: footprint diverged (%d vs %d points)", label, len(f), len(w))
@@ -38,7 +39,7 @@ func runPair(t *testing.T, s *Simulator, bs []byte, col, ref *coverage.Collector
 		col.Map.DiscardRun()
 		ref.Map.DiscardRun()
 	}
-	return got, exited
+	return want, exited
 }
 
 // TestExitSummaryLimitAtDump pins the limit guard. With P the prefix, k
@@ -239,7 +240,9 @@ func sigSources(t *testing.T, x *exitSummary) []sigWord {
 // clone under a hook that is no skipper: once as it is, and once with
 // the hart replaced at dump: by a random one (CSRs and the instruction
 // count included). Both must give the same Outcome, leave the same
-// memory to the next run and record the same footprint, order included.
+// memory to the next run and record the same footprint, order included;
+// a collector's run leaves the signature to an unhooked run of the same
+// input or from the same hart (sameOutcome).
 func FuzzExitSummaryDifferential(f *testing.F) {
 	sims, labels := platforms(f)
 	refs := make([]*Simulator, len(sims))
@@ -289,12 +292,10 @@ func FuzzExitSummaryDifferential(f *testing.F) {
 		if n := s.Platform.Layout.MaxBytes(); len(bs) > n {
 			bs = bs[:n]
 		}
-		check := func(phase string, got, want Outcome) {
+		check := func(phase string, got, want Outcome, sig []uint32) {
 			t.Helper()
 			label := labels[pi] + " " + phase
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: summarized %+v, executed %+v", label, got, want)
-			}
+			sameOutcome(t, label, hook, got, want, sig)
 			if col != nil {
 				if f, w := col.Map.RunFootprint(), ref.Map.RunFootprint(); !reflect.DeepEqual(f, w) {
 					t.Fatalf("%s: footprint diverged (%d vs %d points)", label, len(f), len(w))
@@ -312,7 +313,11 @@ func FuzzExitSummaryDifferential(f *testing.F) {
 				t.Fatalf("%s: the next run sees different memory", label)
 			}
 		}
-		check("as input", s.RunHooked(bs, hook), r.RunHooked(bs, full))
+		var sig []uint32
+		if col != nil {
+			sig = s.Run(bs).Signature
+		}
+		check("as input", s.RunHooked(bs, hook), r.RunHooked(bs, full), sig)
 
 		if s.start(bs, hook) != nil || r.start(bs, full) != nil {
 			t.Fatal("start failed")
@@ -321,11 +326,20 @@ func FuzzExitSummaryDifferential(f *testing.F) {
 			col.Map.DiscardRun()
 			ref.Map.DiscardRun()
 		}
-		s.cpu = randomHart(s.cpu, s.exit.addr, binary.LittleEndian.Uint64(data[4:]))
-		r.cpu = s.cpu
-		s.ex.InstCount = s.cpu.Minstret % (s.Limit + 1)
-		r.ex.InstCount = s.ex.InstCount
-		check("from a random hart", s.finish(hook), r.finish(full))
+		h := randomHart(s.cpu, s.exit.addr, binary.LittleEndian.Uint64(data[4:]))
+		n := h.Minstret % (s.Limit + 1)
+		s.cpu, s.ex.InstCount = h, n
+		r.cpu, r.ex.InstCount = h, n
+		got, want := s.finish(hook), r.finish(full)
+		if col != nil {
+			// The same hart with no hook gives the signature.
+			if s.start(bs, nil) != nil {
+				t.Fatal("start failed")
+			}
+			s.cpu, s.ex.InstCount = h, n
+			sig = s.finish(nil).Signature
+		}
+		check("from a random hart", got, want, sig)
 	})
 }
 

@@ -152,6 +152,10 @@ const DefaultInstLimit = 20000
 
 // Outcome is the result of running one test case on one simulator.
 type Outcome struct {
+	// Signature is the signature of a run that completed, a fresh slice
+	// the caller owns. A run hooked by a coverage collector (a skipper)
+	// reads coverage only and leaves it nil, so that it allocates
+	// nothing; every other completed run, hooked or not, has one.
 	Signature []uint32
 	Crashed   bool
 	CrashMsg  string
@@ -176,6 +180,9 @@ type Sim interface {
 // fuzzing phase).
 type HookedSim interface {
 	Sim
+	// RunHooked runs bs with hook attached. A coverage collector's run
+	// returns no Signature (see Outcome.Signature); a run under any
+	// other hook returns what Run returns.
 	RunHooked(bs []byte, hook exec.Hook) Outcome
 }
 
@@ -270,7 +277,8 @@ func (s *Simulator) Run(bs []byte) Outcome { return s.RunHooked(bs, nil) }
 // entry state, skipping the template's input-independent prefix, and
 // writes the signature from the hart when it reaches the shutdown
 // sequence, unless the hook has to watch them execute (see
-// Simulator.start and Simulator.takeExit).
+// Simulator.start and Simulator.takeExit). Under a skipper it builds no
+// signature at all and allocates nothing.
 func (s *Simulator) RunHooked(bs []byte, hook exec.Hook) Outcome {
 	if err := s.start(bs, hook); err != nil {
 		return Outcome{Crashed: true, CrashMsg: err.Error()}
@@ -291,6 +299,12 @@ func (s *Simulator) finish(hook exec.Hook) (out Outcome) {
 	if err != nil {
 		out.TimedOut, out.CrashMsg = classifyRunError(err)
 		out.Crashed = !out.TimedOut
+		return out
+	}
+	if _, ok := hook.(skipper); ok {
+		// A collector reads coverage only (see skipper). The signature
+		// area is part of the loaded template, so reading it cannot
+		// fail, and leaving it unread changes no other field.
 		return out
 	}
 	if exited {
