@@ -21,6 +21,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -53,7 +54,7 @@ func main() {
 		rounds    = flag.Int("continuous", 0, "continuous mode: repeat generate+compare for N rounds with fresh seeds")
 		exportDir = flag.String("export-sigs", "", "write the reference signatures for the suite into this directory and exit")
 		verifyDir = flag.String("verify-sigs", "", "compare simulators against reference signature files in this directory")
-		asJSON    = flag.Bool("json", false, "emit the report as JSON (for CI pipelines)")
+		asJSON    = flag.Bool("json", false, "emit the report as JSON (for CI pipelines); stdout carries the report alone")
 		stats     = flag.Bool("stats", false, "print engine throughput and per-worker execution counts to stderr")
 		progress  = flag.Bool("progress", false, "log per-shard completion to stderr while the engine runs")
 		breaker   = flag.Int("breaker", 0, "consecutive harness faults before an instance is marked unhealthy (0 = default, <0 disables)")
@@ -180,7 +181,12 @@ func main() {
 		fatalf("%v", err)
 	}
 	if res.GenStats != nil {
-		printGenerated(res.Suite, *res.GenStats)
+		// With -json, stdout carries the report alone.
+		banner := os.Stdout
+		if *asJSON {
+			banner = os.Stderr
+		}
+		printGenerated(banner, res.Suite, *res.GenStats)
 	}
 	rep := res.Report
 	if *stats {
@@ -214,14 +220,14 @@ func main() {
 	exitDegraded(rep, telemetry.Close)
 }
 
-// printGenerated reports a just-generated suite the way the CLI always
-// has (trap suites count the directed probes that ride along).
-func printGenerated(suite *rvnegtest.Suite, st fuzz.Stats) {
+// printGenerated reports a just-generated suite to w the way the CLI
+// always has (trap suites count the directed probes that ride along).
+func printGenerated(w io.Writer, suite *rvnegtest.Suite, st fuzz.Stats) {
 	if suite.Family == rvnegtest.FamilyTrap {
-		fmt.Printf("generated %d trap-family test cases from %d executions (%.0f/s)\n\n",
+		fmt.Fprintf(w, "generated %d trap-family test cases from %d executions (%.0f/s)\n\n",
 			len(suite.Cases), st.Execs, st.ExecsPerSec)
 	} else {
-		fmt.Printf("generated %d test cases from %d executions (%.0f/s)\n\n",
+		fmt.Fprintf(w, "generated %d test cases from %d executions (%.0f/s)\n\n",
 			st.TestCases, st.Execs, st.ExecsPerSec)
 	}
 }
@@ -248,7 +254,7 @@ func resolveSuite(suitePath string, generate uint64, seconds float64, seed int64
 	if err != nil {
 		fatalf("%v", err)
 	}
-	printGenerated(suite, st)
+	printGenerated(os.Stdout, suite, st)
 	return suite
 }
 

@@ -6,8 +6,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -334,6 +337,165 @@ func TestOpenRecoversKilledRunningJob(t *testing.T) {
 	}
 	if onDisk.State != StateQueued {
 		t.Fatalf("recovery not persisted: disk state %s", onDisk.State)
+	}
+}
+
+// TestOpenSkipsOrphanedJobDir: a kill between NewJob's MkdirAll and its
+// first Put leaves a job directory without job.json. Submit never
+// acknowledged that job, so Open starts without it, and the next job
+// does not reuse its ID.
+func TestOpenSkipsOrphanedJobDir(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, err := st.NewJob(testSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(dir, "job-000002"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+
+	st2, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(st2, SchedulerConfig{})
+	if err != nil {
+		t.Fatalf("reopening a store with an orphaned job directory: %v", err)
+	}
+	defer s.Close()
+	if jobs := s.Jobs(); len(jobs) != 1 || jobs[0].ID != job.ID {
+		t.Fatalf("recovered %d jobs, want %s alone", len(jobs), job.ID)
+	}
+	next, err := s.Submit(testSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.ID != "job-000003" {
+		t.Fatalf("next job is %s, want job-000003", next.ID)
+	}
+}
+
+// TestSchedulerFailsJobWhenStateWriteFails: once the store stops taking a
+// running job's state (its job.json replaced by a non-empty directory),
+// cancelling the job ends it failed, with the write error as its reason
+// in the job and in its job_failed event. It must not end canceled in
+// memory while the disk still says running.
+func TestSchedulerFailsJobWhenStateWriteFails(t *testing.T) {
+	var stream bytes.Buffer
+	events := obs.NewEventLog(&stream)
+	st, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(st, SchedulerConfig{Events: events})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	defer s.Close()
+	spec := fuzzSpec(1)
+	spec.Execs = 1 << 40 // never finishes: the test cancels it
+	job, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitForState(t, s, job.ID, StateRunning)
+	path := filepath.Join(st.JobDir(job.ID), jobFileName)
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(path, "occupied"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Cancel(job.ID); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	final, err := s.Wait(ctx, job.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.State != StateFailed || !strings.HasPrefix(final.Error, "persisting job state: ") {
+		t.Fatalf("job ended %s (error %q), want failed while persisting job state", final.State, final.Error)
+	}
+
+	s.Close()
+	if err := events.Close(); err != nil {
+		t.Fatal(err)
+	}
+	evs, err := obs.ReadEvents(&stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var failed []string
+	for _, ev := range evs {
+		if ev.Job == job.ID && ev.Type == "job_failed" {
+			failed = append(failed, ev.Detail)
+		}
+		if ev.Job == job.ID && ev.Type == "job_canceled" {
+			t.Fatalf("job_canceled event for a job whose state could not be written: %+v", ev)
+		}
+	}
+	if len(failed) != 1 || failed[0] != final.Error {
+		t.Fatalf("job_failed details %q, want [%q]", failed, final.Error)
+	}
+}
+
+// TestDaemonRefusesVersion1FuzzCheckpoint: a fuzz job whose checkpoint
+// directory holds a version-1 worker checkpoint ends failed with the
+// fuzzer's refusal as its reason, and the API serves it without a 500.
+func TestDaemonRefusesVersion1FuzzCheckpoint(t *testing.T) {
+	st, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := fuzzSpec(1)
+	spec.Normalize()
+	job, err := st.NewJob(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wdir := filepath.Join(st.CheckpointDir(job.ID), "worker-000")
+	if err := os.MkdirAll(wdir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	v1 := map[string]any{
+		"execs":         2000,
+		"corpus_file":   "corpus-0000000000002000.hex",
+		"frontier_file": "frontier-0000000000002000.bin",
+	}
+	if err := resilience.SaveJSON(filepath.Join(wdir, "state.json"), "rvfuzz-checkpoint", 1, v1); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := Open(st, SchedulerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	defer s.Close()
+	srv := httptest.NewServer(NewAPI(s))
+	defer srv.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	final, err := s.Wait(ctx, job.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.State != StateFailed || !strings.Contains(final.Error, "version-1 checkpoint") ||
+		!strings.Contains(final.Error, "restart the campaign") {
+		t.Fatalf("job ended %s (error %q), want failed on the version-1 checkpoint", final.State, final.Error)
+	}
+	for _, path := range []string{"/api/v1/jobs/" + job.ID, "/api/v1/jobs/" + job.ID + "/artifacts"} {
+		code, body := do(t, "GET", srv.URL+path, "")
+		if code != http.StatusOK {
+			t.Fatalf("GET %s = %d %s", path, code, body)
+		}
 	}
 }
 

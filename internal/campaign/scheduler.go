@@ -115,13 +115,7 @@ func Open(store *Store, cfg SchedulerConfig) (*Scheduler, error) {
 					return nil, err
 				}
 			}
-			if err := job.transition(StateQueued); err != nil {
-				cancel()
-				return nil, err
-			}
-			job.Resumes++
-			job.StartedNS = 0
-			if err := store.Put(job); err != nil {
+			if err := s.advance(job, StateQueued, ""); err != nil {
 				cancel()
 				return nil, err
 			}
@@ -222,6 +216,9 @@ func (s *Scheduler) Cancel(id string) error {
 	}
 	switch job.State {
 	case StateQueued:
+		if err := s.advance(job, StateCanceled, ""); err != nil {
+			return err
+		}
 		for i, qid := range s.queue {
 			if qid == id {
 				s.queue = append(s.queue[:i], s.queue[i+1:]...)
@@ -229,13 +226,6 @@ func (s *Scheduler) Cancel(id string) error {
 			}
 		}
 		s.gQueued.Set(int64(len(s.queue)))
-		if err := job.transition(StateCanceled); err != nil {
-			return err
-		}
-		job.FinishedNS = s.store.now()
-		if err := s.store.Put(job); err != nil {
-			return err
-		}
 		s.cCanceled.Inc()
 		s.emit(obs.Event{Type: "job_canceled", Job: id, Worker: -1, Detail: "canceled while queued"})
 		s.cond.Broadcast()
@@ -293,12 +283,11 @@ func (s *Scheduler) worker() {
 		}
 		id := s.queue[0]
 		s.queue = s.queue[1:]
+		s.gQueued.Set(int64(len(s.queue)))
 		job := s.jobs[id]
 		if err := job.transition(StateRunning); err != nil {
-			// Cannot happen for queued jobs; record and drop.
-			job.State = StateFailed
-			job.Error = err.Error()
-			_ = s.store.Put(job)
+			// Cannot happen: a job leaves the queue when it leaves
+			// queued. Drop the stale entry and leave the job as it is.
 			s.mu.Unlock()
 			continue
 		}
@@ -306,12 +295,11 @@ func (s *Scheduler) worker() {
 		jobCtx, cancelJob := context.WithCancel(s.ctx)
 		ctl := &slotCtl{cancel: cancelJob}
 		s.running[id] = ctl
-		s.gQueued.Set(int64(len(s.queue)))
 		s.gRunning.Set(int64(len(s.running)))
 		if err := s.store.Put(job); err != nil {
 			// The store is the source of truth; without it the job
 			// cannot be tracked across restarts. Fail the job.
-			s.finish(job, ctl, nil, err)
+			s.finish(job, ctl, nil, fmt.Errorf("persisting job state: %w", err))
 			cancelJob()
 			continue
 		}
@@ -334,7 +322,10 @@ func (s *Scheduler) worker() {
 }
 
 // finish moves a job out of the running state according to the
-// execution outcome and persists it. Called with s.mu held; releases it.
+// execution outcome. Called with s.mu held; releases it. Each state is
+// persisted before it becomes visible, and a state the store does not
+// take fails the job instead: failed is a legal successor of both
+// running and checkpointing.
 func (s *Scheduler) finish(job *Job, ctl *slotCtl, res *Result, err error) {
 	id := job.ID
 	delete(s.running, id)
@@ -343,69 +334,95 @@ func (s *Scheduler) finish(job *Job, ctl *slotCtl, res *Result, err error) {
 	// Every exit from running passes through checkpointing: the engine
 	// checkpoints are already flushed (the engines save on the way out),
 	// and the artifact write below happens under this state.
-	terr := job.transition(StateCheckpointing)
-	if terr == nil && s.store.Put(job) == nil {
+	if perr := s.advance(job, StateCheckpointing, ""); perr != nil {
+		err = perr
+	} else {
 		s.emit(obs.Event{Type: "job_checkpointing", Job: id, Worker: -1})
+		if err == nil {
+			// Persist artifacts before declaring the job finished, so a
+			// "done" state always implies readable artifacts.
+			s.mu.Unlock()
+			aerr := res.WriteArtifacts(s.store.ArtifactsDir(id))
+			s.mu.Lock()
+			if aerr != nil {
+				err = fmt.Errorf("writing artifacts: %w", aerr)
+			}
+		}
 	}
 
+	to, detail := StateFailed, ""
 	switch {
+	case err == nil && res.Degraded():
+		to, detail = StateDegraded, "degraded by harness faults"
 	case err == nil:
-		// Persist artifacts before declaring the job finished, so a
-		// "done" state always implies readable artifacts.
-		s.mu.Unlock()
-		aerr := res.WriteArtifacts(s.store.ArtifactsDir(id))
-		s.mu.Lock()
-		if aerr != nil {
-			err = fmt.Errorf("writing artifacts: %w", aerr)
-			break
-		}
-		job.FinishedNS = s.store.now()
-		if res.Degraded() {
-			job.Degraded = true
-			_ = job.transition(StateDegraded)
-			s.cDegraded.Inc()
-			s.emit(obs.Event{Type: "job_done", Job: id, Worker: -1, Detail: "degraded by harness faults"})
-		} else {
-			_ = job.transition(StateDone)
-			s.cDone.Inc()
-			s.emit(obs.Event{Type: "job_done", Job: id, Worker: -1})
-		}
-		_ = s.store.Put(job)
-		s.cond.Broadcast()
-		s.mu.Unlock()
-		return
+		to = StateDone
 	case errors.Is(err, ErrInterrupted) && ctl.canceled:
-		job.FinishedNS = s.store.now()
-		_ = job.transition(StateCanceled)
-		_ = s.store.Put(job)
-		s.cCanceled.Inc()
-		s.emit(obs.Event{Type: "job_canceled", Job: id, Worker: -1, Detail: "interrupted by operator"})
-		s.cond.Broadcast()
-		s.mu.Unlock()
-		return
+		to, detail = StateCanceled, "interrupted by operator"
 	case errors.Is(err, ErrInterrupted):
-		// Daemon shutdown: suspend. The next Open resumes the job from
+		to, detail = StateQueued, "scheduler shutdown; will resume"
+	default:
+		detail = err.Error()
+	}
+	if perr := s.advance(job, to, detail); perr != nil {
+		to, detail = StateFailed, perr.Error()
+		if s.advance(job, to, detail) != nil {
+			// The disk refused this write too and keeps the job's last
+			// durable state, from which the next Open recovers it. This
+			// scheduler has failed the job all the same.
+			_ = job.transition(to)
+			job.Error, job.FinishedNS = detail, s.store.now()
+		}
+	}
+
+	switch to {
+	case StateDone:
+		s.cDone.Inc()
+		s.emit(obs.Event{Type: "job_done", Job: id, Worker: -1})
+	case StateDegraded:
+		s.cDegraded.Inc()
+		s.emit(obs.Event{Type: "job_done", Job: id, Worker: -1, Detail: detail})
+	case StateCanceled:
+		s.cCanceled.Inc()
+		s.emit(obs.Event{Type: "job_canceled", Job: id, Worker: -1, Detail: detail})
+	case StateQueued:
+		// Daemon shutdown: suspended. The next Open resumes the job from
 		// its checkpoints.
-		_ = job.transition(StateQueued)
-		job.Resumes++
-		job.StartedNS = 0
-		_ = s.store.Put(job)
 		s.queue = append(s.queue, id)
 		s.gQueued.Set(int64(len(s.queue)))
-		s.emit(obs.Event{Type: "job_suspend", Job: id, Worker: -1, Detail: "scheduler shutdown; will resume"})
-		s.cond.Broadcast()
-		s.mu.Unlock()
-		return
+		s.emit(obs.Event{Type: "job_suspend", Job: id, Worker: -1, Detail: detail})
+	case StateFailed:
+		s.cFailed.Inc()
+		s.emit(obs.Event{Type: "job_failed", Job: id, Worker: -1, Detail: detail})
 	}
-	// Failure.
-	job.FinishedNS = s.store.now()
-	job.Error = err.Error()
-	_ = job.transition(StateFailed)
-	_ = s.store.Put(job)
-	s.cFailed.Inc()
-	s.emit(obs.Event{Type: "job_failed", Job: id, Worker: -1, Detail: err.Error()})
 	s.cond.Broadcast()
 	s.mu.Unlock()
+}
+
+// advance moves the job to state to and persists the move before the API
+// can see it. A suspended job counts a resume; a finished one records its
+// finish time, and a failed one its reason. When the move is illegal or
+// the store does not take it, the job is left as it was.
+func (s *Scheduler) advance(job *Job, to State, reason string) error {
+	next := job.Clone()
+	if err := next.transition(to); err != nil {
+		return err
+	}
+	switch {
+	case to == StateQueued:
+		next.Resumes++
+		next.StartedNS = 0
+	case to.Terminal():
+		next.FinishedNS = s.store.now()
+		next.Degraded = to == StateDegraded
+		if to == StateFailed {
+			next.Error = reason
+		}
+	}
+	if err := s.store.Put(next); err != nil {
+		return fmt.Errorf("persisting job state: %w", err)
+	}
+	*job = *next
+	return nil
 }
 
 // Store exposes the underlying job store for read-only path queries

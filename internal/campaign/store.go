@@ -158,7 +158,10 @@ func (s *Store) Get(id string) (*Job, error) {
 	return &job, nil
 }
 
-// List loads every job, sorted by ID (submission order).
+// List loads every job, sorted by ID (submission order). A job directory
+// without a job.json is skipped: NewJob died between creating it and the
+// first Put, so Submit never acknowledged that job. OpenStore still
+// counts the directory, so its ID is not reused.
 func (s *Store) List() ([]*Job, error) {
 	ids, err := s.scan()
 	if err != nil {
@@ -167,6 +170,9 @@ func (s *Store) List() ([]*Job, error) {
 	jobs := make([]*Job, 0, len(ids))
 	for _, id := range ids {
 		job, err := s.Get(id)
+		if errors.Is(err, ErrNoJob) {
+			continue
+		}
 		if err != nil {
 			return nil, err
 		}

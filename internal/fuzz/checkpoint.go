@@ -1,12 +1,9 @@
 package fuzz
 
 import (
-	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
-	"strings"
 	"time"
 
 	"rvnegtest/internal/obs"
@@ -14,47 +11,47 @@ import (
 	"rvnegtest/internal/template"
 )
 
-// Checkpoint layout (one directory per fuzzer):
-//
-//	state.json             versioned envelope referencing the blobs below
-//	corpus-<execs>.hex     collected corpus, one hex line per test case
-//	pending-<execs>.hex    unreplayed seed corpus (only while non-empty)
-//	frontier-<execs>.bin   raw coverage bucket bitmap
-//
-// The blobs are written first and state.json last (each atomically), and
-// blob names carry the execution counter, so a crash mid-checkpoint
-// leaves the previous state.json pointing at the previous, still-intact
-// blobs. Blobs from older checkpoints are pruned only after the new
-// state.json is durable.
-
+// A fuzzer's checkpoint is one file, <dir>/state.json, which every save
+// replaces atomically (resilience.SaveJSON): a crash mid-save leaves the
+// previous checkpoint or the new one, never a mix.
 const (
 	checkpointFormat  = "rvfuzz-checkpoint"
-	checkpointVersion = 1
+	checkpointVersion = 2
 	stateFile         = "state.json"
 )
 
 // checkpointState is the state.json payload: everything Step consults
 // besides the config itself, so a resumed fuzzer continues the exact
-// mutation/coverage trajectory of the interrupted one.
+// mutation/coverage trajectory of the interrupted one. encoding/json
+// writes its byte slices as base64.
 type checkpointState struct {
-	Fingerprint   string       `json:"fingerprint"`
-	Execs         uint64       `json:"execs"`
-	Dropped       uint64       `json:"dropped"`
-	Crashes       uint64       `json:"crashes"`
-	Timeouts      uint64       `json:"timeouts"`
-	HarnessFaults uint64       `json:"harness_faults"`
-	Stall         int          `json:"stall"`
-	CurLen        int          `json:"cur_len"`
-	ElapsedNS     int64        `json:"elapsed_ns"`
-	RNG           [4]uint64    `json:"rng"`
-	Trace         []TracePoint `json:"trace"`
+	Fingerprint   string    `json:"fingerprint"`
+	Execs         uint64    `json:"execs"`
+	Dropped       uint64    `json:"dropped"`
+	Crashes       uint64    `json:"crashes"`
+	Timeouts      uint64    `json:"timeouts"`
+	HarnessFaults uint64    `json:"harness_faults"`
+	Stall         int       `json:"stall"`
+	CurLen        int       `json:"cur_len"`
+	ElapsedNS     int64     `json:"elapsed_ns"`
+	RNG           [4]uint64 `json:"rng"`
 	// FilterCounts holds analysis.Stats.Counts raw: the Stats JSON view is
 	// a human-readable projection without an inverse.
 	FilterCounts []uint64 `json:"filter_counts"`
 	CovBits      int      `json:"cov_bits"`
-	CorpusFile   string   `json:"corpus_file"`
-	PendingFile  string   `json:"pending_file,omitempty"`
-	FrontierFile string   `json:"frontier_file"`
+	// Cases is the corpus in collection order. It also carries the growth
+	// trace: evaluate appends a case and its trace point together, so
+	// point i is (Cases[i].Execs, i+1).
+	Cases    []checkpointCase `json:"cases"`
+	Pending  [][]byte         `json:"pending,omitempty"` // seeds not yet replayed
+	Frontier []byte           `json:"frontier"`          // coverage bucket bitmap
+}
+
+// checkpointCase is one collected test case and the execution that
+// collected it.
+type checkpointCase struct {
+	Execs uint64 `json:"execs"`
+	Input []byte `json:"input"`
 }
 
 // Fingerprint identifies the campaign parameters that must match between
@@ -75,35 +72,6 @@ func (c Config) Fingerprint() string {
 	return fp
 }
 
-func writeHexLines(path string, cases [][]byte) error {
-	var b strings.Builder
-	for _, bs := range cases {
-		b.WriteString(hex.EncodeToString(bs))
-		b.WriteByte('\n')
-	}
-	return resilience.WriteFileAtomic(path, []byte(b.String()))
-}
-
-func readHexLines(path string) ([][]byte, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var out [][]byte
-	for ln, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
-		}
-		bs, err := hex.DecodeString(line)
-		if err != nil {
-			return nil, fmt.Errorf("%s:%d: %w", path, ln+1, err)
-		}
-		out = append(out, bs)
-	}
-	return out, nil
-}
-
 // SaveCheckpoint persists the fuzzer's full campaign state under dir.
 // Telemetry state is deliberately not part of the checkpoint: metrics
 // and events describe a process's lifetime, not the campaign's logical
@@ -113,6 +81,10 @@ func (f *Fuzzer) SaveCheckpoint(dir string) error {
 	t0 := time.Now()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
+	}
+	cases := make([]checkpointCase, len(f.corpus))
+	for i, input := range f.corpus {
+		cases[i] = checkpointCase{Execs: f.trace[i].Execs, Input: input}
 	}
 	st := checkpointState{
 		Fingerprint:   f.cfg.Fingerprint(),
@@ -125,28 +97,15 @@ func (f *Fuzzer) SaveCheckpoint(dir string) error {
 		CurLen:        f.curLen,
 		ElapsedNS:     int64(f.elapsed),
 		RNG:           f.src.State(),
-		Trace:         append([]TracePoint(nil), f.trace...),
-		FilterCounts:  append([]uint64(nil), f.fstats.Counts[:]...),
+		FilterCounts:  f.fstats.Counts[:],
 		CovBits:       f.col.Map.BucketBits(),
-		CorpusFile:    fmt.Sprintf("corpus-%016d.hex", f.execs),
-		FrontierFile:  fmt.Sprintf("frontier-%016d.bin", f.execs),
-	}
-	if err := writeHexLines(filepath.Join(dir, st.CorpusFile), f.corpus); err != nil {
-		return err
-	}
-	if len(f.pending) > 0 {
-		st.PendingFile = fmt.Sprintf("pending-%016d.hex", f.execs)
-		if err := writeHexLines(filepath.Join(dir, st.PendingFile), f.pending); err != nil {
-			return err
-		}
-	}
-	if err := resilience.WriteFileAtomic(filepath.Join(dir, st.FrontierFile), f.col.Map.Frontier()); err != nil {
-		return err
+		Cases:         cases,
+		Pending:       f.pending,
+		Frontier:      f.col.Map.Frontier(),
 	}
 	if err := resilience.SaveJSON(filepath.Join(dir, stateFile), checkpointFormat, checkpointVersion, st); err != nil {
 		return err
 	}
-	pruneBlobs(dir, st)
 	if t := f.tel; t != nil {
 		t.publish(f)
 		d := time.Since(t0)
@@ -155,34 +114,6 @@ func (f *Fuzzer) SaveCheckpoint(dir string) error {
 		t.event(obs.Event{Type: "checkpoint", Execs: f.execs, Corpus: len(f.corpus)})
 	}
 	return nil
-}
-
-// pruneBlobs removes blob files not referenced by the just-written state.
-// Best effort: leftover blobs waste space but never correctness.
-func pruneBlobs(dir string, st checkpointState) {
-	keep := map[string]bool{stateFile: true, st.CorpusFile: true, st.FrontierFile: true}
-	if st.PendingFile != "" {
-		keep[st.PendingFile] = true
-	}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return
-	}
-	var stale []string
-	for _, e := range ents {
-		name := e.Name()
-		if keep[name] {
-			continue
-		}
-		if strings.HasPrefix(name, "corpus-") || strings.HasPrefix(name, "pending-") ||
-			strings.HasPrefix(name, "frontier-") {
-			stale = append(stale, name)
-		}
-	}
-	sort.Strings(stale)
-	for _, name := range stale {
-		os.Remove(filepath.Join(dir, name))
-	}
 }
 
 // HasCheckpoint reports whether dir holds a checkpoint state file.
@@ -194,11 +125,17 @@ func HasCheckpoint(dir string) bool {
 // Resume reconstructs a fuzzer from a checkpoint directory. cfg must
 // describe the same campaign (same fingerprint) as the run that wrote the
 // checkpoint; the resumed fuzzer then continues bit-identically to an
-// uninterrupted run of the same seed.
+// uninterrupted run of the same seed. Checkpoints of an older format
+// version are refused: only the build that wrote one can finish it.
 func Resume(cfg Config, dir string) (*Fuzzer, error) {
 	var st checkpointState
-	if _, err := resilience.LoadJSON(filepath.Join(dir, stateFile), checkpointFormat, checkpointVersion, &st); err != nil {
+	version, err := resilience.LoadJSON(filepath.Join(dir, stateFile), checkpointFormat, checkpointVersion, &st)
+	if err != nil {
 		return nil, err
+	}
+	if version != checkpointVersion {
+		return nil, fmt.Errorf("fuzz: %s holds a version-%d checkpoint and this build resumes only version %d: restart the campaign in an empty checkpoint directory, or finish it with the build that wrote it",
+			dir, version, checkpointVersion)
 	}
 	f, err := New(cfg)
 	if err != nil {
@@ -210,29 +147,24 @@ func Resume(cfg Config, dir string) (*Fuzzer, error) {
 	if err := f.src.Restore(st.RNG); err != nil {
 		return nil, err
 	}
-	corpus, err := readHexLines(filepath.Join(dir, st.CorpusFile))
-	if err != nil {
-		return nil, err
-	}
-	f.corpus = corpus
-	f.pending = nil
-	if st.PendingFile != "" {
-		pending, err := readHexLines(filepath.Join(dir, st.PendingFile))
-		if err != nil {
-			return nil, err
-		}
-		f.pending = pending
-	}
-	frontier, err := os.ReadFile(filepath.Join(dir, st.FrontierFile))
-	if err != nil {
-		return nil, err
-	}
-	if err := f.col.Map.RestoreFrontier(frontier); err != nil {
+	if err := f.col.Map.RestoreFrontier(st.Frontier); err != nil {
 		return nil, err
 	}
 	if got := f.col.Map.BucketBits(); got != st.CovBits {
 		return nil, fmt.Errorf("fuzz: checkpoint frontier has %d bucket bits, state records %d", got, st.CovBits)
 	}
+	if len(st.FilterCounts) != len(f.fstats.Counts) {
+		return nil, fmt.Errorf("fuzz: checkpoint has %d filter counters, this build has %d",
+			len(st.FilterCounts), len(f.fstats.Counts))
+	}
+	copy(f.fstats.Counts[:], st.FilterCounts)
+	f.corpus = make([][]byte, len(st.Cases))
+	f.trace = make([]TracePoint, len(st.Cases))
+	for i, c := range st.Cases {
+		f.corpus[i] = c.Input
+		f.trace[i] = TracePoint{Execs: c.Execs, TestCases: i + 1}
+	}
+	f.pending = st.Pending
 	f.execs = st.Execs
 	f.dropped = st.Dropped
 	f.crashes = st.Crashes
@@ -246,12 +178,6 @@ func Resume(cfg Config, dir string) (*Fuzzer, error) {
 	// starts from zero here, anchored at the checkpoint's exec count.
 	f.sessElapsed = 0
 	f.baseExecs = st.Execs
-	f.trace = st.Trace
-	if len(st.FilterCounts) != len(f.fstats.Counts) {
-		return nil, fmt.Errorf("fuzz: checkpoint has %d filter counters, this build has %d",
-			len(st.FilterCounts), len(f.fstats.Counts))
-	}
-	copy(f.fstats.Counts[:], st.FilterCounts)
 	// The registry reports the session's share of the counts; the gauges
 	// start from zero, so they still report the absolute values.
 	if f.tel != nil {

@@ -16,6 +16,7 @@ import (
 
 	"rvnegtest/internal/coverage"
 	"rvnegtest/internal/exec"
+	"rvnegtest/internal/resilience"
 	"rvnegtest/internal/sim"
 	"rvnegtest/internal/template"
 )
@@ -121,6 +122,116 @@ func TestCampaignInterruptResumeDeterministic(t *testing.T) {
 			}
 		}
 		t.Logf("workers=%d: %d cases, interrupted mid-run: %t", workers, len(gotCases), interrupted)
+	}
+}
+
+// onlyStateFile fails unless dir holds state.json and nothing else.
+func onlyStateFile(t *testing.T, dir string) {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 1 || ents[0].Name() != stateFile {
+		var names []string
+		for _, e := range ents {
+			names = append(names, e.Name())
+		}
+		t.Fatalf("checkpoint directory holds %v, want [%s] alone", names, stateFile)
+	}
+}
+
+// TestResumeWithPendingSeeds checkpoints while seeds still wait to be
+// replayed (7 of 10 after the first save, one of them empty, which is a
+// legal input) and resumes after every save. The corpus and the
+// deterministic stats match the uninterrupted run, and every save leaves
+// the directory holding state.json alone.
+func TestResumeWithPendingSeeds(t *testing.T) {
+	cfg := smallConfig(coverage.V1(), 11)
+	prior, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := prior.Run(20000, 0); err != nil {
+		t.Fatal(err)
+	}
+	seeds := prior.Corpus()[:10]
+	seeds[5] = []byte{}
+	cfg.Seeds = seeds
+	const budget = 6000
+
+	base, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := base.Run(budget, 0); err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, stop := range []uint64{3, 8, 2000} {
+		if err := f.Run(stop, 0); err != nil {
+			t.Fatal(err)
+		}
+		if stop == 3 && len(f.pending) != 7 {
+			t.Fatalf("%d seeds pending after 3 executions, want 7", len(f.pending))
+		}
+		if err := f.SaveCheckpoint(dir); err != nil {
+			t.Fatal(err)
+		}
+		onlyStateFile(t, dir)
+		if f, err = Resume(cfg, dir); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Run(budget, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(base.Corpus(), f.Corpus()) {
+		t.Fatalf("resumed corpus differs: %d vs %d cases", len(f.Corpus()), len(base.Corpus()))
+	}
+	want := mustJSON(t, base.Stats().Deterministic())
+	got := mustJSON(t, f.Stats().Deterministic())
+	if want != got {
+		t.Fatalf("deterministic stats differ:\n  uninterrupted: %s\n  resumed:       %s", want, got)
+	}
+}
+
+// TestResumeRefusesVersion1: a checkpoint in the version-1 layout, whose
+// state.json named separate corpus and frontier files, is refused by
+// name, with the remedy, before anything else of it is read.
+func TestResumeRefusesVersion1(t *testing.T) {
+	cfg := smallConfig(coverage.V1(), 3)
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	v1 := map[string]any{
+		"fingerprint":   f.cfg.Fingerprint(),
+		"execs":         500,
+		"rng":           f.src.State(),
+		"trace":         []TracePoint{{Execs: 1, TestCases: 1}},
+		"filter_counts": f.fstats.Counts,
+		"cov_bits":      12,
+		"corpus_file":   "corpus-0000000000000500.hex",
+		"frontier_file": "frontier-0000000000000500.bin",
+	}
+	if err := resilience.SaveJSON(filepath.Join(dir, stateFile), checkpointFormat, 1, v1); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Resume(cfg, dir)
+	if err == nil {
+		t.Fatal("Resume accepted a version-1 checkpoint")
+	}
+	for _, want := range []string{dir, "version-1 checkpoint", "restart the campaign", "finish it with the build that wrote it"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("Resume error %q does not name %q", err, want)
+		}
 	}
 }
 

@@ -61,23 +61,26 @@ type Envelope struct {
 	Payload json.RawMessage `json:"payload"`
 }
 
-// SaveJSON atomically writes payload under a versioned envelope.
+// SaveJSON atomically writes payload under a versioned envelope, as
+// compact JSON. It encodes the envelope and the payload in one pass:
+// embedding a pre-encoded payload as Envelope's RawMessage would make
+// encoding/json scan it a second time.
 func SaveJSON(path, format string, version int, payload any) error {
-	raw, err := json.Marshal(payload)
-	if err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(Envelope{Format: format, Version: version, Payload: raw}, "", "  ")
+	data, err := json.Marshal(struct {
+		Format  string `json:"format"`
+		Version int    `json:"version"`
+		Payload any    `json:"payload"`
+	}{format, version, payload})
 	if err != nil {
 		return err
 	}
 	return WriteFileAtomic(path, append(data, '\n'))
 }
 
-// LoadJSON reads an envelope written by SaveJSON, validating the format
-// name and rejecting versions newer than maxVersion, and unmarshals the
-// payload into out. It returns the stored version so callers can migrate
-// older schemas.
+// LoadJSON reads an envelope written by SaveJSON, compact or indented,
+// validating the format name and rejecting versions newer than
+// maxVersion, and unmarshals the payload into out. It returns the stored
+// version so callers can refuse or migrate older schemas.
 func LoadJSON(path, format string, maxVersion int, out any) (version int, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

@@ -260,6 +260,36 @@ func TestEnvelopeRoundTripAndValidation(t *testing.T) {
 	}
 }
 
+// TestEnvelopeCompactAndIndented: SaveJSON writes one compact line, and
+// LoadJSON still reads the indented envelopes earlier builds wrote.
+func TestEnvelopeCompactAndIndented(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "job.json")
+	if err := SaveJSON(path, "rvnegtestd-job", 1, map[string]any{"id": "job-000001", "resumes": 2}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `{"format":"rvnegtestd-job","version":1,"payload":{"id":"job-000001","resumes":2}}` + "\n"
+	if string(got) != want {
+		t.Fatalf("SaveJSON wrote %q, want %q", got, want)
+	}
+
+	indented := "{\n  \"format\": \"rvnegtestd-job\",\n  \"version\": 1,\n  \"payload\": {\n    \"id\": \"job-000001\",\n    \"resumes\": 2\n  }\n}\n"
+	if err := os.WriteFile(path, []byte(indented), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out struct {
+		ID      string `json:"id"`
+		Resumes int    `json:"resumes"`
+	}
+	if ver, err := LoadJSON(path, "rvnegtestd-job", 1, &out); err != nil || ver != 1 || out.ID != "job-000001" || out.Resumes != 2 {
+		t.Fatalf("indented envelope: version %d, %+v, err %v", ver, out, err)
+	}
+}
+
 func TestQuarantine(t *testing.T) {
 	var nilq *Quarantine
 	if err := nilq.Save([]byte{1}, "x"); err != nil {

@@ -85,7 +85,8 @@ kill -9 "$daemon_pid"
 wait "$daemon_pid" 2>/dev/null || true
 daemon_pid=""
 
-# job.json is written indented, so tolerate whitespace after the colon.
+# job.json is compact JSON; stores written by earlier builds are
+# indented, so tolerate whitespace after the colon.
 state=$(sed -n 's/.*"state": *"\([a-z]*\)".*/\1/p' "$work/store/$fuzz_id/job.json" | head -1)
 echo "   on-disk state after kill: $fuzz_id=$state"
 if [ "$state" = done ]; then
@@ -118,9 +119,11 @@ curl -sf "http://$ADDR/api/v1/jobs/$compl_id/artifacts/report.json" > "$work/d-r
 curl -sf "http://$ADDR/api/v1/jobs/$compl_id/artifacts/report.txt" > "$work/d-report.txt"
 cmp "$work/cli-suite.txt" "$work/d-suite.txt"
 cmp "$work/cli-stats.json" "$work/d-stats.json"
-# The CLI prints a two-line generation banner before the report; the
-# daemon artifact is the report alone. Strip the banner, then cmp.
-tail -n +3 "$work/cli-report.json" | cmp - "$work/d-report.json"
+# With -json the CLI's stdout is the report alone (the generation banner
+# goes to stderr). In text mode the CLI prints a two-line banner before
+# the report, and the daemon artifact is the report alone: strip the
+# banner, then cmp.
+cmp "$work/cli-report.json" "$work/d-report.json"
 tail -n +3 "$work/cli-report.txt" | cmp - "$work/d-report.txt"
 
 echo "== per-job event report renders"
