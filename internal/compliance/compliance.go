@@ -95,7 +95,12 @@ func ClassifyAt(ref, got []uint32, trapBase int) Category {
 	if len(got) < len(ref) {
 		return CatMissing
 	}
-	diffs := sig.Diff(sig.Signature(ref), sig.Signature(got))
+	return classify(sig.Diff(sig.Signature(ref), sig.Signature(got)), trapBase)
+}
+
+// classify files a full-length signature's differing word indexes under
+// ClassifyAt's rules.
+func classify(diffs []int, trapBase int) Category {
 	hasTrapRec, hasCause, hasX26, hasReg, hasFP := false, false, false, false, false
 	for _, d := range diffs {
 		switch {
@@ -594,8 +599,9 @@ func runCase(cell *Cell, ref sim.Outcome, in *instance, bs []byte, i, maxEx, tra
 
 // judge folds one SUT outcome on case i into the cell: a crash or a
 // timeout counts as such, anything else is compared against the
-// reference signature, and every mismatch is classified and, up to maxEx
-// of them, listed as an example.
+// reference signature under the don't-care rules, and every mismatch is
+// classified from the words that really differ and, up to maxEx of them,
+// listed as an example.
 func (c *Cell) judge(ref []uint32, out sim.Outcome, i, maxEx, trapBase int, dc *sig.DontCare) {
 	var cat Category
 	switch {
@@ -606,10 +612,15 @@ func (c *Cell) judge(ref []uint32, out sim.Outcome, i, maxEx, trapBase int, dc *
 		c.Timeouts++
 		cat = CatTimeout
 	default:
-		if len(sig.Compare(sig.Signature(ref), sig.Signature(out.Signature), dc)) == 0 {
+		diffs := sig.Compare(sig.Signature(ref), sig.Signature(out.Signature), dc)
+		switch {
+		case len(diffs) == 0:
 			return
+		case len(out.Signature) < len(ref):
+			cat = CatMissing
+		default:
+			cat = classify(diffs, trapBase)
 		}
-		cat = ClassifyAt(ref, out.Signature, trapBase)
 	}
 	c.Mismatches++
 	c.Categories[cat]++

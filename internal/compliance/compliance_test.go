@@ -206,6 +206,31 @@ func TestClassify(t *testing.T) {
 	}
 }
 
+// TestJudgeClassifiesUnderDontCare: judge files a mismatch by the words
+// that differ under the don't-care rules, so an ignored word cannot pick
+// the category. With word 26 (x26, the completion marker) always
+// ignored, a case differing at words 26 and 40 mismatches because of
+// word 40 and is an fp-value mismatch; a short signature is still a
+// missing signature.
+func TestJudgeClassifiesUnderDontCare(t *testing.T) {
+	dc := &sig.DontCare{Rules: []sig.Rule{{Word: 26, Kind: sig.CondAlways}}}
+	ref := make([]uint32, 96)
+	marker := make([]uint32, 96)
+	marker[26] = 1
+	both := append([]uint32(nil), marker...)
+	both[40] = 5
+	var c Cell
+	for i, got := range [][]uint32{marker, both, both[:10]} {
+		c.judge(ref, sim.Outcome{Signature: got}, i, 8, 0, dc)
+	}
+	var want [catCount]int
+	want[CatFPValue], want[CatMissing] = 1, 1
+	if c.Mismatches != 2 || c.Categories != want || len(c.Examples) != 2 || c.Examples[0] != 1 {
+		t.Errorf("mismatches %d, examples %v, categories %v; want cases 1 (fp-value) and 2 (missing-signature)",
+			c.Mismatches, c.Examples, c.Categories)
+	}
+}
+
 // TestSkippedAccounting: cases whose reference run crashes or times out
 // are excluded from the comparison but must be *counted* — on the cells,
 // on the per-config report totals, and in the render — instead of being
@@ -256,8 +281,13 @@ func TestSkippedAccounting(t *testing.T) {
 	}
 }
 
+// TestSuiteSerialization round-trips a suite through Format, ParseSuite,
+// Save and LoadSuite. Its empty case must survive (it used to be written
+// as a blank line that ParseSuite skipped), and a header that counts more
+// cases than the text holds must fail.
 func TestSuiteSerialization(t *testing.T) {
 	s := handSuite()
+	s.Cases = append(s.Cases[:2:2], append([][]byte{{}}, s.Cases[2:]...)...)
 	text := s.Format()
 	back, err := ParseSuite(text)
 	if err != nil {
@@ -273,6 +303,9 @@ func TestSuiteSerialization(t *testing.T) {
 	}
 	if _, err := ParseSuite("zz not hex"); err == nil {
 		t.Error("bad hex must fail")
+	}
+	if _, err := ParseSuite(text[:strings.LastIndex(strings.TrimSuffix(text, "\n"), "\n")+1]); err == nil {
+		t.Error("a suite missing its last case must fail")
 	}
 
 	dir := t.TempDir()

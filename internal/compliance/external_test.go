@@ -3,6 +3,7 @@ package compliance
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -243,6 +244,26 @@ func TestExternalKillOnlyDegradesOwnColumn(t *testing.T) {
 	}
 	if !rep.Degraded() {
 		t.Error("report must be degraded")
+	}
+	// The JSON report counts the cases the adapter lost, as the text
+	// report does; a column that lost none carries no such field.
+	raw, err := rep.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var js struct {
+		Rows []struct {
+			Cells []map[string]any `json:"cells"`
+		} `json:"rows"`
+	}
+	if err := json.Unmarshal(raw, &js); err != nil {
+		t.Fatal(err)
+	}
+	for _, cell := range js.Rows[0].Cells {
+		n, ok := cell["skipped_adapter"]
+		if want := cell["simulator"] == "ext-dying"; ok != want || want && n != 5.0 {
+			t.Errorf("%v: skipped_adapter = %v (present %t), want 5 on ext-dying only", cell["simulator"], n, ok)
+		}
 	}
 
 	// The Spike column must be untouched by its neighbour's death.

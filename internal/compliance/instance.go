@@ -2,6 +2,7 @@ package compliance
 
 import (
 	"fmt"
+	"os"
 	"time"
 
 	"rvnegtest/internal/obs"
@@ -155,6 +156,6 @@ func (in *instance) close() {
 
 func (in *instance) quarantineWarn(bs []byte, detail string) {
 	if err := in.quar.Save(bs, detail); err != nil {
-		fmt.Printf("compliance: quarantine: %v\n", err)
+		fmt.Fprintf(os.Stderr, "compliance: quarantine: %v\n", err)
 	}
 }

@@ -18,6 +18,7 @@ type jsonCell struct {
 	// can tell findings from infrastructure failures.
 	HarnessFaults    int      `json:"harness_faults,omitempty"`
 	SkippedUnhealthy int      `json:"skipped_unhealthy,omitempty"`
+	SkippedAdapter   int      `json:"skipped_adapter,omitempty"`
 	Unhealthy        bool     `json:"unhealthy,omitempty"`
 	FaultMsgs        []string `json:"fault_msgs,omitempty"`
 }
@@ -56,6 +57,7 @@ func (r *Report) JSON() ([]byte, error) {
 
 				HarnessFaults:    c.HarnessFaults,
 				SkippedUnhealthy: c.SkippedUnhealthy,
+				SkippedAdapter:   c.SkippedAdapter,
 				Unhealthy:        c.Unhealthy,
 				FaultMsgs:        c.FaultMsgs,
 			}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -249,6 +250,42 @@ func TestQuarantineReceivesComplianceFaults(t *testing.T) {
 	}
 	if !sawInput || !sawDetail {
 		t.Fatalf("quarantine incomplete: input=%t detail=%t (%d entries)", sawInput, sawDetail, len(ents))
+	}
+}
+
+// TestQuarantineFailureLeavesStdoutAlone: a quarantine that cannot be
+// written (its directory is a regular file) warns on stderr, so stdout,
+// which carries rvcompliance -json's report, stays empty.
+func TestQuarantineFailureLeavesStdoutAlone(t *testing.T) {
+	qfile := filepath.Join(t.TempDir(), "quarantine")
+	if err := os.WriteFile(qfile, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r := &Runner{
+		Ref:           sim.OVPSim,
+		SUTs:          []*sim.Variant{sim.Spike},
+		Configs:       []isa.Config{isa.RV32I},
+		Workers:       1,
+		QuarantineDir: qfile,
+		NewSim:        faultySUTFactory("Spike", func([]byte) sim.Fault { return sim.FaultPanic }, "boom", nil),
+	}
+	stdout, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stdout.Close()
+	saved := os.Stdout
+	os.Stdout = stdout
+	rep, err := r.Run(&Suite{Cases: [][]byte{{0x13, 0x00, 0x00, 0x00}}})
+	os.Stdout = saved
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Cells[0][0].HarnessFaults == 0 {
+		t.Fatal("no harness fault recorded")
+	}
+	if b, err := os.ReadFile(stdout.Name()); err != nil || len(b) != 0 {
+		t.Errorf("stdout = %q (%v), want empty", b, err)
 	}
 }
 

@@ -5,10 +5,15 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 
 	"rvnegtest/internal/template"
 )
+
+// emptyCase is the line of an empty bytestream: hex never produces it,
+// and a blank line would be skipped on reading.
+const emptyCase = "-"
 
 // Format serializes the suite: a comment header followed by one
 // hex-encoded bytestream per line. User-family suites stay byte-identical
@@ -23,21 +28,34 @@ func (s *Suite) Format() string {
 		fmt.Fprintf(&b, "# origin: %s\n", s.Origin)
 	}
 	for _, c := range s.Cases {
+		if len(c) == 0 {
+			b.WriteString(emptyCase)
+		}
 		b.WriteString(hex.EncodeToString(c))
 		b.WriteByte('\n')
 	}
 	return b.String()
 }
 
-// ParseSuite reads the Format serialization.
+// ParseSuite reads the Format serialization. A header that counts a
+// different number of cases than the text holds is an error, so a
+// truncated file fails instead of loading short.
 func ParseSuite(text string) (*Suite, error) {
 	s := &Suite{}
+	count := -1
 	for i, line := range strings.Split(text, "\n") {
 		line = strings.TrimSpace(line)
 		if line == "" {
 			continue
 		}
 		if strings.HasPrefix(line, "#") {
+			if rest, ok := strings.CutPrefix(line, "# rvnegtest suite: "); ok {
+				n, err := strconv.Atoi(strings.TrimSuffix(rest, " cases"))
+				if err != nil {
+					return nil, fmt.Errorf("compliance: suite line %d: bad header %q", i+1, line)
+				}
+				count = n
+			}
 			if rest, ok := strings.CutPrefix(line, "# origin: "); ok {
 				s.Origin = rest
 			}
@@ -50,11 +68,17 @@ func ParseSuite(text string) (*Suite, error) {
 			}
 			continue
 		}
+		if line == emptyCase {
+			line = ""
+		}
 		bs, err := hex.DecodeString(line)
 		if err != nil {
 			return nil, fmt.Errorf("compliance: suite line %d: %v", i+1, err)
 		}
 		s.Cases = append(s.Cases, bs)
+	}
+	if count >= 0 && count != len(s.Cases) {
+		return nil, fmt.Errorf("compliance: suite header counts %d cases, the file holds %d", count, len(s.Cases))
 	}
 	return s, nil
 }

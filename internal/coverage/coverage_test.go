@@ -564,9 +564,9 @@ func TestHashStability(t *testing.T) {
 
 var _ exec.Hook = (*Collector)(nil)
 
-// TestRunFootprintMatchesMergeNew: replaying footprints through
-// MergeFootprint in run order must reproduce MergeNew's greedy decisions
-// and final bitmap exactly.
+// TestRunFootprintMatchesMergeNew: a footprint lists exactly the bucket
+// bits MergeNew merges, so folding footprints in run order reproduces
+// MergeNew's greedy decisions and final bitmap.
 func TestRunFootprintMatchesMergeNew(t *testing.T) {
 	runs := [][]uint32{
 		{1, 1, 2},       // novel: points 1 (x2), 2
@@ -576,30 +576,35 @@ func TestRunFootprintMatchesMergeNew(t *testing.T) {
 		{3, 3, 3, 3},    // new bucket for 3
 	}
 	serial := NewMap(8)
-	replay := NewMap(8)
-	var footprints [][]RunPoint
+	folded := make([]uint8, 8)
+	bits := 0
 	for _, run := range runs {
-		scratch := NewMap(8) // per-"worker" map, as in the parallel replay
+		scratch := NewMap(8)
 		for _, id := range run {
 			scratch.Hit(id)
 		}
-		footprints = append(footprints, scratch.RunFootprint())
+		got := false
+		for _, p := range scratch.RunFootprint() {
+			if folded[p.ID]&p.Bucket == 0 {
+				folded[p.ID] |= p.Bucket
+				bits++
+				got = true
+			}
+		}
 		scratch.DiscardRun()
 
 		for _, id := range run {
 			serial.Hit(id)
 		}
-		want := serial.MergeNew()
-		got := replay.MergeFootprint(footprints[len(footprints)-1])
-		if got != want {
-			t.Errorf("run %v: MergeFootprint=%v MergeNew=%v", run, got, want)
+		if want := serial.MergeNew(); got != want {
+			t.Errorf("run %v: footprint novel=%v MergeNew=%v", run, got, want)
 		}
 	}
-	if serial.BucketBits() != replay.BucketBits() {
-		t.Errorf("bucket bits: serial %d, replay %d", serial.BucketBits(), replay.BucketBits())
+	if serial.BucketBits() != bits {
+		t.Errorf("bucket bits: serial %d, folded %d", serial.BucketBits(), bits)
 	}
-	if got, want := serial.PointsCovered(), replay.PointsCovered(); got != want {
-		t.Errorf("points covered: serial %d, replay %d", want, got)
+	if got := serial.Frontier(); string(got) != string(folded) {
+		t.Errorf("bitmap: serial %v, folded %v", got, folded)
 	}
 }
 
@@ -618,11 +623,6 @@ func TestRunFootprintLeavesRunPending(t *testing.T) {
 	}
 	if m.RunFootprint() != nil {
 		t.Error("footprint of an empty pending run must be nil")
-	}
-	// Out-of-range IDs in a foreign footprint are ignored.
-	small := NewMap(2)
-	if small.MergeFootprint([]RunPoint{{ID: 99, Bucket: 1}}) {
-		t.Error("out-of-range footprint point must not merge")
 	}
 }
 

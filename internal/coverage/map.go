@@ -277,12 +277,10 @@ type RunPoint struct {
 
 // RunFootprint captures the current run's coverage as sparse
 // (point, bucket-bit) pairs, sorted by point ID, without folding it into
-// the persistent map. A footprint depends only on the run itself, so
-// runs replayed concurrently on independent maps yield identical
-// footprints whether or not they skipped the prefix and the dump;
-// feeding them to MergeFootprint in case order reproduces MergeNew's
-// greedy semantics exactly. The run stays pending: follow with MergeNew
-// or DiscardRun.
+// the persistent map. A footprint depends only on the run itself,
+// whether or not it skipped the prefix and the dump, so differential
+// tests compare two runs of one input through their footprints. The run
+// stays pending: follow with MergeNew or DiscardRun.
 func (m *Map) RunFootprint() []RunPoint {
 	if m.run == runPrefix {
 		m.settle()
@@ -324,25 +322,6 @@ func (m *Map) eachPoint(f func(RunPoint)) {
 			f(RunPoint{ID: id, Bucket: bucketBit(n)})
 		}
 	}
-}
-
-// MergeFootprint folds a footprint (from RunFootprint, possibly taken on
-// a different map of the same size) into the persistent bitmap,
-// reporting whether any new bucket bit appeared — the replayed
-// counterpart of MergeNew.
-func (m *Map) MergeFootprint(fp []RunPoint) bool {
-	novel := false
-	for _, p := range fp {
-		if int(p.ID) >= len(m.global) {
-			continue
-		}
-		if m.global[p.ID]&p.Bucket == 0 {
-			m.global[p.ID] |= p.Bucket
-			m.bits++
-			novel = true
-		}
-	}
-	return novel
 }
 
 // DiscardRun drops the current run's counts without merging.

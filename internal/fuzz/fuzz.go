@@ -21,6 +21,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"os"
 	"time"
 
 	"rvnegtest/internal/analysis"
@@ -376,7 +377,7 @@ func (f *Fuzzer) evaluate(input []byte) bool {
 
 func (f *Fuzzer) quarantineWarn(input []byte, detail string) {
 	if err := f.quar.Save(input, detail); err != nil {
-		fmt.Printf("fuzz: quarantine: %v\n", err)
+		fmt.Fprintf(os.Stderr, "fuzz: quarantine: %v\n", err)
 	}
 }
 

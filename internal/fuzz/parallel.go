@@ -109,7 +109,7 @@ func Campaign(ctx context.Context, cfg Config, cc CampaignConfig) ([][]byte, []S
 		return merged, stats, ErrInterrupted
 	}
 	if cc.Minimize {
-		minimized, err := MinimizeParallel(merged, cfg, workers)
+		minimized, err := Minimize(merged, cfg)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -278,6 +278,40 @@ func faultyFactory(plan sim.Schedule, msg string, release <-chan struct{}) func(
 	}
 }
 
+// TestQuarantineFailureLeavesStdoutAlone: a quarantine that cannot be
+// written (its directory is a regular file) warns on stderr and leaves
+// stdout to the caller.
+func TestQuarantineFailureLeavesStdoutAlone(t *testing.T) {
+	cfg := smallConfig(coverage.V1(), 5)
+	cfg.QuarantineDir = filepath.Join(t.TempDir(), "quarantine")
+	if err := os.WriteFile(cfg.QuarantineDir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg.NewTarget = faultyFactory(func([]byte) sim.Fault { return sim.FaultPanic }, "boom", nil)
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stdout.Close()
+	saved := os.Stdout
+	os.Stdout = stdout
+	err = f.Run(3, 0)
+	os.Stdout = saved
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.Stats().HarnessFaults == 0 {
+		t.Fatal("no harness fault recorded")
+	}
+	if b, err := os.ReadFile(stdout.Name()); err != nil || len(b) != 0 {
+		t.Errorf("stdout = %q (%v), want empty", b, err)
+	}
+}
+
 // TestPanicIsolationQuarantinesInput proves a panicking foundation
 // simulator does not kill the campaign: the panic is counted as a harness
 // fault and the offending input lands in quarantine with its message.

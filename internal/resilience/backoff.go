@@ -5,8 +5,7 @@ import "time"
 // Backoff is a jittered exponential backoff policy: the delay doubles on
 // every consecutive failure up to a cap, and each delay is scattered
 // uniformly over [delay/2, delay) so a fleet of restarting adapters never
-// thunders in lockstep. The jitter is drawn from the serializable RNG, so
-// a checkpointed campaign replays the same delay sequence on resume —
+// thunders in lockstep. The jitter is drawn from a seeded RNG, and
 // backoff never reads the wall clock (the caller sleeps; this type only
 // computes durations), keeping the policy usable from determinism-bound
 // packages.
@@ -76,31 +75,5 @@ func (b *Backoff) Next() time.Duration {
 }
 
 // Reset clears the consecutive-failure count after a success; the next
-// delay starts from Base again. The jitter stream keeps advancing (it is
-// part of the serialized state, not of the attempt count).
+// delay starts from Base again. The jitter stream keeps advancing.
 func (b *Backoff) Reset() { b.attempt = 0 }
-
-// Attempt reports how many delays have been handed out since the last
-// Reset.
-func (b *Backoff) Attempt() int { return b.attempt }
-
-// BackoffState is the serializable snapshot of a Backoff (checkpointing:
-// a resumed campaign replays the same delay sequence).
-type BackoffState struct {
-	Attempt int       `json:"attempt"`
-	RNG     [4]uint64 `json:"rng"`
-}
-
-// State snapshots the policy.
-func (b *Backoff) State() BackoffState {
-	return BackoffState{Attempt: b.attempt, RNG: b.rng.State()}
-}
-
-// RestoreState replaces the policy's progress with a snapshot.
-func (b *Backoff) RestoreState(s BackoffState) error {
-	if err := b.rng.Restore(s.RNG); err != nil {
-		return err
-	}
-	b.attempt = s.Attempt
-	return nil
-}

@@ -25,27 +25,16 @@ import (
 // configuration.
 type Generator struct {
 	rng *rand.Rand
-	src *resilience.RNG
 	cfg isa.Config
 }
 
 // New creates a deterministic generator drawing instructions from the
-// given configuration's extensions. The stream is drawn through the
-// serializable resilience.RNG (the repo-wide randomness rule rvlint's
-// globalrand analyzer enforces), so generator state can ride in a
-// checkpoint like the fuzzer's mutation stream does.
+// given configuration's extensions. The stream is drawn through
+// resilience.RNG, the repo-wide randomness rule rvlint's globalrand
+// analyzer enforces.
 func New(seed int64, cfg isa.Config) *Generator {
-	src := resilience.NewRNG(seed)
-	return &Generator{rng: rand.New(src), src: src, cfg: cfg}
+	return &Generator{rng: rand.New(resilience.NewRNG(seed)), cfg: cfg}
 }
-
-// RNGState exposes the generator's source state for checkpointing.
-func (g *Generator) RNGState() [4]uint64 { return g.src.State() }
-
-// RestoreRNG replaces the source state with a checkpointed one; the
-// subsequent case stream continues bit-identically from the capture
-// point.
-func (g *Generator) RestoreRNG(s [4]uint64) error { return g.src.Restore(s) }
 
 // reg returns a random register below x30 (x30/x31 are the data-window
 // pointers and stay clean for memory sequences).

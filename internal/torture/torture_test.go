@@ -113,41 +113,3 @@ func TestPositiveTestingMissesNegativeBugs(t *testing.T) {
 	}
 	t.Logf("torture-style suites: %d total mismatches across the whole table (the fuzzer finds thousands)", total)
 }
-
-// TestRNGStateResume is the regression test for the serializable-source
-// migration: capture RNGState mid-stream, generate a tail, then restore
-// the state into a fresh generator and assert the tails are identical.
-// Before the migration the generator's rand.NewSource state could not
-// be exported, so a kill-and-resume forked the torture stream.
-func TestRNGStateResume(t *testing.T) {
-	g := New(42, isa.RV32GC)
-	for i := 0; i < 10; i++ {
-		if _, err := g.TestCase(16); err != nil {
-			t.Fatal(err)
-		}
-	}
-	state := g.RNGState()
-
-	var tailA [][]byte
-	for i := 0; i < 10; i++ {
-		bs, err := g.TestCase(16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tailA = append(tailA, bs)
-	}
-
-	g2 := New(0, isa.RV32GC) // different seed: only the restored state matters
-	if err := g2.RestoreRNG(state); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		bs, err := g2.TestCase(16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(bs) != string(tailA[i]) {
-			t.Fatalf("resumed stream diverged at case %d", i)
-		}
-	}
-}
