@@ -2,22 +2,21 @@
 // multichecker over the internal/lint analyzer suite (mapdet,
 // wallclock, globalrand, cloneshallow, panicgate).
 //
-// Two modes:
+// Usage:
 //
-//	rvlint [patterns...]         standalone; loads packages via `go list`
-//	                             (defaults to ./...) and analyzes them
-//	go vet -vettool=rvlint ./... driven by the go command; rvlint speaks
-//	                             the vet command-line protocol (-V=full,
-//	                             -flags, unit .cfg files) — this is how
-//	                             CI runs the suite (scripts/lint.sh)
+//	rvlint [patterns...]
+//
+// rvlint loads the packages matching the `go list` patterns (default
+// ./...) in the working directory, analyzes their non-test Go files and
+// prints each finding as `file:line:col: message (rvlint/<name>)`, the
+// file relative to the working directory. scripts/lint.sh runs it as
+// the CI gate.
 //
 // Exit status: 0 clean, 1 findings, 2 operational error.
 package main
 
 import (
-	"crypto/sha256"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 
@@ -25,27 +24,7 @@ import (
 )
 
 func main() {
-	args := os.Args[1:]
-
-	// The vet protocol probes first: `rvlint -V=full` must describe
-	// the executable for build caching, `rvlint -flags` must list the
-	// tool's flags as JSON.
-	for _, a := range args {
-		switch {
-		case a == "-V=full" || a == "--V=full":
-			printVersion()
-			return
-		case a == "-flags" || a == "--flags":
-			fmt.Println("[]")
-			return
-		}
-	}
-
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(lint.RunUnit(os.Stderr, args[0], lint.Analyzers()))
-	}
-
-	patterns := args
+	patterns := os.Args[1:]
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
@@ -64,19 +43,4 @@ func main() {
 		fmt.Fprintf(os.Stderr, "rvlint: %d finding(s)\n", n)
 		os.Exit(1)
 	}
-}
-
-// printVersion emits the build-caching fingerprint the go command
-// requires from a vettool: a "name version devel ... buildID=<hash>"
-// line whose hash changes whenever the binary does, so editing an
-// analyzer invalidates cached vet results.
-func printVersion() {
-	h := sha256.New()
-	if exe, err := os.Executable(); err == nil {
-		if f, err := os.Open(exe); err == nil {
-			_, _ = io.Copy(h, f)
-			f.Close()
-		}
-	}
-	fmt.Printf("rvlint version devel buildID=%x\n", h.Sum(nil))
 }

@@ -45,17 +45,14 @@ type Analysis struct {
 // maxPaths saturates the accepted-path count.
 const maxPaths = 1 << 31
 
-// Analyze builds the CFG for the bytestream, runs the worklist fixpoint
-// over the register lattice, and derives the verdict under the user-suite
-// semantics. It never rejects for budget reasons: cost is linear in
-// blocks x registers.
-func Analyze(bs []byte) *Analysis { return AnalyzeMode(bs, false) }
-
-// AnalyzeMode is Analyze with an explicit suite family: trap=true selects
-// the trap-suite semantics (see the mode overview in trapmode.go) —
-// deliberate traps resume past the faulting word instead of ending the
-// path, the forbidden set shrinks to TrapForbidden, and the memory
-// discipline keeps only the clean-base store rule.
+// AnalyzeMode builds the CFG for the bytestream, runs the worklist
+// fixpoint over the register lattice, and derives the verdict under the
+// suite family's semantics. It never rejects for budget reasons: cost is
+// linear in blocks x registers. trap=false selects the user-suite
+// semantics; trap=true the trap-suite ones (see the mode overview in
+// trapmode.go) — deliberate traps resume past the faulting word instead
+// of ending the path, the forbidden set shrinks to TrapForbidden, and the
+// memory discipline keeps only the clean-base store rule.
 func AnalyzeMode(bs []byte, trap bool) *Analysis {
 	a := new(Analysis)
 	a.Analyze(bs, trap)

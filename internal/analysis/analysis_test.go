@@ -162,7 +162,7 @@ func TestConstantFoldingChains(t *testing.T) {
 		enc(isa.Inst{Op: isa.OpWFI}),                         // statically dead
 		0xffffffff,
 	)
-	a := Analyze(bs)
+	a := AnalyzeMode(bs, false)
 	if !a.Accepted() {
 		t.Fatalf("folded-past-forbidden stream dropped: %+v", a.Verdict)
 	}
@@ -183,7 +183,7 @@ func TestInfeasibleLoopAccepted(t *testing.T) {
 		enc(isa.Inst{Op: isa.OpBNE, Rs1: 5, Rs2: 0, Imm: -4}),
 		0xffffffff,
 	)
-	a := Analyze(bs)
+	a := AnalyzeMode(bs, false)
 	if !a.Accepted() {
 		t.Fatalf("statically infeasible loop dropped: %+v", a.Verdict)
 	}
@@ -196,7 +196,7 @@ func TestInfeasibleOutOfBoundsAccepted(t *testing.T) {
 		enc(isa.Inst{Op: isa.OpBEQ, Rs1: 5, Rs2: 0, Imm: 4000}),
 		0xffffffff,
 	)
-	a := Analyze(bs)
+	a := AnalyzeMode(bs, false)
 	if !a.Accepted() {
 		t.Fatalf("statically dead out-of-bounds edge dropped: %+v", a.Verdict)
 	}
@@ -208,7 +208,7 @@ func TestFeasibleLoopStillDropped(t *testing.T) {
 		enc(isa.Inst{Op: isa.OpADDI, Rd: 1, Rs1: 1, Imm: 1}),
 		enc(isa.Inst{Op: isa.OpBEQ, Rs1: 0, Rs2: 0, Imm: -4}),
 	)
-	a := Analyze(bs)
+	a := AnalyzeMode(bs, false)
 	if a.Accepted() || a.Verdict.Reason != ReasonLoop {
 		t.Fatalf("feasible loop not dropped: %+v", a.Verdict)
 	}
@@ -222,7 +222,7 @@ func TestMergePointDirtyJoin(t *testing.T) {
 		enc(isa.Inst{Op: isa.OpADD, Rd: 30, Rs1: 1, Rs2: 2}), //  4: dirties x30
 		enc(isa.Inst{Op: isa.OpLW, Rd: 5, Rs1: 30, Imm: 0}),  //  8: merge point
 	)
-	a := Analyze(bs)
+	a := AnalyzeMode(bs, false)
 	if a.Accepted() || a.Verdict.Reason != ReasonDirtyAddress {
 		t.Fatalf("merge-point dirty join missed: %+v", a.Verdict)
 	}
@@ -237,7 +237,7 @@ func TestMergePointDirtyJoin(t *testing.T) {
 		enc(isa.Inst{Op: isa.OpADD, Rd: 7, Rs1: 1, Rs2: 2}),
 		enc(isa.Inst{Op: isa.OpLW, Rd: 5, Rs1: 30, Imm: 0}),
 	)
-	if b := Analyze(ok); !b.Accepted() {
+	if b := AnalyzeMode(ok, false); !b.Accepted() {
 		t.Fatalf("clean merge dropped: %+v", b.Verdict)
 	}
 }
@@ -250,7 +250,7 @@ func TestBranchDenseLinearCost(t *testing.T) {
 		words = append(words, enc(isa.Inst{Op: isa.OpBEQ, Rs1: 1, Rs2: 2, Imm: 8}))
 	}
 	words = append(words, 0xffffffff)
-	a := Analyze(stream(words...))
+	a := AnalyzeMode(stream(words...), false)
 	if !a.Accepted() {
 		t.Fatalf("branch-dense stream dropped: %+v", a.Verdict)
 	}
@@ -266,17 +266,17 @@ func TestPathsSaturate(t *testing.T) {
 		words = append(words, enc(isa.Inst{Op: isa.OpBEQ, Rs1: 1, Rs2: 2, Imm: 8}))
 	}
 	words = append(words, 0xffffffff)
-	a := Analyze(stream(words...))
+	a := AnalyzeMode(stream(words...), false)
 	if !a.Accepted() || a.Verdict.Paths != maxPaths {
 		t.Fatalf("got %+v, want acceptance with saturated path count", a.Verdict)
 	}
 }
 
 func TestEmptyAndTinyStreams(t *testing.T) {
-	if a := Analyze(nil); !a.Accepted() || a.Verdict.Paths != 1 {
+	if a := AnalyzeMode(nil, false); !a.Accepted() || a.Verdict.Paths != 1 {
 		t.Errorf("empty stream: %+v", a.Verdict)
 	}
-	if a := Analyze([]byte{0x01, 0x00}); !a.Accepted() {
+	if a := AnalyzeMode([]byte{0x01, 0x00}, false); !a.Accepted() {
 		t.Errorf("single c.nop: %+v", a.Verdict)
 	}
 }
@@ -286,7 +286,7 @@ func TestCleanAtAndEachInst(t *testing.T) {
 		enc(isa.Inst{Op: isa.OpADD, Rd: 31, Rs1: 1, Rs2: 2}), // dirties x31
 		enc(isa.Inst{Op: isa.OpLW, Rd: 5, Rs1: 30, Imm: 0}),
 	)
-	a := Analyze(bs)
+	a := AnalyzeMode(bs, false)
 	if !a.Accepted() {
 		t.Fatalf("dropped: %+v", a.Verdict)
 	}

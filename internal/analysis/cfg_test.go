@@ -19,7 +19,7 @@ func TestMixedCompressedStream(t *testing.T) {
 	bs = append(bs, byte(w), byte(w>>8), byte(w>>16), byte(w>>24))
 	bs = append(bs, stream(0xffffffff)...)
 
-	a := Analyze(bs)
+	a := AnalyzeMode(bs, false)
 	if !a.Accepted() || a.Verdict.Paths != 1 {
 		t.Fatalf("mixed stream: %+v", a.Verdict)
 	}
@@ -52,7 +52,7 @@ func TestCompressedBranchSplitsBlocks(t *testing.T) {
 	bs = half(bs, 0x0001) // c.nop
 	bs = append(bs, stream(0xffffffff)...)
 
-	a := Analyze(bs)
+	a := AnalyzeMode(bs, false)
 	if !a.Accepted() {
 		t.Fatalf("compressed branch stream: %+v", a.Verdict)
 	}
@@ -71,7 +71,7 @@ func TestJALBackEdgeLoop(t *testing.T) {
 		enc(isa.Inst{Op: isa.OpADD, Rd: 1, Rs1: 1, Rs2: 2}),
 		enc(isa.Inst{Op: isa.OpJAL, Rd: 0, Imm: -4}),
 	)
-	a := Analyze(bs)
+	a := AnalyzeMode(bs, false)
 	if a.Accepted() || a.Verdict.Reason != ReasonLoop {
 		t.Fatalf("JAL back edge not dropped: %+v", a.Verdict)
 	}
@@ -79,7 +79,7 @@ func TestJALBackEdgeLoop(t *testing.T) {
 		t.Errorf("loop reported at %d, want head offset 0", a.Verdict.PC)
 	}
 	// Self-loop JAL.
-	if a := Analyze(stream(enc(isa.Inst{Op: isa.OpJAL, Imm: 0}))); a.Verdict.Reason != ReasonLoop {
+	if a := AnalyzeMode(stream(enc(isa.Inst{Op: isa.OpJAL, Imm: 0})), false); a.Verdict.Reason != ReasonLoop {
 		t.Errorf("self JAL: %+v", a.Verdict)
 	}
 }
@@ -92,7 +92,7 @@ func TestBranchBackEdgeSplitsTargetBlock(t *testing.T) {
 		enc(isa.Inst{Op: isa.OpADD, Rd: 3, Rs1: 3, Rs2: 4}),   // 4: back-edge target
 		enc(isa.Inst{Op: isa.OpBNE, Rs1: 1, Rs2: 2, Imm: -4}), // 8
 	)
-	a := Analyze(bs)
+	a := AnalyzeMode(bs, false)
 	if a.Accepted() || a.Verdict.Reason != ReasonLoop {
 		t.Fatalf("branch back edge not dropped: %+v", a.Verdict)
 	}
@@ -114,7 +114,7 @@ func TestBranchIntoPaddedTail(t *testing.T) {
 	bs = append(bs, byte(w), byte(w>>8), byte(w>>16), byte(w>>24))
 	bs = half(bs, 0x0001) // c.nop at 4
 
-	a := Analyze(bs)
+	a := AnalyzeMode(bs, false)
 	if a.N != 8 {
 		t.Fatalf("padded length = %d, want 8", a.N)
 	}
@@ -135,7 +135,7 @@ func TestStraddleViaBranchTarget(t *testing.T) {
 		0x00000001,
 		0xf3f3f3f3,
 	)
-	a := Analyze(bs)
+	a := AnalyzeMode(bs, false)
 	if a.Accepted() || a.Verdict.Reason != ReasonStraddle {
 		t.Fatalf("straddle not dropped: %+v", a.Verdict)
 	}
@@ -157,7 +157,7 @@ func TestUnreachableSitesNotDiscovered(t *testing.T) {
 		enc(isa.Inst{Op: isa.OpBEQ, Rs1: 1, Rs2: 2, Imm: -8}), // 24 -> 16 / 28
 		enc(isa.Inst{Op: isa.OpLW, Rd: 5, Rs1: 30, Imm: -16}), // 28
 	)
-	a := Analyze(bs)
+	a := AnalyzeMode(bs, false)
 	if !a.Accepted() || a.Verdict.Paths != 3 {
 		t.Fatalf("Fig. 2 program: %+v", a.Verdict)
 	}
@@ -178,7 +178,7 @@ func TestOverlappingSitesAtHalfwordGranularity(t *testing.T) {
 		enc(isa.Inst{Op: isa.OpBEQ, Rs1: 0, Rs2: 0, Imm: 6}),
 		0x8082ffff, // aligned: illegal word; halfword at 6 = 0x8082 = c.jr ra
 	)
-	a := Analyze(bs)
+	a := AnalyzeMode(bs, false)
 	if a.Accepted() || a.Verdict.Reason != ReasonForbidden {
 		t.Fatalf("overlapping forbidden stream: %+v", a.Verdict)
 	}
@@ -200,7 +200,7 @@ func TestBlocksSuccessorsFoldedBranch(t *testing.T) {
 		0xffffffff, // 4: statically dead
 		0xffffffff, // 8
 	)
-	a := Analyze(bs)
+	a := AnalyzeMode(bs, false)
 	if !a.Accepted() || a.Verdict.Paths != 1 {
 		t.Fatalf("folded branch: %+v", a.Verdict)
 	}

@@ -106,9 +106,6 @@ func OpenStore(dir string) (*Store, error) {
 	return s, nil
 }
 
-// Root returns the store directory.
-func (s *Store) Root() string { return s.root }
-
 // scan lists existing job directory names in ID order.
 func (s *Store) scan() ([]string, error) {
 	entries, err := os.ReadDir(s.root)

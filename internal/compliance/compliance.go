@@ -81,15 +81,10 @@ func (c Category) String() string {
 	return "unknown"
 }
 
-// Classify determines the dominant mismatch category between a reference
-// signature and a test output (user-family signature layout).
-func Classify(ref, got []uint32) Category {
-	return ClassifyAt(ref, got, 0)
-}
-
-// ClassifyAt is Classify with a trap-record region: signature words at
-// index >= trapBase belong to the trap-family record area and dominate
-// every other class (they are what the trap suite exists to compare).
+// ClassifyAt determines the dominant mismatch category between a
+// reference signature and a test output. Signature words at index >=
+// trapBase belong to the trap-family record area and dominate every
+// other class (they are what the trap suite exists to compare);
 // trapBase == 0 disables the region (user-family layout).
 func ClassifyAt(ref, got []uint32, trapBase int) Category {
 	if len(got) < len(ref) {

@@ -160,25 +160,25 @@ func TestClassify(t *testing.T) {
 	got := make([]uint32, 96)
 	copy(got, ref)
 	got[30] = 11
-	if c := Classify(ref, got); c != CatTrapCause {
+	if c := ClassifyAt(ref, got, 0); c != CatTrapCause {
 		t.Errorf("trap cause: %v", c)
 	}
 	got = make([]uint32, 96)
 	got[26] = 1
-	if c := Classify(ref, got); c != CatCompletionMarker {
+	if c := ClassifyAt(ref, got, 0); c != CatCompletionMarker {
 		t.Errorf("completion marker: %v", c)
 	}
 	got = make([]uint32, 96)
 	got[1] = 5
-	if c := Classify(ref, got); c != CatRegisterValue {
+	if c := ClassifyAt(ref, got, 0); c != CatRegisterValue {
 		t.Errorf("register value: %v", c)
 	}
 	got = make([]uint32, 96)
 	got[40] = 5
-	if c := Classify(ref, got); c != CatFPValue {
+	if c := ClassifyAt(ref, got, 0); c != CatFPValue {
 		t.Errorf("fp value: %v", c)
 	}
-	if c := Classify(ref, ref[:10]); c != CatMissing {
+	if c := ClassifyAt(ref, ref[:10], 0); c != CatMissing {
 		t.Errorf("missing: %v", c)
 	}
 
@@ -188,20 +188,20 @@ func TestClassify(t *testing.T) {
 	// {31, fp} diff was misfiled as fp-value.
 	got = make([]uint32, 96)
 	got[31] = 5
-	if c := Classify(ref, got); c != CatRegisterValue {
+	if c := ClassifyAt(ref, got, 0); c != CatRegisterValue {
 		t.Errorf("word-31-only diff: %v, want register-value", c)
 	}
 	got = make([]uint32, 96)
 	got[31] = 5
 	got[33] = 7
-	if c := Classify(ref, got); c != CatRegisterValue {
+	if c := ClassifyAt(ref, got, 0); c != CatRegisterValue {
 		t.Errorf("word 31 + fp diff: %v, want register-value", c)
 	}
 	// x26 and the trap-cause word keep their priority over word 31.
 	got = make([]uint32, 96)
 	got[31] = 5
 	got[30] = 2
-	if c := Classify(ref, got); c != CatTrapCause {
+	if c := ClassifyAt(ref, got, 0); c != CatTrapCause {
 		t.Errorf("word 31 + cause diff: %v, want trap-cause", c)
 	}
 }

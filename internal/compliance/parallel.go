@@ -49,20 +49,6 @@ type RunStats struct {
 	PerWorker   []WorkerStats
 }
 
-// Clone returns a deep copy of the stats: PerWorker is the only
-// reference field, and handing out the live slice would let a holder
-// observe (or race with) the accounting of a subsequent Run.
-func (s RunStats) Clone() RunStats {
-	s.PerWorker = append([]WorkerStats(nil), s.PerWorker...)
-	return s
-}
-
-// StatsSnapshot returns a copy of the most recent Run's stats that later
-// runs cannot mutate (the aliasing-audit companion of Fuzzer.Stats).
-func (r *Runner) StatsSnapshot() RunStats {
-	return r.Stats.Clone()
-}
-
 // String renders a one-line throughput summary plus the per-worker
 // execution counts.
 func (s RunStats) String() string {

@@ -290,22 +290,3 @@ func TestBreakerOpenTelemetry(t *testing.T) {
 		t.Errorf("breaker_open events = %d, want 1", opens)
 	}
 }
-
-// TestRunStatsSnapshotCopy: the stats snapshot must not alias the live
-// per-worker slice a subsequent Run keeps accounting into.
-func TestRunStatsSnapshotCopy(t *testing.T) {
-	r := DefaultRunner()
-	r.Workers = 2
-	if _, err := r.Run(handSuite()); err != nil {
-		t.Fatal(err)
-	}
-	snap := r.StatsSnapshot()
-	if snap.Execs != r.Stats.Execs || len(snap.PerWorker) != len(r.Stats.PerWorker) {
-		t.Fatalf("snapshot diverges from live stats: %+v vs %+v", snap, r.Stats)
-	}
-	want := snap.PerWorker[0].Execs
-	r.Stats.PerWorker[0].Execs = -1
-	if snap.PerWorker[0].Execs != want {
-		t.Fatal("StatsSnapshot aliases the live PerWorker slice")
-	}
-}

@@ -456,7 +456,7 @@ func TestAcceptedStreamsAreDeterministicAcrossPlatforms(t *testing.T) {
 				if err := img.Inject(bs); err != nil {
 					t.Fatal(err)
 				}
-				e := img.NewExecutor(isa.Ref, exec.Quirks{})
+				e := img.NewExecutorCfg(img.Platform.Cfg, isa.Ref, exec.Quirks{})
 				if err := e.Run(50000); err != nil {
 					t.Fatalf("accepted stream %x timed out on %v platform %d: %v", bs, cfg, i, err)
 				}
@@ -591,7 +591,7 @@ func TestAUIPCLayoutBoundary(t *testing.T) {
 		if err := img.Inject(bs); err != nil {
 			t.Fatal(err)
 		}
-		e := img.NewExecutor(isa.Ref, exec.Quirks{})
+		e := img.NewExecutorCfg(img.Platform.Cfg, isa.Ref, exec.Quirks{})
 		if err := e.Run(50000); err != nil {
 			t.Fatal(err)
 		}

@@ -59,7 +59,7 @@ type checkpointCase struct {
 // meaningful, let alone bit-identical.
 func (c Config) Fingerprint() string {
 	fp := fmt.Sprintf("seed=%d isa=%v maxlen=%d lencontrol=%d prob=%g nofilter=%t nocustom=%t edges=%t hash=%d rules=%t",
-		c.Seed, c.ISA, c.MaxLen, c.LenControl, c.CustomMutatorProb,
+		c.Seed, c.ISA, c.MaxLen, c.LenControl, customMutatorProb,
 		c.DisableFilter, c.DisableCustomMutator,
 		c.Coverage.Edges, c.Coverage.HashN, c.Coverage.Rules != nil)
 	// The family changes the template, the filter semantics and the

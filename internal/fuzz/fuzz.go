@@ -55,10 +55,6 @@ type Config struct {
 	LenControl int
 	// Seed makes the campaign deterministic.
 	Seed int64
-	// CustomMutatorProb is the probability of using the instruction-aware
-	// mutator for a given input (the paper attaches it "with equal
-	// probability to the existing mutators").
-	CustomMutatorProb float64
 	// DisableFilter bypasses the static filter (ablation only: breaks the
 	// no-spurious-mismatch guarantee).
 	DisableFilter bool
@@ -105,12 +101,11 @@ type Config struct {
 // DefaultConfig mirrors the paper's campaign settings with v3 coverage.
 func DefaultConfig() Config {
 	return Config{
-		Coverage:          coverage.V3(),
-		ISA:               isa.RV32GC,
-		MaxLen:            64,
-		LenControl:        10000,
-		Seed:              1,
-		CustomMutatorProb: 0.5,
+		Coverage:   coverage.V3(),
+		ISA:        isa.RV32GC,
+		MaxLen:     64,
+		LenControl: 10000,
+		Seed:       1,
 	}
 }
 
@@ -209,9 +204,6 @@ func New(cfg Config) (*Fuzzer, error) {
 	}
 	if cfg.LenControl <= 0 {
 		cfg.LenControl = 10000
-	}
-	if cfg.CustomMutatorProb == 0 && !cfg.DisableCustomMutator {
-		cfg.CustomMutatorProb = 0.5
 	}
 	if cfg.ISA.Ext == 0 {
 		cfg.ISA = isa.RV32GC
@@ -381,6 +373,12 @@ func (f *Fuzzer) quarantineWarn(input []byte, detail string) {
 	}
 }
 
+// customMutatorProb is the probability of using the instruction-aware
+// mutator for a given input (the paper attaches it "with equal
+// probability to the existing mutators"). Fingerprint prints it as
+// `prob=0.5`, the text existing checkpoints carry, so they still resume.
+const customMutatorProb = 0.5
+
 // nextInput produces the next candidate bytestream.
 func (f *Fuzzer) nextInput() []byte {
 	if len(f.pending) > 0 {
@@ -392,7 +390,7 @@ func (f *Fuzzer) nextInput() []byte {
 	if len(f.corpus) > 0 && f.rng.Intn(8) != 0 {
 		base = f.corpus[f.rng.Intn(len(f.corpus))]
 	}
-	useCustom := !f.cfg.DisableCustomMutator && f.rng.Float64() < f.cfg.CustomMutatorProb
+	useCustom := !f.cfg.DisableCustomMutator && f.rng.Float64() < customMutatorProb
 	if useCustom {
 		return f.mut.instructionAware(base, f.curLen)
 	}

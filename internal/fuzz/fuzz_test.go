@@ -16,12 +16,11 @@ import (
 
 func smallConfig(opts coverage.Options, seed int64) Config {
 	return Config{
-		Coverage:          opts,
-		ISA:               isa.RV32GC,
-		MaxLen:            64,
-		LenControl:        500,
-		Seed:              seed,
-		CustomMutatorProb: 0.5,
+		Coverage:   opts,
+		ISA:        isa.RV32GC,
+		MaxLen:     64,
+		LenControl: 500,
+		Seed:       seed,
 	}
 }
 

@@ -235,6 +235,30 @@ func TestResumeRefusesVersion1(t *testing.T) {
 	}
 }
 
+// TestFingerprintText pins the fingerprint a DefaultConfig campaign
+// writes into its checkpoints, with and without the mutator ablation.
+// The instruction-aware mutator's probability used to be a Config field
+// and is printed as one, so those checkpoints keep resuming.
+func TestFingerprintText(t *testing.T) {
+	for _, c := range []struct {
+		nocustom bool
+		want     string
+	}{
+		{false, "seed=1 isa=RV32GC maxlen=64 lencontrol=10000 prob=0.5 nofilter=false nocustom=false edges=true hash=16384 rules=true"},
+		{true, "seed=1 isa=RV32GC maxlen=64 lencontrol=10000 prob=0.5 nofilter=false nocustom=true edges=true hash=16384 rules=true"},
+	} {
+		cfg := DefaultConfig()
+		cfg.DisableCustomMutator = c.nocustom
+		f, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := f.cfg.Fingerprint(); got != c.want {
+			t.Errorf("fingerprint\n  got  %q\n  want %q", got, c.want)
+		}
+	}
+}
+
 func TestResumeRejectsDifferentCampaign(t *testing.T) {
 	cfg := smallConfig(coverage.V1(), 3)
 	dir := t.TempDir()

@@ -407,9 +407,3 @@ func (h *Hart) DynRM(field uint8) (softfloat.RM, bool) {
 	}
 	return rm, rm.Valid()
 }
-
-// Clone returns an independent copy of the architectural state.
-func (h *Hart) Clone() *Hart {
-	c := *h
-	return &c
-}

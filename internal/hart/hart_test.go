@@ -195,16 +195,6 @@ func TestDynRM(t *testing.T) {
 	}
 }
 
-func TestClone(t *testing.T) {
-	h := New(isa.RV32GC)
-	h.X[5] = 1
-	c := h.Clone()
-	c.X[5] = 2
-	if h.X[5] != 1 {
-		t.Error("clone shares state")
-	}
-}
-
 // TestTrapMasksOddPC pins the satellite-2 fix: the hardware trap path
 // must clear mepc bit 0 exactly like the CSR-write path, so an odd
 // faulting PC reads back even and MRet returns to the masked address.

@@ -40,9 +40,6 @@ func runCloneshallow(pass *Pass) error {
 		return nil
 	}
 	for _, f := range pass.Files {
-		if pass.IsTestFile(f) {
-			continue
-		}
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Recv == nil || fd.Body == nil || !cloneMethodNames[fd.Name.Name] {

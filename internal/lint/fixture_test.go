@@ -83,7 +83,7 @@ func runFixture(t *testing.T, a *Analyzer, pkgpath, dir string) {
 	}
 
 	imp := fixtureImporter(t, fset)
-	pkg, info, err := Typecheck(fset, pkgpath, files, imp, "")
+	pkg, info, err := Typecheck(fset, pkgpath, files, imp)
 	if err != nil {
 		t.Fatalf("typecheck %s: %v", dir, err)
 	}
@@ -134,7 +134,7 @@ func runFixtureClean(t *testing.T, a *Analyzer, pkgpath, dir string) {
 		files = append(files, f)
 	}
 	imp := fixtureImporter(t, fset)
-	pkg, info, err := Typecheck(fset, pkgpath, files, imp, "")
+	pkg, info, err := Typecheck(fset, pkgpath, files, imp)
 	if err != nil {
 		t.Fatalf("typecheck %s: %v", dir, err)
 	}

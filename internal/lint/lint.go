@@ -6,10 +6,9 @@
 // The design follows golang.org/x/tools/go/analysis — an Analyzer is a
 // named check over one type-checked package — but is implemented on the
 // standard library alone so the linter builds in a hermetic environment
-// with no module downloads. Two drivers exist in cmd/rvlint: a
-// standalone loader (load.go) that analyzes `go list` patterns, and a
-// `go vet -vettool` compilation-unit checker (unitchecker.go) speaking
-// the vet command-line protocol, which is how CI runs the suite.
+// with no module downloads. One driver serves cmd/rvlint, the CI gate
+// and the self-clean test: the loader in load.go, which analyzes the
+// non-test files of the packages `go list` patterns match.
 //
 // Suppression: a finding is silenced by a comment of the form
 //
@@ -31,9 +30,7 @@ import (
 	"strings"
 )
 
-// modulePrefix scopes every analyzer to this repository's packages;
-// dependency units handed to the vettool driver (std library facts
-// passes) are skipped wholesale.
+// modulePrefix scopes every analyzer to this repository's packages.
 const modulePrefix = "rvnegtest"
 
 // An Analyzer is one named invariant check run over a type-checked
@@ -57,7 +54,7 @@ type Pass struct {
 	Fset      *token.FileSet
 	Files     []*ast.File
 	Pkg       *types.Package
-	PkgPath   string // import path as the build system reports it (may carry a " [test]" variant suffix)
+	PkgPath   string
 	TypesInfo *types.Info
 
 	diags []Diagnostic
@@ -82,28 +79,16 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // InModule reports whether the pass's package belongs to this
-// repository (as opposed to a dependency unit vetted only for facts).
+// repository (as opposed to a package outside it, such as std).
 func (p *Pass) InModule() bool {
 	return p.PkgPath == modulePrefix || strings.HasPrefix(p.PkgPath, modulePrefix+"/")
 }
 
 // PathWithin reports whether the package's import path equals or is
-// nested under modulePrefix/<rel>. The " [pkg.test]" suffix go vet uses
-// for internal test variants is ignored.
+// nested under modulePrefix/<rel>.
 func (p *Pass) PathWithin(rel string) bool {
-	path := p.PkgPath
-	if i := strings.IndexByte(path, ' '); i >= 0 {
-		path = path[:i]
-	}
 	full := modulePrefix + "/" + rel
-	return path == full || strings.HasPrefix(path, full+"/")
-}
-
-// IsTestFile reports whether the file is a _test.go file. The suite
-// checks shipped code; test scaffolding may use wall clocks, ad-hoc
-// RNGs and panics freely.
-func (p *Pass) IsTestFile(f *ast.File) bool {
-	return strings.HasSuffix(p.Fset.File(f.Pos()).Name(), "_test.go")
+	return p.PkgPath == full || strings.HasPrefix(p.PkgPath, full+"/")
 }
 
 // FuncKey names the function declaration enclosing pos as

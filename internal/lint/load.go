@@ -15,12 +15,11 @@ import (
 	"path/filepath"
 )
 
-// The standalone loader: `go list -export -deps -json` enumerates the
-// requested packages plus every dependency's compiled export data
-// (served from the build cache, no network), and each target package
-// is parsed and type-checked against that export data — the same
-// type-information diet `go vet` feeds its vettool, without needing a
-// driving build system.
+// The loader: `go list -export -deps -json` enumerates the requested
+// packages plus every dependency's compiled export data (served from
+// the build cache, no network), and each target package's GoFiles —
+// never its _test.go files — are parsed and type-checked against that
+// export data.
 
 // A Unit is one parsed, type-checked package ready for analysis.
 type Unit struct {
@@ -113,7 +112,7 @@ func LoadPackages(dir string, patterns ...string) ([]*Unit, error) {
 		if len(files) == 0 {
 			continue
 		}
-		pkg, info, err := Typecheck(fset, p.ImportPath, files, imp, "")
+		pkg, info, err := Typecheck(fset, p.ImportPath, files, imp)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %v", p.ImportPath, err)
 		}
@@ -123,7 +122,7 @@ func LoadPackages(dir string, patterns ...string) ([]*Unit, error) {
 }
 
 // Typecheck runs the go/types checker over one package's files.
-func Typecheck(fset *token.FileSet, path string, files []*ast.File, imp types.Importer, goVersion string) (*types.Package, *types.Info, error) {
+func Typecheck(fset *token.FileSet, path string, files []*ast.File, imp types.Importer) (*types.Package, *types.Info, error) {
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
@@ -132,7 +131,7 @@ func Typecheck(fset *token.FileSet, path string, files []*ast.File, imp types.Im
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 		Scopes:     make(map[ast.Node]*types.Scope),
 	}
-	conf := &types.Config{Importer: imp, GoVersion: goVersion}
+	conf := &types.Config{Importer: imp}
 	pkg, err := conf.Check(path, fset, files, info)
 	if err != nil {
 		return nil, nil, err
@@ -141,10 +140,15 @@ func Typecheck(fset *token.FileSet, path string, files []*ast.File, imp types.Im
 }
 
 // RunStandalone analyzes the packages matching patterns under dir with
-// the given analyzers, printing diagnostics to w. It returns the number
-// of unsuppressed findings.
+// the given analyzers, printing diagnostics to w as the go command
+// prints vet's: file names relative to dir when the file lies beneath
+// it. It returns the number of unsuppressed findings.
 func RunStandalone(w io.Writer, dir string, patterns []string, analyzers []*Analyzer) (int, error) {
 	units, err := LoadPackages(dir, patterns...)
+	if err != nil {
+		return 0, err
+	}
+	base, err := filepath.Abs(dir)
 	if err != nil {
 		return 0, err
 	}
@@ -155,7 +159,11 @@ func RunStandalone(w io.Writer, dir string, patterns []string, analyzers []*Anal
 			return total, fmt.Errorf("%s: %v", u.Path, err)
 		}
 		for _, d := range diags {
-			fmt.Fprintf(w, "%s: %s (rvlint/%s)\n", u.Fset.Position(d.Pos), d.Message, d.Analyzer)
+			pos := u.Fset.Position(d.Pos)
+			if rel, err := filepath.Rel(base, pos.Filename); err == nil && filepath.IsLocal(rel) {
+				pos.Filename = rel
+			}
+			fmt.Fprintf(w, "%s: %s (rvlint/%s)\n", pos, d.Message, d.Analyzer)
 			total++
 		}
 	}

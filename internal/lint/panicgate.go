@@ -44,9 +44,6 @@ func runPanicgate(pass *Pass) error {
 	}
 	rel := relPath(pass)
 	for _, f := range pass.Files {
-		if pass.IsTestFile(f) {
-			continue
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {

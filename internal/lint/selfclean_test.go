@@ -5,8 +5,6 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -116,29 +114,4 @@ func funcKeys(t *testing.T, dir string) map[string]bool {
 		}
 	}
 	return keys
-}
-
-// TestVetProtocol exercises the real cmd/go integration end to end:
-// build cmd/rvlint, then run `go vet -vettool=rvlint` on a small
-// package. This is the only test that covers the unitchecker path
-// (-V=full handshake, -flags query, vet.cfg unit config, facts file).
-func TestVetProtocol(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds a binary and shells out to go vet")
-	}
-	root := moduleRoot(t)
-	tool := filepath.Join(t.TempDir(), "rvlint")
-
-	build := exec.Command("go", "build", "-o", tool, "./cmd/rvlint")
-	build.Dir = root
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build cmd/rvlint: %v\n%s", err, out)
-	}
-
-	vet := exec.Command("go", "vet", "-vettool="+tool, "./internal/mem")
-	vet.Dir = root
-	vet.Env = os.Environ()
-	if out, err := vet.CombinedOutput(); err != nil {
-		t.Fatalf("go vet -vettool=rvlint ./internal/mem: %v\n%s", err, out)
-	}
 }

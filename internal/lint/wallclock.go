@@ -64,9 +64,6 @@ func runWallclock(pass *Pass) error {
 	}
 	rel := relPath(pass)
 	for _, f := range pass.Files {
-		if pass.IsTestFile(f) {
-			continue
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			sel, ok := n.(*ast.SelectorExpr)
 			if !ok || !wallclockBanned[sel.Sel.Name] {
@@ -85,14 +82,10 @@ func runWallclock(pass *Pass) error {
 	return nil
 }
 
-// relPath returns the import path with the module prefix and any
-// " [test]" variant suffix stripped: "internal/fuzz".
+// relPath returns the import path with the module prefix stripped:
+// "internal/fuzz".
 func relPath(pass *Pass) string {
-	path := pass.PkgPath
-	if i := strings.IndexByte(path, ' '); i >= 0 {
-		path = path[:i]
-	}
-	return strings.TrimPrefix(path, modulePrefix+"/")
+	return strings.TrimPrefix(pass.PkgPath, modulePrefix+"/")
 }
 
 // isPkgSelector reports whether sel is a selection off the named

@@ -54,19 +54,6 @@ func Parse(text string) (Signature, error) {
 	return out, nil
 }
 
-// Equal compares two signatures exactly.
-func Equal(a, b Signature) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Diff returns the indexes of differing words (including a length
 // difference, reported as index min(len)).
 func Diff(a, b Signature) []int {

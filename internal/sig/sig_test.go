@@ -1,6 +1,7 @@
 package sig
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -12,7 +13,7 @@ func TestFormatParseRoundtrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return Equal(s, back) || (len(words) == 0 && len(back) == 0)
+		return slices.Equal(s, back) || (len(words) == 0 && len(back) == 0)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
@@ -42,7 +43,7 @@ func TestParseErrors(t *testing.T) {
 func TestEqualAndDiff(t *testing.T) {
 	a := Signature{1, 2, 3}
 	b := Signature{1, 9, 3}
-	if Equal(a, b) || !Equal(a, a) {
+	if slices.Equal(a, b) || !slices.Equal(a, a) {
 		t.Error("Equal wrong")
 	}
 	if d := Diff(a, b); len(d) != 1 || d[0] != 1 {
@@ -51,7 +52,7 @@ func TestEqualAndDiff(t *testing.T) {
 	if d := Diff(a, a[:2]); len(d) != 1 || d[0] != 2 {
 		t.Errorf("length diff = %v", d)
 	}
-	if Equal(a, a[:2]) {
+	if slices.Equal(a, a[:2]) {
 		t.Error("length-unequal must not be equal")
 	}
 }

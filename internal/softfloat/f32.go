@@ -101,6 +101,3 @@ func IsNaN32(a uint32) bool {
 	u := unpack(fmt32, uint64(a))
 	return u.cls == clsQNaN || u.cls == clsSNaN
 }
-
-// IsSNaN32 reports whether the bits encode a signaling NaN.
-func IsSNaN32(a uint32) bool { return unpack(fmt32, uint64(a)).cls == clsSNaN }

@@ -72,9 +72,6 @@ func IsNaN64(a uint64) bool {
 	return u.cls == clsQNaN || u.cls == clsSNaN
 }
 
-// IsSNaN64 reports whether the bits encode a signaling NaN.
-func IsSNaN64(a uint64) bool { return unpack(fmt64, a).cls == clsSNaN }
-
 // NaN boxing helpers for RV32D register files: a binary32 value held in a
 // 64-bit FP register must be boxed with all-ones upper bits; any register
 // value that is not properly boxed must be treated as the canonical NaN

@@ -22,7 +22,7 @@ func runPreloaded(t *testing.T, p Platform, bs []byte) ([]uint32, *exec.Executor
 	if err := img.Inject(bs); err != nil {
 		t.Fatalf("Inject: %v", err)
 	}
-	e := img.NewExecutor(isa.Ref, exec.Quirks{})
+	e := img.NewExecutorCfg(img.Platform.Cfg, isa.Ref, exec.Quirks{})
 	if err := e.Run(100000); err != nil {
 		t.Fatalf("Run: %v", err)
 	}

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Static-analysis gate: gofmt, go vet, the repo's own rvlint analyzers
-# (determinism + invariant passes) run through the real vet -vettool
-# protocol, and — when the tools are installed — staticcheck and
-# govulncheck. Any finding fails the gate.
+# (determinism + invariant passes, run by the standalone rvlint binary
+# over the module's non-test files), and — when the tools are installed
+# — staticcheck and govulncheck. Any finding fails the gate.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -17,10 +17,10 @@ fi
 echo "== go vet =="
 go vet ./...
 
-echo "== rvlint (go vet -vettool) =="
+echo "== rvlint =="
 mkdir -p bin
 go build -o bin/rvlint ./cmd/rvlint
-go vet -vettool="$PWD/bin/rvlint" ./...
+bin/rvlint ./...
 
 # Optional gates: run when installed (CI installs them; offline dev
 # boxes may not have them).
