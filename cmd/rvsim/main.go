@@ -1,5 +1,8 @@
 // Command rvsim runs a single test case (a hex bytestream, a suite entry,
 // or an assembled ELF) on one simulator model and prints the signature.
+// A suite entry runs on its suite's template family (`# family: trap`
+// selects the trap-recording template), a hex bytestream on the user
+// family.
 //
 // Examples:
 //
@@ -24,124 +27,137 @@ import (
 	"rvnegtest/internal/template"
 )
 
+// options are rvsim's flags.
+type options struct {
+	sim, isa, hex, suite, diff string
+	caseIdx                    int
+	trace, execTrace, minimize bool
+}
+
 func main() {
-	var (
-		simName   = flag.String("sim", "reference", "simulator model")
-		isaName   = flag.String("isa", "RV32GC", "ISA configuration")
-		hexStream = flag.String("hex", "", "bytestream as hex")
-		suitePath = flag.String("suite", "", "take the bytestream from this suite file")
-		caseIdx   = flag.Int("case", 0, "suite case index")
-		trace     = flag.Bool("trace", false, "print the disassembled bytestream")
-		execTrace = flag.Bool("exec-trace", false, "print every executed instruction (full run, template included)")
-		diffWith  = flag.String("diff", "", "also run this simulator and print signature differences")
-		minimize  = flag.Bool("minimize", false, "with -diff: shrink the bytestream while the divergence persists")
-	)
+	var o options
+	flag.StringVar(&o.sim, "sim", "reference", "simulator model")
+	flag.StringVar(&o.isa, "isa", "RV32GC", "ISA configuration")
+	flag.StringVar(&o.hex, "hex", "", "bytestream as hex")
+	flag.StringVar(&o.suite, "suite", "", "take the bytestream from this suite file")
+	flag.IntVar(&o.caseIdx, "case", 0, "suite case index")
+	flag.BoolVar(&o.trace, "trace", false, "print the disassembled bytestream")
+	flag.BoolVar(&o.execTrace, "exec-trace", false, "print every executed instruction (full run, template included)")
+	flag.StringVar(&o.diff, "diff", "", "also run this simulator and print signature differences")
+	flag.BoolVar(&o.minimize, "minimize", false, "with -diff: shrink the bytestream while the divergence persists")
 	flag.Parse()
+	if err := o.run(os.Stdout); err != nil {
+		fmt.Fprintf(os.Stderr, "rvsim: %v\n", err)
+		os.Exit(1)
+	}
+}
 
+// run runs the test case o names and prints what the flags ask for to
+// w. A suite case runs on its suite's template family, a -hex
+// bytestream on the user family.
+func (o options) run(w io.Writer) error {
 	var bs []byte
+	fam := template.FamilyUser
 	switch {
-	case *hexStream != "":
+	case o.hex != "":
 		var err error
-		bs, err = hex.DecodeString(*hexStream)
+		bs, err = hex.DecodeString(o.hex)
 		if err != nil {
-			fatalf("bad -hex: %v", err)
+			return fmt.Errorf("bad -hex: %v", err)
 		}
-	case *suitePath != "":
-		suite, err := rvnegtest.LoadSuite(*suitePath)
+	case o.suite != "":
+		suite, err := rvnegtest.LoadSuite(o.suite)
 		if err != nil {
-			fatalf("%v", err)
+			return err
 		}
-		if *caseIdx < 0 || *caseIdx >= len(suite.Cases) {
-			fatalf("case %d out of range (suite has %d)", *caseIdx, len(suite.Cases))
+		if o.caseIdx < 0 || o.caseIdx >= len(suite.Cases) {
+			return fmt.Errorf("case %d out of range (suite has %d)", o.caseIdx, len(suite.Cases))
 		}
-		bs = suite.Cases[*caseIdx]
+		bs, fam = suite.Cases[o.caseIdx], suite.Family
 	default:
-		fatalf("need -hex BYTES or -suite FILE")
+		return fmt.Errorf("need -hex BYTES or -suite FILE")
 	}
 
-	cfg, err := isa.ParseConfig(*isaName)
+	cfg, err := isa.ParseConfig(o.isa)
 	if err != nil {
-		fatalf("%v", err)
+		return err
 	}
-	v, ok := sim.ByName(*simName)
+	p := template.PlatformFor(fam, cfg)
+	v, ok := sim.ByName(o.sim)
 	if !ok {
-		fatalf("unknown simulator %q (have: reference, riscvOVPsim, Spike, VP, GRIFT, sail-riscv)", *simName)
+		return fmt.Errorf("unknown simulator %q (have: reference, riscvOVPsim, Spike, VP, GRIFT, sail-riscv)", o.sim)
+	}
+	s, err := sim.New(v, p)
+	if err != nil {
+		return err
 	}
 
-	if *trace {
-		fmt.Println("bytestream:")
+	if o.trace {
+		fmt.Fprintln(w, "bytestream:")
 		for pc := 0; pc < len(bs); {
 			var inst isa.Inst
 			if pc+1 < len(bs) && bs[pc]&3 == 3 && pc+4 <= len(bs) {
-				w := uint32(bs[pc]) | uint32(bs[pc+1])<<8 | uint32(bs[pc+2])<<16 | uint32(bs[pc+3])<<24
-				inst = isa.Ref.Decode32(w)
+				word := uint32(bs[pc]) | uint32(bs[pc+1])<<8 | uint32(bs[pc+2])<<16 | uint32(bs[pc+3])<<24
+				inst = isa.Ref.Decode32(word)
 			} else if pc+2 <= len(bs) {
 				inst = isa.Ref.DecodeC(uint16(bs[pc]) | uint16(bs[pc+1])<<8)
 			} else {
 				break
 			}
-			fmt.Printf("  +%-3d %s\n", pc, isa.Disasm(inst))
+			fmt.Fprintf(w, "  +%-3d %s\n", pc, isa.Disasm(inst))
 			pc += int(inst.Size)
 		}
 	}
 
-	if *execTrace {
-		s := newSim(v, cfg)
-		fmt.Printf("execution trace (%s):\n", v.Name)
-		out := s.RunHooked(bs, tracer{os.Stdout})
-		fmt.Printf("(%d instructions)\n", out.Insts)
+	if o.execTrace {
+		fmt.Fprintf(w, "execution trace (%s):\n", v.Name)
+		out := s.RunHooked(bs, tracer{w})
+		fmt.Fprintf(w, "(%d instructions)\n", out.Insts)
 	}
 
-	out := run(v, cfg, bs)
-	printOutcome(v.Name, out)
-	if *diffWith != "" {
-		v2, ok := sim.ByName(*diffWith)
-		if !ok {
-			fatalf("unknown simulator %q", *diffWith)
-		}
-		if *minimize {
-			ref := newSim(v, cfg)
-			sut := newSim(v2, cfg)
-			min := compliance.MinimizeCase(bs, ref, sut, nil)
-			if len(min) < len(bs) {
-				fmt.Printf("minimized reproducer: %x (%d -> %d bytes)\n", min, len(bs), len(min))
-				bs = min
-				out = run(v, cfg, bs)
-			} else {
-				fmt.Println("no smaller reproducer found")
-			}
-		}
-		out2 := run(v2, cfg, bs)
-		printOutcome(v2.Name, out2)
-		if out.Signature != nil && out2.Signature != nil {
-			d := sig.Diff(out.Signature, out2.Signature)
-			if len(d) == 0 {
-				fmt.Println("signatures MATCH")
-			} else {
-				fmt.Printf("signatures DIFFER at words %v\n", d)
-				for _, w := range d {
-					fmt.Printf("  word %2d (%s): %08x vs %08x\n", w, wordName(w), out.Signature[w], out2.Signature[w])
-				}
-			}
-		}
+	out := s.Run(bs)
+	printOutcome(w, p, v.Name, out)
+	if o.diff == "" {
+		return nil
 	}
-}
-
-func newSim(v *sim.Variant, cfg isa.Config) *sim.Simulator {
-	s, err := sim.New(v, template.Platform{Layout: template.DefaultLayout, Cfg: cfg})
+	v2, ok := sim.ByName(o.diff)
+	if !ok {
+		return fmt.Errorf("unknown simulator %q", o.diff)
+	}
+	s2, err := sim.New(v2, p)
 	if err != nil {
-		fatalf("%v", err)
+		return err
 	}
-	return s
-}
-
-func run(v *sim.Variant, cfg isa.Config, bs []byte) sim.Outcome {
-	return newSim(v, cfg).Run(bs)
+	if o.minimize {
+		min := compliance.MinimizeCase(bs, s, s2, nil)
+		if len(min) < len(bs) {
+			fmt.Fprintf(w, "minimized reproducer: %x (%d -> %d bytes)\n", min, len(bs), len(min))
+			bs = min
+			out = s.Run(bs)
+		} else {
+			fmt.Fprintln(w, "no smaller reproducer found")
+		}
+	}
+	out2 := s2.Run(bs)
+	printOutcome(w, p, v2.Name, out2)
+	if out.Signature != nil && out2.Signature != nil {
+		d := sig.Diff(out.Signature, out2.Signature)
+		if len(d) == 0 {
+			fmt.Fprintln(w, "signatures MATCH")
+		} else {
+			fmt.Fprintf(w, "signatures DIFFER at words %v\n", d)
+			for _, i := range d {
+				fmt.Fprintf(w, "  word %2d (%s): %08x vs %08x\n", i, wordName(p, i), out.Signature[i], out2.Signature[i])
+			}
+		}
+	}
+	return nil
 }
 
 // tracer prints every executed instruction through the coverage hook. It
-// does not stand in for the template prefix or dump (no SkipPrefix or
-// SkipExit), so the run executes and prints them too.
+// does not stand in for the template prefix, the trap handler or the
+// dump (no SkipPrefix, SkipTrap or SkipExit), so the run executes and
+// prints them too.
 type tracer struct{ w io.Writer }
 
 func (t tracer) OnInst(inst *isa.Inst, h *hart.Hart) {
@@ -150,21 +166,29 @@ func (t tracer) OnInst(inst *isa.Inst, h *hart.Hart) {
 
 func (tracer) OnEdge(uint32) {}
 
-func printOutcome(name string, out sim.Outcome) {
+func printOutcome(w io.Writer, p template.Platform, name string, out sim.Outcome) {
 	switch {
 	case out.Crashed:
-		fmt.Printf("%s: CRASH after %d instructions: %s\n", name, out.Insts, out.CrashMsg)
+		fmt.Fprintf(w, "%s: CRASH after %d instructions: %s\n", name, out.Insts, out.CrashMsg)
 	case out.TimedOut:
-		fmt.Printf("%s: TIMEOUT after %d instructions\n", name, out.Insts)
+		fmt.Fprintf(w, "%s: TIMEOUT after %d instructions\n", name, out.Insts)
 	default:
-		fmt.Printf("%s: completed in %d instructions; signature:\n", name, out.Insts)
-		for i, w := range out.Signature {
-			fmt.Printf("  %2d %-8s %08x\n", i, wordName(i), w)
+		fmt.Fprintf(w, "%s: completed in %d instructions; signature:\n", name, out.Insts)
+		width := 8
+		if p.Family == template.FamilyTrap {
+			width = len("trap[15].status")
+		}
+		for i, v := range out.Signature {
+			fmt.Fprintf(w, "  %2d %-*s %08x\n", i, width, wordName(p, i), v)
 		}
 	}
 }
 
-func wordName(i int) string {
+// wordName labels signature word i of platform p: x0-x29, the mcause
+// slot and the sentinel, the f registers (two words each with D, one
+// without), then on the trap family the trap counter and the records.
+func wordName(p template.Platform, i int) string {
+	base := p.BaseSigWords()
 	switch {
 	case i < 30:
 		return fmt.Sprintf("x%d", i)
@@ -172,13 +196,14 @@ func wordName(i int) string {
 		return "mcause"
 	case i == 31:
 		return "sentinel"
-	default:
+	case i < base && p.Cfg.Has(isa.ExtD):
 		fp := i - 32
 		return fmt.Sprintf("f%d.%c", fp/2, "lh"[fp%2])
+	case i < base:
+		return fmt.Sprintf("f%d", i-32)
+	case i == base:
+		return "trap.count"
 	}
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "rvsim: "+format+"\n", args...)
-	os.Exit(1)
+	k := i - base - 1
+	return fmt.Sprintf("trap[%d].%s", k/4, [...]string{"cause", "epc", "tval", "status"}[k%4])
 }

@@ -684,6 +684,67 @@ func TestSchedulerRegistrySeesRunningFuzzJob(t *testing.T) {
 	}
 }
 
+// TestSchedulerFuzzGaugesAfterJobs: the fuzz gauges describe running
+// fuzz jobs only. After a job that runs to its end and after one
+// canceled mid-run, on one scheduler, both gauges read 0 instead of
+// summing every job the daemon has run, while a scrape during the
+// second job reads its corpus.
+func TestSchedulerFuzzGaugesAfterJobs(t *testing.T) {
+	st, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	s, err := Open(st, SchedulerConfig{Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	defer s.Close()
+	gauges := func() [2]int64 {
+		snap := reg.TakeSnapshot()
+		return [2]int64{snap.Gauges["rvnegtest_fuzz_corpus_size"], snap.Gauges["rvnegtest_fuzz_coverage_bits"]}
+	}
+	for i, execs := range []uint64{fuzzSpec(1).Execs, 2000000} {
+		spec := fuzzSpec(1)
+		spec.Execs = execs
+		job, err := s.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := StateDone
+		if i == 1 {
+			waitForState(t, s, job.ID, StateRunning)
+			deadline := time.Now().Add(30 * time.Second)
+			for gauges()[0] == 0 {
+				if time.Now().After(deadline) {
+					t.Fatal("the corpus gauge stayed 0 for 30 s of a running job")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			if got := gauges(); got[1] == 0 {
+				t.Errorf("mid-run gauges %v, want both nonzero", got)
+			}
+			if err := s.Cancel(job.ID); err != nil {
+				t.Fatal(err)
+			}
+			want = StateCanceled
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		final, err := s.Wait(ctx, job.ID)
+		cancel()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if final.State != want {
+			t.Fatalf("job %d ended %s, want %s", i, final.State, want)
+		}
+		if got := gauges(); got != [2]int64{} {
+			t.Errorf("after job %d: gauges %v, want 0", i, got)
+		}
+	}
+}
+
 func TestSubmitRejectsInvalidSpec(t *testing.T) {
 	st, err := OpenStore(t.TempDir())
 	if err != nil {

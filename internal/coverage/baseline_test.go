@@ -108,3 +108,36 @@ func TestBaselineOverflowInstallsNone(t *testing.T) {
 		}
 	}
 }
+
+// TestSkipTrapMemo: a collector without rules runs a trap-handler path
+// once per key and adds its recorded hits on every call, so its
+// footprint equals a plain collector's that watched every execution; a
+// collector with rules declines without running the path or touching
+// its map.
+func TestSkipTrapMemo(t *testing.T) {
+	runs := 0
+	path := func(h exec.Hook) {
+		for _, e := range []uint32{3, 3, 9} {
+			h.OnEdge(e)
+		}
+	}
+	run := func(h exec.Hook) { runs++; path(h) }
+	a, b := new(int), new(int)
+	col, ref := NewCollector(V0()), NewCollector(V0())
+	for _, key := range []any{a, a, b, a} {
+		if !col.SkipTrap(key, run) {
+			t.Fatal("a v0 collector declined a handler path")
+		}
+		path(ref)
+	}
+	if runs != 2 {
+		t.Errorf("the paths ran %d times, want once per key", runs)
+	}
+	if got, want := col.Map.RunFootprint(), ref.Map.RunFootprint(); !slices.Equal(got, want) {
+		t.Errorf("footprint %v, want %v", got, want)
+	}
+	v3 := NewCollector(V3())
+	if v3.SkipTrap(a, run) || runs != 2 || len(v3.Map.RunFootprint()) != 0 {
+		t.Errorf("a v3 collector took the path (ran it %d times in all)", runs)
+	}
+}

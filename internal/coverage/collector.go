@@ -2,6 +2,7 @@ package coverage
 
 import (
 	"fmt"
+	"slices"
 
 	"rvnegtest/internal/exec"
 	"rvnegtest/internal/hart"
@@ -68,13 +69,25 @@ type Collector struct {
 	// prefixKey and prefixHits cache the coverage of the last prefix
 	// SkipPrefix ran; exitKey, exitHits and exitSteps that of the last
 	// shutdown sequence SkipExit ran. Map holds their sum as its
-	// baseline.
+	// baseline. trapPaths caches the coverage of the last trap-handler
+	// paths SkipTrap ran.
 	prefixKey  any
 	prefixHits []hitCount
 	exitKey    any
 	exitHits   []hitCount
 	exitSteps  []exitStep
+	trapPaths  []trapPath
 }
+
+// trapPath is the coverage of one trap-handler path.
+type trapPath struct {
+	key  any
+	hits []hitCount
+}
+
+// maxTrapPaths bounds the trap-handler paths a Collector remembers; a
+// fuzzer's simulator has at most two.
+const maxTrapPaths = 8
 
 // NewCollector allocates the coverage map for the enabled signals.
 func NewCollector(opts Options) *Collector {
@@ -178,6 +191,36 @@ func (c *Collector) SkipExit(key any, run func(exec.Hook), h *hart.Hart) {
 			c.opts.Rules.eval(st.plan, &st.inst, rv1, rv2, c.Map, c.ruleBase)
 		}
 	}
+}
+
+// SkipTrap lets a simulator skip executing one path through the
+// template's trap handler under this collector, and reports whether it
+// may. A collector with rule coverage declines before touching anything:
+// rule hits read the register values the handler sees, which vary from
+// trap to trap. Any other collector records the path's (point, count)
+// pairs once per key by watching run (edges and instruction hashes are
+// the same on every execution of a path) and adds them to the run with
+// one call, so hit counts, bucket bits and RunFootprint are those of a
+// run that executed the path.
+func (c *Collector) SkipTrap(key any, run func(exec.Hook)) bool {
+	if c.opts.Rules != nil {
+		return false
+	}
+	for i := range c.trapPaths {
+		if c.trapPaths[i].key == key {
+			c.Map.addHits(c.trapPaths[i].hits)
+			return true
+		}
+	}
+	scratch := NewCollector(c.opts)
+	run(scratch)
+	hits := scratch.Map.pendingHits()
+	if len(c.trapPaths) == maxTrapPaths {
+		c.trapPaths = slices.Delete(c.trapPaths, 0, 1)
+	}
+	c.trapPaths = append(c.trapPaths, trapPath{key, hits})
+	c.Map.addHits(hits)
+	return true
 }
 
 // exitStep is one dump instruction whose rules read an entry register,

@@ -439,7 +439,8 @@ func (f *Fuzzer) RunContext(ctx context.Context, maxExecs uint64, maxDur time.Du
 // totals since its previous stage_summary as a stage_summary event — the
 // input of `rvreport -events`, which sums them. Campaign calls it once
 // per worker when the worker finishes; single-fuzzer drivers call it at
-// the end of a run. No-op when telemetry is disabled.
+// the end of a run, and a Campaign worker then withdraws its gauge
+// values. No-op when telemetry is disabled.
 func (f *Fuzzer) FlushTelemetry() {
 	f.tel.publish(f)
 	if f.tel == nil || f.tel.events == nil {

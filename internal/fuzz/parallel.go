@@ -85,6 +85,7 @@ func Campaign(ctx context.Context, cfg Config, cc CampaignConfig) ([][]byte, []S
 			}
 			err = runWorker(ctx, f, dir, cc, every)
 			f.FlushTelemetry()
+			f.tel.withdraw()
 			results[w] = result{corpus: f.Corpus(), stats: f.Stats(), err: err}
 		}(w)
 	}

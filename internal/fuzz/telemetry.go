@@ -15,7 +15,8 @@ import (
 //
 // Every worker of a campaign publishes into the same registry, so the
 // fuzzer adds deltas only, gauges included: a Set from one worker would
-// overwrite the others'.
+// overwrite the others'. A gauge is the sum of the running fuzzers'
+// values: a campaign worker withdraws its own when it finishes.
 type telemetry struct {
 	reg    *obs.Registry
 	events *obs.EventLog
@@ -140,6 +141,18 @@ func (t *telemetry) publish(f *Fuzzer) {
 	t.corpusSize.Add(corpus - t.lastCorpus)
 	t.covBits.Add(covBits - t.lastCovBits)
 	t.lastCorpus, t.lastCovBits = corpus, covBits
+}
+
+// withdraw takes the fuzzer's last published gauge values back out of
+// the registry, so that its gauges describe running fuzzers only. Safe
+// on a nil receiver.
+func (t *telemetry) withdraw() {
+	if t == nil {
+		return
+	}
+	t.corpusSize.Add(-t.lastCorpus)
+	t.covBits.Add(-t.lastCovBits)
+	t.lastCorpus, t.lastCovBits = 0, 0
 }
 
 // event emits ev with the fuzzer's worker index filled in. Safe on a

@@ -486,11 +486,15 @@ func TestCampaignMergedTelemetry(t *testing.T) {
 	if got := cfg.Obs.Counter("rvnegtest_fuzz_execs_total").Value(); got != wantExecs {
 		t.Errorf("execs counter = %d, per-worker sum = %d", got, wantExecs)
 	}
-	if got := cfg.Obs.Gauge("rvnegtest_fuzz_corpus_size").Value(); got != wantCorpus {
-		t.Errorf("corpus size gauge = %d, per-worker test cases sum to %d", got, wantCorpus)
+	// The gauges describe running fuzzers only: every worker withdrew
+	// its values when it finished.
+	for _, name := range []string{"rvnegtest_fuzz_corpus_size", "rvnegtest_fuzz_coverage_bits"} {
+		if got := cfg.Obs.Gauge(name).Value(); got != 0 {
+			t.Errorf("%s = %d after the campaign, want 0", name, got)
+		}
 	}
-	if got := cfg.Obs.Gauge("rvnegtest_fuzz_coverage_bits").Value(); got != wantCovBits {
-		t.Errorf("coverage bits gauge = %d, per-worker coverage sums to %d", got, wantCovBits)
+	if wantCorpus == 0 || wantCovBits == 0 {
+		t.Fatalf("the workers collected %d cases and %d coverage bits", wantCorpus, wantCovBits)
 	}
 	if err := cfg.Events.Close(); err != nil {
 		t.Fatal(err)
@@ -668,4 +672,47 @@ func TestTelemetrySaneAcrossFaultsAndResume(t *testing.T) {
 		t.Fatal("no watchdog reaps after the resume")
 	}
 	check("post-resume", cfg2.Obs, after, before)
+}
+
+// TestGaugesSumRunningFuzzers: fuzzers publishing into one registry add
+// their gauge values, so while they run the gauges read the per-worker
+// sums of corpus size and coverage bits; a fuzzer that withdraws (as a
+// finished Campaign worker does) takes exactly its own values out.
+func TestGaugesSumRunningFuzzers(t *testing.T) {
+	reg := obs.NewRegistry()
+	var fs []*Fuzzer
+	for w := range 2 {
+		cfg := smallConfig(coverage.V1(), int64(3+w))
+		cfg.Obs, cfg.Worker = reg, w
+		f, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Run(3000, 0); err != nil {
+			t.Fatal(err)
+		}
+		fs = append(fs, f)
+	}
+	gauges := func() [2]int64 {
+		return [2]int64{reg.Gauge("rvnegtest_fuzz_corpus_size").Value(), reg.Gauge("rvnegtest_fuzz_coverage_bits").Value()}
+	}
+	sum := func(fs []*Fuzzer) (s [2]int64) {
+		for _, f := range fs {
+			st := f.Stats()
+			s[0] += int64(st.TestCases)
+			s[1] += int64(st.CovBits)
+		}
+		return s
+	}
+	if got, want := gauges(), sum(fs); got != want || want[0] == 0 {
+		t.Fatalf("gauges %v while both fuzzers run, per-worker sums %v", got, want)
+	}
+	fs[0].tel.withdraw()
+	if got, want := gauges(), sum(fs[1:]); got != want {
+		t.Fatalf("gauges %v after worker 0 withdrew, worker 1 has %v", got, want)
+	}
+	fs[1].tel.withdraw()
+	if got := gauges(); got != [2]int64{} {
+		t.Fatalf("gauges %v after both withdrew, want 0", got)
+	}
 }

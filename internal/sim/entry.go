@@ -64,14 +64,14 @@ func runToEntry(e *exec.Executor, addr uint32, limit uint64) (ok bool) {
 }
 
 // skipper is implemented by hooks that can account for the template's
-// input-independent prefix and shutdown sequence without watching them
-// execute (coverage.Collector). A skipper reads a run's coverage, never
-// its signature, so a run under one returns Outcome.Signature nil
-// whether the dump was summarized or executed; a run under any other
-// hook builds the signature as an unhooked run does. In both methods
-// run executes the stretch with the given hook attached and key
-// identifies it (equal keys, equal code), so an implementation may run
-// it once per key.
+// input-independent prefix, its trap handler's paths and its shutdown
+// sequence without watching them execute (coverage.Collector). A skipper
+// reads a run's coverage, never its signature, so a run under one
+// returns Outcome.Signature nil whether the dump was summarized or
+// executed; a run under any other hook builds the signature as an
+// unhooked run does. In every method run executes the stretch with the
+// given hook attached and key identifies it (equal keys, equal code), so
+// an implementation may run it once per key.
 //
 // SkipPrefix stands for the prefix, which starts from reset. SkipExit
 // stands for the dump executed from h; run leaves h and the run as it
@@ -80,9 +80,20 @@ func runToEntry(e *exec.Executor, addr uint32, limit uint64) (ok bool) {
 // every other register value a dump instruction reads (isa.FlagReadsRS1,
 // isa.FlagReadsRS2) and every hook event is the same whatever h holds:
 // New proved both before keeping the summary.
+//
+// SkipTrap stands for one path through the trap handler, from its base
+// up to the mret or dump: after it, and reports whether the skipper
+// accounts for it; on false it must have touched nothing, and the
+// handler executes under the hook. The answer may depend on the skipper
+// but not on the key: a simulator does not ask a skipper that declined
+// again. Every execution of a path fetches the same instructions and
+// takes the same edges, whatever the hart holds, but the register
+// values its instructions read vary. run leaves the hart, the executor
+// and the memory as it found them.
 type skipper interface {
 	SkipPrefix(key any, run func(exec.Hook))
 	SkipExit(key any, run func(exec.Hook), h *hart.Hart)
+	SkipTrap(key any, run func(exec.Hook)) bool
 }
 
 // attach wires s over img the way img.NewExecutorCfg wires a fresh
@@ -92,7 +103,7 @@ func (s *Simulator) attach(img *template.Image, dec *isa.Decoder) {
 	e := img.NewExecutorCfg(s.eff, dec, s.Variant.ExecQuirks)
 	s.img, s.cpu, s.ex = img, *e.CPU, *e
 	s.ex.CPU = &s.cpu
-	s.replay, s.exitReplay = s.replayPrefix, s.replayExit
+	s.replay, s.exitReplay, s.trapReplay = s.replayPrefix, s.replayExit, s.replayTrap
 }
 
 // start readies s for one run of bs: it injects the input and sets the

@@ -148,12 +148,13 @@ func platforms(t testing.TB) (sims []*Simulator, labels []string) {
 const entryMark = 1 << 40
 
 // executedSteps reruns bs under hook with the entry state's mcycle moved
-// by entryMark and returns the run and the steps it executed. mcycle
-// counts every step, and the replays of the prefix and the dump put the
-// hart back, so its growth counts exactly what the run executed; the
-// mark tells a run that started at the entry state from one that
-// executed the prefix from reset. The count holds for inputs that write
-// no counter CSR.
+// by entryMark and returns the run and the steps it executed or stood
+// for with a handler summary. mcycle counts every step, a summarized
+// handler path advances it by the path's length, and the replays of the
+// prefix, the handler and the dump put the hart back, so its growth
+// counts exactly that; the mark tells a run that started at the entry
+// state from one that executed the prefix from reset. The count holds
+// for inputs that write no counter CSR.
 func executedSteps(s *Simulator, bs []byte, hook exec.Hook) (Outcome, uint64) {
 	s.entry.cpu.Mcycle += entryMark
 	defer func() { s.entry.cpu.Mcycle -= entryMark }()
@@ -168,8 +169,10 @@ func executedSteps(s *Simulator, bs []byte, hook exec.Hook) (Outcome, uint64) {
 // order included — over outcomeMix and a seeded corpus of about 2k
 // executions; a collector's run leaves the signature to an unhooked run
 // of the same input (sameOutcome). A run executes exactly Insts minus the prefix, minus the
-// dump too when summarized (counted by executedSteps), and the full path
-// executes Insts.
+// dump too when summarized (counted by executedSteps, which counts the
+// handler paths a summary stood for as executed), and the full path
+// executes Insts. Every trap-family platform must summarize some handler
+// path unhooked and under v0.
 // Many random inputs loop on the trap template; a 2,000-instruction
 // limit keeps them cheap (filter-accepted cases retire far fewer).
 func TestFastForwardMatchesFullPath(t *testing.T) {
@@ -178,7 +181,7 @@ func TestFastForwardMatchesFullPath(t *testing.T) {
 	for si, s := range sims {
 		s.Limit = 2000
 		for _, cov := range []string{"none", "v0", "v3"} {
-			exits, counted := s.exits, 0
+			exits, handled, counted := s.exits, s.handled, 0
 			var fast, full *coverage.Collector
 			fastHook, fullHook := exec.Hook(nil), exec.Hook(fullPath{})
 			if opts, ok := coverage.ByName(cov); ok {
@@ -225,6 +228,9 @@ func TestFastForwardMatchesFullPath(t *testing.T) {
 			}
 			if s.exits == exits {
 				t.Fatalf("%s %s: no run summarized its dump", labels[si], cov)
+			}
+			if s.Platform.Family == template.FamilyTrap && cov != "v3" && s.handled == handled {
+				t.Fatalf("%s %s: no run summarized a handler path", labels[si], cov)
 			}
 			if counted < len(inputs)*9/10 {
 				t.Fatalf("%s %s: executed steps counted on %d of %d inputs", labels[si], cov, counted, len(inputs))
@@ -294,15 +300,15 @@ func TestFastForwardKeySwitch(t *testing.T) {
 }
 
 // TestFastForwardShared: a clone shares the simulator's entry state and
-// exit summary, and its hooked runs reproduce the full-path footprints.
+// summaries, and its hooked runs reproduce the full-path footprints.
 func TestFastForwardShared(t *testing.T) {
 	s, err := New(Reference, template.PlatformFor(template.FamilyTrap, isa.RV32GC))
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := s.Clone()
-	if c.entry == nil || c.entry != s.entry || c.exit == nil || c.exit != s.exit {
-		t.Fatal("clone does not share the entry state and exit summary")
+	if c.entry == nil || c.entry != s.entry || c.exit == nil || c.exit != s.exit || c.handler == nil || c.handler != s.handler {
+		t.Fatal("clone does not share the entry state and summaries")
 	}
 	col := coverage.NewCollector(coverage.V3())
 	ref := coverage.NewCollector(coverage.V3())

@@ -162,7 +162,8 @@ type Outcome struct {
 	TimedOut  bool
 	// Insts counts the instructions the run took, including those
 	// accounted for without being executed: a template prefix the run
-	// starts past and a shutdown sequence it summarizes (DESIGN §19).
+	// starts past, trap-handler paths and a shutdown sequence it
+	// summarizes (DESIGN §19).
 	Insts uint64
 	// Traps counts the traps the executor raised during the run (both
 	// families; only the trap suite turns them into signature content).
@@ -190,16 +191,18 @@ type HookedSim interface {
 // template pre-compiled and pre-loaded (the paper's fuzzing-phase setup;
 // the compliance phase re-uses it because the template test suite proves
 // the injected image identical to a full per-test-case compilation), its
-// input-independent prefix executed once (see entryState) and its
-// shutdown sequence summarized (see exitSummary).
+// input-independent prefix executed once (see entryState), its trap
+// handler's paths and its shutdown sequence summarized (see
+// handlerSummary and exitSummary).
 type Simulator struct {
 	Variant  *Variant
 	Platform template.Platform
 	Limit    uint64
 
-	eff   isa.Config
-	entry *entryState  // nil: every run executes the prefix
-	exit  *exitSummary // nil: every run executes the dump
+	eff     isa.Config
+	entry   *entryState     // nil: every run executes the prefix
+	exit    *exitSummary    // nil: every run executes the dump
+	handler *handlerSummary // nil: every trap executes the handler
 
 	// The run context every run resets instead of allocating: a private
 	// template image and the hart and executor over it. The executor's
@@ -207,11 +210,17 @@ type Simulator struct {
 	img *template.Image
 	cpu hart.Hart
 	ex  exec.Executor
-	// replay and exitReplay are s.replayPrefix and s.replayExit, bound
-	// once so that handing them to a hook allocates nothing per run.
-	replay, exitReplay func(exec.Hook)
-	// exits counts the runs whose dump the exit summary stood for.
-	exits uint64
+	// replay, exitReplay and trapReplay are s.replayPrefix,
+	// s.replayExit and s.replayTrap, bound once so that handing them to
+	// a hook allocates nothing per run.
+	replay, exitReplay, trapReplay func(exec.Hook)
+	// hr is the trap the handler summary is standing for; declined is
+	// the last skipper that would not take a handler path.
+	hr       handlerRun
+	declined exec.Hook
+	// exits counts the runs whose dump the exit summary stood for,
+	// handled the handler paths the handler summary stood for.
+	exits, handled uint64
 }
 
 // New prepares a simulator for a platform. It fails if the variant does
@@ -234,6 +243,7 @@ func New(v *Variant, p template.Platform) (*Simulator, error) {
 	s.entry = fastForward(img, s.eff, dec, v.ExecQuirks, s.Limit)
 	s.attach(img, dec)
 	s.exit = s.summarizeExit()
+	s.handler = s.summarizeHandler()
 	return s, nil
 }
 
@@ -242,7 +252,7 @@ func New(v *Variant, p template.Platform) (*Simulator, error) {
 // image, own decoder), so clones can run test cases concurrently — one
 // clone per worker in the parallel compliance engine. Cloning copies the
 // preloaded memory image instead of re-assembling the template, and
-// shares the immutable entry state and exit summary.
+// shares the immutable entry state and summaries.
 func (s *Simulator) Clone() *Simulator {
 	c := &Simulator{
 		Variant:  s.Variant,
@@ -251,6 +261,7 @@ func (s *Simulator) Clone() *Simulator {
 		eff:      s.eff,
 		entry:    s.entry,
 		exit:     s.exit,
+		handler:  s.handler,
 	}
 	c.attach(s.img.Clone(), &isa.Decoder{Quirks: s.Variant.DecQuirks})
 	return c
@@ -277,8 +288,10 @@ func (s *Simulator) Run(bs []byte) Outcome { return s.RunHooked(bs, nil) }
 // entry state, skipping the template's input-independent prefix, and
 // writes the signature from the hart when it reaches the shutdown
 // sequence, unless the hook has to watch them execute (see
-// Simulator.start and Simulator.takeExit). Under a skipper it builds no
-// signature at all and allocates nothing.
+// Simulator.start and Simulator.takeExit); a trap that enters the
+// handler at its base takes the handler's path without executing it
+// when the hook allows (Simulator.takeTrap). Under a skipper it builds
+// no signature at all and allocates nothing.
 func (s *Simulator) RunHooked(bs []byte, hook exec.Hook) Outcome {
 	if err := s.start(bs, hook); err != nil {
 		return Outcome{Crashed: true, CrashMsg: err.Error()}
@@ -322,16 +335,21 @@ func (s *Simulator) finish(hook exec.Hook) (out Outcome) {
 }
 
 // run steps the executor until it halts, as Executor.Run does, except
-// that it hands the shutdown sequence to the exit summary when takeExit
-// allows; exited reports that it did.
+// that it hands a handler path to the handler summary when takeTrap
+// allows and the shutdown sequence to the exit summary when takeExit
+// allows; exited reports the latter.
 func (s *Simulator) run(hook exec.Hook) (exited bool, err error) {
 	e := &s.ex
 	for !e.Halted {
 		if e.InstCount >= s.Limit {
 			return false, exec.ErrTimeout
 		}
-		if s.exit != nil && s.cpu.PC == s.exit.addr && s.takeExit(hook) {
+		pc := s.cpu.PC
+		if s.exit != nil && pc == s.exit.addr && s.takeExit(hook) {
 			return true, nil
+		}
+		if s.handler != nil && pc == s.handler.base && s.takeTrap(hook) {
+			continue
 		}
 		e.Step()
 	}

@@ -12,12 +12,17 @@
 # A campaign that finishes before the SIGINT lands, or writes no
 # checkpoint within 60 s, is an error: nothing would have been resumed.
 #
-# Usage: scripts/kill_resume.sh [execs] [workers] [seed]
+# Usage: scripts/kill_resume.sh [execs] [workers] [seed] [trap]
+#
+# The campaign runs v3 coverage on the user template; a fourth argument
+# `trap` runs edge-only (v0) coverage on the trap template instead,
+# where the handler summary stands for the trap handler's paths.
 set -euo pipefail
 
 EXECS="${1:-400000}"
 WORKERS="${2:-2}"
 SEED="${3:-7}"
+FAMILY="${4:-user}"
 
 cd "$(dirname "$0")/.."
 work=$(mktemp -d)
@@ -25,7 +30,15 @@ trap 'rm -rf "$work"' EXIT
 
 go build -o "$work/rvfuzz" ./cmd/rvfuzz
 
-common=(-cov v3 -seed "$SEED" -execs "$EXECS" -workers "$WORKERS")
+case "$FAMILY" in
+  user) common=(-cov v3) ;;
+  trap) common=(-suite trap -cov v0) ;;
+  *)
+    echo "error: the fourth argument must be trap (got $FAMILY)" >&2
+    exit 2
+    ;;
+esac
+common+=(-seed "$SEED" -execs "$EXECS" -workers "$WORKERS")
 # The first checkpoint comes an eighth of the way in, so the SIGINT that
 # follows it lands mid-campaign with a checkpoint behind it.
 ckpt_every=$((EXECS / 8))
