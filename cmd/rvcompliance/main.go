@@ -122,7 +122,15 @@ func main() {
 	}
 
 	if *exportDir != "" || *verifyDir != "" {
-		runSignatureMode(*exportDir, *verifyDir, *suitePath, *generate, *seconds, *seed, *cov, *refName, sims, isas)
+		gen := campaign.JobSpec{Suite: *suitePath, Execs: *generate, Seed: *seed, Cov: *cov}
+		suite, st, err := campaign.ComplianceSuite(gen, time.Duration(*seconds*float64(time.Second)))
+		if err != nil {
+			fatalf("%v", err)
+		}
+		if st != nil {
+			printGenerated(os.Stdout, suite, *st)
+		}
+		runSignatureMode(suite, *exportDir, *verifyDir, *refName, sims, isas)
 		return
 	}
 
@@ -232,36 +240,10 @@ func printGenerated(w io.Writer, suite *rvnegtest.Suite, st fuzz.Stats) {
 	}
 }
 
-// resolveSuite loads or generates the suite for the signature modes,
-// mirroring what a compliance job's generation step would do.
-func resolveSuite(suitePath string, generate uint64, seconds float64, seed int64, cov string) *rvnegtest.Suite {
-	family, isFamily := rvnegtest.ParseFamily(suitePath)
-	if suitePath != "" && !isFamily {
-		suite, err := rvnegtest.LoadSuite(suitePath)
-		if err != nil {
-			fatalf("loading suite: %v", err)
-		}
-		return suite
-	}
-	cfg := rvnegtest.DefaultFuzzConfig()
-	var ok bool
-	if cfg, ok = rvnegtest.CoverageConfig(cfg, cov); !ok {
-		fatalf("unknown coverage configuration %q", cov)
-	}
-	cfg.Seed = seed
-	cfg.Family = family
-	suite, st, err := rvnegtest.GenerateSuite(cfg, generate, time.Duration(seconds*float64(time.Second)))
-	if err != nil {
-		fatalf("%v", err)
-	}
-	printGenerated(os.Stdout, suite, st)
-	return suite
-}
-
-// runSignatureMode handles -export-sigs and -verify-sigs: signature
-// interchange against a directory rather than a live comparison run.
-func runSignatureMode(exportDir, verifyDir, suitePath string, generate uint64, seconds float64, seed int64, cov, refName string, sims, isas []string) {
-	suite := resolveSuite(suitePath, generate, seconds, seed, cov)
+// runSignatureMode handles -export-sigs and -verify-sigs for suite:
+// signature interchange against a directory rather than a live
+// comparison run.
+func runSignatureMode(suite *rvnegtest.Suite, exportDir, verifyDir, refName string, sims, isas []string) {
 	ref, ok := sim.ByName(refName)
 	if !ok {
 		fatalf("unknown reference simulator %q", refName)

@@ -174,34 +174,39 @@ func (s *JobSpec) genConfig() (fuzz.Config, error) {
 	return cfg, nil
 }
 
-func executeCompliance(ctx context.Context, spec JobSpec, env Env) (*Result, error) {
-	res := &Result{Kind: KindCompliance}
-
-	_, isFamily := template.ParseFamily(spec.Suite)
-	var suite *compliance.Suite
-	switch {
-	case spec.Suite != "" && !isFamily:
-		var err error
-		suite, err = compliance.LoadSuite(spec.Suite)
+// ComplianceSuite is a compliance job's suite step: it loads the suite
+// file spec.Suite names or, when spec.Suite is a family name or empty,
+// generates a suite with spec's Cov, Seed and family within spec.Execs
+// executions and wall (zero disables a bound; one must be set). The
+// stats are non-nil only for a generated suite.
+func ComplianceSuite(spec JobSpec, wall time.Duration) (*compliance.Suite, *fuzz.Stats, error) {
+	if _, isFamily := template.ParseFamily(spec.Suite); spec.Suite != "" && !isFamily {
+		suite, err := compliance.LoadSuite(spec.Suite)
 		if err != nil {
-			return nil, fmt.Errorf("loading suite: %w", err)
+			return nil, nil, fmt.Errorf("loading suite: %w", err)
 		}
-	default:
-		if spec.Execs == 0 && env.WallBudget == 0 {
-			return nil, specErrf("compliance job needs a suite file, or a family name with an execs budget")
-		}
-		cfg, err := spec.genConfig()
-		if err != nil {
-			return nil, err
-		}
-		var st fuzz.Stats
-		suite, st, err = core.GenerateSuite(cfg, spec.Execs, env.WallBudget)
-		if err != nil {
-			return nil, err
-		}
-		res.GenStats = &st
+		return suite, nil, nil
 	}
-	res.Suite = suite
+	if spec.Execs == 0 && wall == 0 {
+		return nil, nil, specErrf("compliance job needs a suite file, or a family name with an execs budget")
+	}
+	cfg, err := spec.genConfig()
+	if err != nil {
+		return nil, nil, err
+	}
+	suite, st, err := core.GenerateSuite(cfg, spec.Execs, wall)
+	if err != nil {
+		return nil, nil, err
+	}
+	return suite, &st, nil
+}
+
+func executeCompliance(ctx context.Context, spec JobSpec, env Env) (*Result, error) {
+	suite, gen, err := ComplianceSuite(spec, env.WallBudget)
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{Kind: KindCompliance, Suite: suite, GenStats: gen}
 
 	runner := &compliance.Runner{
 		MaxExamples:      10,
@@ -236,7 +241,6 @@ func executeCompliance(ctx context.Context, spec JobSpec, env Env) (*Result, err
 	}
 
 	var rep *compliance.Report
-	var err error
 	if env.CheckpointDir != "" {
 		rep, err = runner.RunResumable(ctx, suite, env.CheckpointDir)
 	} else {

@@ -409,9 +409,11 @@ func (r *Runner) newInstances(v *sim.Variant, p template.Platform, workers int) 
 		}
 		if tel := r.tel; tel != nil {
 			in.tel = tel
-			in.breaker.OnOpen = func() {
-				tel.breakerOpened(v.Name)
-				tel.event(obs.Event{Type: "breaker_open", Sim: v.Name, Worker: w, Config: p.Cfg.String()})
+			in.breaker.OnTransition = func(from, to resilience.BreakerState) {
+				if from == resilience.BreakerClosed && to == resilience.BreakerOpen {
+					tel.breakerOpened(v.Name)
+					tel.event(obs.Event{Type: "breaker_open", Sim: v.Name, Worker: w, Config: p.Cfg.String()})
+				}
 			}
 		}
 		out[w] = in

@@ -167,12 +167,11 @@ func (r *Runner) newExternalInstances(col *column, p template.Platform, workers 
 				tel.event(ev)
 			}
 			in.tel = tel
-			in.breaker.OnOpen = func() {
-				tel.breakerOpened(name)
-				tel.event(obs.Event{Type: "breaker_open", Sim: name, Worker: w, Config: cfgStr})
-			}
 			in.breaker.OnTransition = func(from, to resilience.BreakerState) {
 				switch {
+				case from == resilience.BreakerClosed && to == resilience.BreakerOpen:
+					tel.breakerOpened(name)
+					tel.event(obs.Event{Type: "breaker_open", Sim: name, Worker: w, Config: cfgStr})
 				case to == resilience.BreakerHalfOpen:
 					tel.event(obs.Event{Type: "breaker_half_open", Sim: name, Worker: w, Config: cfgStr})
 				case to == resilience.BreakerClosed && from == resilience.BreakerHalfOpen:

@@ -95,7 +95,7 @@ func (t *runnerTelemetry) event(ev obs.Event) {
 }
 
 // breakerOpened records a tripped breaker for one simulator (called from
-// the Breaker.OnOpen hook, on the faulting worker's goroutine).
+// the Breaker.OnTransition hook, on the faulting worker's goroutine).
 func (t *runnerTelemetry) breakerOpened(name string) {
 	if t == nil {
 		return

@@ -255,13 +255,27 @@ func (m *Memory) Restore() {
 }
 
 // Pristine reports whether the size bytes at addr still equal the
-// snapshot (false before the first Snapshot or outside the region).
+// snapshot (false before the first Snapshot or outside the region). It
+// compares only the pages written since the last Snapshot or Restore.
 func (m *Memory) Pristine(addr, size uint32) bool {
 	if m.snapshot == nil || !m.Contains(addr, size) {
 		return false
 	}
-	off := addr - m.base
-	return bytes.Equal(m.data[off:off+size], m.snapshot[off:off+size])
+	if size == 0 {
+		return true
+	}
+	lo := int(addr - m.base)
+	hi := lo + int(size)
+	for p := lo >> pageBits; p <= (hi-1)>>pageBits; p++ {
+		if m.dirty[p>>6]&(1<<(p&63)) == 0 {
+			continue
+		}
+		a, b := max(lo, p<<pageBits), min(hi, (p+1)<<pageBits)
+		if !bytes.Equal(m.data[a:b], m.snapshot[a:b]) {
+			return false
+		}
+	}
+	return true
 }
 
 // Dirty reports whether anything was written since the last Snapshot or

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"bytes"
 	"math/rand"
 	"slices"
 	"testing"
@@ -188,6 +189,67 @@ func TestDirty(t *testing.T) {
 	m.Snapshot()
 	if m.Dirty() {
 		t.Fatal("dirty after Snapshot")
+	}
+}
+
+// TestPristine checks Pristine against a plain compare of the range
+// with a copy of the snapshot: it reads only the pages written since the
+// last Restore, so a page rewritten with its own bytes is still
+// pristine, and a range is pristine up to the first changed byte it
+// holds, on a clean page or a dirty one.
+func TestPristine(t *testing.T) {
+	const base = 0x1000
+	m := New(base, 0x1000)
+	if m.Pristine(base, 4) {
+		t.Error("pristine before the first Snapshot")
+	}
+	rng := rand.New(rand.NewSource(3))
+	img := make([]byte, 0x1000)
+	rng.Read(img)
+	_ = m.LoadImage(base, img)
+	m.Snapshot()
+	plain := func(addr, size uint32) bool {
+		if !m.Contains(addr, size) {
+			return false
+		}
+		got, _ := m.ReadBytes(addr, size)
+		return bytes.Equal(got, img[addr-base:addr-base+size])
+	}
+	flip := func(addr uint32) {
+		v, _ := m.Read8(addr)
+		_ = m.Write8(addr, ^v)
+	}
+	same := func(addr uint32) {
+		v, _ := m.Read32(addr)
+		_ = m.Write32(addr, v)
+	}
+	for _, tc := range []struct {
+		name       string
+		write      func()
+		addr, size uint32
+		want       bool
+	}{
+		{"clean range", nil, 0x1100, 0x200, true},
+		{"whole memory, clean", nil, base, 0x1000, true},
+		{"page rewritten with its own bytes", func() { same(0x1204) }, 0x1200, 0x100, true},
+		{"one changed byte", func() { flip(0x1205) }, 0x1200, 0x100, false},
+		{"dirty page, changed byte outside the range", func() { flip(0x1205) }, 0x1210, 0x20, true},
+		{"whole memory, one changed byte", func() { flip(0x1fff) }, base, 0x1000, false},
+		{"clean page and changed dirty page", func() { flip(0x1301) }, 0x12f0, 0x20, false},
+		{"clean page and dirty page, change outside", func() { flip(0x1305) }, 0x12f0, 0x14, true},
+		{"size 0 at the base", func() { flip(base) }, base, 0, true},
+		{"size 0 at the end", func() { flip(0x1fff) }, 0x2000, 0, true},
+		{"out of range below", nil, base - 0x10, 0x20, false},
+		{"out of range above", nil, 0x1ff0, 0x20, false},
+		{"out of range, wrapping", nil, 0xfffffff0, 0x20, false},
+	} {
+		m.Restore()
+		if tc.write != nil {
+			tc.write()
+		}
+		if got, ref := m.Pristine(tc.addr, tc.size), plain(tc.addr, tc.size); got != tc.want || ref != tc.want {
+			t.Errorf("%s: Pristine %v, plain compare %v, want %v", tc.name, got, ref, tc.want)
+		}
 	}
 }
 

@@ -30,15 +30,13 @@ type Breaker struct {
 	// open breaker admits one probe run. Zero or negative keeps the
 	// historical stay-open behaviour.
 	HalfOpenAfter int
-	// OnOpen, when non-nil, is called at the moment the breaker
-	// transitions from closed to open (threshold reached or Trip) — once
-	// per open episode, so exactly once for the historical stay-open
-	// breaker. It runs on the goroutine that recorded the fault; the
-	// breaker itself is single-goroutine, so the hook needs its own
+	// OnTransition, when non-nil, observes every state change: closed
+	// to open once per open episode (threshold reached or Trip), so
+	// exactly once for the historical stay-open breaker, and the
+	// half-open probe's moves, re-opens after a failed probe included.
+	// It runs on the goroutine that recorded the fault; the breaker
+	// itself is single-goroutine, so the hook needs its own
 	// synchronization only if it touches shared state.
-	OnOpen func()
-	// OnTransition, when non-nil, observes every state change, including
-	// re-opens after a failed probe (OnOpen only fires for the first).
 	OnTransition func(from, to BreakerState)
 
 	streak  int
@@ -56,26 +54,6 @@ const (
 	BreakerOpen
 	BreakerHalfOpen
 )
-
-var breakerStateNames = [...]string{"closed", "open", "half-open"}
-
-func (s BreakerState) String() string {
-	if int(s) < len(breakerStateNames) {
-		return breakerStateNames[s]
-	}
-	return "unknown"
-}
-
-// State reports the current breaker state.
-func (b *Breaker) State() BreakerState {
-	switch {
-	case b.probing:
-		return BreakerHalfOpen
-	case b.tripped:
-		return BreakerOpen
-	}
-	return BreakerClosed
-}
 
 // Allow reports whether the next run may proceed. Closed: always. Open:
 // the denial is counted toward the half-open cool-down; once
@@ -144,9 +122,6 @@ func (b *Breaker) open() {
 	b.probing = false
 	b.denied = 0
 	b.transition(BreakerClosed, BreakerOpen)
-	if b.OnOpen != nil {
-		b.OnOpen()
-	}
 }
 
 func (b *Breaker) transition(from, to BreakerState) {

@@ -175,31 +175,31 @@ func TestBreaker(t *testing.T) {
 	}
 }
 
-// TestBreakerOnOpen: the transition hook fires exactly once, at the
-// moment the breaker opens, however it opens.
-func TestBreakerOnOpen(t *testing.T) {
-	opens := 0
-	b := &Breaker{Threshold: 2, OnOpen: func() { opens++ }}
+// TestBreakerOpensOnce: the closed → open transition is reported
+// exactly once, at the moment the breaker opens, however it opens.
+func TestBreakerOpensOnce(t *testing.T) {
+	var tr transitions
+	b := tr.watch(&Breaker{Threshold: 2})
 	b.RecordFault()
-	if opens != 0 {
-		t.Fatal("OnOpen fired below threshold")
+	if len(tr) != 0 {
+		t.Fatalf("transitions %v below threshold", tr)
 	}
 	b.RecordFault()
-	if opens != 1 {
-		t.Fatalf("OnOpen fired %d times at threshold, want 1", opens)
+	if tr.opens() != 1 {
+		t.Fatalf("%d closed → open transitions at threshold, want 1", tr.opens())
 	}
 	b.RecordFault()
 	b.Trip()
-	if opens != 1 {
-		t.Fatalf("OnOpen re-fired on an already-open breaker (%d times)", opens)
+	if len(tr) != 1 {
+		t.Fatalf("transitions %v on an already-open breaker, want one closed → open", tr)
 	}
 
-	viaTrip := 0
-	tb := &Breaker{OnOpen: func() { viaTrip++ }}
+	var viaTrip transitions
+	tb := viaTrip.watch(&Breaker{})
 	tb.Trip()
 	tb.Trip()
-	if viaTrip != 1 {
-		t.Fatalf("OnOpen via Trip fired %d times, want 1", viaTrip)
+	if len(viaTrip) != 1 || viaTrip.opens() != 1 {
+		t.Fatalf("transitions via Trip %v, want one closed → open", viaTrip)
 	}
 }
 

@@ -30,13 +30,13 @@ type handlerSummary struct {
 // written by an LUI step only before a step or the path's end reads it.
 // A CSR instruction is CSRRW, CSRRS or CSRRC with the value rs1's plus imm. A
 // step with store set also does the SW that stores its result next, at
-// x[sbase]+simm.
+// x[sbase]+simm. A load or store whose base (rs1, sbase) is x0 has an
+// address the compiler knows and checked; any other checks it at run time.
 type hstep struct {
 	op                  isa.Op
 	rd, rs1, rs2, sbase isa.Reg
 	flags               stepFlags
 	csr                 uint16 // CSR: the CSR
-	k                   uint16 // instructions before this one on its path
 	to                  uint16
 	imm, simm           uint32
 }
@@ -44,12 +44,9 @@ type hstep struct {
 type stepFlags uint8
 
 const (
-	csrRead    stepFlags = 1 << iota // CSR: the step reads the CSR
-	csrWrite                         // CSR: the step writes the CSR
-	csrCounter                       // CSR: the CSR is mcycle or minstret (or a high half)
-	checkAddr                        // LW, SW: the address is known only at run time
-	store                            // the step stores its result
-	checkStore                       // the store's address is known only at run time
+	csrRead  stepFlags = 1 << iota // CSR: the step reads the CSR
+	csrWrite                       // CSR: the step writes the CSR
+	store                          // the step stores its result
 )
 
 // handlerPath is one path through the handler; its address is the key a
@@ -77,8 +74,6 @@ type handlerRun struct {
 	path   *handlerPath
 	stores [16]wordStore
 	nst    int
-	loads  [4]uint32 // the first words the path read from memory
-	nld    int
 }
 
 type wordStore struct{ addr, val uint32 }
@@ -121,8 +116,10 @@ func (kn *known) write(rd isa.Reg, v uint32, isKnown bool) {
 // compileHandler compiles the handler at base into a summary, or returns
 // nil when one of its paths is not straight-line integer code: it may
 // hold integer ALU operations, LUI and AUIPC, word loads and stores, CSR
-// instructions, JAL x0 and conditional branches, must end at an mret or
-// dump: within maxHandlerPath instructions, and must not loop.
+// instructions other than the counters, JAL x0 and conditional branches,
+// must end at an mret or dump: within maxHandlerPath instructions, and
+// must not loop. It also returns nil when an address it knows fails
+// dataAddr, which would fail every run.
 func compileHandler(m *mem.Memory, dec *isa.Decoder, cfg isa.Config, base, dump, halt uint32) *handlerSummary {
 	x := &handlerSummary{base: base, lo: ^uint32(0), halt: halt}
 	c := &handlerCompiler{m: m, dec: dec, cfg: cfg, align: 3, dump: dump, x: x}
@@ -132,15 +129,11 @@ func compileHandler(m *mem.Memory, dec *isa.Decoder, cfg isa.Config, base, dump,
 	if !c.path(base, nil, known{set: 1}) {
 		return nil
 	}
-	for i := range x.steps {
-		// A known address that fails would fail every run: leave the
-		// check to the run, which then executes the handler.
-		st := &x.steps[i]
-		if (st.op == isa.OpLW || st.op == isa.OpSW) && st.flags&checkAddr == 0 && !x.dataAddr(st.imm, m) {
-			st.flags |= checkAddr
-		}
-		if st.flags&(store|checkStore) == store && !x.dataAddr(st.simm, m) {
-			st.flags |= checkStore
+	// Checked only now: lo and hi grow until every path is compiled.
+	for _, st := range x.steps {
+		if (st.op == isa.OpLW || st.op == isa.OpSW) && st.rs1 == 0 && !x.dataAddr(st.imm, m) ||
+			st.flags&store != 0 && st.sbase == 0 && !x.dataAddr(st.simm, m) {
+			return nil
 		}
 	}
 	return x
@@ -173,7 +166,7 @@ func (c *handlerCompiler) path(pc uint32, trace []uint32, kn known) bool {
 		}
 		x.lo, x.hi = min(x.lo, pc), max(x.hi, pc+uint32(in.Size))
 		op, fl := in.Op, in.Info().Flags
-		st := hstep{op: op, rd: in.Rd, rs1: in.Rs1, rs2: in.Rs2, imm: uint32(in.Imm), k: uint16(k)}
+		st := hstep{op: op, rd: in.Rd, rs1: in.Rs1, rs2: in.Rs2, imm: uint32(in.Imm)}
 		var reads uint32 // the registers the step reads
 		if fl.Is(isa.FlagReadsRS1) {
 			reads |= 1 << in.Rs1
@@ -194,35 +187,26 @@ func (c *handlerCompiler) path(pc uint32, trace []uint32, kn known) bool {
 				st.op = isa.OpJAL // no step
 			}
 		case op == isa.OpLW, op == isa.OpSW:
-			addr, check := st.imm, kn.set&(1<<in.Rs1) == 0
-			if !check {
-				st.rs1, addr, reads = 0, a+st.imm, reads&^(1<<in.Rs1)
+			if kn.set&(1<<in.Rs1) != 0 {
+				st.rs1, st.imm, reads = 0, a+st.imm, reads&^(1<<in.Rs1)
 			}
 			if op == isa.OpLW {
-				st.imm = addr
-				if check {
-					st.flags |= checkAddr
-				}
 				break
 			}
 			c.materialize(&kn, reads&kn.stale)
 			if fuse >= 0 && fuse == len(x.steps)-1 && x.steps[fuse].rd == in.Rs2 && kn.set&(1<<in.Rs2) == 0 {
 				f := &x.steps[fuse]
-				f.flags, f.sbase, f.simm = f.flags|store, st.rs1, addr
-				if check {
-					f.flags |= checkStore
-				}
+				f.flags, f.sbase, f.simm = f.flags|store, st.rs1, st.imm
 				fuse = -1
 				trace = append(trace, pc, uint32(in.Op)*8+edge)
 				pc = next
 				continue
 			}
-			st.rd, st.imm = 0, addr
-			if check {
-				st.flags |= checkAddr
-			}
+			st.rd = 0
 		case op >= isa.OpCSRRW && op <= isa.OpCSRRCI:
-			c.csr(&st, in)
+			if !c.csr(&st, in) {
+				return false
+			}
 		case op == isa.OpJAL && in.Rd == 0:
 			next, edge = pc+uint32(in.Imm), exec.EdgeBranchTaken
 			if next&c.align != 0 {
@@ -288,8 +272,13 @@ func (c *handlerCompiler) emit(st hstep) int {
 
 // csr compiles a CSR instruction the way the executor runs it: a CSRRW
 // with rd x0 does not read the CSR, a CSRRS or CSRRC whose source is x0
-// or 0 does not write it.
-func (c *handlerCompiler) csr(st *hstep, in isa.Inst) {
+// or 0 does not write it. It refuses mcycle, minstret and their high
+// halves: a path advances them only at its end.
+func (c *handlerCompiler) csr(st *hstep, in isa.Inst) bool {
+	switch in.CSR {
+	case hart.CSRMcycle, hart.CSRMinstret, hart.CSRMcycleH, hart.CSRMinstretH:
+		return false
+	}
 	imm := in.Op >= isa.OpCSRRWI
 	st.csr = in.CSR
 	if imm {
@@ -304,10 +293,7 @@ func (c *handlerCompiler) csr(st *hstep, in isa.Inst) {
 	if st.op != isa.OpCSRRW || in.Rd != 0 {
 		st.flags |= csrRead
 	}
-	switch in.CSR {
-	case hart.CSRMcycle, hart.CSRMinstret, hart.CSRMcycleH, hart.CSRMinstretH:
-		st.flags |= csrCounter
-	}
+	return true
 }
 
 // decode fetches and decodes the instruction at pc as Executor.Step
@@ -367,16 +353,13 @@ func b2u(b bool) uint32 {
 // a CSR access would trap. It reads and writes what the handler does, in
 // program order: CSR accesses go through the hart, loads read the store
 // buffer and then memory, and InstCount aside the hart ends as the
-// executed path leaves it, mcycle and minstret included. On nil, h is
-// left part way.
+// executed path leaves it, mcycle and minstret included (no step reads
+// them). On nil, h is left part way.
 func (x *handlerSummary) eval(h *hart.Hart, hr *handlerRun, m *mem.Memory) *handlerPath {
-	hr.nst, hr.nld = 0, 0
+	hr.nst = 0
 	r := &hr.x
 	copy(r[:], h.X[:])
 	r[0] = 0
-	var sync uint64 // the counters include the instructions before this one
-	// Only a counter CSR access reads or writes mcycle and minstret
-	// within the path: the others leave their advance to the path's end.
 	for i := 0; ; {
 		st := &x.steps[i]
 		i++
@@ -385,8 +368,8 @@ func (x *handlerSummary) eval(h *hart.Hart, hr *handlerRun, m *mem.Memory) *hand
 		switch st.op {
 		case isa.OpIllegal:
 			p := &x.paths[st.to]
-			h.Mcycle += p.n - sync
-			h.Minstret += p.n - sync
+			h.Mcycle += p.n
+			h.Minstret += p.n
 			h.PC, hr.path = p.end, p
 			copy(h.X[1:], r[1:isa.NumRegs])
 			return p
@@ -432,25 +415,16 @@ func (x *handlerSummary) eval(h *hart.Hart, hr *handlerRun, m *mem.Memory) *hand
 			v = a & b
 		case isa.OpLW:
 			addr := a + st.imm
-			if st.flags&checkAddr != 0 && !x.dataAddr(addr, m) {
+			if st.rs1 != 0 && !x.dataAddr(addr, m) {
 				return nil
 			}
 			v = hr.load(addr, m)
 		case isa.OpSW:
 			addr := a + st.imm
-			if st.flags&checkAddr != 0 && !x.dataAddr(addr, m) || !hr.store(addr, b) {
+			if st.rs1 != 0 && !x.dataAddr(addr, m) || !hr.store(addr, b) {
 				return nil
 			}
 		case isa.OpCSRRW, isa.OpCSRRS, isa.OpCSRRC:
-			counter := st.flags&csrCounter != 0
-			if counter {
-				// Bring the counters to where the executor has them
-				// while this instruction runs.
-				owed := uint64(st.k) - sync
-				h.Mcycle += owed + 1
-				h.Minstret += owed
-				sync = uint64(st.k) + 1
-			}
 			var err error
 			if st.flags&csrRead != 0 {
 				if v, err = h.ReadCSR(st.csr); err != nil {
@@ -469,9 +443,6 @@ func (x *handlerSummary) eval(h *hart.Hart, hr *handlerRun, m *mem.Memory) *hand
 					return nil
 				}
 			}
-			if counter {
-				h.Minstret++
-			}
 		case isa.OpBEQ:
 			i = takeIf(a == b, st, i)
 		case isa.OpBNE:
@@ -488,7 +459,7 @@ func (x *handlerSummary) eval(h *hart.Hart, hr *handlerRun, m *mem.Memory) *hand
 		r[st.rd&63] = v
 		if st.flags&store != 0 {
 			addr := r[st.sbase&31] + st.simm
-			if st.flags&checkStore != 0 && !x.dataAddr(addr, m) || !hr.store(addr, v) {
+			if st.sbase != 0 && !x.dataAddr(addr, m) || !hr.store(addr, v) {
 				return nil
 			}
 		}
@@ -508,10 +479,6 @@ func (hr *handlerRun) load(a uint32, m *mem.Memory) uint32 {
 		if hr.stores[i].addr == a {
 			return hr.stores[i].val
 		}
-	}
-	if hr.nld < len(hr.loads) {
-		hr.loads[hr.nld] = a
-		hr.nld++
 	}
 	v, _ := m.Load(a, 4) // dataAddr checked
 	return uint32(v)
@@ -590,7 +557,7 @@ func (s *Simulator) replayTrap(hook exec.Hook) {
 // summarizeHandler compiles the handler at the entry state's trap base
 // and proves each path by executing the handler on the simulator's own
 // image from random trap states: random x and f registers and CSRs, and
-// the words the path reads from memory before writing them set in turn
+// the words at the known addresses the handler loads from set in turn
 // to each of 0, 0xffffffff, a random word and the neighbours of the
 // handler's SLTI/SLTIU bounds, so that every path runs. A run proves its
 // path when the executed handler leaves the whole hart, the memory,
@@ -611,9 +578,14 @@ func (s *Simulator) summarizeHandler() *handlerSummary {
 	s.handler = x
 	rnd := splitmix(uint64(base))
 	words := []uint32{0, 0xffffffff, uint32(rnd())}
+	var inputs []wordStore // each known load address with its pristine word
 	for _, st := range x.steps {
-		if st.op == isa.OpSLTI || st.op == isa.OpSLTIU {
+		switch {
+		case st.op == isa.OpSLTI || st.op == isa.OpSLTIU:
 			words = append(words, st.imm-2, st.imm-1, st.imm, st.imm+1)
+		case st.op == isa.OpLW && st.rs1 == 0 && !slices.ContainsFunc(inputs, func(in wordStore) bool { return in.addr == st.imm }):
+			v, _ := m.Load(st.imm, 4) // compileHandler checked
+			inputs = append(inputs, wordStore{st.imm, uint32(v)})
 		}
 	}
 	slices.Sort(words)
@@ -631,15 +603,8 @@ func (s *Simulator) summarizeHandler() *handlerSummary {
 		h.PC, h.Mstatus, h.Mscratch, h.Mepc = base, uint32(rnd()), uint32(rnd()), uint32(rnd())&^1
 		h.Mcause, h.Mtval, h.Mie, h.Mcycle, h.Minstret = uint32(rnd()), uint32(rnd()), uint32(rnd())&0x888, rnd(), rnd()
 		h.Fflags, h.Frm, h.ResValid, h.ResAddr = uint8(rnd()&0x1f), uint8(rnd()&7), rnd()&1 == 0, uint32(rnd())&^3
-		s.cpu = h
-		if x.eval(&s.cpu, hr, m) == nil {
-			continue
-		}
-		inputs := make([]wordStore, hr.nld)
-		for j, a := range hr.loads[:hr.nld] {
-			v, _ := m.Load(a, 4)
-			inputs[j] = wordStore{a, uint32(v)}
-			m.Store(a, 4, uint64(words[(r+j)%len(words)]))
+		for j, in := range inputs {
+			m.Store(in.addr, 4, uint64(words[(r+j)%len(words)]))
 		}
 		s.cpu = h
 		p := x.eval(&s.cpu, hr, m)

@@ -19,7 +19,9 @@ import (
 // platform and proves every path: the trap family's recording handler
 // has two, one that records the trap (37 instructions) and one for a
 // full record area (23), both up to the same mret; the user family's
-// handler has one of 5 instructions into dump:.
+// handler has one of 5 instructions into dump:. It also pins how many
+// steps eval dispatches on each path, its end included, so that losing
+// constant folding or store fusion fails.
 func TestHandlerPaths(t *testing.T) {
 	sims, labels := platforms(t)
 	for i, s := range sims {
@@ -28,9 +30,12 @@ func TestHandlerPaths(t *testing.T) {
 			t.Errorf("%s: no handler summary", labels[i])
 			continue
 		}
-		want := []uint64{37, 23}
+		want, wantSteps := []uint64{37, 23}, []int{24, 15}
 		if s.Platform.Family == template.FamilyUser {
-			want = []uint64{5}
+			want, wantSteps = []uint64{5}, []int{3}
+		}
+		if got := x.dispatches(); !slices.Equal(got, wantSteps) {
+			t.Errorf("%s: paths dispatch %v steps, want %v", labels[i], got, wantSteps)
 		}
 		var got []uint64
 		for _, p := range x.paths {
@@ -50,9 +55,11 @@ func TestHandlerPaths(t *testing.T) {
 
 // TestHandlerSummaryCompiles runs summarizeHandler over hand-built
 // handlers: it keeps a proven summary, with one path per branch side,
-// for straight-line integer code that reads and writes the counters,
-// loads, stores and branches on a loaded word, and none for a handler
-// holding an instruction the compiler does not take or a loop.
+// for straight-line integer code that loads, stores and branches on a
+// loaded word, and none for a handler holding an instruction the
+// compiler does not take (a counter CSR access among them), a loop, or
+// a known address that fails dataAddr on any path: outside memory, or
+// in the handler's code even where the proof would pass.
 func TestHandlerSummaryCompiles(t *testing.T) {
 	p := template.PlatformFor(template.FamilyUser, isa.RV32IMC)
 	const base, dump = 0x100, 0x400
@@ -71,7 +78,7 @@ func TestHandlerSummaryCompiles(t *testing.T) {
 			enc(isa.Inst{Op: isa.OpCSRRS, Rd: 8, CSR: hart.CSRMinstret}),
 			enc(isa.Inst{Op: isa.OpCSRRS, Rd: 9, CSR: hart.CSRMcycleH}),
 			mret,
-		}, []uint64{7}},
+		}, nil},
 		{"branches on a loaded word", []uint32{
 			enc(isa.Inst{Op: isa.OpLW, Rd: 5, Imm: 0x200}),
 			enc(isa.Inst{Op: isa.OpSLTIU, Rd: 6, Rs1: 5, Imm: 3}),
@@ -79,6 +86,13 @@ func TestHandlerSummaryCompiles(t *testing.T) {
 			enc(isa.Inst{Op: isa.OpSW, Rs1: 5, Rs2: 6, Imm: 0x204}),
 			mret,
 		}, []uint64{4, 3}},
+		{"stores outside memory on one side", []uint32{
+			enc(isa.Inst{Op: isa.OpLW, Rd: 5, Imm: 0x200}),
+			enc(isa.Inst{Op: isa.OpBEQ, Rs1: 5, Imm: 8}),
+			enc(isa.Inst{Op: isa.OpSW, Rs2: 5, Imm: -4}),
+			mret,
+		}, nil},
+		{"stores into its own code", []uint32{enc(isa.Inst{Op: isa.OpSW, Rs2: 5, Imm: base}), mret}, nil},
 		{"jumps to dump:", []uint32{
 			enc(isa.Inst{Op: isa.OpCSRRS, Rd: 30, CSR: hart.CSRMcause}),
 			enc(isa.Inst{Op: isa.OpJAL, Imm: dump - base - 4}),
@@ -297,6 +311,28 @@ func FuzzTrapSummaryDifferential(f *testing.F) {
 		r.cpu, r.ex.InstCount = h, n
 		check("from a random hart", s.finish(hook), r.finish(refHook))
 	})
+}
+
+// dispatches returns, per path, how many steps eval dispatches on it,
+// its end included.
+func (x *handlerSummary) dispatches() []int {
+	n := make([]int, len(x.paths))
+	var walk func(i, k int)
+	walk = func(i, k int) {
+		for ; ; i++ {
+			k++
+			st := &x.steps[i]
+			switch {
+			case st.op == isa.OpIllegal:
+				n[st.to] = k
+				return
+			case st.op >= isa.OpBEQ && st.op <= isa.OpBGEU:
+				walk(int(st.to), k)
+			}
+		}
+	}
+	walk(0, 0)
+	return n
 }
 
 // pathsOrNil returns the summary's paths, or nil for no summary.

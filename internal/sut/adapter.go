@@ -15,8 +15,7 @@ import (
 // Spec describes how to launch and supervise one external SUT adapter
 // process.
 type Spec struct {
-	// Name is the column name in the report (defaults to the name the
-	// adapter announces in its handshake when empty).
+	// Name is the column name in the report; it must not be empty.
 	Name string
 	// Argv is the adapter command line (Argv[0] is the binary).
 	Argv []string
@@ -108,16 +107,6 @@ func (f *Fault) Detail() string {
 	return b.String()
 }
 
-// Stats counts the adapter's supervision activity for telemetry.
-type Stats struct {
-	// Restarts counts process (re)spawns after the first.
-	Restarts int
-	// Retries counts re-attempted runs after an adapter-level failure.
-	Retries int
-	// Faults counts run attempts that ended in an adapter-level failure.
-	Faults int
-}
-
 // tailBuffer retains the last cap bytes written. The exec package writes
 // from its own copier goroutine while the harness reads after failures,
 // hence the lock.
@@ -177,8 +166,6 @@ type Adapter struct {
 	// OnRetry, when non-nil, observes every re-attempted run.
 	OnRetry func()
 
-	Stats Stats
-
 	p          *proc
 	info       Info
 	handshook  bool
@@ -188,8 +175,8 @@ type Adapter struct {
 	spawns     int
 }
 
-// NewAdapter builds an unstarted adapter; the first Run (or Handshake)
-// spawns the process.
+// NewAdapter builds an unstarted adapter; the first Run (or Probe's
+// handshake) spawns the process.
 func NewAdapter(spec Spec) *Adapter {
 	return &Adapter{
 		Spec:      spec,
@@ -240,11 +227,8 @@ func (a *Adapter) spawn() error {
 	a.handshook = false
 	a.lastFrame = "none"
 	a.spawns++
-	if a.spawns > 1 {
-		a.Stats.Restarts++
-		if a.OnRestart != nil {
-			a.OnRestart()
-		}
+	if a.spawns > 1 && a.OnRestart != nil {
+		a.OnRestart()
 	}
 	return nil
 }
@@ -355,19 +339,6 @@ func (a *Adapter) send(typ byte, payload []byte) error {
 	return WriteFrame(a.p.stdin, typ, payload)
 }
 
-// Info returns the identity from the most recent handshake (zero before
-// the first successful one).
-func (a *Adapter) Info() Info { return a.info }
-
-// Handshake ensures the process is up and handshaken and returns its
-// identity. Used by the engine's capability preflight.
-func (a *Adapter) Handshake() (Info, *Fault) {
-	if f := a.ensure(); f != nil {
-		return Info{}, f
-	}
-	return a.info, nil
-}
-
 // Run executes one test case on the external SUT, healing adapter-level
 // failures by kill-and-restart with backoff, up to the retry bound. A
 // returned Fault means every attempt failed (or the adapter refused the
@@ -378,7 +349,6 @@ func (a *Adapter) Run(family byte, config string, code []byte) (RunResult, *Faul
 	attempts := a.Spec.retries() + 1
 	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
-			a.Stats.Retries++
 			if a.OnRetry != nil {
 				a.OnRetry()
 			}
@@ -389,7 +359,6 @@ func (a *Adapter) Run(family byte, config string, code []byte) (RunResult, *Faul
 			a.backoff.Reset()
 			return res, nil
 		}
-		a.Stats.Faults++
 		last = f
 		if f.Permanent {
 			break
@@ -465,5 +434,8 @@ func (a *Adapter) Close() {
 func Probe(spec Spec) (Info, *Fault) {
 	a := NewAdapter(spec)
 	defer a.Close()
-	return a.Handshake()
+	if f := a.ensure(); f != nil {
+		return Info{}, f
+	}
+	return a.info, nil
 }

@@ -68,6 +68,19 @@ func helperSpec(env ...string) Spec {
 	}
 }
 
+// supervision counts what an adapter reports through OnRestart and
+// OnRetry. Every retry follows one failed attempt, so a run that returns
+// a Fault failed retries+1 attempts and one that succeeds failed retries.
+type supervision struct{ restarts, retries int }
+
+// watch counts a's restarts and retries.
+func watch(a *Adapter) *supervision {
+	sv := &supervision{}
+	a.OnRestart = func() { sv.restarts++ }
+	a.OnRetry = func() { sv.retries++ }
+	return sv
+}
+
 // testCase is a small deterministic bytestream: addi x1,x0,1 then an
 // all-zero word (a guaranteed illegal instruction, so the run also
 // exercises the trap path).
@@ -137,6 +150,7 @@ func TestAdapterHang(t *testing.T) {
 	spec.Retries = 1
 	a := NewAdapter(spec)
 	defer a.Close()
+	sv := watch(a)
 	_, f := a.Run(0, "RV32I", testCase)
 	if f == nil {
 		t.Fatal("hung adapter produced a result")
@@ -147,8 +161,8 @@ func TestAdapterHang(t *testing.T) {
 	if f.LastFrame != "HELLO-OK" {
 		t.Fatalf("last frame = %q, want HELLO-OK (hang happens after handshake)", f.LastFrame)
 	}
-	if a.Stats.Faults != 2 || a.Stats.Retries != 1 || a.Stats.Restarts != 1 {
-		t.Fatalf("stats = %+v, want 2 faults / 1 retry / 1 restart", a.Stats)
+	if sv.retries != 1 || sv.restarts != 1 {
+		t.Fatalf("supervision = %+v, want 1 retry / 1 restart (2 failed attempts)", *sv)
 	}
 }
 
@@ -158,6 +172,7 @@ func TestAdapterHang(t *testing.T) {
 func TestAdapterCrashHeals(t *testing.T) {
 	a := NewAdapter(helperSpec("SUT_MISBEHAVE=crash", "SUT_AFTER=1"))
 	defer a.Close()
+	sv := watch(a)
 	first, f := a.Run(0, "RV32I", testCase)
 	if f != nil {
 		t.Fatalf("first run fault: %s", f.Detail())
@@ -169,8 +184,8 @@ func TestAdapterCrashHeals(t *testing.T) {
 	if !reflect.DeepEqual(first, second) {
 		t.Fatalf("healed run diverged: %+v vs %+v", first, second)
 	}
-	if a.Stats.Restarts != 1 || a.Stats.Retries != 1 || a.Stats.Faults != 1 {
-		t.Fatalf("stats = %+v, want 1/1/1", a.Stats)
+	if sv.restarts != 1 || sv.retries != 1 {
+		t.Fatalf("supervision = %+v, want 1 restart / 1 retry (1 failed attempt)", *sv)
 	}
 }
 
@@ -181,6 +196,7 @@ func TestAdapterPermanentCrash(t *testing.T) {
 	spec.Retries = 2
 	a := NewAdapter(spec)
 	defer a.Close()
+	sv := watch(a)
 	_, f := a.Run(0, "RV32I", testCase)
 	if f == nil {
 		t.Fatal("crash-looping adapter produced a result")
@@ -188,8 +204,8 @@ func TestAdapterPermanentCrash(t *testing.T) {
 	if !strings.Contains(f.Reason, "EOF") {
 		t.Fatalf("reason = %q, want EOF", f.Reason)
 	}
-	if a.Stats.Faults != 3 || a.Stats.Retries != 2 {
-		t.Fatalf("stats = %+v, want 3 faults / 2 retries", a.Stats)
+	if sv.retries != 2 {
+		t.Fatalf("supervision = %+v, want 2 retries (3 failed attempts)", *sv)
 	}
 }
 
@@ -253,6 +269,7 @@ func TestAdapterStderrTail(t *testing.T) {
 func TestAdapterErrPermanent(t *testing.T) {
 	a := NewAdapter(helperSpec())
 	defer a.Close()
+	sv := watch(a)
 	_, f := a.Run(0, "BOGUS", testCase)
 	if f == nil || !f.Permanent {
 		t.Fatalf("refusal fault = %+v, want permanent", f)
@@ -260,15 +277,15 @@ func TestAdapterErrPermanent(t *testing.T) {
 	if !strings.Contains(f.Reason, "refused") {
 		t.Fatalf("reason = %q", f.Reason)
 	}
-	if a.Stats.Retries != 0 {
-		t.Fatalf("refusal was retried %d times", a.Stats.Retries)
+	if sv.retries != 0 {
+		t.Fatalf("refusal was retried %d times", sv.retries)
 	}
 	// The process was not killed: the next good run reuses it.
 	if _, f := a.Run(0, "RV32I", testCase); f != nil {
 		t.Fatalf("follow-up run failed: %s", f.Detail())
 	}
-	if a.Stats.Restarts != 0 {
-		t.Fatalf("refusal triggered %d restarts", a.Stats.Restarts)
+	if sv.restarts != 0 {
+		t.Fatalf("refusal triggered %d restarts", sv.restarts)
 	}
 }
 
@@ -277,6 +294,7 @@ func TestAdapterErrPermanent(t *testing.T) {
 func TestAdapterKillRestart(t *testing.T) {
 	a := NewAdapter(helperSpec())
 	defer a.Close()
+	sv := watch(a)
 	first, f := a.Run(0, "RV32I", testCase)
 	if f != nil {
 		t.Fatalf("first run: %s", f.Detail())
@@ -289,7 +307,7 @@ func TestAdapterKillRestart(t *testing.T) {
 	if !reflect.DeepEqual(first, second) {
 		t.Fatalf("post-kill run diverged: %+v vs %+v", first, second)
 	}
-	if a.Stats.Restarts == 0 {
+	if sv.restarts == 0 {
 		t.Fatal("kill healed without a restart?")
 	}
 }
