@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"time"
 
 	"rvnegtest/internal/analysis"
@@ -261,20 +262,94 @@ func executeCompliance(ctx context.Context, spec JobSpec, env Env) (*Result, err
 // per-worker campaign stats (wall-clock fields zeroed) plus the final
 // case count. The rvfuzz -stats-json flag and the daemon's stats.json
 // artifact both emit exactly these bytes.
+//
+// The bytes are json.MarshalIndent(payload, "", "  ") and a newline, for
+// the payload {"workers": the workers' Deterministic stats, "cases":
+// cases}. They are written into one buffer sized up front, because the
+// trace holds one point per corpus addition, and MarshalIndent's compact
+// and indented buffers allocate about four times the output.
 func EncodeFuzzStats(workerStats []fuzz.Stats, cases int) ([]byte, error) {
-	det := make([]fuzz.Stats, len(workerStats))
+	filters := make([][]byte, len(workerStats))
+	size := 64
 	for i, s := range workerStats {
-		det[i] = s.Deterministic()
+		f, err := json.MarshalIndent(s.Filter, "      ", "  ")
+		if err != nil {
+			return nil, err
+		}
+		filters[i] = f
+		size += statsFieldsMax + len(f)
+		for _, pt := range s.Trace {
+			size += tracePointText + decimalLen(pt.Execs) + decimalLen(uint64(pt.TestCases))
+		}
 	}
-	payload := struct {
-		Workers []fuzz.Stats `json:"workers"`
-		Cases   int          `json:"cases"`
-	}{det, cases}
-	raw, err := json.MarshalIndent(payload, "", "  ")
-	if err != nil {
-		return nil, err
+	b := make([]byte, 0, size)
+	b = append(b, "{\n  \"workers\": ["...)
+	for i, s := range workerStats {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, "\n    {\n      \"execs\": "...)
+		b = strconv.AppendUint(b, s.Execs, 10)
+		b = append(b, ",\n      \"dropped\": "...)
+		b = strconv.AppendUint(b, s.Dropped, 10)
+		b = append(b, ",\n      \"test_cases\": "...)
+		b = strconv.AppendInt(b, int64(s.TestCases), 10)
+		b = append(b, ",\n      \"crashes\": "...)
+		b = strconv.AppendUint(b, s.Crashes, 10)
+		b = append(b, ",\n      \"timeouts\": "...)
+		b = strconv.AppendUint(b, s.Timeouts, 10)
+		if s.HarnessFaults != 0 {
+			b = append(b, ",\n      \"harness_faults\": "...)
+			b = strconv.AppendUint(b, s.HarnessFaults, 10)
+		}
+		// Deterministic zeroes the wall-clock fields, and an empty
+		// session_duration_ns is omitted.
+		b = append(b, ",\n      \"duration_ns\": 0,\n      \"execs_per_sec\": 0,\n      \"cov_points\": "...)
+		b = strconv.AppendInt(b, int64(s.CovPoints), 10)
+		b = append(b, ",\n      \"cov_bits\": "...)
+		b = strconv.AppendInt(b, int64(s.CovBits), 10)
+		if len(s.Trace) > 0 {
+			b = append(b, ",\n      \"trace\": ["...)
+			for j, pt := range s.Trace {
+				if j > 0 {
+					b = append(b, ',')
+				}
+				b = append(b, "\n        {\n          \"Execs\": "...)
+				b = strconv.AppendUint(b, pt.Execs, 10)
+				b = append(b, ",\n          \"TestCases\": "...)
+				b = strconv.AppendInt(b, int64(pt.TestCases), 10)
+				b = append(b, "\n        }"...)
+			}
+			b = append(b, "\n      ]"...)
+		}
+		b = append(b, ",\n      \"filter\": "...)
+		b = append(b, filters[i]...)
+		b = append(b, "\n    }"...)
 	}
-	return append(raw, '\n'), nil
+	if len(workerStats) > 0 {
+		b = append(b, "\n  "...)
+	}
+	b = append(b, "],\n  \"cases\": "...)
+	b = strconv.AppendInt(b, int64(cases), 10)
+	return append(b, "\n}\n"...), nil
+}
+
+const (
+	// statsFieldsMax bounds the text of a worker's stats other than its
+	// trace points and its filter object.
+	statsFieldsMax = 512
+	// tracePointText is the text of an indented trace point other than
+	// its two numbers, the separating comma included.
+	tracePointText = 66
+)
+
+// decimalLen is the number of decimal digits of v.
+func decimalLen(v uint64) int {
+	n := 1
+	for ; v >= 10; v /= 10 {
+		n++
+	}
+	return n
 }
 
 // Artifact file names under a job's artifacts directory.

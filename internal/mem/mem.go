@@ -196,9 +196,10 @@ func (m *Memory) Write32(addr uint32, v uint32) error { return m.write(addr, 4, 
 // Write64 stores a little-endian doubleword.
 func (m *Memory) Write64(addr uint32, v uint64) error { return m.write(addr, 8, v) }
 
-// LoadImage copies raw bytes into memory at addr.
+// LoadImage copies raw bytes into memory at addr. An empty image writes
+// nothing, so it leaves every page clean.
 func (m *Memory) LoadImage(addr uint32, img []byte) error {
-	b, ok := m.span(addr, uint32(len(img)), true)
+	b, ok := m.span(addr, uint32(len(img)), len(img) > 0)
 	if !ok {
 		return &AccessError{Addr: addr, Size: uint32(len(img)), Write: true}
 	}

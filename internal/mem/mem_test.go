@@ -164,8 +164,8 @@ func TestSnapshotRestore(t *testing.T) {
 	}
 }
 
-// TestDirty: reads never dirty the memory, any write after Snapshot
-// does, and Restore and Snapshot both clear it.
+// TestDirty: reads and empty writes never dirty the memory, any other
+// write after Snapshot does, and Restore and Snapshot both clear it.
 func TestDirty(t *testing.T) {
 	m := New(0, 0x8000)
 	_ = m.Write32(0x100, 1)
@@ -176,6 +176,11 @@ func TestDirty(t *testing.T) {
 	_, _ = m.Read32(0x100)
 	if m.Dirty() {
 		t.Fatal("a read dirtied the memory")
+	}
+	for _, addr := range []uint32{0, 0x180, 0x8000} {
+		if err := m.LoadImage(addr, nil); err != nil || m.Dirty() {
+			t.Fatalf("an empty LoadImage at %#x: err %v, dirty %v", addr, err, m.Dirty())
+		}
 	}
 	_ = m.Write8(0x7fff, 2)
 	if !m.Dirty() {

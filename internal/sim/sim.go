@@ -193,7 +193,9 @@ type HookedSim interface {
 // the injected image identical to a full per-test-case compilation), its
 // input-independent prefix executed once (see entryState), its trap
 // handler's paths and its shutdown sequence summarized (see
-// handlerSummary and exitSummary).
+// handlerSummary and exitSummary). The template is assembled once per
+// platform and process (template.Preload); each Simulator loads its own
+// copy of the result.
 type Simulator struct {
 	Variant  *Variant
 	Platform template.Platform
@@ -203,6 +205,14 @@ type Simulator struct {
 	entry   *entryState     // nil: every run executes the prefix
 	exit    *exitSummary    // nil: every run executes the dump
 	handler *handlerSummary // nil: every trap executes the handler
+
+	// declined is the last skipper that would not take a handler path.
+	// exits counts the runs whose dump the exit summary stood for,
+	// handled the handler paths the handler summary stood for. They come
+	// before the run context so that their offsets do not follow the
+	// size of its buffers.
+	declined       exec.Hook
+	exits, handled uint64
 
 	// The run context every run resets instead of allocating: a private
 	// template image and the hart and executor over it. The executor's
@@ -214,13 +224,8 @@ type Simulator struct {
 	// s.replayExit and s.replayTrap, bound once so that handing them to
 	// a hook allocates nothing per run.
 	replay, exitReplay, trapReplay func(exec.Hook)
-	// hr is the trap the handler summary is standing for; declined is
-	// the last skipper that would not take a handler path.
-	hr       handlerRun
-	declined exec.Hook
-	// exits counts the runs whose dump the exit summary stood for,
-	// handled the handler paths the handler summary stood for.
-	exits, handled uint64
+	// hr is the trap the handler summary is standing for.
+	hr handlerRun
 }
 
 // New prepares a simulator for a platform. It fails if the variant does
@@ -251,8 +256,8 @@ func New(v *Variant, p template.Platform) (*Simulator, error) {
 // platform: it shares nothing mutable with the original (own pre-loaded
 // image, own decoder), so clones can run test cases concurrently — one
 // clone per worker in the parallel compliance engine. Cloning copies the
-// preloaded memory image instead of re-assembling the template, and
-// shares the immutable entry state and summaries.
+// preloaded memory image and shares the immutable entry state and
+// summaries, so it derives none of them again.
 func (s *Simulator) Clone() *Simulator {
 	c := &Simulator{
 		Variant:  s.Variant,
