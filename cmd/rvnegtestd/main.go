@@ -107,10 +107,13 @@ func main() {
 		fatalf("serving: %v", err)
 	}
 
+	// Close the scheduler first: running jobs suspend, and a pending
+	// /wait returns its 503 at once instead of holding the server's
+	// shutdown until the timeout.
+	sched.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	srv.Shutdown(ctx)
-	sched.Close()
 	if eventLog != nil {
 		if err := eventLog.Close(); err != nil {
 			fmt.Fprintf(os.Stderr, "rvnegtestd: closing events file: %v\n", err)

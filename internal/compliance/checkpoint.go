@@ -91,14 +91,14 @@ func (c *campaignCheckpoint) save(dir string) error {
 	return resilience.SaveJSON(filepath.Join(dir, complianceState), complianceFormat, complianceVersion, c)
 }
 
-// loadOrInitCheckpoint resumes an existing checkpoint after validating it
-// against the suite and runner, or initializes an empty one.
 // HasCheckpoint reports whether dir holds a saved campaign checkpoint.
 func HasCheckpoint(dir string) bool {
 	_, err := os.Stat(filepath.Join(dir, complianceState))
 	return err == nil
 }
 
+// loadOrInitCheckpoint resumes an existing checkpoint after validating it
+// against the suite and runner, or initializes an empty one.
 func loadOrInitCheckpoint(r *Runner, suite *Suite, dir string) (*campaignCheckpoint, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err

@@ -387,18 +387,12 @@ func (r *Runner) breakerThreshold() int {
 }
 
 // newInstances builds one harnessed instance per worker for a variant on
-// a platform. The default factory clones from a pristine base that is
-// never itself run, so post-wedge rebuilds can never copy poisoned state.
+// a platform. Each instance gets its own simulator from NewSim, or from
+// sim.New when that is nil, and a fresh one after a wedge.
 func (r *Runner) newInstances(v *sim.Variant, p template.Platform, workers int) ([]*instance, error) {
-	var factory func() (sim.Sim, error)
+	factory := func() (sim.Sim, error) { return sim.New(v, p) }
 	if r.NewSim != nil {
 		factory = func() (sim.Sim, error) { return r.NewSim(v, p) }
-	} else {
-		base, err := sim.New(v, p)
-		if err != nil {
-			return nil, err
-		}
-		factory = func() (sim.Sim, error) { return base.Clone(), nil }
 	}
 	quar := resilience.NewQuarantine(r.QuarantineDir)
 	out := make([]*instance, workers)
@@ -466,8 +460,8 @@ func (r *Runner) RunResumable(ctx context.Context, suite *Suite, dir string) (*R
 func (r *Runner) run(ctx context.Context, suite *Suite, dir string) (*Report, error) {
 	workers := r.workerCount()
 	// More workers than cases only buys idle shards at the price of one
-	// simulator-fleet clone each; extra workers would change nothing in
-	// the output (empty shards merge as empty cells).
+	// simulator fleet each; extra workers would change nothing in the
+	// output (empty shards merge as empty cells).
 	if workers > len(suite.Cases) {
 		workers = len(suite.Cases)
 		if workers < 1 {

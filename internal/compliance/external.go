@@ -4,7 +4,7 @@
 // An external SUT is described by a sut.Spec (command line plus
 // supervision knobs) and speaks the adapter protocol of internal/sut.
 // The engine treats it as one more report column: each worker owns a
-// private Adapter (mirroring the per-worker simulator clones), the
+// private Adapter (mirroring the per-worker simulators), the
 // adapter heals transient failures by kill-and-restart with backoff, and
 // failures that survive the retry budget are recorded as adapter-skipped
 // cases — infrastructure problems, kept strictly apart from the modeled

@@ -2,11 +2,12 @@
 // every worker count.
 //
 // Phase B is embarrassingly parallel: every test-case execution owns a
-// pre-loaded simulator image, so case i on clone A never observes case j
-// on clone B. The engine shards suite.Cases into one contiguous
-// index range per worker and gives every worker a private clone of the
-// reference and of the SUT column being run (the paper's "pre-loaded
-// template" setup, cloned per worker instead of re-assembled).
+// pre-loaded simulator image, so case i on worker A's simulator never
+// observes case j on worker B's. The engine shards suite.Cases into one
+// contiguous index range per worker and gives every worker its own
+// sim.New of the reference and of the SUT column being run (the paper's
+// "pre-loaded template" setup: the template is assembled once per
+// platform and process, and each simulator loads its own copy).
 //
 // Determinism argument (the report is bit-identical for every worker
 // count): the reference pass completes for every shard before any

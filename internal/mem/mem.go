@@ -289,13 +289,3 @@ func (m *Memory) Dirty() bool {
 	}
 	return false
 }
-
-// Clone returns an independent deep copy (snapshot state included).
-func (m *Memory) Clone() *Memory {
-	c := &Memory{base: m.base, data: append([]byte(nil), m.data...)}
-	if m.snapshot != nil {
-		c.snapshot = append([]byte(nil), m.snapshot...)
-		c.dirty = append([]uint64(nil), m.dirty...)
-	}
-	return c
-}

@@ -308,21 +308,6 @@ func TestLoadImageAndReadBytes(t *testing.T) {
 	}
 }
 
-func TestClone(t *testing.T) {
-	m := New(0, 0x1000)
-	_ = m.Write32(0, 42)
-	m.Snapshot()
-	c := m.Clone()
-	_ = c.Write32(0, 99)
-	if v, _ := m.Read32(0); v != 42 {
-		t.Error("clone shares storage")
-	}
-	c.Restore()
-	if v, _ := c.Read32(0); v != 42 {
-		t.Error("clone snapshot broken")
-	}
-}
-
 func TestRestoreWithoutSnapshotPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -59,11 +59,16 @@ func FuzzCoverageBaselineDifferential(f *testing.F) {
 		{Grift, template.FamilyTrap, isa.RV32IMC},
 		{Sail, template.FamilyUser, isa.RV32I},
 	} {
-		s, err := New(p.v, template.PlatformFor(p.fam, p.cfg))
+		pl := template.PlatformFor(p.fam, p.cfg)
+		s, err := New(p.v, pl)
 		if err != nil {
 			f.Fatal(err)
 		}
-		sims, refs = append(sims, s), append(refs, s.Clone())
+		r, err := New(p.v, pl)
+		if err != nil {
+			f.Fatal(err)
+		}
+		sims, refs = append(sims, s), append(refs, r)
 	}
 
 	a := sims[0]

@@ -12,32 +12,34 @@ import (
 // entryState is the architectural state at the first fetch of the
 // injection area: the result of the template's prefix (trap vector,
 // FS setup, register and FP register loads). It is a deterministic
-// function of the pristine image and the variant, computed once per New
-// and shared by clones.
+// function of the pristine image and the variant, computed once per New.
 type entryState struct {
 	cpu   hart.Hart
 	insts uint64
 }
 
-// fastForward runs the pristine template from reset up to the first
-// fetch at InjectAddr and returns the entry state, or nil when a run
-// must execute the prefix itself: the prefix halts, traps, panics,
-// writes memory, reads the injection area, or needs limit instructions
-// or more. Reading the area is caught by running the prefix with the
-// area filled with 0x00 and with 0xff and requiring the same state.
-func fastForward(img *template.Image, eff isa.Config, dec *isa.Decoder, q exec.Quirks, limit uint64) *entryState {
+// fastForward runs the template from reset up to the first fetch at
+// InjectAddr and returns the entry state, or nil when a run must execute
+// the prefix itself: the prefix halts, traps, panics, executes a store,
+// reads the injection area, or needs Limit instructions or more. Reading
+// the area is caught by running the prefix with the area filled with
+// 0x00 and with 0xff and requiring the same state. It runs on the
+// simulator's own image, which it restores afterwards.
+func (s *Simulator) fastForward() *entryState {
+	defer s.img.Mem.Restore()
+	atEntry := func() bool { return s.cpu.PC == s.img.InjectAddr }
 	var got [2]entryState
 	for i, fill := range []byte{0x00, 0xff} {
-		im := img.Clone()
-		if im.Inject(bytes.Repeat([]byte{fill}, im.Platform.Layout.MaxBytes())) != nil {
+		if s.img.Inject(bytes.Repeat([]byte{fill}, s.Platform.Layout.MaxBytes())) != nil {
 			return nil
 		}
-		im.Mem.Snapshot() // from here on any store leaves the memory dirty
-		e := im.NewExecutorCfg(eff, dec, q)
-		if !runToEntry(e, im.InjectAddr, limit) || im.Mem.Dirty() {
+		s.cpu.Reset()
+		s.cpu.PC = s.img.Entry
+		var st storeTrace
+		if !s.trial(&st, atEntry) || st.stored || s.ex.InstCount >= s.Limit {
 			return nil
 		}
-		got[i] = entryState{cpu: *e.CPU, insts: e.InstCount}
+		got[i] = entryState{cpu: s.cpu, insts: s.ex.InstCount}
 	}
 	if got[0] != got[1] {
 		return nil
@@ -45,22 +47,37 @@ func fastForward(img *template.Image, eff isa.Config, dec *isa.Decoder, q exec.Q
 	return &got[0]
 }
 
-// runToEntry steps e until its next fetch is at addr and reports
-// whether it got there in fewer than limit instructions without
-// halting, trapping or panicking.
-func runToEntry(e *exec.Executor, addr uint32, limit uint64) (ok bool) {
+// storeTrace is the hook the prefix runs under: it notes whether any
+// instruction that writes memory (isa.FlagStore: every store, SC and
+// AMO) executed.
+type storeTrace struct{ stored bool }
+
+func (t *storeTrace) OnInst(in *isa.Inst, _ *hart.Hart) {
+	t.stored = t.stored || in.Info().Flags.Is(isa.FlagStore)
+}
+func (t *storeTrace) OnEdge(uint32) {}
+
+// trial steps the executor from the hart as it stands, with hook
+// attached and its counters reset, until stop holds, and reports whether
+// it got there without halting, trapping, reaching Limit or panicking
+// first. The hook is detached afterwards. New derives the entry state
+// and both summaries through it.
+func (s *Simulator) trial(hook exec.Hook, stop func() bool) (ok bool) {
+	e := &s.ex
+	e.Hook, e.InstCount, e.TrapCount, e.Halted = hook, 0, 0, false
 	defer func() {
+		e.Hook = nil
 		if recover() != nil {
 			ok = false
 		}
 	}()
-	for e.CPU.PC != addr {
-		if e.Halted || e.TrapCount > 0 || e.InstCount >= limit {
+	for !stop() {
+		if e.Halted || e.TrapCount > 0 || e.InstCount >= s.Limit {
 			return false
 		}
 		e.Step()
 	}
-	return e.TrapCount == 0 && e.InstCount < limit
+	return e.TrapCount == 0
 }
 
 // skipper is implemented by hooks that can account for the template's

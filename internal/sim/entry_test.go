@@ -299,32 +299,9 @@ func TestFastForwardKeySwitch(t *testing.T) {
 	}
 }
 
-// TestFastForwardShared: a clone shares the simulator's entry state and
-// summaries, and its hooked runs reproduce the full-path footprints.
-func TestFastForwardShared(t *testing.T) {
-	s, err := New(Reference, template.PlatformFor(template.FamilyTrap, isa.RV32GC))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := s.Clone()
-	if c.entry == nil || c.entry != s.entry || c.exit == nil || c.exit != s.exit || c.handler == nil || c.handler != s.handler {
-		t.Fatal("clone does not share the entry state and summaries")
-	}
-	col := coverage.NewCollector(coverage.V3())
-	ref := coverage.NewCollector(coverage.V3())
-	for i, bs := range outcomeMix() {
-		got, sig, want := c.RunHooked(bs, col), c.Run(bs).Signature, s.RunHooked(bs, fullPath{ref})
-		sameOutcome(t, fmt.Sprintf("case %d: clone against the full-path original", i), col, got, want, sig)
-		if f, w := col.Map.RunFootprint(), ref.Map.RunFootprint(); !reflect.DeepEqual(f, w) {
-			t.Fatalf("case %d: clone footprint diverged", i)
-		}
-		col.Map.DiscardRun()
-		ref.Map.DiscardRun()
-	}
-}
-
-// TestFastForwardFallbacks runs fastForward over hand-built images whose
-// prefix must not be skipped, and over clean ones that may.
+// TestFastForwardFallbacks runs fastForward on simulators over hand-built
+// images whose prefix must not be skipped, and over clean ones that may.
+// Every case must leave the image as it found it.
 func TestFastForwardFallbacks(t *testing.T) {
 	p := template.PlatformFor(template.FamilyUser, isa.RV32IMC)
 	const inject = 0x40
@@ -364,8 +341,12 @@ func TestFastForwardFallbacks(t *testing.T) {
 			}
 		}
 		m.Snapshot()
-		img := &template.Image{Platform: p, Mem: m, InjectAddr: inject}
-		got := fastForward(img, p.Cfg, &isa.Decoder{Quirks: tc.quirk}, exec.Quirks{}, tc.limit)
+		s := &Simulator{Variant: &Variant{DecQuirks: tc.quirk}, Platform: p, Limit: tc.limit, eff: p.Cfg}
+		s.attach(&template.Image{Platform: p, Mem: m, InjectAddr: inject}, &isa.Decoder{Quirks: tc.quirk})
+		got := s.fastForward()
+		if s.img.Mem.Dirty() {
+			t.Errorf("%s: fastForward left the image dirty", tc.name)
+		}
 		switch {
 		case tc.want == 0 && got != nil:
 			t.Errorf("%s: got an entry state after %d instructions, want none", tc.name, got.insts)

@@ -13,7 +13,7 @@ import (
 // store) as a function of the hart that reaches it: which signature
 // words it writes from which registers, which it writes with constants,
 // and how many instructions it takes. Like entryState it is derived
-// from the variant's own execution once per New and shared by clones.
+// from the variant's own execution once per New.
 type exitSummary struct {
 	addr, size uint32 // the code the dump fetches: [addr, addr+size)
 	insts      uint64 // instructions the dump takes, halt store included
@@ -87,6 +87,7 @@ func (s *Simulator) summarizeExit() *exitSummary {
 	}
 	defer s.img.Mem.Restore()
 	p := s.Platform
+	halted := func() bool { return s.ex.Halted }
 	var sum *exitSummary
 	var path []uint32
 	for r := range exitProofRuns {
@@ -119,7 +120,7 @@ func (s *Simulator) summarizeExit() *exitSummary {
 			want = sum.signature(&entry, s.img.Mem)
 		}
 		t := &exitTrace{entry: &entry, lo: entry.PC, hi: entry.PC}
-		if !s.runExitProof(t) {
+		if !s.trial(t, halted) || t.bad {
 			return nil
 		}
 		sig, err := s.img.Signature()
@@ -144,21 +145,6 @@ func (s *Simulator) summarizeExit() *exitSummary {
 		}
 	}
 	return sum
-}
-
-// runExitProof executes the dump from s.cpu with t attached and reports
-// whether it halted within Limit without trapping, panicking or breaking
-// t's rules.
-func (s *Simulator) runExitProof(t *exitTrace) (ok bool) {
-	e := &s.ex
-	e.Hook, e.InstCount, e.TrapCount, e.Halted = t, 0, 0, false
-	defer func() {
-		e.Hook = nil
-		if recover() != nil {
-			ok = false
-		}
-	}()
-	return e.Run(s.Limit) == nil && e.TrapCount == 0 && !t.bad
 }
 
 // exitTrace is the hook a proof run executes the dump under. Its path

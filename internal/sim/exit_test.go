@@ -237,18 +237,15 @@ func sigSources(t *testing.T, x *exitSummary) []sigWord {
 // (bytes 2-3: 0 means 2,000 instructions, else that many past the
 // prefix) and a hart seed (bytes 4-11); the rest is the bytestream. Each
 // input runs twice on a simulator that may summarize its dump and on a
-// clone under a hook that is no skipper: once as it is, and once with
-// the hart replaced at dump: by a random one (CSRs and the instruction
-// count included). Both must give the same Outcome, leave the same
+// second one built by New under a hook that is no skipper: once as it
+// is, and once with the hart replaced at dump: by a random one (CSRs and
+// the instruction count included). Both must give the same Outcome, leave the same
 // memory to the next run and record the same footprint, order included;
 // a collector's run leaves the signature to an unhooked run of the same
 // input or from the same hart (sameOutcome).
 func FuzzExitSummaryDifferential(f *testing.F) {
 	sims, labels := platforms(f)
-	refs := make([]*Simulator, len(sims))
-	for i, s := range sims {
-		refs[i] = s.Clone()
-	}
+	refs, _ := platforms(f)
 	header := func(pi, cov int, limit uint16, seed uint64) []byte {
 		h := []byte{byte(pi), byte(cov), byte(limit), byte(limit >> 8)}
 		return binary.LittleEndian.AppendUint64(h, seed)

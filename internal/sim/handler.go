@@ -13,7 +13,7 @@ import (
 // entry state's mtvec &^ 3) up to, but not including, the first mret or
 // dump:, compiled from the handler's code as the variant's decoder
 // decodes it: a tree of steps with one leaf per path. Like exitSummary it
-// is derived once per New and shared by clones.
+// is derived once per New.
 type handlerSummary struct {
 	base   uint32
 	lo, hi uint32 // the code the paths fetch: [lo, hi)
@@ -575,7 +575,6 @@ func (s *Simulator) summarizeHandler() *handlerSummary {
 		return nil
 	}
 	defer m.Restore()
-	s.handler = x
 	rnd := splitmix(uint64(base))
 	words := []uint32{0, 0xffffffff, uint32(rnd())}
 	var inputs []wordStore // each known load address with its pristine word
@@ -634,7 +633,7 @@ func (s *Simulator) summarizeHandler() *handlerSummary {
 // take the edges of p. It then puts the words the path stored and the
 // inputs (each with its pristine value) back, and the whole image must
 // be pristine.
-func (s *Simulator) proveHandlerRun(h hart.Hart, p *handlerPath, inputs []wordStore) (ok bool) {
+func (s *Simulator) proveHandlerRun(h hart.Hart, p *handlerPath, inputs []wordStore) bool {
 	m, e, hr := s.img.Mem, &s.ex, &s.hr
 	want, stores := s.cpu, slices.Clone(hr.stores[:hr.nst])
 	old := make([]uint64, len(stores))
@@ -643,17 +642,8 @@ func (s *Simulator) proveHandlerRun(h hart.Hart, p *handlerPath, inputs []wordSt
 	}
 	t := &handlerTrace{}
 	s.cpu = h
-	e.Hook, e.InstCount, e.TrapCount, e.Halted = t, 0, 0, false
-	defer func() {
-		e.Hook = nil
-		if recover() != nil {
-			ok = false
-		}
-	}()
-	for range p.n {
-		e.Step()
-	}
-	if s.cpu != want || e.InstCount != p.n || e.TrapCount != 0 || e.Halted || !slices.Equal(t.trace, p.trace) {
+	atEnd := func() bool { return e.InstCount == p.n }
+	if !s.trial(t, atEnd) || e.Halted || s.cpu != want || !slices.Equal(t.trace, p.trace) {
 		return false
 	}
 	for i, st := range stores {

@@ -195,7 +195,8 @@ type HookedSim interface {
 // handler's paths and its shutdown sequence summarized (see
 // handlerSummary and exitSummary). The template is assembled once per
 // platform and process (template.Preload); each Simulator loads its own
-// copy of the result.
+// copy of the result, so simulators share nothing mutable and may run
+// concurrently, one per goroutine.
 type Simulator struct {
 	Variant  *Variant
 	Platform template.Platform
@@ -229,7 +230,9 @@ type Simulator struct {
 }
 
 // New prepares a simulator for a platform. It fails if the variant does
-// not support the platform's ISA configuration.
+// not support the platform's ISA configuration. It derives the entry
+// state and the two summaries on the simulator's own image and executor,
+// restoring the image after each.
 func New(v *Variant, p template.Platform) (*Simulator, error) {
 	if !v.Supports(p.Cfg) {
 		return nil, fmt.Errorf("sim: %s does not support %v", v.Name, p.Cfg)
@@ -238,38 +241,17 @@ func New(v *Variant, p template.Platform) (*Simulator, error) {
 	if err != nil {
 		return nil, err
 	}
-	dec := &isa.Decoder{Quirks: v.DecQuirks}
 	s := &Simulator{
 		Variant:  v,
 		Platform: p,
 		Limit:    DefaultInstLimit,
 		eff:      v.Effective(p.Cfg),
 	}
-	s.entry = fastForward(img, s.eff, dec, v.ExecQuirks, s.Limit)
-	s.attach(img, dec)
+	s.attach(img, &isa.Decoder{Quirks: v.DecQuirks})
+	s.entry = s.fastForward()
 	s.exit = s.summarizeExit()
 	s.handler = s.summarizeHandler()
 	return s, nil
-}
-
-// Clone returns an independent simulator for the same variant and
-// platform: it shares nothing mutable with the original (own pre-loaded
-// image, own decoder), so clones can run test cases concurrently — one
-// clone per worker in the parallel compliance engine. Cloning copies the
-// preloaded memory image and shares the immutable entry state and
-// summaries, so it derives none of them again.
-func (s *Simulator) Clone() *Simulator {
-	c := &Simulator{
-		Variant:  s.Variant,
-		Platform: s.Platform,
-		Limit:    s.Limit,
-		eff:      s.eff,
-		entry:    s.entry,
-		exit:     s.exit,
-		handler:  s.handler,
-	}
-	c.attach(s.img.Clone(), &isa.Decoder{Quirks: s.Variant.DecQuirks})
-	return c
 }
 
 // classifyRunError maps an executor Run error to an outcome class:

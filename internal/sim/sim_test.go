@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -282,44 +283,11 @@ func TestVariantsAgreeOnCleanPrograms(t *testing.T) {
 	}
 }
 
-// TestClone: a clone runs independently of the original — identical
-// results, no shared mutable state, usable concurrently.
-func TestClone(t *testing.T) {
-	orig := newSim(t, Reference, isa.RV32IMC)
-	clone := orig.Clone()
-	if clone.Variant != orig.Variant || clone.Platform != orig.Platform || clone.Limit != orig.Limit {
-		t.Fatalf("clone metadata differs: %+v vs %+v", clone, orig)
-	}
-	cases := [][]byte{
-		stream(enc(isa.Inst{Op: isa.OpADD, Rd: 5, Rs1: 1, Rs2: 2})),
-		stream(0xffffffff),
-		stream(0x00000073),
-	}
-	// Interleave runs on original and clone; outcomes must match a fresh
-	// simulator's on every case (no cross-contamination of the images).
-	fresh := newSim(t, Reference, isa.RV32IMC)
-	for _, bs := range cases {
-		want := fresh.Run(bs)
-		a, b := orig.Run(bs), clone.Run(bs)
-		for name, got := range map[string]Outcome{"orig": a, "clone": b} {
-			if got.Crashed != want.Crashed || got.TimedOut != want.TimedOut ||
-				len(got.Signature) != len(want.Signature) {
-				t.Fatalf("%s outcome differs: %+v vs %+v", name, got, want)
-			}
-			for i := range want.Signature {
-				if got.Signature[i] != want.Signature[i] {
-					t.Fatalf("%s signature word %d differs", name, i)
-				}
-			}
-		}
-	}
-}
-
-// TestCloneConcurrent drives many clones of one simulator from separate
-// goroutines (run with -race to validate the parallel-engine invariant
-// that clones share no mutable state).
-func TestCloneConcurrent(t *testing.T) {
-	base := newSim(t, Grift, isa.RV32IMC)
+// TestNewConcurrent builds simulators with New from separate goroutines
+// and drives each through the cases (run with -race to validate that
+// simulators share no mutable state, the preloaded template included):
+// every outcome must equal a fresh simulator's.
+func TestNewConcurrent(t *testing.T) {
 	cases := [][]byte{
 		stream(enc(isa.Inst{Op: isa.OpADD, Rd: 5, Rs1: 1, Rs2: 2})),
 		stream(enc(isa.Inst{Op: isa.OpJAL, Rd: 1, Imm: 6})),
@@ -330,30 +298,44 @@ func TestCloneConcurrent(t *testing.T) {
 	for i, bs := range cases {
 		want[i] = newSim(t, Grift, isa.RV32IMC).Run(bs)
 	}
+	p := template.Platform{Layout: template.DefaultLayout, Cfg: isa.RV32IMC}
 	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		clone := base.Clone()
+	for range 8 {
 		wg.Add(1)
-		go func(s *Simulator) {
+		go func() {
 			defer wg.Done()
-			for round := 0; round < 4; round++ {
+			s, err := New(Grift, p)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for range 4 {
 				for i, bs := range cases {
-					got := s.Run(bs)
-					if got.Crashed != want[i].Crashed || got.TimedOut != want[i].TimedOut {
+					if got := s.Run(bs); !reflect.DeepEqual(got, want[i]) {
 						t.Errorf("case %d: %+v vs %+v", i, got, want[i])
 						return
 					}
-					for k := range want[i].Signature {
-						if got.Signature[k] != want[i].Signature[k] {
-							t.Errorf("case %d word %d differs", i, k)
-							return
-						}
-					}
 				}
 			}
-		}(clone)
+		}()
 	}
 	wg.Wait()
+}
+
+// BenchmarkNew builds a reference simulator on RV32GC for each template
+// family: the preloaded image, the entry state and both summaries.
+func BenchmarkNew(b *testing.B) {
+	for _, fam := range []template.Family{template.FamilyUser, template.FamilyTrap} {
+		p := template.PlatformFor(fam, isa.RV32GC)
+		b.Run(fam.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				if _, err := New(Reference, p); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // TestRunErrorClassification: instruction-limit exhaustion is a timeout;

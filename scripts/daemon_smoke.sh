@@ -13,6 +13,9 @@
 #   4. restart the daemon on the same store: jobs resume from their
 #      checkpoints, finish, and the daemon records the resume
 #   5. fetch the job artifacts over HTTP and cmp against step 1
+#   6. submit a long fuzz job, hold a /wait on it and SIGTERM the
+#      daemon: it must exit within 8 s, and the job must be suspended
+#      (queued on disk), not failed
 #
 # Usage: scripts/daemon_smoke.sh [execs] [seed]
 set -euo pipefail
@@ -131,5 +134,39 @@ echo "== per-job event report renders"
 # with SIGPIPE once head has its lines, failing a passing run.
 go run ./cmd/rvreport -events "$work/events.ndjson" -job "$fuzz_id" > "$work/report.txt"
 head -4 "$work/report.txt"
+
+echo "== SIGTERM with a pending /wait: the daemon must drain within 8 s"
+hold_spec=$(printf '{"kind":"fuzz","cov":"v3","seed":%d,"execs":%d,"workers":2}' "$SEED" 100000000)
+hold_id=$(curl -sf -X POST "http://$ADDR/api/v1/jobs" -d "$hold_spec" | sed -n 's/.*"id":"\([^"]*\)".*/\1/p')
+state=""
+for _ in $(seq 100); do
+    state=$(curl -sf "http://$ADDR/api/v1/jobs/$hold_id" | sed -n 's/.*"state":"\([^"]*\)".*/\1/p')
+    [ "$state" = running ] && break
+    sleep 0.1
+done
+if [ "$state" != running ]; then
+    echo "FAIL: job $hold_id is ${state:-absent} after 10 s, not running"
+    exit 1
+fi
+curl -s -o "$work/wait.json" "http://$ADDR/api/v1/jobs/$hold_id/wait?timeout_sec=300" &
+wait_pid=$!
+sleep 0.5 # let the /wait reach the scheduler
+start=$(date +%s%N)
+kill -TERM "$daemon_pid"
+status=0
+wait "$daemon_pid" || status=$?
+ms=$(( ($(date +%s%N) - start) / 1000000 ))
+daemon_pid=""
+wait "$wait_pid" || true
+echo "   SIGTERM to exit: $ms ms (exit status $status); the pending /wait got: $(cat "$work/wait.json" 2>/dev/null)"
+if [ "$status" -ne 0 ] || [ "$ms" -ge 8000 ]; then
+    echo "FAIL: the daemon needed $ms ms (8000 allowed) to drain with a pending /wait, exit status $status"
+    exit 1
+fi
+state=$(sed -n 's/.*"state": *"\([a-z]*\)".*/\1/p' "$work/store/$hold_id/job.json" | head -1)
+if [ "$state" != queued ]; then
+    echo "FAIL: job $hold_id is $state on disk after the drain, want queued (suspended)"
+    exit 1
+fi
 
 echo "OK: daemon jobs survived kill -9 and match direct CLI artifacts byte for byte"
