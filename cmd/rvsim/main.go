@@ -156,8 +156,7 @@ func (o options) run(w io.Writer) error {
 
 // tracer prints every executed instruction through the coverage hook. It
 // does not stand in for the template prefix, the trap handler or the
-// dump (no SkipPrefix, SkipTrap or SkipExit), so the run executes and
-// prints them too.
+// dump (it has no Skip method), so the run executes and prints them too.
 type tracer struct{ w io.Writer }
 
 func (t tracer) OnInst(inst *isa.Inst, h *hart.Hart) {

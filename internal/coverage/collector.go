@@ -66,28 +66,26 @@ type Collector struct {
 	ruleBase uint32
 	hashBase uint32
 
-	// prefixKey and prefixHits cache the coverage of the last prefix
-	// SkipPrefix ran; exitKey, exitHits and exitSteps that of the last
-	// shutdown sequence SkipExit ran. Map holds their sum as its
-	// baseline. trapPaths caches the coverage of the last trap-handler
-	// paths SkipTrap ran.
-	prefixKey  any
-	prefixHits []hitCount
-	exitKey    any
-	exitHits   []hitCount
-	exitSteps  []exitStep
-	trapPaths  []trapPath
+	// regions holds the last maxRegions regions Skip recorded, oldest
+	// first; parts the prefix (slot 0) and the dump (slot 1) whose sum
+	// Map holds as its baseline.
+	regions []region
+	parts   [2]region
 }
 
-// trapPath is the coverage of one trap-handler path.
-type trapPath struct {
-	key  any
-	hits []hitCount
+// region is the coverage of one stretch of the template's
+// input-independent code a simulator hands to Skip: its (point, count)
+// pairs and its live steps.
+type region struct {
+	key   any
+	hits  []hitCount
+	steps []liveStep
 }
 
-// maxTrapPaths bounds the trap-handler paths a Collector remembers; a
-// fuzzer's simulator has at most two.
-const maxTrapPaths = 8
+// maxRegions bounds the regions a Collector remembers; a fuzzer's
+// simulator has at most four: its prefix, its dump and two handler
+// paths.
+const maxRegions = 8
 
 // NewCollector allocates the coverage map for the enabled signals.
 func NewCollector(opts Options) *Collector {
@@ -127,58 +125,53 @@ func (c *Collector) OnInst(inst *isa.Inst, h *hart.Hart) {
 	}
 }
 
-// SkipPrefix lets a simulator skip executing its input-independent
-// prefix under this collector. The prefix runs once per key into a
-// scratch collector, whose (point, count) pairs become the prefix part
-// of the map's baseline. A run leaves those pairs to the baseline unless
-// no baseline could be installed or a pending run has left pairs to it
-// already; then it adds them. Either way hit counts, bucket bits and
-// RunFootprint are those of a run that executed the prefix.
-func (c *Collector) SkipPrefix(key any, run func(exec.Hook)) {
-	if key != c.prefixKey {
-		scratch := NewCollector(c.opts)
-		run(scratch)
-		c.prefixKey, c.prefixHits = key, scratch.Map.pendingHits()
-		c.Map.rebase(c.prefixHits, c.exitHits)
-	}
-	if !c.Map.skipPrefix() {
-		c.Map.addHits(c.prefixHits)
-	}
-}
-
 func (c *Collector) hitHash(inst *isa.Inst) {
 	if c.opts.HashN > 0 {
 		c.Map.Hit(c.hashBase + fnv1a32(inst.Raw)%uint32(c.opts.HashN))
 	}
 }
 
-// SkipExit lets a simulator skip executing its shutdown sequence (the
-// dump) under this collector, adding the coverage the dump records when
-// executed from h. The dump runs once per key into an exitRecorder,
-// which records its (point, count) pairs, the dump part of the map's
-// baseline, and every step whose rules read an entry register: a
-// register no earlier dump instruction wrote, so its value comes from
-// h. A run that left the prefix to the baseline leaves the dump to it
-// too; any other run adds the recorded pairs. Each call then compares
-// every step's entry registers in h with the recorded values and, only
-// where one differs, takes back the step's recorded rule hits and
-// evaluates its rules against h. RuleSet.eval is pure in the operation,
-// the instruction and the two values, so hit counts, bucket bits and
-// RunFootprint are those of a run that executed the dump. Every other
-// register value the dump reads is the one recorded: the simulator
-// proved it the same whatever h holds.
-func (c *Collector) SkipExit(key any, run func(exec.Hook), h *hart.Hart) {
-	if key != c.exitKey {
-		rec := &exitRecorder{c: NewCollector(c.opts), rule: NewMap(c.Map.Size())}
-		run(rec)
-		c.exitKey, c.exitHits, c.exitSteps = key, rec.c.Map.pendingHits(), rec.steps
-		c.Map.rebase(c.prefixHits, c.exitHits)
+// Skip lets a simulator skip executing one region of its template's
+// input-independent code under this collector, and reports whether it
+// may. run executes the region with the given hook attached, key
+// identifies it (equal keys, equal code), and slot is 0 for the prefix,
+// 1 for the dump and -1 for a trap-handler path. h is the hart the
+// region starts from, or nil when the register values the region reads
+// vary from pass to pass (a handler path): a collector with rule
+// coverage declines such a region before touching anything, since rule
+// hits read those values. Otherwise the region runs once per key under a
+// recorder, which keeps its (point, count) pairs and, for a collector
+// with rules, every step whose rules read an entry register: one no
+// earlier instruction of the region wrote, so that its value comes from
+// h. The region in slot 0 or 1 is that part of the map's baseline: a run
+// that left every earlier part to the baseline leaves this one too, and
+// any other run adds its pairs. A region in slot -1 adds its pairs on
+// every pass. Skip then compares every step's entry registers in h with
+// the recorded values and, only where one differs, takes back the step's
+// recorded rule hits and evaluates its rules against h. RuleSet.eval is
+// pure in the operation, the instruction and the two values, so hit
+// counts, bucket bits and RunFootprint are those of a run that executed
+// the region. Every other register value the region reads is the one
+// recorded: the simulator proved it the same whatever h holds.
+func (c *Collector) Skip(key any, run func(exec.Hook), h *hart.Hart, slot int) bool {
+	if h == nil && c.opts.Rules != nil {
+		return false
 	}
-	if !c.Map.skipDump() {
-		c.Map.addHits(c.exitHits)
+	var r *region
+	if slot >= 0 && c.parts[slot].key == key {
+		r = &c.parts[slot]
+	} else {
+		r = c.region(key, run)
+		if slot >= 0 {
+			c.parts[slot] = *r
+			c.Map.rebase([][]hitCount{c.parts[0].hits, c.parts[1].hits})
+		}
 	}
-	for i := range c.exitSteps {
-		st := &c.exitSteps[i]
+	if slot < 0 || !c.Map.leave(slot) {
+		c.Map.addHits(r.hits)
+	}
+	for i := range r.steps {
+		st := &r.steps[i]
 		rv1, rv2 := st.rv1, st.rv2
 		if st.live1 {
 			rv1 = int32(h.ReadX(st.inst.Rs1))
@@ -191,41 +184,31 @@ func (c *Collector) SkipExit(key any, run func(exec.Hook), h *hart.Hart) {
 			c.opts.Rules.eval(st.plan, &st.inst, rv1, rv2, c.Map, c.ruleBase)
 		}
 	}
-}
-
-// SkipTrap lets a simulator skip executing one path through the
-// template's trap handler under this collector, and reports whether it
-// may. A collector with rule coverage declines before touching anything:
-// rule hits read the register values the handler sees, which vary from
-// trap to trap. Any other collector records the path's (point, count)
-// pairs once per key by watching run (edges and instruction hashes are
-// the same on every execution of a path) and adds them to the run with
-// one call, so hit counts, bucket bits and RunFootprint are those of a
-// run that executed the path.
-func (c *Collector) SkipTrap(key any, run func(exec.Hook)) bool {
-	if c.opts.Rules != nil {
-		return false
-	}
-	for i := range c.trapPaths {
-		if c.trapPaths[i].key == key {
-			c.Map.addHits(c.trapPaths[i].hits)
-			return true
-		}
-	}
-	scratch := NewCollector(c.opts)
-	run(scratch)
-	hits := scratch.Map.pendingHits()
-	if len(c.trapPaths) == maxTrapPaths {
-		c.trapPaths = slices.Delete(c.trapPaths, 0, 1)
-	}
-	c.trapPaths = append(c.trapPaths, trapPath{key, hits})
-	c.Map.addHits(hits)
 	return true
 }
 
-// exitStep is one dump instruction whose rules read an entry register,
-// with the rule hits recorded at the recorded source values.
-type exitStep struct {
+// region returns the region recorded under key, running it under a
+// recorder if the collector does not remember one. The recorder hits
+// the collector's own map, and Map.record takes those hits back out as
+// the region's pairs, so recording allocates no coverage map of its own.
+func (c *Collector) region(key any, run func(exec.Hook)) *region {
+	for i := range c.regions {
+		if c.regions[i].key == key {
+			return &c.regions[i]
+		}
+	}
+	rec := &recorder{c: c}
+	hits := c.Map.record(func() { run(rec) })
+	if len(c.regions) == maxRegions {
+		c.regions = slices.Delete(c.regions, 0, 1)
+	}
+	c.regions = append(c.regions, region{key: key, hits: hits, steps: rec.steps})
+	return &c.regions[len(c.regions)-1]
+}
+
+// liveStep is one region instruction whose rules read an entry
+// register, with the rule hits recorded at the recorded source values.
+type liveStep struct {
 	hits         []hitCount
 	plan         *opPlan
 	inst         isa.Inst
@@ -233,15 +216,15 @@ type exitStep struct {
 	live1, live2 bool  // the source is an entry register, read at run time
 }
 
-// exitRecorder is the hook SkipExit runs the dump under.
-type exitRecorder struct {
+// recorder is the hook Skip records a region under.
+type recorder struct {
 	c       *Collector
-	rule    *Map   // one step's rule hits
-	written uint32 // integer registers the dump has written so far
-	steps   []exitStep
+	rule    *Map   // one step's rule hits, by rule point; nil until the first live step
+	written uint32 // integer registers the region has written so far
+	steps   []liveStep
 }
 
-func (r *exitRecorder) OnInst(inst *isa.Inst, h *hart.Hart) {
+func (r *recorder) OnInst(inst *isa.Inst, h *hart.Hart) {
 	c := r.c
 	c.hitHash(inst)
 	if rs := c.opts.Rules; rs != nil {
@@ -249,11 +232,17 @@ func (r *exitRecorder) OnInst(inst *isa.Inst, h *hart.Hart) {
 		live1 := p.readRS1 && r.entry(inst.Rs1)
 		live2 := p.readRS2 && r.entry(inst.Rs2)
 		if p.fams != 0 && (live1 || live2) {
-			rs.Eval(inst, h, r.rule, c.ruleBase)
+			if r.rule == nil {
+				r.rule = NewMap(rs.NumPoints())
+			}
+			rs.Eval(inst, h, r.rule, 0)
 			hits := r.rule.pendingHits()
 			r.rule.DiscardRun()
+			for i := range hits {
+				hits[i].id += c.ruleBase
+			}
 			c.Map.addHits(hits)
-			r.steps = append(r.steps, exitStep{
+			r.steps = append(r.steps, liveStep{
 				hits: hits, plan: p, inst: *inst,
 				rv1: int32(h.ReadX(inst.Rs1)), rv2: int32(h.ReadX(inst.Rs2)),
 				live1: live1, live2: live2,
@@ -267,9 +256,9 @@ func (r *exitRecorder) OnInst(inst *isa.Inst, h *hart.Hart) {
 	}
 }
 
-// entry reports whether reg still holds its value at dump:.
-func (r *exitRecorder) entry(reg isa.Reg) bool { return reg != 0 && r.written&(1<<reg) == 0 }
+// entry reports whether reg still holds its value at the region's start.
+func (r *recorder) entry(reg isa.Reg) bool { return reg != 0 && r.written&(1<<reg) == 0 }
 
-func (r *exitRecorder) OnEdge(edge uint32) { r.c.OnEdge(edge) }
+func (r *recorder) OnEdge(edge uint32) { r.c.OnEdge(edge) }
 
 var _ exec.Hook = (*Collector)(nil)

@@ -29,27 +29,17 @@ import (
 // delta's points and the few baseline points whose bucket the frontier
 // still lacks instead of the ~200 points every run shares (DESIGN §19).
 type Map struct {
-	counts  []uint32 // the run's hit counts; a based run's delta (wrapping)
+	counts  []uint32 // the run's hit counts, less the parts it left (wrapping)
 	global  []uint8
 	touched []uint32 // the points whose count left zero, possibly twice
 	bits    int
 
-	base    []uint8    // the baseline's count per point
-	baseIDs []uint32   // the baseline's points, sorted
-	pending []uint32   // baseline points whose base bucket global may lack
-	prefix  []hitCount // the baseline's prefix part
-	hasBase bool       // a baseline is installed
-	run     runKind
+	base    []uint8      // the baseline's count per point
+	baseIDs []uint32     // the baseline's points, sorted
+	pending []uint32     // baseline points whose base bucket global may lack
+	parts   [][]hitCount // the baseline's parts, in the order runs leave them; nil: no baseline
+	left    int          // the leading parts the pending run has left to the baseline
 }
-
-// runKind is what the pending run's counts stand for.
-type runKind uint8
-
-const (
-	runPlain  runKind = iota // the run's hits
-	runPrefix                // the run's hits, less the baseline's prefix part
-	runBased                 // the run's hits, less the whole baseline
-)
 
 // NewMap allocates a map with the given number of coverage points.
 func NewMap(size int) *Map {
@@ -74,7 +64,7 @@ func (m *Map) Hit(id uint32) {
 type hitCount struct{ id, n uint32 }
 
 // pendingHits returns the (point, count) pairs of a plain run, the only
-// kind a Collector records its prefix and dump hits from.
+// kind a Collector records a region's hits from.
 func (m *Map) pendingHits() []hitCount {
 	hs := make([]hitCount, len(m.touched))
 	for i, id := range m.touched {
@@ -94,6 +84,30 @@ func (m *Map) addHits(hs []hitCount) {
 	}
 }
 
+// record runs f, which adds hits to the map, as a plain run of its own
+// and returns that run's (point, count) pairs: it sets the pending run
+// aside meanwhile and puts it back, so the map is left as f found it.
+func (m *Map) record(f func()) []hitCount {
+	run := m.touched
+	prev := make([]uint32, len(run))
+	for i, id := range run {
+		prev[i], m.counts[id] = m.counts[id], 0
+	}
+	m.touched = run[len(run):]
+	f()
+	hs := m.pendingHits()
+	for _, id := range m.touched {
+		m.counts[id] = 0
+	}
+	// A point listed twice was zeroed by its first entry, which holds
+	// the count to put back.
+	for i := len(run) - 1; i >= 0; i-- {
+		m.counts[run[i]] = prev[i]
+	}
+	m.touched = run
+	return hs
+}
+
 // subHits takes hit counts back from the current run. A count may pass
 // through zero, so a point can enter touched twice.
 func (m *Map) subHits(hs []hitCount) {
@@ -105,31 +119,33 @@ func (m *Map) subHits(hs []hitCount) {
 	}
 }
 
-// rebase settles the pending run and installs the baseline of a run
-// that skips the prefix and the dump: the sum of their hits. It
-// installs none when a count would not fit a uint8; the runs then add
-// the fixed hits themselves. A point is hit at most once per
-// instruction, and the prefix and dump of every shipped template are at
-// most 148 instructions, so only a far larger template gets there.
-func (m *Map) rebase(prefix, dump []hitCount) {
+// rebase settles the pending run and installs the baseline made of
+// parts, the fixed hits runs may leave to it (see leave): the sum of
+// their hits. It installs none when a count would not fit a uint8; the
+// runs then add the fixed hits themselves. A point is hit at most once
+// per instruction, and the prefix and dump of every shipped template are
+// at most 148 instructions, so only a far larger template gets there.
+func (m *Map) rebase(parts [][]hitCount) {
 	m.settle()
 	m.unbase()
 	if m.base == nil {
 		m.base = make([]uint8, len(m.counts))
 	}
-	for _, h := range slices.Concat(prefix, dump) {
-		n := m.base[h.id]
-		if h.n > math.MaxUint8-uint32(n) {
-			m.unbase()
-			return
+	for _, part := range parts {
+		for _, h := range part {
+			n := m.base[h.id]
+			if h.n > math.MaxUint8-uint32(n) {
+				m.unbase()
+				return
+			}
+			if n == 0 {
+				m.baseIDs = append(m.baseIDs, h.id)
+			}
+			m.base[h.id] = n + uint8(h.n)
 		}
-		if n == 0 {
-			m.baseIDs = append(m.baseIDs, h.id)
-		}
-		m.base[h.id] = n + uint8(h.n)
 	}
 	slices.Sort(m.baseIDs)
-	m.prefix, m.hasBase = prefix, true
+	m.parts = parts
 	m.refill()
 }
 
@@ -138,7 +154,7 @@ func (m *Map) unbase() {
 	for _, id := range m.baseIDs {
 		m.base[id] = 0
 	}
-	m.baseIDs, m.pending, m.prefix, m.hasBase = m.baseIDs[:0], m.pending[:0], nil, false
+	m.baseIDs, m.pending, m.parts = m.baseIDs[:0], m.pending[:0], nil
 }
 
 // refill lists the baseline points whose base bucket global lacks.
@@ -151,43 +167,29 @@ func (m *Map) refill() {
 	}
 }
 
-// skipPrefix starts a run that leaves the prefix's hits to the baseline,
-// and reports whether it could: a baseline is installed and no pending
-// run has left hits to it already.
-func (m *Map) skipPrefix() bool {
-	if !m.hasBase || m.run != runPlain {
+// leave leaves the hits of the baseline's part slot to the baseline in
+// the pending run, and reports whether it could: a baseline is
+// installed and the pending run has left exactly the parts before slot.
+// The caller installed the baseline holding the current part.
+func (m *Map) leave(slot int) bool {
+	if m.parts == nil || m.left != slot {
 		return false
 	}
-	m.run = runPrefix
+	m.left++
 	return true
 }
 
-// skipDump leaves the dump's hits at the recorded register values to
-// the baseline, and reports whether it could: the run left the prefix's
-// to it. The caller installed the baseline of the current dump.
-func (m *Map) skipDump() bool {
-	if m.run != runPrefix {
-		return false
-	}
-	m.run = runBased
-	return true
-}
+// based reports whether the pending run has left the whole baseline, so
+// its counts are its delta against it.
+func (m *Map) based() bool { return m.left != 0 && m.left == len(m.parts) }
 
-// settle makes the pending run plain by adding the fixed hits it left
-// to the baseline.
+// settle makes the pending run plain by adding the parts it left to the
+// baseline.
 func (m *Map) settle() {
-	switch m.run {
-	case runPrefix:
-		m.addHits(m.prefix)
-	case runBased:
-		for _, id := range m.baseIDs {
-			if m.counts[id] == 0 {
-				m.touched = append(m.touched, id)
-			}
-			m.counts[id] += uint32(m.base[id])
-		}
+	for _, part := range m.parts[:m.left] {
+		m.addHits(part)
 	}
-	m.run = runPlain
+	m.left = 0
 }
 
 // bucketBit maps a hit count to its libFuzzer-style bucket bit.
@@ -218,13 +220,12 @@ func bucketBit(n uint32) uint8 {
 // whose total count is zero merges nothing: bucketBit(0) is no bucket.
 func (m *Map) MergeNew() bool {
 	novel := false
-	switch m.run {
-	case runPrefix:
-		m.settle()
-	case runBased:
+	based := m.based()
+	if based {
 		novel = m.mergePending()
+	} else {
+		m.settle()
 	}
-	based := m.run == runBased
 	for _, id := range m.touched {
 		n := m.counts[id]
 		if n == 0 {
@@ -241,7 +242,7 @@ func (m *Map) MergeNew() bool {
 		}
 	}
 	m.touched = m.touched[:0]
-	m.run = runPlain
+	m.left = 0
 	return novel
 }
 
@@ -282,7 +283,7 @@ type RunPoint struct {
 // tests compare two runs of one input through their footprints. The run
 // stays pending: follow with MergeNew or DiscardRun.
 func (m *Map) RunFootprint() []RunPoint {
-	if m.run == runPrefix {
+	if !m.based() {
 		m.settle()
 	}
 	slices.Sort(m.touched)
@@ -301,7 +302,7 @@ func (m *Map) RunFootprint() []RunPoint {
 // baseline points.
 func (m *Map) eachPoint(f func(RunPoint)) {
 	ts, bs := m.touched, []uint32(nil)
-	if m.run == runBased {
+	if m.based() {
 		bs = m.baseIDs
 	}
 	for len(ts) > 0 || len(bs) > 0 {
@@ -330,7 +331,7 @@ func (m *Map) DiscardRun() {
 		m.counts[id] = 0
 	}
 	m.touched = m.touched[:0]
-	m.run = runPlain
+	m.left = 0
 }
 
 // BucketBits returns the total number of bucket bits set so far (the

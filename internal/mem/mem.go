@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // pageBits selects the dirty-tracking granularity (256-byte pages).
@@ -253,6 +254,40 @@ func (m *Memory) Restore() {
 		}
 		m.dirty[wi] = 0
 	}
+}
+
+// Undo runs f, then puts back every page f wrote, together with the
+// dirty-page bitmap, so the memory is as f found it. It copies only the
+// pages written since the last Snapshot or Restore (every page before
+// the first Snapshot), since the others equal the snapshot.
+func (m *Memory) Undo(f func()) {
+	dirty := slices.Clone(m.dirty)
+	var saved []byte
+	for off := 0; off < len(m.data); off += 1 << pageBits {
+		if isDirty(dirty, off) {
+			saved = append(saved, m.page(off)...)
+		}
+	}
+	f()
+	for off := 0; off < len(m.data); off += 1 << pageBits {
+		switch {
+		case isDirty(dirty, off):
+			saved = saved[copy(m.page(off), saved):]
+		case isDirty(m.dirty, off):
+			copy(m.page(off), m.snapshot[off:])
+		}
+	}
+	copy(m.dirty, dirty)
+}
+
+// page returns the bytes of the page at offset off.
+func (m *Memory) page(off int) []byte { return m.data[off:min(off+1<<pageBits, len(m.data))] }
+
+// isDirty reports whether bitmap marks the page at offset off; with no
+// bitmap (no snapshot) every page counts as written.
+func isDirty(bitmap []uint64, off int) bool {
+	p := off >> pageBits
+	return bitmap == nil || bitmap[p>>6]&(1<<(p&63)) != 0
 }
 
 // Pristine reports whether the size bytes at addr still equal the

@@ -293,6 +293,43 @@ func TestRestoreEquivalentToFullCopy(t *testing.T) {
 	}
 }
 
+// TestUndo drives random writes before and inside an Undo: after each,
+// the bytes and the dirty pages must be as Undo found them, and a later
+// Restore must still reach the snapshot. Before the first Snapshot, Undo
+// puts back the whole memory.
+func TestUndo(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	const size = 0x2000 + 0x80 // a partial last page
+	m := New(0, size)
+	ref := make([]byte, size)
+	for i := range ref {
+		ref[i] = byte(rng.Intn(256))
+	}
+	_ = m.LoadImage(0, ref)
+	m.Undo(func() { _ = m.Write32(0x1000, 1) })
+	if !bytes.Equal(m.data, ref) || m.dirty != nil {
+		t.Fatal("Undo before the first Snapshot did not put the memory back")
+	}
+	m.Snapshot()
+	write := func(n int) {
+		for range n {
+			_ = m.Write32(uint32(rng.Intn(size-4)), rng.Uint32())
+		}
+	}
+	for round := range 50 {
+		write(rng.Intn(20))
+		data, dirty := slices.Clone(m.data), slices.Clone(m.dirty)
+		m.Undo(func() { write(rng.Intn(20)) })
+		if !bytes.Equal(m.data, data) || !slices.Equal(m.dirty, dirty) {
+			t.Fatalf("round %d: Undo did not put the memory back", round)
+		}
+		m.Restore()
+		if !bytes.Equal(m.data, ref) {
+			t.Fatalf("round %d: Restore after Undo missed the snapshot", round)
+		}
+	}
+}
+
 func TestLoadImageAndReadBytes(t *testing.T) {
 	m := New(0x100, 0x100)
 	img := []byte{1, 2, 3, 4, 5}

@@ -38,15 +38,17 @@ func baselineOp(sim, flags byte, limit uint16, seed uint32, in []byte) []byte {
 }
 
 // FuzzCoverageBaselineDifferential feeds one run sequence to two
-// collectors: one the simulators hand the template's prefix and dump to
-// (SkipPrefix, SkipExit), so its map keeps their fixed hits as a
-// baseline and each run's delta against it, and a plain reference that
-// watches both execute. Both must give the same footprint before a run
-// ends, and the same MergeNew verdict, bucket-bit total and frontier
-// after it. The sequence switches keys between simulators, times out
-// before dump:, makes the dump execute under the hook (an input that
-// writes it, a limit inside it, mstatus.FS off), starts the dump from
-// random harts, crashes (sail-riscv's decoder), and ends runs by
+// collectors: one the simulators hand the template's prefix, dump and
+// handler paths to (skipper.Skip), so its map keeps the fixed hits of
+// the prefix and the dump as a baseline and each run's delta against
+// it, and a plain reference that watches every region execute. Both
+// must give the same footprint before a run ends, and the same MergeNew
+// verdict, bucket-bit total and frontier after it. The sequence switches
+// keys between simulators, holding more regions than the collector's
+// memo keeps, times out before dump:, makes the dump execute under the
+// hook (an input that writes it, a limit inside it, mstatus.FS off),
+// starts the dump from random harts, takes both of the trap family's
+// handler paths, crashes (sail-riscv's decoder), and ends runs by
 // MergeNew, DiscardRun, RestoreFrontier, Reset or not at all.
 func FuzzCoverageBaselineDifferential(f *testing.F) {
 	var sims, refs []*Simulator
@@ -76,6 +78,10 @@ func FuzzCoverageBaselineDifferential(f *testing.F) {
 	sw := stream(enc(isa.Inst{Op: isa.OpSW, Rs2: 5, Imm: int32(a.exit.addr)}))
 	fsOff := stream(enc(isa.Inst{Op: isa.OpCSRRW, CSR: hart.CSRMstatus}))
 	crash := []byte{0x00, 0x84, 0, 0}
+	// One trap takes the trap family's record path; the loop traps until
+	// the record area is full and takes the other path from then on.
+	illegal := stream(0xffffffff)
+	trapLoop := stream(0xffffffff, enc(isa.Inst{Op: isa.OpJAL, Imm: -4}))
 	body := uint16(a.Run(nil).Insts - a.entry.insts - a.exit.insts)
 	inDump := body + uint16(a.exit.insts/2)
 	const pend, fp, fromHart = endPending << 2, 0x20, 1
@@ -101,6 +107,12 @@ func FuzzCoverageBaselineDifferential(f *testing.F) {
 		// Two runs merged as one move every baseline point off its base
 		// bucket; the next run must still merge those buckets.
 		f.Add(seq(baselineOp(0, pend, 0, 0, nil), baselineOp(0, 0, 0, 0, nil), baselineOp(0, 0, 0, 0, nil)))
+		// Handler paths on all three simulators: ten regions in all.
+		f.Add(seq(
+			baselineOp(1, fp, 0, 0, illegal), baselineOp(0, fp, 0, 0, illegal), baselineOp(1, pend|fp, 0, 0, trapLoop),
+			baselineOp(2, fp, 0, 0, illegal), baselineOp(1, fp, 0, 0, illegal), baselineOp(0, fp, 0, 0, addi),
+			baselineOp(1, fp, 0, 0, trapLoop), baselineOp(2, pend|fp, 0, 0, illegal), baselineOp(1, fp, 0, 0, illegal),
+		))
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -131,7 +143,9 @@ func FuzzCoverageBaselineDifferential(f *testing.F) {
 					t.Fatal("start failed")
 				}
 				if s.entry.insts < s.Limit {
-					r.replayPrefix(full) // what the collector's start skipped
+					// What the collector's start skipped.
+					r.from, r.n = &r.reset, r.entry.insts
+					r.replayRegion(full)
 				}
 				s.cpu = randomHart(s.cpu, s.exit.addr, uint64(h[5])|uint64(h[6])<<8|uint64(h[7])<<16)
 				r.cpu = s.cpu

@@ -33,8 +33,7 @@ func (s *Simulator) fastForward() *entryState {
 		if s.img.Inject(bytes.Repeat([]byte{fill}, s.Platform.Layout.MaxBytes())) != nil {
 			return nil
 		}
-		s.cpu.Reset()
-		s.cpu.PC = s.img.Entry
+		s.cpu = s.reset
 		var st storeTrace
 		if !s.trial(&st, atEntry) || st.stored || s.ex.InstCount >= s.Limit {
 			return nil
@@ -80,94 +79,98 @@ func (s *Simulator) trial(hook exec.Hook, stop func() bool) (ok bool) {
 	return e.TrapCount == 0
 }
 
-// skipper is implemented by hooks that can account for the template's
-// input-independent prefix, its trap handler's paths and its shutdown
-// sequence without watching them execute (coverage.Collector). A skipper
-// reads a run's coverage, never its signature, so a run under one
-// returns Outcome.Signature nil whether the dump was summarized or
-// executed; a run under any other hook builds the signature as an
-// unhooked run does. In every method run executes the stretch with the
-// given hook attached and key identifies it (equal keys, equal code), so
-// an implementation may run it once per key.
+// skipper is implemented by hooks that can account for a region of the
+// template's input-independent code without watching it execute
+// (coverage.Collector): the prefix, the dump, and each path through the
+// trap handler. A skipper reads a run's coverage, never its signature,
+// so a run under one returns Outcome.Signature nil whether the dump was
+// summarized or executed; a run under any other hook builds the
+// signature as an unhooked run does.
 //
-// SkipPrefix stands for the prefix, which starts from reset. SkipExit
-// stands for the dump executed from h; run leaves h and the run as it
-// found them. Within the dump, an integer register no earlier dump
-// instruction writes (isa.FlagWritesRD) still holds its value in h, while
-// every other register value a dump instruction reads (isa.FlagReadsRS1,
-// isa.FlagReadsRS2) and every hook event is the same whatever h holds:
-// New proved both before keeping the summary.
+// Skip stands for one region and reports whether the skipper accounts
+// for it; on false it must have touched nothing, and the region executes
+// under the hook. run executes the region with the given hook attached
+// and leaves the hart, the executor and the memory as it found them, and
+// key identifies the region (equal keys, equal code), so an
+// implementation may run it once per key. Every execution of a region
+// fetches the same instructions and takes the same edges. slot is 0 for
+// the prefix and 1 for the dump, which a run passes in that order, each
+// at most once, and -1 for a handler path, which a run may pass any
+// number of times.
 //
-// SkipTrap stands for one path through the trap handler, from its base
-// up to the mret or dump: after it, and reports whether the skipper
-// accounts for it; on false it must have touched nothing, and the
-// handler executes under the hook. The answer may depend on the skipper
-// but not on the key: a simulator does not ask a skipper that declined
-// again. Every execution of a path fetches the same instructions and
-// takes the same edges, whatever the hart holds, but the register
-// values its instructions read vary. run leaves the hart, the executor
-// and the memory as it found them.
+// h is the hart the region starts from when New proved that each
+// register value the region reads is either an entry register's, one no
+// earlier instruction of the region writes (isa.FlagWritesRD), read from
+// h, or the same whatever h holds: the reset hart for the prefix, which
+// reads nothing of the input, and the hart at dump: for the dump. A
+// handler path passes nil: the register values its instructions read
+// vary from trap to trap. The answer may depend on the skipper and on
+// whether h is nil, but not on the key: a simulator does not ask a
+// skipper that declined a handler path again.
 type skipper interface {
-	SkipPrefix(key any, run func(exec.Hook))
-	SkipExit(key any, run func(exec.Hook), h *hart.Hart)
-	SkipTrap(key any, run func(exec.Hook)) bool
+	Skip(key any, run func(exec.Hook), h *hart.Hart, slot int) bool
 }
 
 // attach wires s over img the way img.NewExecutorCfg wires a fresh
-// executor. s must not move afterwards: the executor and replay point
-// into it.
+// executor, whose hart is the reset hart. s must not move afterwards:
+// the executor and replay point into it.
 func (s *Simulator) attach(img *template.Image, dec *isa.Decoder) {
 	e := img.NewExecutorCfg(s.eff, dec, s.Variant.ExecQuirks)
-	s.img, s.cpu, s.ex = img, *e.CPU, *e
+	s.img, s.reset, s.cpu, s.ex = img, *e.CPU, *e.CPU, *e
 	s.ex.CPU = &s.cpu
-	s.replay, s.exitReplay, s.trapReplay = s.replayPrefix, s.replayExit, s.replayTrap
+	s.replay = s.replayRegion
 }
 
 // start readies s for one run of bs: it injects the input and sets the
 // hart to the entry state when the prefix may be skipped, to reset
-// otherwise.
+// otherwise. A run whose Limit is at or below the prefix length executes
+// the prefix, so it times out where it always did.
 func (s *Simulator) start(bs []byte, hook exec.Hook) error {
 	if err := s.img.Inject(bs); err != nil {
 		return err
 	}
 	e := &s.ex
-	if s.skipPrefix(hook) {
-		s.cpu, e.InstCount = s.entry.cpu, s.entry.insts
+	if x := s.entry; x != nil && x.insts < s.Limit && s.skip(hook, x, &s.reset, x.insts, &s.reset, 0) {
+		s.cpu, e.InstCount = x.cpu, x.insts
 	} else {
-		s.cpu.Reset()
-		s.cpu.PC = s.img.Entry
-		e.InstCount = 0
+		s.cpu, e.InstCount = s.reset, 0
 	}
 	e.Halted, e.TrapCount, e.Hook = false, 0, hook
 	return nil
 }
 
-// skipPrefix reports whether a run under hook may start at the entry
-// state. A nil hook observes nothing, a skipper accounts for the prefix
-// itself, and any other hook has to watch it execute.
-func (s *Simulator) skipPrefix(hook exec.Hook) bool {
-	if s.entry == nil || s.entry.insts >= s.Limit {
-		return false
-	}
+// skip reports whether a run under hook may stand for the region of n
+// instructions from *from instead of executing it. A nil hook observes
+// nothing, a skipper is handed the region (key, h and slot as in
+// skipper.Skip) and decides, and any other hook has to watch it
+// execute.
+func (s *Simulator) skip(hook exec.Hook, key any, from *hart.Hart, n uint64, h *hart.Hart, slot int) bool {
 	if hook == nil {
 		return true
 	}
-	ps, ok := hook.(skipper)
-	if ok {
-		ps.SkipPrefix(s.entry, s.replay)
+	sk, ok := hook.(skipper)
+	if !ok {
+		return false
 	}
-	return ok
+	s.from, s.n = from, n
+	return sk.Skip(key, s.replay, h, slot)
 }
 
-// replayPrefix executes the prefix from reset with hook attached. It
-// runs on the simulator's injected image, which fastForward proved makes
-// no difference: the prefix reads nothing of the injection area.
-func (s *Simulator) replayPrefix(hook exec.Hook) {
+// replayRegion executes the region skip is handing to a skipper, n
+// instructions from *from, with hook attached, then puts the hart, the
+// executor's counters and hook, and the memory back: the run goes on as
+// if the region had not executed. mem.Memory.Undo copies only the pages
+// the run has written, not the image. The prefix runs on the injected
+// image, which fastForward proved makes no difference: it reads nothing
+// of the injection area.
+func (s *Simulator) replayRegion(hook exec.Hook) {
 	e := &s.ex
-	e.Hook, e.InstCount = hook, 0
-	s.cpu.Reset()
-	s.cpu.PC = s.img.Entry
-	for e.InstCount < s.entry.insts {
-		e.Step()
-	}
+	cpu, n, traps, halted, hk := s.cpu, e.InstCount, e.TrapCount, e.Halted, e.Hook
+	s.cpu, e.Hook = *s.from, hook
+	s.img.Mem.Undo(func() {
+		for range s.n {
+			e.Step()
+		}
+	})
+	s.cpu, e.InstCount, e.TrapCount, e.Halted, e.Hook = cpu, n, traps, halted, hk
 }

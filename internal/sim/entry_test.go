@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -150,11 +151,11 @@ const entryMark = 1 << 40
 // executedSteps reruns bs under hook with the entry state's mcycle moved
 // by entryMark and returns the run and the steps it executed or stood
 // for with a handler summary. mcycle counts every step, a summarized
-// handler path advances it by the path's length, and the replays of the
-// prefix, the handler and the dump put the hart back, so its growth
-// counts exactly that; the mark tells a run that started at the entry
-// state from one that executed the prefix from reset. The count holds
-// for inputs that write no counter CSR.
+// handler path advances it by the path's length, and the replay of a
+// skipped region puts the hart back, so its growth counts exactly that;
+// the mark tells a run that started at the entry state from one that
+// executed the prefix from reset. The count holds for inputs that write
+// no counter CSR.
 func executedSteps(s *Simulator, bs []byte, hook exec.Hook) (Outcome, uint64) {
 	s.entry.cpu.Mcycle += entryMark
 	defer func() { s.entry.cpu.Mcycle -= entryMark }()
@@ -295,6 +296,54 @@ func TestFastForwardKeySwitch(t *testing.T) {
 			}
 			col.Map.DiscardRun()
 			ref.Map.DiscardRun()
+		}
+	}
+}
+
+// regionRuns is a collector that counts the regions it runs.
+type regionRuns struct {
+	*coverage.Collector
+	runs int
+}
+
+func (c *regionRuns) Skip(key any, run func(exec.Hook), h *hart.Hart, slot int) bool {
+	return c.Collector.Skip(key, func(hk exec.Hook) { c.runs++; run(hk) }, h, slot)
+}
+
+// TestReplayRestoresMemory runs one trapping input twice under one
+// collector on both families under v0 and v3: the first run records
+// every region it skips, the second takes them all from the collector's
+// memo. The memory after the two runs must be equal, so the replay that
+// records a region puts back what the region stored, the dump's
+// signature included.
+func TestReplayRestoresMemory(t *testing.T) {
+	bs := stream(0xffffffff)
+	for _, fam := range []template.Family{template.FamilyUser, template.FamilyTrap} {
+		s, err := New(Reference, template.PlatformFor(fam, isa.RV32GC))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := s.img.Mem
+		for _, cov := range []string{"v0", "v3"} {
+			label := fam.String() + " " + cov
+			opts, _ := coverage.ByName(cov)
+			col := &regionRuns{Collector: coverage.NewCollector(opts)}
+			var after [2][]byte
+			var runs [2]int
+			for i := range after {
+				if out := s.RunHooked(bs, col); out.Traps != 1 || out.Crashed || out.TimedOut {
+					t.Fatalf("%s: %+v, want one trap", label, out)
+				}
+				col.Map.DiscardRun()
+				after[i], _ = m.ReadBytes(m.Base(), m.Size())
+				runs[i] = col.runs
+			}
+			if runs[0] == 0 || runs[1] != runs[0] {
+				t.Fatalf("%s: the runs ran %v regions, want some, then none", label, runs)
+			}
+			if !bytes.Equal(after[0], after[1]) {
+				t.Errorf("%s: the memory after the run that recorded its regions differs from the next run's", label)
+			}
 		}
 	}
 }

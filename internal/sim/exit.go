@@ -239,37 +239,19 @@ func (x *exitSummary) signature(h *hart.Hart, m *mem.Memory) []uint32 {
 // takeExit accounts for the dump instead of executing it, once the
 // run's next fetch is dump:, when every guard holds: the dump's code is
 // pristine, mstatus.FS lets its FP instructions execute, the run has
-// room for all of it under Limit, and the hook is nil or a skipper.
+// room for all of it under Limit, and skip allows. The dump's stores
+// leave alone every word the summary reads from memory (summarizeExit
+// checked), so the signature comes out as the summary predicts.
 func (s *Simulator) takeExit(hook exec.Hook) bool {
 	x, e := s.exit, &s.ex
-	if (x.fp && !s.cpu.FPEnabled()) || e.InstCount+x.insts > s.Limit || !s.img.Mem.Pristine(x.addr, x.size) {
+	if (x.fp && !s.cpu.FPEnabled()) || e.InstCount+x.insts > s.Limit || !s.img.Mem.Pristine(x.addr, x.size) ||
+		!s.skip(hook, x, &s.cpu, x.insts, &s.cpu, 1) {
 		return false
-	}
-	if hook != nil {
-		sk, ok := hook.(skipper)
-		if !ok {
-			return false
-		}
-		sk.SkipExit(x, s.exitReplay, &s.cpu)
 	}
 	e.InstCount += x.insts
 	e.Halted = true
 	s.exits++
 	return true
-}
-
-// replayExit executes the dump from the current hart with hook attached,
-// then puts the hart and executor back: the run goes on as if the dump
-// had not executed. The dump's stores leave alone every word the summary
-// reads from memory (summarizeExit checked), so the signature comes out
-// as the summary predicts.
-func (s *Simulator) replayExit(hook exec.Hook) {
-	cpu, ex := s.cpu, s.ex
-	s.ex.Hook = hook
-	for range s.exit.insts {
-		s.ex.Step()
-	}
-	s.cpu, s.ex = cpu, ex
 }
 
 // splitmix returns a deterministic 64-bit sequence (SplitMix64).

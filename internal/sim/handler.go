@@ -499,17 +499,15 @@ func (hr *handlerRun) store(a, v uint32) bool {
 // fetch, the base, instead of executing it, when every guard holds: the
 // hook is nil or a skipper, the handler's code is pristine, the path's
 // addresses pass dataAddr and its CSR accesses do not trap, New proved
-// the path, the run has room for all of it under Limit, and a skipper
-// accepts it (one that declined once is not asked again: see skipper).
-// Every guard is decided before the hart or the memory changes; then
-// the path's stores reach memory and InstCount advances by its length.
-// The mret (or dump:) after the path executes as before.
+// the path, the run has room for all of it under Limit, and skip allows
+// (a skipper that declined once is not asked again: see skipper). Every
+// guard is decided before the hart or the memory changes; then the
+// path's stores reach memory and InstCount advances by its length. The
+// mret (or dump:) after the path executes as before.
 func (s *Simulator) takeTrap(hook exec.Hook) bool {
 	x, e, hr := s.handler, &s.ex, &s.hr
-	var sk skipper
 	if hook != nil {
-		var ok bool
-		if sk, ok = hook.(skipper); !ok || hook == s.declined {
+		if _, ok := hook.(skipper); !ok || hook == s.declined {
 			return false
 		}
 	}
@@ -519,7 +517,7 @@ func (s *Simulator) takeTrap(hook exec.Hook) bool {
 	hr.from = s.cpu
 	p := x.eval(&s.cpu, hr, s.img.Mem)
 	ok := p != nil && p.proven && e.InstCount+p.n <= s.Limit
-	if ok && sk != nil && !sk.SkipTrap(p, s.trapReplay) {
+	if ok && !s.skip(hook, p, &hr.from, p.n, nil, -1) {
 		s.declined, ok = hook, false
 	}
 	if !ok {
@@ -532,26 +530,6 @@ func (s *Simulator) takeTrap(hook exec.Hook) bool {
 	e.InstCount += p.n
 	s.handled++
 	return true
-}
-
-// replayTrap executes the path eval just took from the hart it
-// started at with hook attached, then puts the hart, the executor and
-// the memory back: the run goes on as if the path had not executed.
-func (s *Simulator) replayTrap(hook exec.Hook) {
-	e, hr, m := &s.ex, &s.hr, s.img.Mem
-	cpu, n, traps, hk := s.cpu, e.InstCount, e.TrapCount, e.Hook
-	var old [len(hr.stores)]uint64
-	for i, st := range hr.stores[:hr.nst] {
-		old[i], _ = m.Load(st.addr, 4)
-	}
-	s.cpu, e.Hook = hr.from, hook
-	for range hr.path.n {
-		e.Step()
-	}
-	for i, st := range hr.stores[:hr.nst] {
-		m.Store(st.addr, 4, old[i])
-	}
-	s.cpu, e.InstCount, e.TrapCount, e.Hook = cpu, n, traps, hk
 }
 
 // summarizeHandler compiles the handler at the entry state's trap base

@@ -216,15 +216,18 @@ type Simulator struct {
 	exits, handled uint64
 
 	// The run context every run resets instead of allocating: a private
-	// template image and the hart and executor over it. The executor's
-	// decode memo stays warm from run to run.
-	img *template.Image
-	cpu hart.Hart
-	ex  exec.Executor
-	// replay, exitReplay and trapReplay are s.replayPrefix,
-	// s.replayExit and s.replayTrap, bound once so that handing them to
-	// a hook allocates nothing per run.
-	replay, exitReplay, trapReplay func(exec.Hook)
+	// template image, the reset hart, and the hart and executor over the
+	// image. The executor's decode memo stays warm from run to run.
+	img   *template.Image
+	reset hart.Hart
+	cpu   hart.Hart
+	ex    exec.Executor
+	// replay is s.replayRegion, bound once so that handing it to a hook
+	// allocates nothing per run; from and n are the start hart and the
+	// length of the region it executes (see skip).
+	replay func(exec.Hook)
+	from   *hart.Hart
+	n      uint64
 	// hr is the trap the handler summary is standing for.
 	hr handlerRun
 }
