@@ -108,3 +108,8 @@ func (f *Filter) Check(bs []byte) Result {
 		Paths:    v.Paths,
 	}
 }
+
+// Analysis returns the analysis of the last stream Check analysed (a
+// stream longer than MaxLen is not analysed), in the Filter's mode. It
+// is the Filter's own reused value: the next Check invalidates it.
+func (f *Filter) Analysis() *analysis.Analysis { return &f.an }

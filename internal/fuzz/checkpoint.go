@@ -84,7 +84,7 @@ func (f *Fuzzer) SaveCheckpoint(dir string) error {
 	}
 	cases := make([]checkpointCase, len(f.corpus))
 	for i, input := range f.corpus {
-		cases[i] = checkpointCase{Execs: f.trace[i].Execs, Input: input}
+		cases[i] = checkpointCase{Execs: f.cases[i].execs, Input: input}
 	}
 	st := checkpointState{
 		Fingerprint:   f.cfg.Fingerprint(),
@@ -127,6 +127,12 @@ func HasCheckpoint(dir string) bool {
 // checkpoint; the resumed fuzzer then continues bit-identically to an
 // uninterrupted run of the same seed. Checkpoints of an older format
 // version are refused: only the build that wrote one can finish it.
+//
+// Each corpus entry's facts are derived again, not read from the
+// checkpoint. Unless the filter is disabled, each entry is checked once
+// with the campaign's filter, and a corpus holding an entry the filter
+// drops is refused: a candidate identical to its corpus entry is
+// counted as accepted without a check.
 func Resume(cfg Config, dir string) (*Fuzzer, error) {
 	var st checkpointState
 	version, err := resilience.LoadJSON(filepath.Join(dir, stateFile), checkpointFormat, checkpointVersion, &st)
@@ -159,10 +165,15 @@ func Resume(cfg Config, dir string) (*Fuzzer, error) {
 	}
 	copy(f.fstats.Counts[:], st.FilterCounts)
 	f.corpus = make([][]byte, len(st.Cases))
-	f.trace = make([]TracePoint, len(st.Cases))
+	f.cases = make([]caseRecord, len(st.Cases))
 	for i, c := range st.Cases {
+		if !f.cfg.DisableFilter {
+			if res := f.flt.Check(c.Input); !res.Accepted {
+				return nil, fmt.Errorf("fuzz: checkpoint corpus entry %d fails the campaign's filter: %v", i, res)
+			}
+		}
 		f.corpus[i] = c.Input
-		f.trace[i] = TracePoint{Execs: c.Execs, TestCases: i + 1}
+		f.cases[i] = caseRecord{execs: c.Execs, facts: f.factsOf(c.Input)}
 	}
 	f.pending = st.Pending
 	f.execs = st.Execs

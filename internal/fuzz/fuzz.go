@@ -18,10 +18,13 @@
 package fuzz
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 	"time"
 
 	"rvnegtest/internal/analysis"
@@ -169,7 +172,15 @@ type Fuzzer struct {
 
 	pending [][]byte // seed corpus not yet replayed
 	corpus  [][]byte
-	trace   []TracePoint
+	cases   []caseRecord // one per corpus entry
+	// facts holds each distinct facts vector of the corpus once, in
+	// order of first appearance; a caseRecord names its entry's by
+	// index. factIDs maps a vector's bytes (factKey, the scratch they
+	// are written in) to that index. Both are built at the first
+	// corpus addition.
+	facts   [][]wordFacts
+	factIDs map[string]int
+	factKey []byte
 	fstats  analysis.Stats
 	execs   uint64
 	dropped uint64
@@ -190,6 +201,14 @@ type Fuzzer struct {
 	baseExecs   uint64
 
 	tel *telemetry // nil when telemetry is disabled
+}
+
+// caseRecord is what the fuzzer keeps of a corpus entry besides its
+// bytes: the execution that collected it (its growth-trace point is
+// (execs, index+1)) and the index of its facts in Fuzzer.facts.
+type caseRecord struct {
+	execs uint64
+	facts int
 }
 
 // New prepares a fuzzer. The foundation simulator is the reference model
@@ -271,7 +290,7 @@ func (f *Fuzzer) Step() bool {
 	novel := false
 	if f.tel != nil && f.execs%obs.SampleEvery == 0 {
 		novel = f.tel.sampleStep(f, start)
-	} else if input := f.nextInput(); f.admit(input) && f.execute(input) {
+	} else if input, known := f.nextInput(); f.admit(input, known) && f.execute(input) {
 		novel = f.evaluate(input)
 	}
 	d := time.Since(start)
@@ -282,9 +301,16 @@ func (f *Fuzzer) Step() bool {
 
 // admit runs the static filter on input and counts its verdict.
 // Dropped inputs return no coverage, so the fuzzer never collects them
-// (the paper's key automation property).
-func (f *Fuzzer) admit(input []byte) bool {
+// (the paper's key automation property). A known-accepted input, one
+// byte-identical to the corpus entry it was mutated from, is counted as
+// accepted without a check: this fuzzer's filter accepted those bytes
+// when they joined the corpus (Resume checks a loaded corpus once).
+func (f *Fuzzer) admit(input []byte, known bool) bool {
 	if f.cfg.DisableFilter {
+		return true
+	}
+	if known {
+		f.fstats.Record(analysis.ReasonNone)
 		return true
 	}
 	res := f.flt.Check(input)
@@ -362,7 +388,7 @@ func (f *Fuzzer) evaluate(input []byte) bool {
 	}
 	f.stall = 0
 	f.corpus = append(f.corpus, append([]byte(nil), input...))
-	f.trace = append(f.trace, TracePoint{Execs: f.execs, TestCases: len(f.corpus)})
+	f.cases = append(f.cases, caseRecord{execs: f.execs, facts: f.factsOf(input)})
 	f.tel.event(obs.Event{Type: "corpus_add", Execs: f.execs, Corpus: len(f.corpus)})
 	return true
 }
@@ -373,32 +399,71 @@ func (f *Fuzzer) quarantineWarn(input []byte, detail string) {
 	}
 }
 
+// factsOf returns the index in f.facts of the facts of input, a new
+// corpus entry the filter has just accepted, adding them if they are
+// new. On the user family they are read from the filter's analysis of
+// input, made in the mutator's mode; the trap family's filter analyses
+// in trap mode, so the mutator analyses input once more. A
+// known-accepted input never gets here: it runs to coverage its corpus
+// entry has already merged.
+func (f *Fuzzer) factsOf(input []byte) int {
+	var a *analysis.Analysis
+	if !f.flt.Trap && !f.cfg.DisableFilter {
+		a = f.flt.Analysis()
+	}
+	facts := f.mut.analyse(input, a)
+	key := f.factKey[:0]
+	for _, w := range facts {
+		key = binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(key, w.clean), w.avoid)
+	}
+	f.factKey = key
+	if id, ok := f.factIDs[string(key)]; ok {
+		return id
+	}
+	if f.factIDs == nil {
+		f.factIDs = make(map[string]int)
+	}
+	f.factIDs[string(key)] = len(f.facts)
+	f.facts = append(f.facts, slices.Clone(facts))
+	return len(f.facts) - 1
+}
+
 // customMutatorProb is the probability of using the instruction-aware
 // mutator for a given input (the paper attaches it "with equal
 // probability to the existing mutators"). Fingerprint prints it as
 // `prob=0.5`, the text existing checkpoints carry, so they still resume.
 const customMutatorProb = 0.5
 
-// nextInput produces the next candidate bytestream.
-func (f *Fuzzer) nextInput() []byte {
+// nextInput produces the next candidate bytestream, and reports whether
+// it is known-accepted: byte-identical to the corpus entry it was
+// mutated from.
+func (f *Fuzzer) nextInput() ([]byte, bool) {
 	if len(f.pending) > 0 {
 		next := f.pending[0]
 		f.pending = f.pending[1:]
-		return next
+		return next, false
 	}
 	var base []byte
+	i := -1 // base's index in the corpus
 	if len(f.corpus) > 0 && f.rng.Intn(8) != 0 {
-		base = f.corpus[f.rng.Intn(len(f.corpus))]
+		i = f.rng.Intn(len(f.corpus))
+		base = f.corpus[i]
 	}
-	useCustom := !f.cfg.DisableCustomMutator && f.rng.Float64() < customMutatorProb
-	if useCustom {
-		return f.mut.instructionAware(base, f.curLen)
+	var input []byte
+	if !f.cfg.DisableCustomMutator && f.rng.Float64() < customMutatorProb {
+		var facts []wordFacts
+		if i >= 0 {
+			facts = f.facts[f.cases[i].facts]
+		}
+		input = f.mut.instructionAware(base, facts, f.curLen)
+	} else {
+		var cross []byte
+		if len(f.corpus) > 1 {
+			cross = f.corpus[f.rng.Intn(len(f.corpus))]
+		}
+		input = f.mut.generic(base, cross, f.curLen)
 	}
-	var cross []byte
-	if len(f.corpus) > 1 {
-		cross = f.corpus[f.rng.Intn(len(f.corpus))]
-	}
-	return f.mut.generic(base, cross, f.curLen)
+	return input, i >= 0 && bytes.Equal(input, base)
 }
 
 // Run executes until maxExecs executions or maxDur wall time (whichever
@@ -461,6 +526,19 @@ func (f *Fuzzer) Corpus() [][]byte {
 // Execs returns the number of executions performed so far.
 func (f *Fuzzer) Execs() uint64 { return f.execs }
 
+// growthTrace returns a new copy of the growth trace: point i is
+// (execs of corpus entry i, i+1).
+func (f *Fuzzer) growthTrace() []TracePoint {
+	if len(f.cases) == 0 {
+		return nil
+	}
+	trace := make([]TracePoint, len(f.cases))
+	for i, c := range f.cases {
+		trace[i] = TracePoint{Execs: c.execs, TestCases: i + 1}
+	}
+	return trace
+}
+
 // Stats returns campaign statistics. The returned value is a snapshot:
 // its Trace is copied, so sampling stats mid-campaign hands the caller
 // a slice that later steps cannot mutate (the fuzzer keeps appending to
@@ -486,7 +564,7 @@ func (f *Fuzzer) Stats() Stats {
 		ExecsPerSec:     eps,
 		CovPoints:       f.col.NumPoints(),
 		CovBits:         f.col.Map.BucketBits(),
-		Trace:           append([]TracePoint(nil), f.trace...),
+		Trace:           f.growthTrace(),
 		Filter:          f.fstats,
 	}
 }

@@ -313,7 +313,7 @@ func TestMutatorBounds(t *testing.T) {
 		if len(out) == 0 || len(out) > 64 {
 			t.Fatalf("generic mutation length %d", len(out))
 		}
-		out = m.instructionAware(base, 64)
+		out = m.instructionAware(base, nil, 64)
 		if len(out) > 64 {
 			t.Fatalf("instruction mutation length %d", len(out))
 		}

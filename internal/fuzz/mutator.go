@@ -31,17 +31,55 @@ type mutator struct {
 	// sets it to nil when a reaped run may still read the last candidate.
 	buf []byte
 
-	// an and uses are instructionAware's reused scratch: the base
-	// input's analysis and its reachable memory-access base registers.
-	an   analysis.Analysis
-	uses []baseUse
+	// an and facts are the reused scratch of analyse: its own analysis
+	// of a stream, and the facts it reads.
+	an    analysis.Analysis
+	facts []wordFacts
 }
 
-// baseUse is a reachable memory access at offset pc with base register
-// base.
-type baseUse struct {
-	pc   int32
-	base isa.Reg
+// wordFacts is what instructionAware reads, at one full word of its
+// base, of the base's user-mode analysis: the registers clean at the
+// word, and the base registers that a reachable memory access after the
+// word still needs clean.
+type wordFacts struct {
+	clean, avoid uint32
+}
+
+// readFacts returns in dst the facts of each full word of the n-byte
+// stream a is the user-mode analysis of.
+func readFacts(dst []wordFacts, a *analysis.Analysis, n int) []wordFacts {
+	dst = dst[:0]
+	for p := 0; p+4 <= n; p += 4 {
+		dst = append(dst, wordFacts{clean: a.CleanAt(int32(p))})
+	}
+	// An access at pc needs its base clean at each word ending at or
+	// before pc: mark the last such word, then OR the marks backwards.
+	a.EachInst(func(pc int32, inst isa.Inst, reachable bool) {
+		if info := inst.Info(); reachable && info != nil && info.Flags.Any(isa.FlagLoad|isa.FlagStore) {
+			if k := int(pc)/4 - 1; k >= 0 {
+				dst[k].avoid |= 1 << inst.Rs1
+			}
+		}
+	})
+	for k := len(dst) - 2; k >= 0; k-- {
+		dst[k].avoid |= dst[k+1].avoid
+	}
+	return dst
+}
+
+// analyse returns the facts of the full words of bs, read from a, the
+// user-mode analysis of bs, or from a fresh one when a is nil. They are
+// valid until the next call.
+func (m *mutator) analyse(bs []byte, a *analysis.Analysis) []wordFacts {
+	if len(bs) < 4 {
+		return nil // no full word: nothing to read
+	}
+	if a == nil {
+		a = &m.an
+		a.Analyze(bs, false)
+	}
+	m.facts = readFacts(m.facts, a, len(bs))
+	return m.facts
 }
 
 func newMutator(rng *rand.Rand) *mutator {
@@ -130,8 +168,9 @@ func (m *mutator) generic(base, cross []byte, maxLen int) []byte {
 
 // instructionAware injects valid opcode patterns word by word (the custom
 // mutator of section IV-D) into a copy of base in m.buf. An empty base
-// is seeded with fresh random instructions.
-func (m *mutator) instructionAware(base []byte, maxLen int) []byte {
+// is seeded with fresh random instructions. facts, when non-nil, are
+// base's stored facts (readFacts of base's own analysis).
+func (m *mutator) instructionAware(base []byte, facts []wordFacts, maxLen int) []byte {
 	out := m.buf[:0]
 	if len(base) == 0 {
 		nWords := 1 + m.rng.Intn(max(maxLen/4, 1))
@@ -142,22 +181,18 @@ func (m *mutator) instructionAware(base []byte, maxLen int) []byte {
 		out = append(out, base[:min(len(base), maxLen)]...)
 	}
 	m.buf = out
-	// Analyse the base input once: per-site clean-register masks guide
-	// base-register choice, and the backward base-usage scan tells each
-	// site which registers a LATER memory access still needs clean. The
-	// analysis goes stale as injections land, but the filter arbitrates
+	// The base's facts guide the injections: per-word clean-register
+	// masks guide base-register choice, and the backward base-usage scan
+	// tells each word which registers a LATER memory access still needs
+	// clean. They go stale as injections land, but the filter arbitrates
 	// the final stream either way — this only biases mutation toward
-	// acceptable results. The analysis uses user-suite semantics on both
+	// acceptable results. They come from a user-mode analysis on both
 	// families; the campaign's mode would change trap-family corpora.
-	a := &m.an
-	a.Analyze(out, false)
-	uses := m.uses[:0]
-	a.EachInst(func(pc int32, inst isa.Inst, reachable bool) {
-		if info := inst.Info(); reachable && info != nil && info.Flags.Any(isa.FlagLoad|isa.FlagStore) {
-			uses = append(uses, baseUse{pc, inst.Rs1})
-		}
-	})
-	m.uses = uses
+	// Stored facts describe base itself, so a random or truncated copy
+	// is analysed here.
+	if facts == nil || len(out) != len(base) {
+		facts = m.analyse(out, nil)
+	}
 
 	// The custom mutator uses a 4-byte stride (the paper: "we use a 4
 	// byte format").
@@ -167,14 +202,7 @@ func (m *mutator) instructionAware(base []byte, maxLen int) []byte {
 		}
 		pos := p / 4
 		limitWords := (maxLen - p) / 4 // words after this one stay in bounds
-		clean := a.CleanAt(int32(p))
-		var avoid uint32 // regs a memory access beyond this word still needs clean
-		for _, u := range uses {
-			if u.pc >= int32(p)+4 {
-				avoid |= 1 << u.base
-			}
-		}
-		w := m.validWord(pos, limitWords, clean, avoid)
+		w := m.validWord(pos, limitWords, facts[pos].clean, facts[pos].avoid)
 		out[p], out[p+1], out[p+2], out[p+3] = byte(w), byte(w>>8), byte(w>>16), byte(w>>24)
 	}
 	return out

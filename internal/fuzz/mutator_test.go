@@ -68,15 +68,15 @@ func TestSteerRD(t *testing.T) {
 	}
 }
 
-// TestInstructionAwareKeepsAcceptedBases: on a base input with a clean
-// x30 load, injected memory accesses keep using provably clean bases, so
-// the mutated stream's memory ops never reference a base the analysis
-// knows nothing about.
+// TestInstructionAwareRs1FromCleanSet: on a base of zero words, where
+// the analysis proves only x30 and x31 clean, every injected memory
+// access uses one of them as its base, so the mutated stream's memory
+// ops never reference a base the analysis knows nothing about.
 func TestInstructionAwareRs1FromCleanSet(t *testing.T) {
 	m := newMutator(newRng(29))
 	base := make([]byte, 16) // zero words: illegal encodings, all sites clean x30/x31
 	for i := 0; i < 500; i++ {
-		out := m.instructionAware(base, 64)
+		out := m.instructionAware(base, nil, 64)
 		for p := 0; p+4 <= len(out); p += 4 {
 			w := uint32(out[p]) | uint32(out[p+1])<<8 | uint32(out[p+2])<<16 | uint32(out[p+3])<<24
 			if w&3 != 3 {

@@ -78,9 +78,9 @@ func newTelemetry(cfg Config) *telemetry {
 // timed with weight obs.SampleEvery, followed by a publish.
 func (t *telemetry) sampleStep(f *Fuzzer, start time.Time) bool {
 	defer t.publish(f)
-	input := f.nextInput()
+	input, known := f.nextInput()
 	lap := t.lap(obs.StageMutate, start)
-	accepted := f.admit(input)
+	accepted := f.admit(input, known)
 	if !f.cfg.DisableFilter {
 		lap = t.lap(obs.StageFilter, lap)
 	}

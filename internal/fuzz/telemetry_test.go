@@ -30,16 +30,16 @@ func TestStatsTraceCopy(t *testing.T) {
 	}
 	// Arrange a trace with spare capacity, exactly the state a growing
 	// campaign leaves behind between appends.
-	f.trace = make([]TracePoint, 1, 8)
-	f.trace[0] = TracePoint{Execs: 10, TestCases: 1}
+	f.cases = make([]caseRecord, 1, 8)
+	f.cases[0] = caseRecord{execs: 10}
 
 	snap := f.Stats()
 	want := append([]TracePoint(nil), snap.Trace...)
 
 	// Mutate after sampling: append into the spare capacity and rewrite
 	// the shared prefix (as Resume does when loading checkpoint state).
-	f.trace = append(f.trace, TracePoint{Execs: 20, TestCases: 2})
-	f.trace[0] = TracePoint{Execs: 999, TestCases: 999}
+	f.cases = append(f.cases, caseRecord{execs: 20})
+	f.cases[0] = caseRecord{execs: 999}
 
 	if !reflect.DeepEqual(snap.Trace, want) {
 		t.Fatalf("sampled Trace mutated by later campaign activity:\n got %+v\nwant %+v", snap.Trace, want)
@@ -73,8 +73,8 @@ func TestStatsTraceCopyLive(t *testing.T) {
 	if err := f.Run(10000, 0); err != nil {
 		t.Fatal(err)
 	}
-	if len(f.trace) <= len(want) {
-		t.Fatalf("campaign did not grow the trace (%d -> %d); test is vacuous", len(want), len(f.trace))
+	if len(f.cases) <= len(want) {
+		t.Fatalf("campaign did not grow the trace (%d -> %d); test is vacuous", len(want), len(f.cases))
 	}
 	if !reflect.DeepEqual(snap.Trace, want) {
 		t.Fatalf("mid-campaign Stats().Trace mutated by later steps")

@@ -5,10 +5,15 @@
 #
 # Usage: scripts/identity.sh [--expect-diff ARTIFACT:REASON]... PARENT_REV
 #
-# The matrix (80 artifacts):
+# The matrix (88 artifacts):
 #   - rvfuzz -out and -stats-json for {user, trap} x {v0, v1, v3} x
 #     workers {1, 2, 8}, plain and with -minimize (seed 11, 60,000
 #     executions): fuzz-FAMILY-COV-wN[-min].{suite,stats};
+#   - the same two files for user/v3 and trap/v0 at workers 1 and 2
+#     (seed 11, 200,000 executions), each run with -checkpoint,
+#     interrupted by a SIGINT as soon as its first worker checkpoint
+#     exists (as scripts/kill_resume.sh does) and then resumed:
+#     fuzz-FAMILY-COV-wN-resumed.{suite,stats};
 #   - rvcompliance text and -json at workers 1 and 8, for a user suite
 #     file (the parent build's fuzz-user-v3-w1 suite, run by both
 #     builds) and for -suite trap -generate 20000:
@@ -21,7 +26,8 @@
 # with --expect-diff ARTIFACT:REASON prints "DIFFERS (expected: REASON)"
 # and does not fail the run. Exits 0 when every undeclared artifact is
 # identical, 1 on any undeclared difference, 2 on a usage or build
-# error.
+# error, or when a resumed row's run ends, or writes no checkpoint
+# within 60 s, before its SIGINT (nothing would be resumed).
 #
 # Needs only git and the Go toolchain, so it runs offline. Everything
 # is built and run under a mktemp -d directory ($TMPDIR, else /tmp),
@@ -87,6 +93,43 @@ run() {
   cmd[$row]="$*"
 }
 
+# run_resumed ROW EXECS ARGS... runs rvfuzz ARGS -execs EXECS with
+# -checkpoint on both builds, sends it a SIGINT as soon as its first
+# worker checkpoint exists, resumes it, and keeps the resumed run's exit
+# code under ROW. Its -out and -stats-json files are ROW.suite and
+# ROW.stats.
+run_resumed() {
+  local row=$1 execs=$2
+  shift 2
+  local side rc pid files=(-out "$row.suite" -stats-json "$row.stats")
+  for side in parent head; do
+    mkdir "$work/$side/$row.ckpt"
+    (cd "$work/$side" && exec ./rvfuzz "$@" -execs "$execs" -checkpoint "$row.ckpt" \
+      -checkpoint-every $((execs / 8)) "${files[@]}" 2>>stderr.log) &
+    pid=$!
+    for _ in $(seq 600); do
+      if compgen -G "$work/$side/$row.ckpt/worker-*/state.json" >/dev/null || ! kill -0 "$pid" 2>/dev/null; then
+        break
+      fi
+      sleep 0.1
+    done
+    kill -INT "$pid" 2>/dev/null || true
+    rc=0
+    wait "$pid" || rc=$?
+    if ! compgen -G "$work/$side/$row.ckpt/worker-*/state.json" >/dev/null; then
+      echo "error: $side $row wrote no worker checkpoint before it ended or 60 s passed (exit $rc)" >&2
+      exit 2
+    elif [ "$rc" -ne 130 ]; then
+      echo "error: $side $row exited $rc, not 130 on its SIGINT: nothing was resumed" >&2
+      exit 2
+    fi
+    rc=0
+    (cd "$work/$side" && ./rvfuzz "$@" -execs "$execs" -resume "$row.ckpt" "${files[@]}" 2>>stderr.log) || rc=$?
+    echo "$rc" >"$work/$side/$row.rc"
+  done
+  cmd[$row]="rvfuzz $* -execs $execs -checkpoint DIR, SIGINT, -resume DIR"
+}
+
 echo "== running the matrix"
 for fam in user trap; do
   for cov in v0 v1 v3; do
@@ -99,6 +142,15 @@ for fam in user trap; do
         pairs+=("$row.suite $row" "$row.stats $row")
       done
     done
+  done
+done
+
+for fc in "user v3" "trap v0"; do
+  read -r fam cov <<<"$fc"
+  for w in 1 2; do
+    row=fuzz-$fam-$cov-w$w-resumed
+    run_resumed "$row" 200000 -suite "$fam" -cov "$cov" -workers "$w" -seed 11
+    pairs+=("$row.suite $row" "$row.stats $row")
   done
 done
 
@@ -136,7 +188,7 @@ for p in "${pairs[@]}"; do
   else
     status=1
   fi
-  printf '%-9s %-24s %s (%s)\n' "$verdict" "$art" "${cmd[$row]}" "$rc"
+  printf '%-9s %-32s %s (%s)\n' "$verdict" "$art" "${cmd[$row]}" "$rc"
 done
 echo "== $same of ${#pairs[@]} artifacts identical"
 exit "$status"
