@@ -388,8 +388,9 @@ func (r *Runner) breakerThreshold() int {
 
 // newInstances builds one harnessed instance per worker for a variant on
 // a platform. Each instance gets its own simulator from NewSim, or from
-// sim.New when that is nil, and a fresh one after a wedge.
-func (r *Runner) newInstances(v *sim.Variant, p template.Platform, workers int) ([]*instance, error) {
+// sim.New when that is nil, and a fresh one after a wedge, and a
+// signature buffer of sigWords words.
+func (r *Runner) newInstances(v *sim.Variant, p template.Platform, workers, sigWords int) ([]*instance, error) {
 	factory := func() (sim.Sim, error) { return sim.New(v, p) }
 	if r.NewSim != nil {
 		factory = func() (sim.Sim, error) { return r.NewSim(v, p) }
@@ -397,7 +398,7 @@ func (r *Runner) newInstances(v *sim.Variant, p template.Platform, workers int) 
 	quar := resilience.NewQuarantine(r.QuarantineDir)
 	out := make([]*instance, workers)
 	for w := range out {
-		in, err := newInstance(v.Name, factory, r.breakerThreshold(), r.CaseTimeout, quar)
+		in, err := newInstance(v.Name, factory, sigWords, r.breakerThreshold(), r.CaseTimeout, quar)
 		if err != nil {
 			return nil, err
 		}
@@ -564,7 +565,7 @@ func runCase(cell *Cell, ref sim.Outcome, in *instance, bs []byte, i, maxEx, tra
 		cell.SkippedUnhealthy++
 		return false
 	}
-	out, harnessFault, noVerdict := in.run(i, bs)
+	out, harnessFault, noVerdict := in.run(i, bs, in.sig)
 	if harnessFault {
 		cell.HarnessFaults++
 		if out.CrashMsg != "" {
@@ -636,10 +637,13 @@ func runCaseRange(ctx context.Context, cell *Cell, refOuts []sim.Outcome, in *in
 }
 
 // runRefRange computes the reference outcomes for cases [lo, hi) with one
-// harnessed reference instance. A reference harness fault surfaces as a
-// crashed outcome, which downstream comparison records as a skipped case;
-// a tripped reference breaker marks the remaining range the same way.
-func runRefRange(ctx context.Context, refIn *instance, cases [][]byte, refOuts []sim.Outcome, lo, hi int) error {
+// harnessed reference instance. Case i's signature goes into its own
+// slot of the row's array, words [i*n, (i+1)*n) of refSigs, capacity
+// included, so a reaped run writes only into the slot of a case whose
+// outcome is never read. A reference harness fault surfaces as a crashed
+// outcome, which downstream comparison records as a skipped case; a
+// tripped reference breaker marks the remaining range the same way.
+func runRefRange(ctx context.Context, refIn *instance, cases [][]byte, refOuts []sim.Outcome, refSigs []uint32, n, lo, hi int) error {
 	defer refIn.publish()
 	for i := lo; i < hi; i++ {
 		if err := ctx.Err(); err != nil {
@@ -649,7 +653,7 @@ func runRefRange(ctx context.Context, refIn *instance, cases [][]byte, refOuts [
 			refOuts[i] = sim.Outcome{Crashed: true, CrashMsg: "reference unhealthy (breaker tripped)"}
 			continue
 		}
-		refOuts[i], _, _ = refIn.run(i, cases[i])
+		refOuts[i], _, _ = refIn.run(i, cases[i], refSigs[i*n:(i+1)*n:(i+1)*n])
 	}
 	return nil
 }

@@ -126,7 +126,7 @@ func (r *Runner) probeExternals() {
 // newColInstances builds the per-worker harnessed instances for a column.
 func (r *Runner) newColInstances(col *column, p template.Platform, workers int) ([]*instance, error) {
 	if col.variant != nil {
-		return r.newInstances(col.variant, p, workers)
+		return r.newInstances(col.variant, p, workers, p.SigWords())
 	}
 	return r.newExternalInstances(col, p, workers)
 }

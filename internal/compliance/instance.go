@@ -20,8 +20,13 @@ type instance struct {
 	name string
 	// make builds a fresh simulator: called once up front and again after
 	// a wedge, when the abandoned goroutine still owns the old one.
-	make    func() (sim.Sim, error)
-	s       sim.Sim
+	make func() (sim.Sim, error)
+	s    sim.Sim
+	// sig is the buffer a SUT instance's simulator writes each completed
+	// run's signature into, when it can (sim.IntoSim); empty for the
+	// reference, which writes into its row's array. A reaped run still
+	// writes into it, so it is replaced together with s.
+	sig     []uint32
 	breaker resilience.Breaker
 	timeout time.Duration
 	quar    *resilience.Quarantine
@@ -44,15 +49,18 @@ type instance struct {
 	events func(obs.Event)
 }
 
-func newInstance(name string, make func() (sim.Sim, error), threshold int, timeout time.Duration, quar *resilience.Quarantine) (*instance, error) {
-	s, err := make()
+// newInstance builds an instance over build's simulator, with a
+// signature buffer of sigWords words.
+func newInstance(name string, build func() (sim.Sim, error), sigWords, threshold int, timeout time.Duration, quar *resilience.Quarantine) (*instance, error) {
+	s, err := build()
 	if err != nil {
 		return nil, err
 	}
 	return &instance{
 		name:    name,
-		make:    make,
+		make:    build,
 		s:       s,
+		sig:     make([]uint32, sigWords),
 		breaker: resilience.Breaker{Threshold: threshold},
 		timeout: timeout,
 		quar:    quar,
@@ -70,17 +78,19 @@ func newInstance(name string, make func() (sim.Sim, error), threshold int, timeo
 // set it, keeping their cells byte-identical to the pre-adapter engine).
 // The runs of every obs.SampleEvery-th case index i are timed as the
 // execute stage; sampling by case index keeps the stage counts the same
-// at every worker count.
-func (in *instance) run(i int, bs []byte) (out sim.Outcome, harnessFault, noVerdict bool) {
+// at every worker count. An in-process simulator writes a completed
+// run's signature into sig when it can (see simRun).
+func (in *instance) run(i int, bs []byte, sig []uint32) (out sim.Outcome, harnessFault, noVerdict bool) {
 	if in.tel != nil && i%obs.SampleEvery == 0 {
 		defer in.tel.reg.Lap(obs.StageExecute, time.Now())
 	}
 	if in.adapter != nil {
 		return in.runExternal(bs)
 	}
-	// The guarded run holds the simulator: after a wedge in.s is replaced
-	// while the abandoned goroutine still uses the old one.
-	out, rec, timedOut := resilience.Guard(in.timeout, simRun.run, simRun{in.s, bs})
+	// The guarded run holds the simulator and sig: after a wedge in.s and
+	// in.sig are replaced while the abandoned goroutine still uses the
+	// old ones.
+	out, rec, timedOut := resilience.Guard(in.timeout, simRun.run, simRun{in.s, bs, sig})
 	switch {
 	case rec != nil:
 		in.breaker.RecordFault()
@@ -89,9 +99,10 @@ func (in *instance) run(i int, bs []byte) (out sim.Outcome, harnessFault, noVerd
 	case timedOut:
 		in.breaker.RecordFault()
 		in.quarantineWarn(bs, fmt.Sprintf("%s watchdog: no result within %v", in.name, in.timeout))
-		// The reaped goroutine still owns the old simulator; replace it.
+		// The reaped goroutine still owns the old simulator and writes
+		// into the buffer it was handed; replace both.
 		if s, err := in.make(); err == nil {
-			in.s = s
+			in.s, in.sig = s, make([]uint32, len(in.sig))
 		} else {
 			in.breaker.Trip()
 		}
@@ -102,13 +113,21 @@ func (in *instance) run(i int, bs []byte) (out sim.Outcome, harnessFault, noVerd
 	return out, false, false
 }
 
-// simRun is one guarded run of bs on s.
+// simRun is one guarded run of bs on s. A simulator that can writes the
+// signature into sig; any other sim.Sim (a decorator with only Run)
+// returns a fresh one.
 type simRun struct {
-	s  sim.Sim
-	bs []byte
+	s   sim.Sim
+	bs  []byte
+	sig []uint32
 }
 
-func (r simRun) run() sim.Outcome { return r.s.Run(r.bs) }
+func (r simRun) run() sim.Outcome {
+	if s, ok := r.s.(sim.IntoSim); ok {
+		return s.RunInto(r.bs, r.sig)
+	}
+	return r.s.Run(r.bs)
+}
 
 // runExternal is the external-column run path: one protocol round trip
 // through the adapter, which internally retries with kill-and-restart

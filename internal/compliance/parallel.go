@@ -144,13 +144,21 @@ func (r *Runner) runConfig(ctx context.Context, suite *Suite, cfg isa.Config, wo
 		r.Progress(ev)
 	}
 
-	refIns, err := r.newInstances(r.Ref, p, workers)
+	refIns, err := r.newInstances(r.Ref, p, workers, 0)
 	if err != nil {
 		return nil, 0, fmt.Errorf("compliance: reference %s on %v: %w", r.Ref.Name, cfg, err)
 	}
 	refOuts := make([]sim.Outcome, len(suite.Cases))
+	// The reference signatures live in one array, n words per case, when
+	// the reference writes into a caller's buffer; otherwise n is 0 and
+	// each run returns its own.
+	n := 0
+	if _, ok := refIns[0].s.(sim.IntoSim); ok {
+		n = p.SigWords()
+	}
+	refSigs := make([]uint32, len(suite.Cases)*n)
 	err = r.eachShard(shards, func(w int, sh shard) (int, error) {
-		if err := runRefRange(ctx, refIns[w], suite.Cases, refOuts, sh.lo, sh.hi); err != nil {
+		if err := runRefRange(ctx, refIns[w], suite.Cases, refOuts, refSigs, n, sh.lo, sh.hi); err != nil {
 			return 0, err
 		}
 		emit(ProgressEvent{Config: cfg, Worker: w, Lo: sh.lo, Hi: sh.hi, Execs: sh.hi - sh.lo})

@@ -1,11 +1,14 @@
 package compliance
 
 import (
+	"bytes"
+	"fmt"
 	"sync"
 	"testing"
 
 	"rvnegtest/internal/isa"
 	"rvnegtest/internal/sim"
+	"rvnegtest/internal/template"
 )
 
 func TestShardRanges(t *testing.T) {
@@ -199,5 +202,86 @@ func TestWorkerCount(t *testing.T) {
 	}
 	if got := (&Runner{Workers: -1}).workerCount(); got < 1 {
 		t.Errorf("auto workers = %d", got)
+	}
+}
+
+// runOnly hides every method of a simulator but Run, as a timing
+// decorator that wraps Run alone does, so the engine takes its Run
+// fallback: each run returns a fresh signature.
+type runOnly struct{ s sim.Sim }
+
+func (r runOnly) Run(bs []byte) sim.Outcome { return r.s.Run(bs) }
+
+// TestRunOnlySimMatchesDefault: a runner whose simulators have only Run
+// renders the default runner's report byte for byte, text and JSON, on
+// user and trap suites at one and two workers.
+func TestRunOnlySimMatchesDefault(t *testing.T) {
+	for _, suite := range []*Suite{handSuite(), trapSuite()} {
+		for _, workers := range []int{1, 2} {
+			def, fallback := DefaultRunner(), DefaultRunner()
+			def.Workers, fallback.Workers = workers, workers
+			fallback.NewSim = func(v *sim.Variant, p template.Platform) (sim.Sim, error) {
+				s, err := sim.New(v, p)
+				if err != nil {
+					return nil, err
+				}
+				return runOnly{s}, nil
+			}
+			want, err := def.Run(suite)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := fallback.Run(suite)
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("%v suite, %d workers", suite.Family, workers)
+			if got.Render() != want.Render() {
+				t.Errorf("%s: render differs\ndefault:\n%s\nRun only:\n%s", label, want.Render(), got.Render())
+			}
+			wantJSON, _ := want.JSON()
+			gotJSON, _ := got.JSON()
+			if !bytes.Equal(gotJSON, wantJSON) {
+				t.Errorf("%s: JSON differs\ndefault:\n%s\nRun only:\n%s", label, wantJSON, gotJSON)
+			}
+		}
+	}
+}
+
+// TestMatchingPassAllocsIndependentOfCases: a pass over a suite whose
+// every case matches the reference allocates no more at 2,000 cases than
+// at 200. The reference writes each signature into its row's array and
+// each SUT instance into its own buffer, so nothing allocates per case:
+// one allocation per case and simulator would add 23,400. The slack of
+// 10 absorbs the few allocations the race detector's runtime makes
+// around the engine's goroutines.
+func TestMatchingPassAllocsIndependentOfCases(t *testing.T) {
+	allocs := func(n int) float64 {
+		suite := &Suite{}
+		for i := range n {
+			suite.Cases = append(suite.Cases, stream(enc(isa.Inst{Op: isa.OpADDI, Rd: isa.Reg(5 + i%8), Rs1: 5, Imm: int32(i/8 - 128)})))
+		}
+		r := DefaultRunner()
+		r.Workers = 1
+		rep, err := r.Run(suite)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, row := range rep.Cells {
+			for j, c := range row {
+				if c.Supported && (c.Mismatches != 0 || c.Skipped != 0) {
+					t.Fatalf("%v/%s: %d mismatches, %d skipped; want every case to match",
+						rep.Configs[i], rep.Sims[j], c.Mismatches, c.Skipped)
+				}
+			}
+		}
+		return testing.AllocsPerRun(3, func() {
+			if _, err := r.Run(suite); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, big := allocs(200), allocs(2000); big > small+10 {
+		t.Errorf("a pass allocates %v times over 2,000 cases, %v over 200", big, small)
 	}
 }

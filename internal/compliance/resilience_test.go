@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -212,6 +213,117 @@ func TestWatchdogReapsWedgedSUT(t *testing.T) {
 	// No case was skipped: the wedge was reaped and the rest completed.
 	if ran := len(suite.Cases) - c.SkippedUnhealthy - c.Skipped; ran != 3 {
 		t.Fatalf("only %d cases ran", ran)
+	}
+}
+
+// reapingSim runs a simulator, except on the suite's case wedge. With
+// reap unset that case reports a timeout at once; with reap set its run
+// outlives the case timeout: it blocks until the next case's run has
+// written its signature, then writes 0xdeadbeef over the whole buffer it
+// was handed. That next run waits for the write before it returns, so
+// the write lands after the engine's next signature is written and
+// before the engine reads it.
+type reapingSim struct {
+	s  *sim.Simulator
+	st *reapState
+}
+
+type reapState struct {
+	index                   map[string]int // case index by input
+	wedge                   int
+	reap                    bool
+	entered, release, wrote chan struct{}
+	released                sync.Once
+}
+
+func (r *reapingSim) Run(bs []byte) sim.Outcome { return r.RunInto(bs, nil) }
+
+func (r *reapingSim) RunInto(bs []byte, sig []uint32) sim.Outcome {
+	st := r.st
+	i := st.index[string(bs)]
+	if i == st.wedge {
+		if !st.reap {
+			return sim.Outcome{TimedOut: true}
+		}
+		close(st.entered)
+		<-st.release
+		sig = sig[:cap(sig)]
+		for j := range sig {
+			sig[j] = 0xdeadbeef
+		}
+		close(st.wrote)
+		return sim.Outcome{}
+	}
+	out := r.s.RunInto(bs, sig)
+	if st.reap && i > st.wedge {
+		st.released.Do(func() {
+			<-st.entered
+			close(st.release)
+			<-st.wrote
+		})
+	}
+	return out
+}
+
+// TestReapedRunCannotCorruptSignatures reaps one run whose goroutine,
+// once released, writes over the buffer it was handed: a SUT's run, in
+// whose instance buffer the engine compares the next case, and the
+// reference's, whose buffer is its case's slot in the row's array. Every
+// cell and skip count must equal those of a clean run in which that case
+// reports a timeout without a harness fault (the reaped reference case
+// is skipped in both), but for the reaped SUT run's one harness fault.
+func TestReapedRunCannotCorruptSignatures(t *testing.T) {
+	suite := &Suite{}
+	index := map[string]int{}
+	for i := range 6 {
+		bs := stream(enc(isa.Inst{Op: isa.OpADDI, Rd: 5, Rs1: 5, Imm: int32(i + 1)}))
+		suite.Cases, index[string(bs)] = append(suite.Cases, bs), i
+	}
+	for _, target := range []*sim.Variant{sim.Spike, sim.OVPSim} {
+		t.Run(target.Name, func(t *testing.T) {
+			run := func(reap bool) *Report {
+				st := &reapState{index: index, wedge: 2, reap: reap,
+					entered: make(chan struct{}), release: make(chan struct{}), wrote: make(chan struct{})}
+				// Never leave the wedged goroutine blocked past the test.
+				t.Cleanup(func() { st.released.Do(func() { close(st.release) }) })
+				r := &Runner{
+					Ref:         sim.OVPSim,
+					SUTs:        []*sim.Variant{sim.Spike},
+					Configs:     []isa.Config{isa.RV32I},
+					Workers:     1,
+					CaseTimeout: 50 * time.Millisecond,
+					NewSim: func(v *sim.Variant, p template.Platform) (sim.Sim, error) {
+						s, err := sim.New(v, p)
+						if err != nil || v != target {
+							return s, err
+						}
+						return &reapingSim{s: s, st: st}, nil
+					},
+				}
+				rep, err := r.Run(suite)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return rep
+			}
+			// A reaped reference run is no cell's fault; its case is skipped.
+			faults, skipped := 0, 1
+			if target == sim.Spike {
+				faults, skipped = 1, 0
+			}
+			want, got := run(false), run(true)
+			c := &got.Cells[0][0]
+			if c.HarnessFaults != faults {
+				t.Fatalf("%d harness faults, want %d", c.HarnessFaults, faults)
+			}
+			c.HarnessFaults = 0
+			if !reflect.DeepEqual(got.Cells, want.Cells) || !reflect.DeepEqual(got.Skipped, want.Skipped) {
+				t.Fatalf("cells %+v, skipped %v; a clean run has %+v, %v", got.Cells, got.Skipped, want.Cells, want.Skipped)
+			}
+			if want.Skipped[0] != skipped {
+				t.Fatalf("%d cases skipped, want %d", want.Skipped[0], skipped)
+			}
+		})
 	}
 }
 

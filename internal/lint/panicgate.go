@@ -24,7 +24,7 @@ var panicgateAllow = map[string]string{
 	"internal/isa.init":             "init-time instruction-table invariants must stop the process",
 	"internal/isa.Decoder.Decode32": "seeded sail decoder crash (paper defect class: the crash IS the divergence)",
 	"internal/isa.Decoder.DecodeC":  "seeded sail decoder crash (paper defect class: the crash IS the divergence)",
-	"internal/sim.Faulty.RunHooked": "fault injection is this type's purpose; the watchdog catches it",
+	"internal/sim.Faulty.run":       "fault injection is this type's purpose; the watchdog catches it",
 	"internal/mem.Memory.Restore":   "API-misuse guard (Restore without Snapshot)",
 }
 

@@ -8,11 +8,12 @@ import (
 	"rvnegtest/internal/template"
 )
 
-// TestRunHookedAllocsIndependentOfLength pins the allocations of Run and
-// RunHooked on both template families however many instructions a run
-// retires. The hart and executor belong to the simulator and are reused
-// across runs, so an unhooked run allocates only its signature and a run
-// under a v0 or v3 collector, which builds none, allocates nothing. A
+// TestRunHookedAllocsIndependentOfLength pins the allocations of Run,
+// RunInto and RunHooked on both template families however many
+// instructions a run retires. The hart and executor belong to the
+// simulator and are reused across runs, so an unhooked run allocates
+// only its signature, a RunInto that has a buffer for it nothing, and a
+// run under a v0 or v3 collector, which builds none, nothing either. A
 // 15-instruction input must allocate exactly what a 1-instruction input
 // does, so nothing allocates per retired instruction. On the trap
 // template, inputs that take a load, a store and a fetch access fault,
@@ -58,8 +59,13 @@ func TestRunHookedAllocsIndependentOfLength(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, cov := range []string{"none", "v0", "v3"} {
+		buf := make([]uint32, s.Platform.SigWords())
+		for _, cov := range []string{"none", "into", "v0", "v3"} {
 			run, runAllocs, signed := s.Run, 1.0, true
+			if cov == "into" {
+				run = func(bs []byte) Outcome { return s.RunInto(bs, buf) }
+				runAllocs = 0
+			}
 			if opts, ok := coverage.ByName(cov); ok {
 				col := coverage.NewCollector(opts)
 				run = func(bs []byte) Outcome {

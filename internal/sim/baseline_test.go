@@ -151,8 +151,8 @@ func FuzzCoverageBaselineDifferential(f *testing.F) {
 				r.cpu = s.cpu
 				s.ex.InstCount = s.cpu.Minstret % (s.Limit + 1)
 				r.ex.InstCount = s.ex.InstCount
-				s.finish(col)
-				r.finish(full)
+				s.finish(col, nil)
+				r.finish(full, nil)
 			} else {
 				s.RunHooked(bs, col)
 				r.RunHooked(bs, full)

@@ -117,7 +117,8 @@ func (s *Simulator) summarizeExit() *exitSummary {
 		entry := s.cpu
 		var want []uint32
 		if sum != nil {
-			want = sum.signature(&entry, s.img.Mem)
+			want = make([]uint32, sum.sigWords)
+			sum.fill(want, &entry, s.img.Mem)
 		}
 		t := &exitTrace{entry: &entry, lo: entry.PC, hi: entry.PC}
 		if !s.trial(t, halted) || t.bad {
@@ -212,11 +213,10 @@ func sourceOf(v uint32, h *hart.Hart) sigWord {
 	return sigWord{src: srcConst, val: v}
 }
 
-// signature is the signature of a dump executed from h: the words it
-// writes from h and its constants, the others read from m, filled run by
-// run.
-func (x *exitSummary) signature(h *hart.Hart, m *mem.Memory) []uint32 {
-	sig := make([]uint32, x.sigWords)
+// fill writes into sig, which holds sigWords words, the signature of a
+// dump executed from h: the words it writes from h and its constants,
+// the others read from m, run by run.
+func (x *exitSummary) fill(sig []uint32, h *hart.Hart, m *mem.Memory) {
 	for _, r := range x.runs {
 		dst := sig[r.at : r.at+r.n]
 		switch r.src {
@@ -233,7 +233,6 @@ func (x *exitSummary) signature(h *hart.Hart, m *mem.Memory) []uint32 {
 			}
 		}
 	}
-	return sig
 }
 
 // takeExit accounts for the dump instead of executing it, once the

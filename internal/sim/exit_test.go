@@ -2,6 +2,7 @@ package sim
 
 import (
 	"encoding/binary"
+	"fmt"
 	"reflect"
 	"slices"
 	"testing"
@@ -212,6 +213,77 @@ func TestExitSummaryRuns(t *testing.T) {
 	}
 }
 
+// TestRunIntoMatchesRun checks RunInto against Run on every platform:
+// into one buffer, reused across every run and filled with a random
+// marker word before each, RunInto gives Run's outcome field for field,
+// its signature in the buffer and nothing written past the platform's
+// words. The inputs are a seeded corpus plus three the exit summary does
+// not stand for: a nop stored over the dump's store of x5 (the run
+// completes and that word comes from memory), csrw mstatus, x0 (the
+// dump's FP stores trap; on the trap template the run completes with
+// trap records), and a limit that falls inside the dump. Run's
+// signatures are fresh slices: one kept across a second run with another
+// signature stays as it was.
+func TestRunIntoMatchesRun(t *testing.T) {
+	sims, labels := platforms(t)
+	buf := make([]uint32, 256)
+	rnd := splitmix(1)
+	corpus := append(outcomeMix(), fuzzCorpus(48, 5)...)
+	for si, s := range sims {
+		s.Limit = 2000
+		var nop []byte
+		for a := s.exit.addr; a < s.exit.addr+s.exit.size && nop == nil; a += 4 {
+			if w, _ := s.img.Mem.Read32(a); isa.Ref.Decode32(w).Op == isa.OpSW && isa.Ref.Decode32(w).Rs2 == 5 {
+				nop = stream(enc(isa.Inst{Op: isa.OpADDI, Rd: 6, Imm: 0x13}), enc(isa.Inst{Op: isa.OpSW, Rs2: 6, Imm: int32(a)}))
+			}
+		}
+		if nop == nil {
+			t.Fatalf("%s: the dump stores no x5", labels[si])
+		}
+		csrw := stream(enc(isa.Inst{Op: isa.OpCSRRW, CSR: hart.CSRMstatus}))
+		inDump := s.Run(nil).Insts - s.exit.insts/2
+		n := s.Platform.SigWords()
+		exits, read := s.exits, 0
+		for i, bs := range append(corpus, nop, csrw, nil) {
+			label := fmt.Sprintf("%s input %d (%x)", labels[si], i, bs)
+			if i == len(corpus)+2 {
+				s.Limit = inDump
+				label += fmt.Sprintf(" at limit %d", inDump)
+			}
+			want := s.Run(bs)
+			mark := uint32(rnd())
+			for j := range buf {
+				buf[j] = mark
+			}
+			e0 := s.exits
+			got := s.RunInto(bs, buf)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: RunInto diverged from Run:\ninto %+v\nrun  %+v", label, got, want)
+			}
+			if got.Signature != nil && &got.Signature[0] != &buf[0] {
+				t.Fatalf("%s: the signature was not written into the caller's buffer", label)
+			}
+			if j := slices.IndexFunc(buf[n:], func(w uint32) bool { return w != mark }); j >= 0 {
+				t.Fatalf("%s: RunInto wrote word %d past the %d-word signature", label, n+j, n)
+			}
+			if got.Signature != nil && s.exits == e0 {
+				read++
+			}
+		}
+		if s.exits == exits || read == 0 {
+			t.Fatalf("%s: %d runs summarized the dump, %d completed without it; want both",
+				labels[si], s.exits-exits, read)
+		}
+		s.Limit = DefaultInstLimit
+		a := s.Run(stream(enc(isa.Inst{Op: isa.OpADDI, Rd: 5, Imm: 1})))
+		kept := slices.Clone(a.Signature)
+		s.Run(stream(enc(isa.Inst{Op: isa.OpADDI, Rd: 5, Imm: 2})))
+		if !slices.Equal(a.Signature, kept) {
+			t.Fatalf("%s: a second Run changed the signature the first returned", labels[si])
+		}
+	}
+}
+
 // sigSources expands a summary's runs into the source of every signature
 // word, failing the test unless the runs cover the signature in order.
 func sigSources(t *testing.T, x *exitSummary) []sigWord {
@@ -242,7 +314,10 @@ func sigSources(t *testing.T, x *exitSummary) []sigWord {
 // the instruction count included). Both must give the same Outcome, leave the same
 // memory to the next run and record the same footprint, order included;
 // a collector's run leaves the signature to an unhooked run of the same
-// input or from the same hart (sameOutcome).
+// input or from the same hart (sameOutcome). Every unhooked run of the
+// first simulator writes its signature into one buffer, reused from
+// input to input and refilled with words drawn from the hart seed
+// before each run, so a word the run leaves unwritten shows.
 func FuzzExitSummaryDifferential(f *testing.F) {
 	sims, labels := platforms(f)
 	refs, _ := platforms(f)
@@ -269,11 +344,28 @@ func FuzzExitSummaryDifferential(f *testing.F) {
 		opts, _ := coverage.ByName(name)
 		cols[i+1] = [2]*coverage.Collector{coverage.NewCollector(opts), coverage.NewCollector(opts)}
 	}
+	buf := make([]uint32, 256)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 12 {
 			return
 		}
 		pi := int(data[0]) % len(sims)
+		// dirty refills buf for the next unhooked run; into checks that a
+		// completed one wrote its signature there.
+		dirty := func() []uint32 {
+			rnd := splitmix(^binary.LittleEndian.Uint64(data[4:]))
+			for i := range buf {
+				buf[i] = uint32(rnd())
+			}
+			return buf
+		}
+		into := func(out Outcome) Outcome {
+			t.Helper()
+			if out.Signature != nil && &out.Signature[0] != &buf[0] {
+				t.Fatalf("%s: the signature was not written into the caller's buffer", labels[pi])
+			}
+			return out
+		}
 		s, r := sims[pi], refs[pi]
 		col, ref := cols[int(data[1])%3][0], cols[int(data[1])%3][1]
 		hook, full := exec.Hook(nil), exec.Hook(fullPath{})
@@ -311,10 +403,12 @@ func FuzzExitSummaryDifferential(f *testing.F) {
 			}
 		}
 		var sig []uint32
+		got := into(s.RunInto(bs, dirty()))
 		if col != nil {
-			sig = s.Run(bs).Signature
+			sig = got.Signature
+			got = s.RunHooked(bs, hook)
 		}
-		check("as input", s.RunHooked(bs, hook), r.RunHooked(bs, full), sig)
+		check("as input", got, r.RunHooked(bs, full), sig)
 
 		if s.start(bs, hook) != nil || r.start(bs, full) != nil {
 			t.Fatal("start failed")
@@ -327,14 +421,14 @@ func FuzzExitSummaryDifferential(f *testing.F) {
 		n := h.Minstret % (s.Limit + 1)
 		s.cpu, s.ex.InstCount = h, n
 		r.cpu, r.ex.InstCount = h, n
-		got, want := s.finish(hook), r.finish(full)
+		got, want := into(s.finish(hook, dirty())), r.finish(full, nil)
 		if col != nil {
 			// The same hart with no hook gives the signature.
 			if s.start(bs, nil) != nil {
 				t.Fatal("start failed")
 			}
 			s.cpu, s.ex.InstCount = h, n
-			sig = s.finish(nil).Signature
+			sig = into(s.finish(nil, dirty())).Signature
 		}
 		check("from a random hart", got, want, sig)
 	})

@@ -19,7 +19,8 @@ const (
 	// failure only a wall-clock watchdog can observe.
 	FaultWedge
 	// FaultCorruptSig returns the real outcome with one signature word
-	// flipped — a silently-wrong simulator.
+	// flipped, in the signature the caller receives — a silently-wrong
+	// simulator.
 	FaultCorruptSig
 )
 
@@ -76,10 +77,17 @@ type Faulty struct {
 }
 
 // Run implements Sim.
-func (f *Faulty) Run(bs []byte) Outcome { return f.RunHooked(bs, nil) }
+func (f *Faulty) Run(bs []byte) Outcome { return f.RunInto(bs, nil) }
+
+// RunInto implements IntoSim: an unfaulted or corrupted run writes its
+// signature into sig when Inner can (see Simulator.RunInto), so a
+// FaultCorruptSig run flips the word in the caller's buffer.
+func (f *Faulty) RunInto(bs []byte, sig []uint32) Outcome { return f.run(bs, nil, sig) }
 
 // RunHooked implements HookedSim.
-func (f *Faulty) RunHooked(bs []byte, hook exec.Hook) Outcome {
+func (f *Faulty) RunHooked(bs []byte, hook exec.Hook) Outcome { return f.run(bs, hook, nil) }
+
+func (f *Faulty) run(bs []byte, hook exec.Hook, sig []uint32) Outcome {
 	fault := FaultNone
 	if f.Plan != nil {
 		fault = f.Plan(bs)
@@ -98,18 +106,20 @@ func (f *Faulty) RunHooked(bs []byte, hook exec.Hook) Outcome {
 			select {}
 		}
 		return Outcome{}
-	case FaultCorruptSig:
-		out := f.Inner.RunHooked(bs, hook)
-		if len(out.Signature) > 0 {
-			sig := make([]uint32, len(out.Signature))
-			copy(sig, out.Signature)
-			i := int(inputHash(^int64(0), bs) % uint64(len(sig)))
-			sig[i] ^= 0xdeadbeef
-			out.Signature = sig
-		}
-		return out
 	}
-	return f.Inner.RunHooked(bs, hook)
+	var out Outcome
+	if in, ok := f.Inner.(IntoSim); ok && hook == nil {
+		out = in.RunInto(bs, sig)
+	} else {
+		out = f.Inner.RunHooked(bs, hook)
+	}
+	if fault == FaultCorruptSig && len(out.Signature) > 0 {
+		out.Signature[inputHash(^int64(0), bs)%uint64(len(out.Signature))] ^= 0xdeadbeef
+	}
+	return out
 }
 
-var _ HookedSim = (*Faulty)(nil)
+var (
+	_ HookedSim = (*Faulty)(nil)
+	_ IntoSim   = (*Faulty)(nil)
+)

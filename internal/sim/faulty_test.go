@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 
 	"rvnegtest/internal/isa"
@@ -103,6 +104,13 @@ func TestFaultyCorruptSignature(t *testing.T) {
 		if bad.Signature[i] != bad2.Signature[i] {
 			t.Fatal("corrupt-sig injection not deterministic per input")
 		}
+	}
+	// RunInto flips the same word, in the caller's buffer.
+	buf := make([]uint32, len(clean.Signature))
+	into := f.RunInto(nopCase, buf)
+	if &into.Signature[0] != &buf[0] || !slices.Equal(buf, bad.Signature) {
+		t.Fatalf("RunInto gave %v in its own slice %v, want %v in the caller's buffer",
+			into.Signature, &into.Signature[0] != &buf[0], bad.Signature)
 	}
 }
 

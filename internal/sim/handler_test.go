@@ -308,7 +308,7 @@ func FuzzTrapSummaryDifferential(f *testing.F) {
 		n := h.Minstret % (s.Limit + 1)
 		s.cpu, s.ex.InstCount = h, n
 		r.cpu, r.ex.InstCount = h, n
-		check("from a random hart", s.finish(hook), r.finish(refHook))
+		check("from a random hart", s.finish(hook, nil), r.finish(refHook, nil))
 	})
 }
 

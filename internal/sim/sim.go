@@ -152,8 +152,9 @@ const DefaultInstLimit = 20000
 
 // Outcome is the result of running one test case on one simulator.
 type Outcome struct {
-	// Signature is the signature of a run that completed, a fresh slice
-	// the caller owns. A run hooked by a coverage collector (a skipper)
+	// Signature is the signature of a run that completed: a fresh slice
+	// the caller owns, or the caller's buffer when the run was a RunInto
+	// with room for it. A run hooked by a coverage collector (a skipper)
 	// reads coverage only and leaves it nil, so that it allocates
 	// nothing; every other completed run, hooked or not, has one.
 	Signature []uint32
@@ -175,6 +176,15 @@ type Outcome struct {
 // *Simulator and by the Faulty fault-injection wrapper.
 type Sim interface {
 	Run(bs []byte) Outcome
+}
+
+// IntoSim is a Sim that can write a completed run's signature into a
+// buffer its caller owns (see Simulator.RunInto). The compliance engine
+// asserts it on each simulator instead of requiring it of every Sim, so
+// that a decorator with only Run still drives the engine, through Run.
+type IntoSim interface {
+	Sim
+	RunInto(bs []byte, sig []uint32) Outcome
 }
 
 // HookedSim is a Sim that also supports coverage-hooked execution (the
@@ -268,10 +278,22 @@ func classifyRunError(err error) (timedOut bool, crashMsg string) {
 	return false, err.Error()
 }
 
-// Run executes one bytestream test case and extracts its signature.
-// Decoder crashes (the modelled sail-riscv defect) are captured as a
-// crashed outcome rather than propagating the panic.
-func (s *Simulator) Run(bs []byte) Outcome { return s.RunHooked(bs, nil) }
+// Run executes one bytestream test case and extracts its signature into
+// a fresh slice the caller owns. Decoder crashes (the modelled
+// sail-riscv defect) are captured as a crashed outcome rather than
+// propagating the panic.
+func (s *Simulator) Run(bs []byte) Outcome { return s.RunInto(bs, nil) }
+
+// RunInto is Run, except that a completed run writes its signature into
+// sig when sig has room for the platform's SigWords: Outcome.Signature
+// then aliases sig, and the run allocates nothing. With less room it
+// allocates the signature, as Run does.
+func (s *Simulator) RunInto(bs []byte, sig []uint32) Outcome {
+	if err := s.start(bs, nil); err != nil {
+		return Outcome{Crashed: true, CrashMsg: err.Error()}
+	}
+	return s.finish(nil, sig)
+}
 
 // RunHooked is Run with a coverage hook attached (the fuzzing phase).
 // The run reuses the simulator's hart and executor. It starts at the
@@ -286,11 +308,12 @@ func (s *Simulator) RunHooked(bs []byte, hook exec.Hook) Outcome {
 	if err := s.start(bs, hook); err != nil {
 		return Outcome{Crashed: true, CrashMsg: err.Error()}
 	}
-	return s.finish(hook)
+	return s.finish(hook, nil)
 }
 
-// finish runs a started run to its outcome.
-func (s *Simulator) finish(hook exec.Hook) (out Outcome) {
+// finish runs a started run to its outcome, writing the signature into
+// sig as RunInto does.
+func (s *Simulator) finish(hook exec.Hook, sig []uint32) (out Outcome) {
 	e := &s.ex
 	defer func() {
 		if r := recover(); r != nil {
@@ -310,18 +333,28 @@ func (s *Simulator) finish(hook exec.Hook) (out Outcome) {
 		// fail, and leaving it unread changes no other field.
 		return out
 	}
-	if exited {
-		out.Signature = s.exit.signature(&s.cpu, s.img.Mem)
-		return out
+	if out.Signature, err = s.signature(sig, exited); err != nil {
+		out.Crashed, out.CrashMsg = true, err.Error()
 	}
-	signature, err := s.img.Signature()
-	if err != nil {
-		out.Crashed = true
-		out.CrashMsg = err.Error()
-		return out
-	}
-	out.Signature = signature
 	return out
+}
+
+// signature writes a completed run's signature into sig when it has room
+// for the platform's words, into a fresh slice otherwise, and returns
+// it: through the exit summary from the hart when the summary stood for
+// the dump, from the image otherwise.
+func (s *Simulator) signature(sig []uint32, exited bool) ([]uint32, error) {
+	n := s.Platform.SigWords()
+	if len(sig) < n {
+		sig = make([]uint32, n)
+	}
+	sig = sig[:n]
+	if exited {
+		s.exit.fill(sig, &s.cpu, s.img.Mem)
+	} else if err := template.ReadSignature(s.img.Mem, s.Platform, sig); err != nil {
+		return nil, err
+	}
+	return sig, nil
 }
 
 // run steps the executor until it halts, as Executor.Run does, except
@@ -346,4 +379,7 @@ func (s *Simulator) run(hook exec.Hook) (exited bool, err error) {
 	return false, nil
 }
 
-var _ HookedSim = (*Simulator)(nil)
+var (
+	_ HookedSim = (*Simulator)(nil)
+	_ IntoSim   = (*Simulator)(nil)
+)

@@ -282,7 +282,8 @@ func decodeSig(p []byte) (RunResult, error) {
 	res.Traps = binary.LittleEndian.Uint64(p[8:])
 	n := binary.LittleEndian.Uint32(p[16:])
 	words := p[20:]
-	if uint32(len(words)) != 4*n {
+	// In 64 bits: 4*n wraps in 32, so a huge n could pass for a small one.
+	if uint64(len(words)) != 4*uint64(n) {
 		return res, protoErrf("SIG declares %d words but carries %d bytes", n, len(words))
 	}
 	res.Signature = make([]uint32, n)

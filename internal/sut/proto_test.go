@@ -123,6 +123,13 @@ func TestCodecMalformed(t *testing.T) {
 	if _, err := decodeSig(sig[:len(sig)-2]); !errors.Is(err, ErrProto) {
 		t.Errorf("truncated sig words: %v", err)
 	}
+	// 4 × 0x40000001 wraps to 4 in 32 bits: one word's bytes must not
+	// pass for a count of over a billion.
+	wrapped := encodeSig(RunResult{Signature: []uint32{7}})
+	wrapped[16], wrapped[17], wrapped[18], wrapped[19] = 0x01, 0, 0, 0x40
+	if _, err := decodeSig(wrapped); !errors.Is(err, ErrProto) {
+		t.Errorf("sig word count that wraps: %v", err)
+	}
 	if _, err := decodeFault([]byte{9, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}); !errors.Is(err, ErrProto) {
 		t.Errorf("unknown fault kind: %v", err)
 	}

@@ -646,9 +646,13 @@ func (im *Image) NewExecutorCfg(cfg isa.Config, dec *isa.Decoder, q exec.Quirks)
 	return e
 }
 
-// Signature reads the signature region after a run.
+// Signature reads the signature region after a run into a fresh slice.
 func (im *Image) Signature() ([]uint32, error) {
-	return ReadSignature(im.Mem, im.Platform)
+	sig := make([]uint32, im.Platform.SigWords())
+	if err := ReadSignature(im.Mem, im.Platform, sig); err != nil {
+		return nil, err
+	}
+	return sig, nil
 }
 
 // SigWordAddr returns the address of signature word i: the user-level
@@ -660,16 +664,16 @@ func (p Platform) SigWordAddr(i int) uint32 {
 	return p.Layout.SigAddr + uint32(4*i)
 }
 
-// ReadSignature extracts the signature words from a memory: the user-level
-// region, then (trap family) the trap-record region appended behind it.
-func ReadSignature(m *mem.Memory, p Platform) ([]uint32, error) {
-	out := make([]uint32, p.SigWords())
-	for i := range out {
+// ReadSignature reads the signature words from a memory into sig, which
+// holds p.SigWords() of them: the user-level region, then (trap family)
+// the trap-record region appended behind it.
+func ReadSignature(m *mem.Memory, p Platform, sig []uint32) error {
+	for i := range sig {
 		v, err := m.Read32(p.SigWordAddr(i))
 		if err != nil {
-			return nil, err
+			return err
 		}
-		out[i] = v
+		sig[i] = v
 	}
-	return out, nil
+	return nil
 }
