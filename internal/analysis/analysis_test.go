@@ -244,7 +244,7 @@ func TestMergePointDirtyJoin(t *testing.T) {
 
 func TestBranchDenseLinearCost(t *testing.T) {
 	// 30 consecutive forks would be 2^30 paths for the enumeration
-	// engine; the fixpoint decides it in one pass per block.
+	// engine; the analysis decides it in one ascending pass.
 	var words []uint32
 	for i := 0; i < 30; i++ {
 		words = append(words, enc(isa.Inst{Op: isa.OpBEQ, Rs1: 1, Rs2: 2, Imm: 8}))

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"slices"
 	"testing"
 
 	"rvnegtest/internal/isa"
@@ -23,15 +24,9 @@ func TestMixedCompressedStream(t *testing.T) {
 	if !a.Accepted() || a.Verdict.Paths != 1 {
 		t.Fatalf("mixed stream: %+v", a.Verdict)
 	}
-	// One straight-line block: sites at 0 (2B), 2 (4B), 6 (4B).
-	blocks := a.Blocks()
-	if len(blocks) != 1 {
-		t.Fatalf("blocks = %d, want 1 (%+v)", len(blocks), blocks)
-	}
-	b := blocks[0]
-	if b.Start != 0 || b.End != 10 || b.Insts != 3 || !b.Reachable {
-		t.Errorf("block shape wrong: %+v", b)
-	}
+	// A straight line: sites at 0 (2B), 2 (4B) and 6 (4B), each feasible
+	// successor the next site, and the illegal word an exit.
+	wantSuccs(t, a, map[int32][]int32{0: {2}, 2: {6}, 6: {}})
 	for _, pc := range []int32{0, 2, 6} {
 		if _, ok := a.InstAt(pc); !ok {
 			t.Errorf("no instruction site at %d", pc)
@@ -59,10 +54,9 @@ func TestCompressedBranchSplitsBlocks(t *testing.T) {
 	if a.Verdict.Paths != 2 {
 		t.Errorf("paths = %d, want 2", a.Verdict.Paths)
 	}
-	blocks := a.Blocks()
-	if len(blocks) != 3 {
-		t.Fatalf("blocks = %d, want 3 (branch, fall arm, merge): %+v", len(blocks), blocks)
-	}
+	// The branch forks to the c.nop and past it; both arms meet at the
+	// illegal word.
+	wantSuccs(t, a, map[int32][]int32{0: {2, 4}, 2: {4}, 4: {}})
 }
 
 func TestJALBackEdgeLoop(t *testing.T) {
@@ -85,8 +79,8 @@ func TestJALBackEdgeLoop(t *testing.T) {
 }
 
 func TestBranchBackEdgeSplitsTargetBlock(t *testing.T) {
-	// The backward branch targets the middle of the leading chain: the
-	// target must become a block leader and the cycle must be detected.
+	// The backward branch targets the middle of the leading straight
+	// line: the cycle through it must be detected at the revisited site.
 	bs := stream(
 		enc(isa.Inst{Op: isa.OpADD, Rd: 1, Rs1: 1, Rs2: 2}),   // 0
 		enc(isa.Inst{Op: isa.OpADD, Rd: 3, Rs1: 3, Rs2: 4}),   // 4: back-edge target
@@ -96,13 +90,33 @@ func TestBranchBackEdgeSplitsTargetBlock(t *testing.T) {
 	if a.Accepted() || a.Verdict.Reason != ReasonLoop {
 		t.Fatalf("branch back edge not dropped: %+v", a.Verdict)
 	}
-	var heads []int32
-	for _, b := range a.Blocks() {
-		heads = append(heads, b.Start)
+	if a.Verdict.PC != 4 {
+		t.Errorf("loop reported at %d, want the revisited site 4", a.Verdict.PC)
 	}
-	if len(heads) != 2 || heads[0] != 0 || heads[1] != 4 {
-		t.Errorf("block heads = %v, want [0 4] (target split)", heads)
+	wantSuccs(t, a, map[int32][]int32{0: {4}, 4: {8}, 8: {12, 4}})
+}
+
+func TestBackEdgeDirtiesEarlierLoad(t *testing.T) {
+	// The load at 4 reads a clean x30 on the first pass. The branch at
+	// 12 carries the dirtied x30 back to it: only the second pass sees
+	// the load's dirty base, which comes before the loop in the verdict
+	// order.
+	bs := stream(
+		enc(isa.Inst{Op: isa.OpADD, Rd: 1, Rs1: 1, Rs2: 2}),   //  0
+		enc(isa.Inst{Op: isa.OpLW, Rd: 5, Rs1: 30, Imm: 0}),   //  4
+		enc(isa.Inst{Op: isa.OpADD, Rd: 30, Rs1: 1, Rs2: 2}),  //  8: dirties x30
+		enc(isa.Inst{Op: isa.OpBNE, Rs1: 1, Rs2: 2, Imm: -8}), // 12: back to 4
+		0xffffffff, // 16
+	)
+	a := AnalyzeMode(bs, false)
+	want := Verdict{Reason: ReasonDirtyAddress, PC: 4, Op: isa.OpLW}
+	if a.Verdict != want {
+		t.Fatalf("verdict = %+v, want %+v", a.Verdict, want)
 	}
+	if m := a.CleanAt(4); m != 1<<31 {
+		t.Errorf("CleanAt(4) = %#x, want x31 only (the join over the back edge)", m)
+	}
+	wantSuccs(t, a, map[int32][]int32{0: {4}, 4: {8}, 8: {12}, 12: {16, 4}, 16: {}})
 }
 
 func TestBranchIntoPaddedTail(t *testing.T) {
@@ -204,17 +218,31 @@ func TestBlocksSuccessorsFoldedBranch(t *testing.T) {
 	if !a.Accepted() || a.Verdict.Paths != 1 {
 		t.Fatalf("folded branch: %+v", a.Verdict)
 	}
-	var entry *BlockInfo
-	blocks := a.Blocks()
-	for i := range blocks {
-		if blocks[i].Start == 0 {
-			entry = &blocks[i]
+	wantSuccs(t, a, map[int32][]int32{0: {8}, 8: {}})
+	if a.Reachable(4) {
+		t.Error("the untaken arm at 4 must be unreachable")
+	}
+}
+
+// succsAt returns the feasible successors the analysis recorded for the
+// site at pc, or nil when pc is not a reachable site.
+func succsAt(a *Analysis, pc int32) []int32 {
+	nd := a.g.at(pc)
+	if nd == nil || !nd.in.reach {
+		return nil
+	}
+	return append([]int32{}, nd.out[:nd.nout]...)
+}
+
+// wantSuccs checks that the reachable sites are exactly want's keys and
+// that each has want's feasible successors, in order.
+func wantSuccs(t *testing.T, a *Analysis, want map[int32][]int32) {
+	t.Helper()
+	for pc := int32(0); pc < a.N; pc += 2 {
+		got, w := succsAt(a, pc), want[pc]
+		_, reach := want[pc]
+		if a.Reachable(pc) != reach || !slices.Equal(got, w) {
+			t.Errorf("site %d: reachable %v, successors %v; want %v, %v", pc, a.Reachable(pc), got, reach, w)
 		}
-	}
-	if entry == nil {
-		t.Fatal("no entry block")
-	}
-	if len(entry.Succs) != 1 || entry.Succs[0] != 8 {
-		t.Errorf("entry successors = %v, want [8]", entry.Succs)
 	}
 }

@@ -223,21 +223,22 @@ func branchOutcome(inst isa.Inst, s *regState) (taken, folded bool) {
 	return false, false
 }
 
-// transfer applies one non-branch instruction's effect to the state in
-// place. Branches have no state effect; JAL and every other RD-writer go
-// through here.
-func transfer(inst isa.Inst, s *regState) {
+// transfer returns the state after a non-branch instruction, given the
+// state s before it: s itself when the instruction writes no register,
+// otherwise tmp, set to s with the write applied. Branches have no state
+// effect; JAL and every other RD-writer go through here.
+func transfer(inst isa.Inst, s, tmp *regState) *regState {
 	info := inst.Info()
-	if info == nil {
-		return
+	if info == nil || !info.Flags.Is(isa.FlagWritesRD) || inst.Rd == 0 {
+		return s
 	}
-	if info.Flags.Is(isa.FlagWritesRD) {
-		if inst.Op == isa.OpJAL {
-			// The link register receives an absolute code address
-			// (layout-dependent).
-			s.set(inst.Rd, dirty)
-			return
-		}
-		s.set(inst.Rd, foldALU(inst, s))
+	*tmp = *s
+	if inst.Op == isa.OpJAL {
+		// The link register receives an absolute code address
+		// (layout-dependent).
+		tmp.set(inst.Rd, dirty)
+	} else {
+		tmp.set(inst.Rd, foldALU(inst, s))
 	}
+	return tmp
 }

@@ -1,18 +1,21 @@
 // Package analysis implements the static-analysis engine behind the
 // paper's bytestream filter (section IV-C) as a classic dataflow problem:
-// a basic-block control-flow graph over the decoded bytestream and a
-// worklist fixpoint over a per-register lattice (bottom / known-constant /
-// clean-address / dirty) with join at merge points.
+// the instruction sites of the decoded bytestream, each with its static
+// successors, and a fixpoint over a per-register lattice (bottom /
+// known-constant / clean-address / dirty) with join at merge points,
+// computed in one ascending pass over the sites unless a feasible back
+// edge changes an earlier site's state.
 //
 // The fixpoint formulation makes the filter's cost linear in
-// blocks x registers instead of exponential in the number of conditional
-// branches, so branch-dense inputs — exactly the shape block-mutation
-// fuzzers favour — are decided semantically rather than dropped for budget
-// reasons. Tracking known constants additionally lets the engine fold
-// conditional branches whose outcome is statically determined into
-// unconditional edges, so statically infeasible "loops" and out-of-bounds
-// targets no longer cause drops; loop detection becomes back-edge (cycle)
-// detection on the feasible subgraph of the CFG.
+// sites x registers per pass instead of exponential in the number of
+// conditional branches, so branch-dense inputs — exactly the shape
+// block-mutation fuzzers favour — are decided semantically rather than
+// dropped for budget reasons. Tracking known constants additionally lets
+// the engine fold conditional branches whose outcome is statically
+// determined into unconditional edges, so statically infeasible "loops"
+// and out-of-bounds targets no longer cause drops; loop detection becomes
+// cycle detection on the feasible subgraph, and runs only when that
+// subgraph has a back edge.
 //
 // The engine only ever accepts MORE than the path-enumeration filter it
 // replaces (see the package-level soundness argument in DESIGN.md): edges

@@ -11,8 +11,8 @@ import (
 // reuseShapes are the filter's fuzz seed shapes (internal/filter's
 // seedCorpus): folded branches, overlapping streams, compressed
 // encodings, memory accesses, loops, straddles and trap-mode sites.
-// A feasible loop across two blocks is added, so that stale DFS colours
-// from a longer stream would hide it.
+// A feasible loop through two branches is added, so that stale search
+// colours from a longer stream would hide it.
 func reuseShapes() [][]byte {
 	return [][]byte{
 		nil,
@@ -69,12 +69,12 @@ func reuseShapes() [][]byte {
 		stream(
 			enc(isa.Inst{Op: isa.OpBEQ, Rs1: 1, Rs2: 2, Imm: 4}),
 			enc(isa.Inst{Op: isa.OpBNE, Rs1: 5, Rs2: 0, Imm: -4}),
-		), // feasible loop across two blocks
+		), // feasible loop through two branches
 	}
 }
 
-// branchStream is 32 compressed branches to the next halfword: 32
-// one-node blocks, all reachable, accepted with a saturated path count.
+// branchStream is 32 compressed branches to the next halfword: 32 sites,
+// all reachable, accepted with a saturated path count.
 func branchStream(tb testing.TB) []byte {
 	h, ok := isa.Compress(isa.Inst{Op: isa.OpBEQ, Rs1: 8, Imm: 2})
 	if !ok {
@@ -159,7 +159,6 @@ func reuseStreams(data []byte) (streams [][]byte, trap []bool) {
 type analysisView struct {
 	N       int32
 	Verdict Verdict
-	Blocks  []BlockInfo
 	Insts   []instView
 	Probes  []probeView
 }
@@ -171,31 +170,33 @@ type instView struct {
 	Reachable bool
 }
 
-// probeView is what InstAt, Reachable and CleanAt report at PC.
+// probeView is what InstAt, Reachable and CleanAt report at PC, and the
+// feasible successors the analysis recorded there.
 type probeView struct {
 	PC            int32
 	Inst          isa.Inst
 	OK, Reachable bool
 	Clean         uint32
+	Succs         []int32
 }
 
 func viewOf(a *Analysis) analysisView {
-	v := analysisView{N: a.N, Verdict: a.Verdict, Blocks: a.Blocks()}
+	v := analysisView{N: a.N, Verdict: a.Verdict}
 	a.EachInst(func(pc int32, inst isa.Inst, reachable bool) {
 		v.Insts = append(v.Insts, instView{pc, inst, reachable})
 	})
 	for pc := int32(-2); pc <= a.N+4; pc += 2 {
 		inst, ok := a.InstAt(pc)
-		v.Probes = append(v.Probes, probeView{pc, inst, ok, a.Reachable(pc), a.CleanAt(pc)})
+		v.Probes = append(v.Probes, probeView{pc, inst, ok, a.Reachable(pc), a.CleanAt(pc), succsAt(a, pc)})
 	}
 	return v
 }
 
 // FuzzAnalysisReuse feeds a sequence of streams through one reused
 // Analysis and checks that each result reads exactly like a fresh
-// AnalyzeMode of the same stream: verdict, length, blocks, the EachInst
-// sequence, and InstAt/Reachable/CleanAt at every even offset from -2
-// to N+4.
+// AnalyzeMode of the same stream: verdict, length, the EachInst
+// sequence, and InstAt/Reachable/CleanAt and the feasible successors at
+// every even offset from -2 to N+4.
 func FuzzAnalysisReuse(f *testing.F) {
 	branches, shapes, reversed := branchStream(f), shapeStream(false), shapeStream(true)
 	for modes := range uint8(4) {

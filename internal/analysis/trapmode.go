@@ -19,9 +19,10 @@ import "rvnegtest/internal/isa"
 //     edge (any instruction may fault under some configuration — FP ops
 //     without F, misaligned fetch targets without C, CSR errors — and the
 //     engine is configuration-agnostic), deduplicated against the
-//     fall-through so aligned straight-line code keeps its block shape;
+//     fall-through so aligned straight-line code keeps one successor per
+//     site;
 //   - the forbidden set shrinks to TrapForbidden below;
-//   - the memory discipline keeps only the store rule (see deriveVerdict).
+//   - the memory discipline keeps only the store rule (see violation).
 //
 // Resume offsets are strictly forward, so trap edges can never introduce
 // cycles: loop detection and path counting carry over unchanged.

@@ -12,9 +12,11 @@
 // not access-size aligned.
 //
 // Since the fixpoint rewrite the decision engine is internal/analysis: a
-// basic-block CFG plus a worklist fixpoint over a per-register lattice,
-// linear in blocks x registers where the original enumerated control-flow
-// paths (exponential in branches, requiring a conservative fork budget).
+// fixpoint over a per-register lattice, computed in one ascending pass
+// over the stream's instruction sites (another pass only when a feasible
+// back edge changes an earlier site), linear in sites x registers where
+// the original enumerated control-flow paths (exponential in branches,
+// requiring a conservative fork budget).
 // The historical path-enumeration engine survives in this package's
 // tests as Exhaustive, the differential-testing oracle: Filter accepts a
 // superset of what Exhaustive accepts, and never drops for budget

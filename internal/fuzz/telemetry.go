@@ -76,12 +76,16 @@ func newTelemetry(cfg Config) *telemetry {
 
 // sampleStep is Step on a sampled execution: the same stages, each
 // timed with weight obs.SampleEvery, followed by a publish.
+// The filter stage is timed only when Filter.Check ran. A known-accepted
+// input skips the check (admit), and so does every input when the
+// filter is disabled; a near-zero sample for those would understate the
+// check's mean. What admit takes for them goes to the execute stage.
 func (t *telemetry) sampleStep(f *Fuzzer, start time.Time) bool {
 	defer t.publish(f)
 	input, known := f.nextInput()
 	lap := t.lap(obs.StageMutate, start)
 	accepted := f.admit(input, known)
-	if !f.cfg.DisableFilter {
+	if !known && !f.cfg.DisableFilter {
 		lap = t.lap(obs.StageFilter, lap)
 	}
 	if !accepted {

@@ -127,6 +127,67 @@ func TestResumeSessionRate(t *testing.T) {
 	}
 }
 
+// TestExecsPerSecMatchesWallTime: Stats().ExecsPerSec is the session's
+// executions over the wall time the campaign was charged, and that time
+// lies inside the wall time measured around the calls that ran them:
+// one RunContext, a loop of direct Step calls, and RunContext in a
+// resumed session. Each Step charges its own wall time, so the charged
+// time can never exceed the measured time and the rate is never below
+// the measured one; it may exceed it only by the time spent between
+// steps, which a factor of 4 leaves room for on a loaded machine.
+func TestExecsPerSecMatchesWallTime(t *testing.T) {
+	const execs = 20000
+	check := func(name string, f *Fuzzer, base uint64, calls func()) {
+		t.Helper()
+		t0 := time.Now()
+		calls()
+		wall := time.Since(t0)
+		st := f.Stats()
+		if st.Execs-base != execs {
+			t.Fatalf("%s: ran %d executions, want %d", name, st.Execs-base, execs)
+		}
+		measured := float64(execs) / wall.Seconds()
+		if st.ExecsPerSec < measured || st.ExecsPerSec > 4*measured {
+			t.Errorf("%s: ExecsPerSec = %.0f, want within [1, 4] x the measured %.0f (charged %v of %v)",
+				name, st.ExecsPerSec, measured, st.SessionDuration, wall)
+		}
+	}
+	cfg := smallConfig(coverage.V3(), 29)
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("RunContext", f, 0, func() {
+		if err := f.RunContext(context.Background(), execs, 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	g, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("Step", g, 0, func() {
+		for g.Execs() < execs {
+			g.Step()
+		}
+	})
+
+	dir := t.TempDir()
+	if err := f.SaveCheckpoint(dir); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Resume(cfg, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("resumed RunContext", r, execs, func() {
+		if err := r.RunContext(context.Background(), 2*execs, 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
 // TestTelemetryCountersMatchStats: the registry's counters must agree with
 // the campaign's own statistics, and the event stream must record every
 // corpus add in order.
@@ -177,17 +238,18 @@ func TestTelemetryCountersMatchStats(t *testing.T) {
 	}
 
 	// Stage timers time every obs.SampleEvery-th execution with weight
-	// obs.SampleEvery: mutate and filter run on every sampled step,
-	// execute on the sampled steps whose input the filter accepted, and
+	// obs.SampleEvery: mutate runs on every sampled step, filter on the
+	// sampled steps whose input the filter checked (not known-accepted),
+	// execute on those whose input the filter accepted, and
 	// coverage-eval on those whose run completed.
 	const n = obs.SampleEvery
-	executed, evaluated := sampledStages(t, cfg, st.Execs)
+	checked, executed, evaluated := sampledStages(t, cfg, st.Execs)
 	for _, c := range []struct {
 		stage obs.Stage
 		want  uint64
 	}{
 		{obs.StageMutate, n * (st.Execs / n)},
-		{obs.StageFilter, n * (st.Execs / n)},
+		{obs.StageFilter, n * checked},
 		{obs.StageExecute, n * executed},
 		{obs.StageCoverageEval, n * evaluated},
 	} {
@@ -195,8 +257,9 @@ func TestTelemetryCountersMatchStats(t *testing.T) {
 			t.Errorf("%s stage count = %d, want %d", c.stage, got, c.want)
 		}
 	}
-	if executed == 0 || evaluated == 0 {
-		t.Errorf("no sampled step reached execute (%d) or coverage-eval (%d); the schedule check is vacuous", executed, evaluated)
+	if checked == 0 || checked == st.Execs/n || executed == 0 || evaluated == 0 {
+		t.Errorf("%d of %d sampled steps checked, %d executed, %d evaluated; the schedule check is vacuous",
+			checked, st.Execs/n, executed, evaluated)
 	}
 
 	if err := cfg.Events.Close(); err != nil {
@@ -225,28 +288,43 @@ func TestTelemetryCountersMatchStats(t *testing.T) {
 	}
 }
 
-// sampledStages replays cfg's campaign without telemetry for execs steps
-// and counts the sampled steps (every obs.SampleEvery-th execution) whose
-// input reached the simulator and whose run completed.
-func sampledStages(t *testing.T, cfg Config, execs uint64) (executed, evaluated uint64) {
+// sampledStages replays cfg's campaign without telemetry for execs
+// executions, stage by stage as Fuzzer.Step runs them, and counts the
+// sampled executions (every obs.SampleEvery-th) whose input the filter
+// checked, whose input reached the simulator and whose run completed.
+func sampledStages(t *testing.T, cfg Config, execs uint64) (checked, executed, evaluated uint64) {
 	t.Helper()
 	cfg.Obs, cfg.Events = nil, nil
 	f, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for f.Execs() < execs {
-		dropped, crashes, timeouts := f.dropped, f.crashes, f.timeout
-		f.Step()
-		if f.Execs()%obs.SampleEvery != 0 || f.dropped != dropped {
+	for f.execs < execs {
+		f.execs++
+		sampled := b2u(f.execs%obs.SampleEvery == 0)
+		input, known := f.nextInput()
+		if !known {
+			checked += sampled
+		}
+		if !f.admit(input, known) {
 			continue
 		}
-		executed++
-		if f.crashes == crashes && f.timeout == timeouts {
-			evaluated++
+		executed += sampled
+		if !f.execute(input) {
+			continue
 		}
+		evaluated += sampled
+		f.evaluate(input)
 	}
-	return executed, evaluated
+	return checked, executed, evaluated
+}
+
+// b2u is 1 for true and 0 for false.
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // checkPublished compares every fuzz counter in reg with the fuzzer's
