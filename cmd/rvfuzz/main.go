@@ -41,7 +41,6 @@ func main() {
 		fig4      = flag.Bool("fig4", false, "run the Fig. 4 experiment (all four coverage configurations)")
 		noMut     = flag.Bool("no-custom-mutator", false, "ablation: disable the instruction-aware mutator")
 		noFlt     = flag.Bool("no-filter", false, "ablation: disable the static filter")
-		minimize  = flag.Bool("minimize", false, "minimize the suite to coverage-unique cases before saving")
 		seedSuite = flag.String("seed-suite", "", "seed the campaign with a previously generated suite")
 		stats     = flag.Bool("stats", false, "print the generated suite's composition statistics")
 		fltStats  = flag.Bool("filter-stats", false, "print the static filter's drop-reason histogram and acceptance rate")
@@ -83,7 +82,6 @@ func main() {
 		Seed:                 *seed,
 		Execs:                *execs,
 		CheckpointEvery:      *ckptEvery,
-		Minimize:             *minimize,
 		SeedSuite:            *seedSuite,
 		DisableCustomMutator: *noMut,
 		DisableFilter:        *noFlt,
@@ -160,9 +158,6 @@ func main() {
 		}
 		if *fltStats {
 			fmt.Print(st.Filter.String())
-		}
-		if *minimize {
-			fmt.Printf("minimized:      %d -> %d cases\n", st.TestCases+probes, len(suite.Cases))
 		}
 	}
 	if *stats {

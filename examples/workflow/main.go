@@ -29,7 +29,7 @@ func main() {
 	cfg := rvnegtest.DefaultFuzzConfig()
 	cfg.Seed = 7
 	cases, stats, err := fuzz.Campaign(context.Background(), cfg,
-		fuzz.CampaignConfig{Workers: 4, ExecsEach: 25000, Minimize: true})
+		fuzz.CampaignConfig{Workers: 4, ExecsEach: 25000})
 	if err != nil {
 		log.Fatal(err)
 	}

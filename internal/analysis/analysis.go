@@ -40,7 +40,7 @@ type Analysis struct {
 // maxPaths saturates the accepted-path count.
 const maxPaths = 1 << 31
 
-// AnalyzeMode discovers the bytestream's instruction sites, runs the
+// Analyze discovers the bytestream's instruction sites, runs the
 // fixpoint over the register lattice, and derives the verdict under the
 // suite family's semantics. It never rejects for budget reasons: cost is
 // linear in sites x registers per pass. trap=false selects the
@@ -49,16 +49,10 @@ const maxPaths = 1 << 31
 // word instead of ending the path, the forbidden set shrinks to
 // TrapForbidden, and the memory discipline keeps only the clean-base
 // store rule.
-func AnalyzeMode(bs []byte, trap bool) *Analysis {
-	a := new(Analysis)
-	a.Analyze(bs, trap)
-	return a
-}
-
-// Analyze re-analyses a with the bytestream bs under the suite family
-// semantics AnalyzeMode describes. The result replaces a's previous one:
-// anything read from a before the call (EachInst, CleanAt, ...)
-// describes the old stream only until this call starts.
+//
+// The result replaces a's previous one: anything read from a before the
+// call (EachInst, CleanAt, ...) describes the old stream only until
+// this call starts. A zero Analysis is ready to use.
 func (a *Analysis) Analyze(bs []byte, trap bool) {
 	a.g.build(bs, trap)
 	a.N = a.g.n
@@ -252,9 +246,6 @@ func (g *cfg) sumPaths(nd *node) int64 {
 	}
 	return total
 }
-
-// Accepted reports whether the bytestream passed every check.
-func (a *Analysis) Accepted() bool { return a.Verdict.Reason == ReasonNone }
 
 // InstAt returns the decoded instruction starting at offset pc, if the
 // CFG discovered an instruction site there.

@@ -10,6 +10,13 @@ import (
 
 func enc(inst isa.Inst) uint32 { return isa.MustEncode(inst) }
 
+// analyze returns a fresh analysis of bs.
+func analyze(bs []byte, trap bool) *Analysis {
+	a := new(Analysis)
+	a.Analyze(bs, trap)
+	return a
+}
+
 func stream(words ...uint32) []byte {
 	var out []byte
 	for _, w := range words {
@@ -162,8 +169,8 @@ func TestConstantFoldingChains(t *testing.T) {
 		enc(isa.Inst{Op: isa.OpWFI}),                         // statically dead
 		0xffffffff,
 	)
-	a := AnalyzeMode(bs, false)
-	if !a.Accepted() {
+	a := analyze(bs, false)
+	if a.Verdict.Reason != ReasonNone {
 		t.Fatalf("folded-past-forbidden stream dropped: %+v", a.Verdict)
 	}
 	if a.Verdict.Paths != 1 {
@@ -183,8 +190,8 @@ func TestInfeasibleLoopAccepted(t *testing.T) {
 		enc(isa.Inst{Op: isa.OpBNE, Rs1: 5, Rs2: 0, Imm: -4}),
 		0xffffffff,
 	)
-	a := AnalyzeMode(bs, false)
-	if !a.Accepted() {
+	a := analyze(bs, false)
+	if a.Verdict.Reason != ReasonNone {
 		t.Fatalf("statically infeasible loop dropped: %+v", a.Verdict)
 	}
 }
@@ -196,8 +203,8 @@ func TestInfeasibleOutOfBoundsAccepted(t *testing.T) {
 		enc(isa.Inst{Op: isa.OpBEQ, Rs1: 5, Rs2: 0, Imm: 4000}),
 		0xffffffff,
 	)
-	a := AnalyzeMode(bs, false)
-	if !a.Accepted() {
+	a := analyze(bs, false)
+	if a.Verdict.Reason != ReasonNone {
 		t.Fatalf("statically dead out-of-bounds edge dropped: %+v", a.Verdict)
 	}
 }
@@ -208,8 +215,8 @@ func TestFeasibleLoopStillDropped(t *testing.T) {
 		enc(isa.Inst{Op: isa.OpADDI, Rd: 1, Rs1: 1, Imm: 1}),
 		enc(isa.Inst{Op: isa.OpBEQ, Rs1: 0, Rs2: 0, Imm: -4}),
 	)
-	a := AnalyzeMode(bs, false)
-	if a.Accepted() || a.Verdict.Reason != ReasonLoop {
+	a := analyze(bs, false)
+	if a.Verdict.Reason != ReasonLoop {
 		t.Fatalf("feasible loop not dropped: %+v", a.Verdict)
 	}
 }
@@ -222,8 +229,8 @@ func TestMergePointDirtyJoin(t *testing.T) {
 		enc(isa.Inst{Op: isa.OpADD, Rd: 30, Rs1: 1, Rs2: 2}), //  4: dirties x30
 		enc(isa.Inst{Op: isa.OpLW, Rd: 5, Rs1: 30, Imm: 0}),  //  8: merge point
 	)
-	a := AnalyzeMode(bs, false)
-	if a.Accepted() || a.Verdict.Reason != ReasonDirtyAddress {
+	a := analyze(bs, false)
+	if a.Verdict.Reason != ReasonDirtyAddress {
 		t.Fatalf("merge-point dirty join missed: %+v", a.Verdict)
 	}
 	if a.Verdict.PC != 8 {
@@ -237,7 +244,7 @@ func TestMergePointDirtyJoin(t *testing.T) {
 		enc(isa.Inst{Op: isa.OpADD, Rd: 7, Rs1: 1, Rs2: 2}),
 		enc(isa.Inst{Op: isa.OpLW, Rd: 5, Rs1: 30, Imm: 0}),
 	)
-	if b := AnalyzeMode(ok, false); !b.Accepted() {
+	if b := analyze(ok, false); b.Verdict.Reason != ReasonNone {
 		t.Fatalf("clean merge dropped: %+v", b.Verdict)
 	}
 }
@@ -250,8 +257,8 @@ func TestBranchDenseLinearCost(t *testing.T) {
 		words = append(words, enc(isa.Inst{Op: isa.OpBEQ, Rs1: 1, Rs2: 2, Imm: 8}))
 	}
 	words = append(words, 0xffffffff)
-	a := AnalyzeMode(stream(words...), false)
-	if !a.Accepted() {
+	a := analyze(stream(words...), false)
+	if a.Verdict.Reason != ReasonNone {
 		t.Fatalf("branch-dense stream dropped: %+v", a.Verdict)
 	}
 	if a.Verdict.Paths < 1<<20 {
@@ -266,17 +273,17 @@ func TestPathsSaturate(t *testing.T) {
 		words = append(words, enc(isa.Inst{Op: isa.OpBEQ, Rs1: 1, Rs2: 2, Imm: 8}))
 	}
 	words = append(words, 0xffffffff)
-	a := AnalyzeMode(stream(words...), false)
-	if !a.Accepted() || a.Verdict.Paths != maxPaths {
+	a := analyze(stream(words...), false)
+	if a.Verdict.Reason != ReasonNone || a.Verdict.Paths != maxPaths {
 		t.Fatalf("got %+v, want acceptance with saturated path count", a.Verdict)
 	}
 }
 
 func TestEmptyAndTinyStreams(t *testing.T) {
-	if a := AnalyzeMode(nil, false); !a.Accepted() || a.Verdict.Paths != 1 {
+	if a := analyze(nil, false); a.Verdict.Reason != ReasonNone || a.Verdict.Paths != 1 {
 		t.Errorf("empty stream: %+v", a.Verdict)
 	}
-	if a := AnalyzeMode([]byte{0x01, 0x00}, false); !a.Accepted() {
+	if a := analyze([]byte{0x01, 0x00}, false); a.Verdict.Reason != ReasonNone {
 		t.Errorf("single c.nop: %+v", a.Verdict)
 	}
 }
@@ -286,8 +293,8 @@ func TestCleanAtAndEachInst(t *testing.T) {
 		enc(isa.Inst{Op: isa.OpADD, Rd: 31, Rs1: 1, Rs2: 2}), // dirties x31
 		enc(isa.Inst{Op: isa.OpLW, Rd: 5, Rs1: 30, Imm: 0}),
 	)
-	a := AnalyzeMode(bs, false)
-	if !a.Accepted() {
+	a := analyze(bs, false)
+	if a.Verdict.Reason != ReasonNone {
 		t.Fatalf("dropped: %+v", a.Verdict)
 	}
 	if m := a.CleanAt(0); m != 1<<30|1<<31 {

@@ -20,8 +20,8 @@ func TestMixedCompressedStream(t *testing.T) {
 	bs = append(bs, byte(w), byte(w>>8), byte(w>>16), byte(w>>24))
 	bs = append(bs, stream(0xffffffff)...)
 
-	a := AnalyzeMode(bs, false)
-	if !a.Accepted() || a.Verdict.Paths != 1 {
+	a := analyze(bs, false)
+	if a.Verdict.Reason != ReasonNone || a.Verdict.Paths != 1 {
 		t.Fatalf("mixed stream: %+v", a.Verdict)
 	}
 	// A straight line: sites at 0 (2B), 2 (4B) and 6 (4B), each feasible
@@ -47,8 +47,8 @@ func TestCompressedBranchSplitsBlocks(t *testing.T) {
 	bs = half(bs, 0x0001) // c.nop
 	bs = append(bs, stream(0xffffffff)...)
 
-	a := AnalyzeMode(bs, false)
-	if !a.Accepted() {
+	a := analyze(bs, false)
+	if a.Verdict.Reason != ReasonNone {
 		t.Fatalf("compressed branch stream: %+v", a.Verdict)
 	}
 	if a.Verdict.Paths != 2 {
@@ -65,15 +65,15 @@ func TestJALBackEdgeLoop(t *testing.T) {
 		enc(isa.Inst{Op: isa.OpADD, Rd: 1, Rs1: 1, Rs2: 2}),
 		enc(isa.Inst{Op: isa.OpJAL, Rd: 0, Imm: -4}),
 	)
-	a := AnalyzeMode(bs, false)
-	if a.Accepted() || a.Verdict.Reason != ReasonLoop {
+	a := analyze(bs, false)
+	if a.Verdict.Reason != ReasonLoop {
 		t.Fatalf("JAL back edge not dropped: %+v", a.Verdict)
 	}
 	if a.Verdict.PC != 0 {
 		t.Errorf("loop reported at %d, want head offset 0", a.Verdict.PC)
 	}
 	// Self-loop JAL.
-	if a := AnalyzeMode(stream(enc(isa.Inst{Op: isa.OpJAL, Imm: 0})), false); a.Verdict.Reason != ReasonLoop {
+	if a := analyze(stream(enc(isa.Inst{Op: isa.OpJAL, Imm: 0})), false); a.Verdict.Reason != ReasonLoop {
 		t.Errorf("self JAL: %+v", a.Verdict)
 	}
 }
@@ -86,8 +86,8 @@ func TestBranchBackEdgeSplitsTargetBlock(t *testing.T) {
 		enc(isa.Inst{Op: isa.OpADD, Rd: 3, Rs1: 3, Rs2: 4}),   // 4: back-edge target
 		enc(isa.Inst{Op: isa.OpBNE, Rs1: 1, Rs2: 2, Imm: -4}), // 8
 	)
-	a := AnalyzeMode(bs, false)
-	if a.Accepted() || a.Verdict.Reason != ReasonLoop {
+	a := analyze(bs, false)
+	if a.Verdict.Reason != ReasonLoop {
 		t.Fatalf("branch back edge not dropped: %+v", a.Verdict)
 	}
 	if a.Verdict.PC != 4 {
@@ -108,7 +108,7 @@ func TestBackEdgeDirtiesEarlierLoad(t *testing.T) {
 		enc(isa.Inst{Op: isa.OpBNE, Rs1: 1, Rs2: 2, Imm: -8}), // 12: back to 4
 		0xffffffff, // 16
 	)
-	a := AnalyzeMode(bs, false)
+	a := analyze(bs, false)
 	want := Verdict{Reason: ReasonDirtyAddress, PC: 4, Op: isa.OpLW}
 	if a.Verdict != want {
 		t.Fatalf("verdict = %+v, want %+v", a.Verdict, want)
@@ -128,11 +128,11 @@ func TestBranchIntoPaddedTail(t *testing.T) {
 	bs = append(bs, byte(w), byte(w>>8), byte(w>>16), byte(w>>24))
 	bs = half(bs, 0x0001) // c.nop at 4
 
-	a := AnalyzeMode(bs, false)
+	a := analyze(bs, false)
 	if a.N != 8 {
 		t.Fatalf("padded length = %d, want 8", a.N)
 	}
-	if !a.Accepted() || a.Verdict.Paths != 2 {
+	if a.Verdict.Reason != ReasonNone || a.Verdict.Paths != 2 {
 		t.Fatalf("branch into padding: %+v", a.Verdict)
 	}
 	// The zero halfword at 6 is a discovered exit site.
@@ -149,8 +149,8 @@ func TestStraddleViaBranchTarget(t *testing.T) {
 		0x00000001,
 		0xf3f3f3f3,
 	)
-	a := AnalyzeMode(bs, false)
-	if a.Accepted() || a.Verdict.Reason != ReasonStraddle {
+	a := analyze(bs, false)
+	if a.Verdict.Reason != ReasonStraddle {
 		t.Fatalf("straddle not dropped: %+v", a.Verdict)
 	}
 	if a.Verdict.PC != 10 {
@@ -171,8 +171,8 @@ func TestUnreachableSitesNotDiscovered(t *testing.T) {
 		enc(isa.Inst{Op: isa.OpBEQ, Rs1: 1, Rs2: 2, Imm: -8}), // 24 -> 16 / 28
 		enc(isa.Inst{Op: isa.OpLW, Rd: 5, Rs1: 30, Imm: -16}), // 28
 	)
-	a := AnalyzeMode(bs, false)
-	if !a.Accepted() || a.Verdict.Paths != 3 {
+	a := analyze(bs, false)
+	if a.Verdict.Reason != ReasonNone || a.Verdict.Paths != 3 {
 		t.Fatalf("Fig. 2 program: %+v", a.Verdict)
 	}
 	for _, pc := range []int32{8, 12} {
@@ -192,8 +192,8 @@ func TestOverlappingSitesAtHalfwordGranularity(t *testing.T) {
 		enc(isa.Inst{Op: isa.OpBEQ, Rs1: 0, Rs2: 0, Imm: 6}),
 		0x8082ffff, // aligned: illegal word; halfword at 6 = 0x8082 = c.jr ra
 	)
-	a := AnalyzeMode(bs, false)
-	if a.Accepted() || a.Verdict.Reason != ReasonForbidden {
+	a := analyze(bs, false)
+	if a.Verdict.Reason != ReasonForbidden {
 		t.Fatalf("overlapping forbidden stream: %+v", a.Verdict)
 	}
 	if a.Verdict.PC != 6 {
@@ -214,8 +214,8 @@ func TestBlocksSuccessorsFoldedBranch(t *testing.T) {
 		0xffffffff, // 4: statically dead
 		0xffffffff, // 8
 	)
-	a := AnalyzeMode(bs, false)
-	if !a.Accepted() || a.Verdict.Paths != 1 {
+	a := analyze(bs, false)
+	if a.Verdict.Reason != ReasonNone || a.Verdict.Paths != 1 {
 		t.Fatalf("folded branch: %+v", a.Verdict)
 	}
 	wantSuccs(t, a, map[int32][]int32{0: {8}, 8: {}})

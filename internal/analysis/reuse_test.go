@@ -194,7 +194,7 @@ func viewOf(a *Analysis) analysisView {
 
 // FuzzAnalysisReuse feeds a sequence of streams through one reused
 // Analysis and checks that each result reads exactly like a fresh
-// AnalyzeMode of the same stream: verdict, length, the EachInst
+// analysis of the same stream: verdict, length, the EachInst
 // sequence, and InstAt/Reachable/CleanAt and the feasible successors at
 // every even offset from -2 to N+4.
 func FuzzAnalysisReuse(f *testing.F) {
@@ -213,7 +213,7 @@ func FuzzAnalysisReuse(f *testing.F) {
 		streams, trap := reuseStreams(data)
 		for i, s := range streams {
 			a.Analyze(s, trap[i])
-			got, want := viewOf(&a), viewOf(AnalyzeMode(s, trap[i]))
+			got, want := viewOf(&a), viewOf(analyze(s, trap[i]))
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("stream %d of %d (%x, trap=%v) after reuse:\n got %+v\nwant %+v",
 					i, len(streams), s, trap[i], got, want)

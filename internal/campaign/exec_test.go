@@ -157,34 +157,31 @@ func TestDaemonFuzzParity(t *testing.T) {
 }
 
 // TestEnvParity pins the Env contract that Env never influences result
-// bytes: for every worker count, family and minimize setting, Execute
-// without a checkpoint directory and Execute with one write identical
-// artifacts, and a trap suite ends with all four directed probes.
+// bytes: for every worker count and family, Execute without a
+// checkpoint directory and Execute with one write identical artifacts,
+// and a trap suite ends with all four directed probes.
 func TestEnvParity(t *testing.T) {
 	probes := fuzz.TrapDirectedCases()
 	for _, workers := range []int{1, 2, 8} {
 		for _, family := range []string{"user", "trap"} {
-			for _, minimize := range []bool{false, true} {
-				spec := fuzzSpec(workers)
-				spec.Execs = 3000
-				spec.Suite = family
-				spec.Minimize = minimize
-				t.Run(fmt.Sprintf("workers=%d/%s/minimize=%t", workers, family, minimize), func(t *testing.T) {
-					plain, res := executeArtifacts(t, spec, false)
-					ckpt, _ := executeArtifacts(t, spec, true)
-					compareArtifacts(t, plain, ckpt)
-					if family != "trap" {
-						return
+			spec := fuzzSpec(workers)
+			spec.Execs = 3000
+			spec.Suite = family
+			t.Run(fmt.Sprintf("workers=%d/%s", workers, family), func(t *testing.T) {
+				plain, res := executeArtifacts(t, spec, false)
+				ckpt, _ := executeArtifacts(t, spec, true)
+				compareArtifacts(t, plain, ckpt)
+				if family != "trap" {
+					return
+				}
+				cases := res.Suite.Cases
+				n := len(cases) - len(probes)
+				for i, p := range probes {
+					if n+i < 0 || string(cases[n+i]) != string(p) {
+						t.Fatalf("trap suite does not end with directed probe %d", i)
 					}
-					cases := res.Suite.Cases
-					n := len(cases) - len(probes)
-					for i, p := range probes {
-						if n+i < 0 || string(cases[n+i]) != string(p) {
-							t.Fatalf("trap suite does not end with directed probe %d", i)
-						}
-					}
-				})
-			}
+				}
+			})
 		}
 	}
 }

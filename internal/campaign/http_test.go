@@ -115,6 +115,55 @@ func TestSubmitInvalidSpecs(t *testing.T) {
 	}
 }
 
+// TestSubmitIgnoresMinimizeKey: the "minimize" key is accepted (201,
+// not the 400 an unknown field gets) and ignored, because a fuzz job
+// minimizes exactly when it merges two or more workers' corpora. At
+// workers 1 and 2, a job that sends it writes the same artifacts as the
+// same job without it.
+func TestSubmitIgnoresMinimizeKey(t *testing.T) {
+	_, srv := newTestAPI(t, true, 1)
+	artifacts := func(body string) map[string][]byte {
+		t.Helper()
+		status, resp := do(t, "POST", srv.URL+"/api/v1/jobs", body)
+		if status != http.StatusCreated {
+			t.Fatalf("submit %s: status %d, want 201 (body %s)", body, status, resp)
+		}
+		var job Job
+		if err := json.Unmarshal([]byte(resp), &job); err != nil {
+			t.Fatal(err)
+		}
+		jobURL := srv.URL + "/api/v1/jobs/" + job.ID
+		if status, resp = do(t, "GET", jobURL+"/wait?timeout_sec=120", ""); status != http.StatusOK {
+			t.Fatalf("wait %s: status %d body %s", job.ID, status, resp)
+		}
+		if err := json.Unmarshal([]byte(resp), &job); err != nil {
+			t.Fatal(err)
+		}
+		if job.State != StateDone {
+			t.Fatalf("job %s finished %s (error %q), want done", job.ID, job.State, job.Error)
+		}
+		_, resp = do(t, "GET", jobURL+"/artifacts", "")
+		var list fileList
+		if err := json.Unmarshal([]byte(resp), &list); err != nil {
+			t.Fatal(err)
+		}
+		out := map[string][]byte{}
+		for _, f := range list.Files {
+			status, raw := do(t, "GET", jobURL+"/artifacts/"+f.Name, "")
+			if status != http.StatusOK {
+				t.Fatalf("artifact %s of %s: status %d", f.Name, job.ID, status)
+			}
+			out[f.Name] = []byte(raw)
+		}
+		return out
+	}
+	for _, workers := range []int{1, 2} {
+		spec := fmt.Sprintf(`{"kind":"fuzz","seed":3,"execs":4000,"workers":%d`, workers)
+		plain := artifacts(spec + "}")
+		compareArtifacts(t, plain, artifacts(spec+`,"minimize":true}`))
+	}
+}
+
 func TestJobNotFound(t *testing.T) {
 	_, srv := newTestAPI(t, false, 1)
 	for _, url := range []string{

@@ -141,7 +141,6 @@ func executeFuzz(ctx context.Context, spec JobSpec, env Env) (*Result, error) {
 		WallBudget:      env.WallBudget,
 		CheckpointDir:   env.CheckpointDir,
 		CheckpointEvery: spec.CheckpointEvery,
-		Minimize:        spec.Workers > 1 || spec.Minimize,
 	})
 	if errors.Is(err, fuzz.ErrInterrupted) {
 		return nil, ErrInterrupted

@@ -80,8 +80,9 @@ type JobSpec struct {
 	// CheckpointEvery is the fuzz engine's periodic checkpoint interval
 	// in executions (0 means the engine default, 100000).
 	CheckpointEvery uint64 `json:"checkpoint_every,omitempty"`
-	// Minimize replays the corpus and drops coverage-redundant cases
-	// before saving (fuzz jobs; multi-worker campaigns always minimize).
+	// Minimize is accepted and ignored, so that clients which still send
+	// the key are not refused: a fuzz job minimizes exactly when it
+	// merges two or more workers' corpora (fuzz.Campaign).
 	Minimize bool `json:"minimize,omitempty"`
 	// SeedSuite optionally seeds a fuzz campaign with a previously
 	// generated suite file.

@@ -50,16 +50,6 @@ func (s State) Terminal() bool {
 	return false
 }
 
-// Valid reports whether s is one of the defined states.
-func (s State) Valid() bool {
-	switch s {
-	case StateQueued, StateRunning, StateCheckpointing,
-		StateDone, StateDegraded, StateFailed, StateCanceled:
-		return true
-	}
-	return false
-}
-
 // transitions is the edge set of the lifecycle machine. Every state
 // change in the scheduler and the store flows through Job.transition,
 // which consults this table — an illegal hop is a bug, not a new

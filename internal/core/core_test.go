@@ -49,7 +49,7 @@ func TestBuildSuiteOriginAndProbes(t *testing.T) {
 		{2, "parallel fuzzer workers=2 seed=3 execs=6000"},
 	} {
 		suite, stats, err := BuildSuite(context.Background(), cfg,
-			fuzz.CampaignConfig{Workers: tc.workers, ExecsEach: 3000, Minimize: true})
+			fuzz.CampaignConfig{Workers: tc.workers, ExecsEach: 3000})
 		if err != nil {
 			t.Fatal(err)
 		}

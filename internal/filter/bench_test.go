@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"rvnegtest/internal/analysis"
 	"rvnegtest/internal/isa"
 )
 
@@ -117,7 +118,7 @@ func denseStream(nForks int) []byte {
 // BenchmarkFilterDense compares the two engines on the branch-dense
 // workload that motivated the fixpoint rewrite. The fixpoint engine must
 // not be slower — and it accepts the input, where path enumeration gives
-// up with ReasonPathBudget.
+// up with analysis.ReasonPathBudget.
 func BenchmarkFilterDense(b *testing.B) {
 	// 21 words (84 bytes): inside the exhaustive engine's 128-byte visited
 	// window, beyond any practical fork budget. No MaxLen so the length
@@ -134,7 +135,7 @@ func BenchmarkFilterDense(b *testing.B) {
 	b.Run("exhaustive", func(b *testing.B) {
 		exh := &Exhaustive{}
 		for i := 0; i < b.N; i++ {
-			if r := exh.Check(bs); r.Reason != ReasonPathBudget {
+			if r := exh.Check(bs); r.Reason != analysis.ReasonPathBudget {
 				b.Fatalf("exhaustive should exhaust its budget, got %v", r)
 			}
 		}

@@ -12,7 +12,7 @@ import (
 // accept a superset of what Exhaustive accepts — Exhaustive is strictly
 // more conservative because it cannot fold statically decided branches
 // and drops branch-dense inputs when the fork budget runs out
-// (ReasonPathBudget).
+// (analysis.ReasonPathBudget).
 type Exhaustive struct {
 	// MaxLen, when nonzero, drops bytestreams longer than this many bytes.
 	MaxLen int
@@ -25,7 +25,7 @@ type Exhaustive struct {
 	// analysis.TrapForbidden, and only stores keep the clean-base rule.
 	// The per-instruction forking is exponential, so trap-mode Exhaustive
 	// exhausts its budget on much shorter streams than user mode — that
-	// is acceptable for an oracle (ReasonPathBudget drops never count
+	// is acceptable for an oracle (analysis.ReasonPathBudget drops never count
 	// against the superset invariant).
 	Trap bool
 }
@@ -49,7 +49,7 @@ type state struct {
 // Check runs the path-enumerating abstract execution over the bytestream.
 func (f *Exhaustive) Check(bs []byte) Result {
 	if f.MaxLen > 0 && len(bs) > f.MaxLen {
-		return Result{Reason: ReasonTooLong, PC: int32(len(bs))}
+		return Result{Reason: analysis.ReasonTooLong, PC: int32(len(bs))}
 	}
 	// The injection area pads the bytestream to a whole word with zero
 	// bytes; analyze what actually executes.
@@ -60,12 +60,12 @@ func (f *Exhaustive) Check(bs []byte) Result {
 		// visited is a 64-bit set over half-word positions; the template
 		// injection area (<= 80 bytes = 40 positions) always fits, but
 		// guard against misuse.
-		return Result{Reason: ReasonOutOfBounds, PC: n}
+		return Result{Reason: analysis.ReasonOutOfBounds, PC: n}
 	}
 
 	work := []state{{pc: 0, clean: cleanInit}}
 	paths, steps := 0, 0
-	drop := func(r Reason, pc int32, op isa.Op) Result {
+	drop := func(r analysis.Reason, pc int32, op isa.Op) Result {
 		return Result{Reason: r, PC: pc, Op: op}
 	}
 	for len(work) > 0 {
@@ -73,18 +73,18 @@ func (f *Exhaustive) Check(bs []byte) Result {
 		work = work[:len(work)-1]
 		for {
 			if steps++; steps > maxSteps {
-				return drop(ReasonPathBudget, st.pc, isa.OpIllegal)
+				return drop(analysis.ReasonPathBudget, st.pc, isa.OpIllegal)
 			}
 			if st.pc == n {
 				paths++ // fell off the end: the template's jump slots finish the test
 				break
 			}
 			if st.pc < 0 || st.pc > n {
-				return drop(ReasonOutOfBounds, st.pc, isa.OpIllegal)
+				return drop(analysis.ReasonOutOfBounds, st.pc, isa.OpIllegal)
 			}
 			bit := uint64(1) << uint(st.pc/2)
 			if st.visited&bit != 0 {
-				return drop(ReasonLoop, st.pc, isa.OpIllegal)
+				return drop(analysis.ReasonLoop, st.pc, isa.OpIllegal)
 			}
 			st.visited |= bit
 
@@ -92,7 +92,7 @@ func (f *Exhaustive) Check(bs []byte) Result {
 			var inst isa.Inst
 			if lo&3 == 3 {
 				if st.pc+4 > n {
-					return drop(ReasonStraddle, st.pc, isa.OpIllegal)
+					return drop(analysis.ReasonStraddle, st.pc, isa.OpIllegal)
 				}
 				word := lo | uint32(padded[st.pc+2])<<16 | uint32(padded[st.pc+3])<<24
 				inst = isa.Ref.Decode32(word)
@@ -115,7 +115,7 @@ func (f *Exhaustive) Check(bs []byte) Result {
 			}
 			if f.Trap {
 				if analysis.TrapForbidden(inst) {
-					return drop(ReasonForbidden, st.pc, inst.Op)
+					return drop(analysis.ReasonForbidden, st.pc, inst.Op)
 				}
 				if inst.Op == isa.OpECALL || inst.Op == isa.OpEBREAK {
 					// Deliberate trap: recorded, then resumed.
@@ -124,7 +124,7 @@ func (f *Exhaustive) Check(bs []byte) Result {
 				}
 			} else {
 				if info.Flags.Is(isa.FlagForbidden) {
-					return drop(ReasonForbidden, st.pc, inst.Op)
+					return drop(analysis.ReasonForbidden, st.pc, inst.Op)
 				}
 				if inst.Op == isa.OpECALL {
 					// Deterministic trap into the handler: path accepted.
@@ -139,14 +139,14 @@ func (f *Exhaustive) Check(bs []byte) Result {
 				dirtyBase := st.clean&(1<<inst.Rs1) == 0
 				if f.Trap {
 					if info.Flags.Is(isa.FlagStore) && dirtyBase {
-						return drop(ReasonDirtyAddress, st.pc, inst.Op)
+						return drop(analysis.ReasonDirtyAddress, st.pc, inst.Op)
 					}
 				} else {
 					if dirtyBase {
-						return drop(ReasonDirtyAddress, st.pc, inst.Op)
+						return drop(analysis.ReasonDirtyAddress, st.pc, inst.Op)
 					}
 					if info.MemSize > 1 && inst.Imm&int32(info.MemSize-1) != 0 {
-						return drop(ReasonUnalignedImm, st.pc, inst.Op)
+						return drop(analysis.ReasonUnalignedImm, st.pc, inst.Op)
 					}
 				}
 			}

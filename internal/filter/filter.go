@@ -30,36 +30,10 @@ import (
 	"rvnegtest/internal/isa"
 )
 
-// Reason classifies why a bytestream was dropped. It is the analysis
-// package's taxonomy; the names below keep the historical filter API.
-type Reason = analysis.Reason
-
-const (
-	// ReasonNone: the bytestream was accepted.
-	ReasonNone = analysis.ReasonNone
-	// ReasonForbidden: a forbidden instruction is reachable.
-	ReasonForbidden = analysis.ReasonForbidden
-	// ReasonLoop: control flow can revisit an instruction.
-	ReasonLoop = analysis.ReasonLoop
-	// ReasonOutOfBounds: control flow can leave the bytestream.
-	ReasonOutOfBounds = analysis.ReasonOutOfBounds
-	// ReasonDirtyAddress: a memory access uses a dirty base register.
-	ReasonDirtyAddress = analysis.ReasonDirtyAddress
-	// ReasonUnalignedImm: a memory access immediate is not size-aligned.
-	ReasonUnalignedImm = analysis.ReasonUnalignedImm
-	// ReasonStraddle: a 32-bit encoding straddles the bytestream end.
-	ReasonStraddle = analysis.ReasonStraddle
-	// ReasonPathBudget: the path fork budget was exhausted (only the
-	// test-only Exhaustive oracle reports this; Filter never does).
-	ReasonPathBudget = analysis.ReasonPathBudget
-	// ReasonTooLong: the bytestream exceeds MaxLen.
-	ReasonTooLong = analysis.ReasonTooLong
-)
-
 // Result reports the filter decision for one bytestream.
 type Result struct {
 	Accepted bool
-	Reason   Reason
+	Reason   analysis.Reason
 	// PC is the local offset of the instruction that caused a drop.
 	PC int32
 	// Op is the operation at that offset (when meaningful).
@@ -87,7 +61,7 @@ type Filter struct {
 	// (the injection area limit).
 	MaxLen int
 	// Trap selects the trap-suite family semantics
-	// (analysis.AnalyzeMode): deliberate traps resume past the faulting
+	// (analysis.Analysis.Analyze): deliberate traps resume past the faulting
 	// word under the recording handler, the forbidden set shrinks to
 	// analysis.TrapForbidden, and only stores keep the clean-base rule.
 	Trap bool
@@ -98,7 +72,7 @@ type Filter struct {
 // Check analyses the bytestream and returns the accept/drop decision.
 func (f *Filter) Check(bs []byte) Result {
 	if f.MaxLen > 0 && len(bs) > f.MaxLen {
-		return Result{Reason: ReasonTooLong, PC: int32(len(bs))}
+		return Result{Reason: analysis.ReasonTooLong, PC: int32(len(bs))}
 	}
 	f.an.Analyze(bs, f.Trap)
 	v := f.an.Verdict

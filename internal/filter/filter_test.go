@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"rvnegtest/internal/analysis"
 	"rvnegtest/internal/exec"
 	"rvnegtest/internal/isa"
 	"rvnegtest/internal/template"
@@ -66,14 +67,14 @@ func TestForbiddenInstructions(t *testing.T) {
 	}
 	for name, w := range cases {
 		res := f.Check(stream(w))
-		if res.Accepted || res.Reason != ReasonForbidden {
+		if res.Accepted || res.Reason != analysis.ReasonForbidden {
 			t.Errorf("%s: %v, want forbidden drop", name, res)
 		}
 	}
 	// Compressed forbidden forms: c.jr ra (jalr), c.ebreak.
 	for _, h := range []uint16{0x8082, 0x9002} {
 		res := f.Check([]byte{byte(h), byte(h >> 8)})
-		if res.Accepted || res.Reason != ReasonForbidden {
+		if res.Accepted || res.Reason != analysis.ReasonForbidden {
 			t.Errorf("compressed %#04x: %v, want forbidden drop", h, res)
 		}
 	}
@@ -113,7 +114,7 @@ func TestIllegalAccepted(t *testing.T) {
 func TestLoopDetection(t *testing.T) {
 	// jal x0, 0: self loop.
 	res := f.Check(stream(enc(isa.Inst{Op: isa.OpJAL, Imm: 0})))
-	if res.Accepted || res.Reason != ReasonLoop {
+	if res.Accepted || res.Reason != analysis.ReasonLoop {
 		t.Errorf("self jal: %v", res)
 	}
 	// Two-instruction loop via backward branch.
@@ -121,7 +122,7 @@ func TestLoopDetection(t *testing.T) {
 		enc(isa.Inst{Op: isa.OpADD, Rd: 1, Rs1: 1, Rs2: 2}),
 		enc(isa.Inst{Op: isa.OpBEQ, Rs1: 0, Rs2: 0, Imm: -4}),
 	))
-	if res.Accepted || res.Reason != ReasonLoop {
+	if res.Accepted || res.Reason != analysis.ReasonLoop {
 		t.Errorf("backward beq: %v", res)
 	}
 	// A backward branch that cannot loop (lands on an exit path) is fine:
@@ -139,12 +140,12 @@ func TestLoopDetection(t *testing.T) {
 func TestOutOfBounds(t *testing.T) {
 	// Jump beyond the end.
 	res := f.Check(stream(enc(isa.Inst{Op: isa.OpJAL, Imm: 64})))
-	if res.Accepted || res.Reason != ReasonOutOfBounds {
+	if res.Accepted || res.Reason != analysis.ReasonOutOfBounds {
 		t.Errorf("far jal: %v", res)
 	}
 	// Jump before the start.
 	res = f.Check(stream(enc(isa.Inst{Op: isa.OpJAL, Imm: -8})))
-	if res.Accepted || res.Reason != ReasonOutOfBounds {
+	if res.Accepted || res.Reason != analysis.ReasonOutOfBounds {
 		t.Errorf("negative jal: %v", res)
 	}
 	// Jump to exactly the end: equivalent to falling through.
@@ -173,7 +174,7 @@ func TestMemoryDiscipline(t *testing.T) {
 	}
 	// Dirty base register.
 	res := f.Check(stream(enc(isa.Inst{Op: isa.OpLW, Rd: 5, Rs1: 7, Imm: 0})))
-	if res.Accepted || res.Reason != ReasonDirtyAddress {
+	if res.Accepted || res.Reason != analysis.ReasonDirtyAddress {
 		t.Errorf("dirty base: %v", res)
 	}
 	// x30 dirtied then used.
@@ -181,7 +182,7 @@ func TestMemoryDiscipline(t *testing.T) {
 		enc(isa.Inst{Op: isa.OpADD, Rd: 30, Rs1: 1, Rs2: 2}),
 		enc(isa.Inst{Op: isa.OpLW, Rd: 5, Rs1: 30, Imm: 0}),
 	))
-	if res.Accepted || res.Reason != ReasonDirtyAddress {
+	if res.Accepted || res.Reason != analysis.ReasonDirtyAddress {
 		t.Errorf("dirtied x30: %v", res)
 	}
 	// A load into x30 dirties it for later accesses (the loaded value is
@@ -190,25 +191,25 @@ func TestMemoryDiscipline(t *testing.T) {
 		enc(isa.Inst{Op: isa.OpLW, Rd: 30, Rs1: 30, Imm: 0}),
 		enc(isa.Inst{Op: isa.OpLW, Rd: 5, Rs1: 30, Imm: 0}),
 	))
-	if res.Accepted || res.Reason != ReasonDirtyAddress {
+	if res.Accepted || res.Reason != analysis.ReasonDirtyAddress {
 		t.Errorf("load-into-x30: %v", res)
 	}
 	// Unaligned immediates.
 	res = f.Check(stream(enc(isa.Inst{Op: isa.OpLW, Rd: 5, Rs1: 30, Imm: 2})))
-	if res.Accepted || res.Reason != ReasonUnalignedImm {
+	if res.Accepted || res.Reason != analysis.ReasonUnalignedImm {
 		t.Errorf("unaligned lw: %v", res)
 	}
 	res = f.Check(stream(enc(isa.Inst{Op: isa.OpFLD, Rd: 5, Rs1: 30, Imm: 4})))
-	if res.Accepted || res.Reason != ReasonUnalignedImm {
+	if res.Accepted || res.Reason != analysis.ReasonUnalignedImm {
 		t.Errorf("unaligned fld: %v", res)
 	}
 	res = f.Check(stream(enc(isa.Inst{Op: isa.OpSH, Rs1: 31, Rs2: 1, Imm: -3})))
-	if res.Accepted || res.Reason != ReasonUnalignedImm {
+	if res.Accepted || res.Reason != analysis.ReasonUnalignedImm {
 		t.Errorf("unaligned sh: %v", res)
 	}
 	// Compressed loads use x8..x15 or sp as base: always dirty.
 	res = f.Check([]byte{0x98, 0x43}) // c.lw a4, 0(a5)
-	if res.Accepted || res.Reason != ReasonDirtyAddress {
+	if res.Accepted || res.Reason != analysis.ReasonDirtyAddress {
 		t.Errorf("c.lw: %v", res)
 	}
 }
@@ -236,7 +237,7 @@ func TestStraddlingEncoding(t *testing.T) {
 		0xf3f3f3f3, // offset 8; halfword at 10 = 0xf3f3: 32-bit low half
 	)
 	res = f.Check(bs2)
-	if res.Accepted || res.Reason != ReasonStraddle {
+	if res.Accepted || res.Reason != analysis.ReasonStraddle {
 		t.Errorf("straddle: %v", res)
 	}
 }
@@ -282,18 +283,18 @@ func TestMaxLen(t *testing.T) {
 func TestMaxLenReason(t *testing.T) {
 	g := &Filter{MaxLen: 8}
 	res := g.Check(make([]byte, 12))
-	if res.Reason != ReasonTooLong {
-		t.Errorf("overlong drop reason = %v, want ReasonTooLong", res.Reason)
+	if res.Reason != analysis.ReasonTooLong {
+		t.Errorf("overlong drop reason = %v, want analysis.ReasonTooLong", res.Reason)
 	}
 	if res.PC != 12 {
 		t.Errorf("overlong drop PC = %d, want the stream length", res.PC)
 	}
 	e := &Exhaustive{MaxLen: 8}
-	if res := e.Check(make([]byte, 12)); res.Reason != ReasonTooLong {
-		t.Errorf("exhaustive overlong drop reason = %v, want ReasonTooLong", res.Reason)
+	if res := e.Check(make([]byte, 12)); res.Reason != analysis.ReasonTooLong {
+		t.Errorf("exhaustive overlong drop reason = %v, want analysis.ReasonTooLong", res.Reason)
 	}
-	if got := ReasonTooLong.String(); got != "bytestream too long" {
-		t.Errorf("ReasonTooLong.String() = %q, want %q", got, "bytestream too long")
+	if got := analysis.ReasonTooLong.String(); got != "bytestream too long" {
+		t.Errorf("analysis.ReasonTooLong.String() = %q, want %q", got, "bytestream too long")
 	}
 	// Exactly MaxLen is fine.
 	if res := g.Check(stream(0xffffffff, 0xffffffff)); !res.Accepted {
@@ -310,7 +311,7 @@ func TestFixpointPrecision(t *testing.T) {
 	cases := []struct {
 		name   string
 		bs     []byte
-		oldRes Reason // what path enumeration says
+		oldRes analysis.Reason // what path enumeration says
 	}{
 		{
 			"infeasible-loop",
@@ -319,7 +320,7 @@ func TestFixpointPrecision(t *testing.T) {
 				enc(isa.Inst{Op: isa.OpBNE, Rs1: 5, Rs2: 0, Imm: -4}),
 				0xffffffff,
 			),
-			ReasonLoop,
+			analysis.ReasonLoop,
 		},
 		{
 			"dead-forbidden",
@@ -329,7 +330,7 @@ func TestFixpointPrecision(t *testing.T) {
 				enc(isa.Inst{Op: isa.OpWFI}),
 				0xffffffff,
 			),
-			ReasonForbidden,
+			analysis.ReasonForbidden,
 		},
 		{
 			"dead-wild-target",
@@ -338,7 +339,7 @@ func TestFixpointPrecision(t *testing.T) {
 				enc(isa.Inst{Op: isa.OpBEQ, Rs1: 5, Rs2: 0, Imm: 4000}),
 				0xffffffff,
 			),
-			ReasonOutOfBounds,
+			analysis.ReasonOutOfBounds,
 		},
 	}
 	for _, tc := range cases {
@@ -361,10 +362,10 @@ func TestNoPathBudgetDrops(t *testing.T) {
 	words = append(words, 0xffffffff)
 	bs := stream(words...)
 	exh := &Exhaustive{}
-	if res := exh.Check(bs); res.Reason != ReasonPathBudget {
+	if res := exh.Check(bs); res.Reason != analysis.ReasonPathBudget {
 		t.Fatalf("exhaustive should exhaust its budget, got %v (test premise)", res)
 	}
-	if res := f.Check(bs); !res.Accepted || res.Reason == ReasonPathBudget {
+	if res := f.Check(bs); !res.Accepted || res.Reason == analysis.ReasonPathBudget {
 		t.Errorf("fixpoint on branch-dense input: %v", res)
 	}
 }
@@ -385,7 +386,7 @@ func TestExhaustiveSubsetRandom(t *testing.T) {
 			bs[0], bs[1], bs[2], bs[3] = byte(w), byte(w>>8), byte(w>>16), byte(w>>24)
 		}
 		fr := flt.Check(bs)
-		if fr.Reason == ReasonPathBudget {
+		if fr.Reason == analysis.ReasonPathBudget {
 			t.Fatalf("fixpoint path-budget drop on %x", bs)
 		}
 		if er := exh.Check(bs); er.Accepted && !fr.Accepted {
@@ -509,7 +510,7 @@ func TestOverlappingInstructionStreams(t *testing.T) {
 		0x8082ffff, // aligned view: illegal; halfword at +6 = 0x8082 = c.jr ra (forbidden!)
 	)
 	res = f.Check(bs2)
-	if res.Accepted || res.Reason != ReasonForbidden {
+	if res.Accepted || res.Reason != analysis.ReasonForbidden {
 		t.Errorf("overlapping forbidden stream: %v", res)
 	}
 	// Without the branch the c.jr is never decoded at +6; the aligned

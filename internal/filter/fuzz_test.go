@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"rvnegtest/internal/analysis"
 	"rvnegtest/internal/isa"
 	"rvnegtest/internal/sim"
 	"rvnegtest/internal/template"
@@ -84,7 +85,7 @@ func FuzzFilterDifferential(f *testing.F) {
 			exh := &Exhaustive{MaxLen: 64, Trap: trap}
 			fr := flt.Check(bs)
 			er := exh.Check(bs)
-			if fr.Reason == ReasonPathBudget {
+			if fr.Reason == analysis.ReasonPathBudget {
 				t.Fatalf("trap=%v: fixpoint engine reported a path budget drop on %x", trap, bs)
 			}
 			if er.Accepted && !fr.Accepted {
@@ -93,7 +94,7 @@ func FuzzFilterDifferential(f *testing.F) {
 			if er.Accepted && fr.Accepted && fr.Paths > er.Paths {
 				t.Fatalf("trap=%v: fixpoint counts more paths on %x: exhaustive %d, fixpoint %d", trap, bs, er.Paths, fr.Paths)
 			}
-			if er.Reason == ReasonTooLong && fr.Reason != ReasonTooLong {
+			if er.Reason == analysis.ReasonTooLong && fr.Reason != analysis.ReasonTooLong {
 				t.Fatalf("trap=%v: MaxLen verdicts diverge on %x: %v vs %v", trap, bs, er, fr)
 			}
 		}

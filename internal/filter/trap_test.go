@@ -13,7 +13,7 @@ func bothTrap(t *testing.T, bs []byte) (Result, Result) {
 	t.Helper()
 	fr := (&Filter{Trap: true}).Check(bs)
 	er := (&Exhaustive{Trap: true}).Check(bs)
-	if fr.Accepted != er.Accepted && er.Reason != ReasonPathBudget {
+	if fr.Accepted != er.Accepted && er.Reason != analysis.ReasonPathBudget {
 		t.Fatalf("engines disagree: fixpoint %v, exhaustive %v", fr, er)
 	}
 	return fr, er
@@ -26,19 +26,19 @@ func TestTrapModeAcceptsDesiredEvents(t *testing.T) {
 	cases := []struct {
 		name string
 		bs   []byte
-		user Reason // the user-mode engine's verdict for contrast
+		user analysis.Reason // the user-mode engine's verdict for contrast
 	}{
-		{"illegal word", stream(0xffffffff), ReasonNone}, // user mode also accepts (exit)
-		{"ebreak", stream(enc(isa.Inst{Op: isa.OpEBREAK})), ReasonForbidden},
-		{"csr read cycle", stream(enc(isa.Inst{Op: isa.OpCSRRS, Rd: 9, Rs1: 0, CSR: 0x342})), ReasonForbidden},
-		{"csr write mscratch", stream(enc(isa.Inst{Op: isa.OpCSRRW, Rd: 0, Rs1: 5, CSR: 0x340})), ReasonForbidden},
-		{"mtvec read-only", stream(enc(isa.Inst{Op: isa.OpCSRRS, Rd: 9, Rs1: 0, CSR: 0x305})), ReasonForbidden},
-		{"mtvec csrrsi zero imm", stream(enc(isa.Inst{Op: isa.OpCSRRSI, Rd: 9, Imm: 0, CSR: 0x305})), ReasonForbidden},
-		{"sfence.vma", stream(enc(isa.Inst{Op: isa.OpSFENCEVMA, Rs1: 1, Rs2: 2})), ReasonForbidden},
-		{"unaligned load", stream(enc(isa.Inst{Op: isa.OpLW, Rd: 5, Rs1: 30, Imm: 2})), ReasonUnalignedImm},
-		{"dirty-base load", stream(enc(isa.Inst{Op: isa.OpLW, Rd: 5, Rs1: 9, Imm: 0})), ReasonDirtyAddress},
-		{"dirty-base lr.w", stream(enc(isa.Inst{Op: isa.OpLRW, Rd: 5, Rs1: 9})), ReasonDirtyAddress},
-		{"unaligned store clean base", stream(enc(isa.Inst{Op: isa.OpSW, Rs1: 30, Rs2: 5, Imm: 1})), ReasonUnalignedImm},
+		{"illegal word", stream(0xffffffff), analysis.ReasonNone}, // user mode also accepts (exit)
+		{"ebreak", stream(enc(isa.Inst{Op: isa.OpEBREAK})), analysis.ReasonForbidden},
+		{"csr read cycle", stream(enc(isa.Inst{Op: isa.OpCSRRS, Rd: 9, Rs1: 0, CSR: 0x342})), analysis.ReasonForbidden},
+		{"csr write mscratch", stream(enc(isa.Inst{Op: isa.OpCSRRW, Rd: 0, Rs1: 5, CSR: 0x340})), analysis.ReasonForbidden},
+		{"mtvec read-only", stream(enc(isa.Inst{Op: isa.OpCSRRS, Rd: 9, Rs1: 0, CSR: 0x305})), analysis.ReasonForbidden},
+		{"mtvec csrrsi zero imm", stream(enc(isa.Inst{Op: isa.OpCSRRSI, Rd: 9, Imm: 0, CSR: 0x305})), analysis.ReasonForbidden},
+		{"sfence.vma", stream(enc(isa.Inst{Op: isa.OpSFENCEVMA, Rs1: 1, Rs2: 2})), analysis.ReasonForbidden},
+		{"unaligned load", stream(enc(isa.Inst{Op: isa.OpLW, Rd: 5, Rs1: 30, Imm: 2})), analysis.ReasonUnalignedImm},
+		{"dirty-base load", stream(enc(isa.Inst{Op: isa.OpLW, Rd: 5, Rs1: 9, Imm: 0})), analysis.ReasonDirtyAddress},
+		{"dirty-base lr.w", stream(enc(isa.Inst{Op: isa.OpLRW, Rd: 5, Rs1: 9})), analysis.ReasonDirtyAddress},
+		{"unaligned store clean base", stream(enc(isa.Inst{Op: isa.OpSW, Rs1: 30, Rs2: 5, Imm: 1})), analysis.ReasonUnalignedImm},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -74,10 +74,10 @@ func TestTrapModeForbidden(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			fr, er := bothTrap(t, tc.bs)
-			if fr.Reason != ReasonForbidden {
+			if fr.Reason != analysis.ReasonForbidden {
 				t.Fatalf("fixpoint: got %v, want forbidden", fr)
 			}
-			if er.Reason != ReasonForbidden {
+			if er.Reason != analysis.ReasonForbidden {
 				t.Fatalf("exhaustive: got %v, want forbidden", er)
 			}
 		})
@@ -98,7 +98,7 @@ func TestTrapModeDirtyStoreDropped(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			fr, er := bothTrap(t, tc.bs)
-			if fr.Reason != ReasonDirtyAddress || er.Reason != ReasonDirtyAddress {
+			if fr.Reason != analysis.ReasonDirtyAddress || er.Reason != analysis.ReasonDirtyAddress {
 				t.Fatalf("got fixpoint %v, exhaustive %v, want dirty address", fr, er)
 			}
 		})
@@ -149,11 +149,11 @@ func TestTrapModeResumeFork(t *testing.T) {
 // dropped in trap mode.
 func TestTrapModeControlFlowRules(t *testing.T) {
 	fr, _ := bothTrap(t, stream(enc(isa.Inst{Op: isa.OpBEQ, Rs1: 5, Rs2: 6, Imm: 0})))
-	if fr.Reason != ReasonLoop {
+	if fr.Reason != analysis.ReasonLoop {
 		t.Fatalf("self-branch: got %v, want loop", fr)
 	}
 	fr, _ = bothTrap(t, stream(enc(isa.Inst{Op: isa.OpJAL, Rd: 0, Imm: 1 << 12})))
-	if fr.Reason != ReasonOutOfBounds {
+	if fr.Reason != analysis.ReasonOutOfBounds {
 		t.Fatalf("wild jump: got %v, want out of bounds", fr)
 	}
 }

@@ -15,6 +15,13 @@ import (
 	"rvnegtest/internal/template"
 )
 
+// userFacts returns the facts of a fresh user-mode analysis of bs.
+func userFacts(bs []byte) []wordFacts {
+	var a analysis.Analysis
+	a.Analyze(bs, false)
+	return readFacts(nil, &a, len(bs))
+}
+
 // checkStoredFacts fails unless every corpus entry of f passes the
 // campaign's filter and carries the facts of a fresh user-mode analysis
 // of its bytes.
@@ -25,7 +32,7 @@ func checkStoredFacts(t *testing.T, name string, f *Fuzzer) {
 		if res := flt.Check(entry); !res.Accepted {
 			t.Fatalf("%s: corpus entry %d (%x) fails the campaign's filter: %v", name, i, entry, res)
 		}
-		want := readFacts(nil, analysis.AnalyzeMode(entry, false), len(entry))
+		want := userFacts(entry)
 		if got := f.facts[f.cases[i].facts]; !slices.Equal(got, want) {
 			t.Fatalf("%s: corpus entry %d (%x) stores facts %v, a fresh analysis gives %v", name, i, entry, got, want)
 		}
@@ -228,7 +235,7 @@ func FuzzMutatorFactsDifferential(f *testing.F) {
 		base = base[:min(len(base), 64)]
 		maxLen := 4 + int(limit)%61
 		stored, inPlace := newMutator(newRng(seed)), newMutator(newRng(seed))
-		facts := readFacts(nil, analysis.AnalyzeMode(base, false), len(base))
+		facts := userFacts(base)
 		for round := 0; round < 8; round++ {
 			got := stored.instructionAware(base, facts, maxLen)
 			want := inPlace.instructionAware(base, nil, maxLen)

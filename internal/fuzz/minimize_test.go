@@ -3,6 +3,8 @@ package fuzz
 import (
 	"context"
 	"encoding/binary"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"rvnegtest/internal/coverage"
@@ -90,9 +92,92 @@ func TestMinimizeDropsRedundant(t *testing.T) {
 	}
 }
 
+// TestOneWorkerMinimizeKeepsEveryCase is why Campaign replays only a
+// merge of two or more corpora: a fuzzer admits a case only when its
+// run adds coverage to a map holding exactly the coverage of the cases
+// before it, so Minimize keeps every case of one fuzzer's corpus, in
+// order. It checks v3/user and v0/trap campaigns run plain, seeded with
+// another seed's corpus, and checkpointed midway and resumed, each with
+// the filter on and off. Without the filter, more than a hundred runs
+// time out and their coverage is discarded (Map.DiscardRun).
+func TestOneWorkerMinimizeKeepsEveryCase(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		cov   coverage.Options
+		fam   template.Family
+		execs uint64 // enough for a hundred timeouts without the filter
+	}{
+		{"v3/user", coverage.V3(), template.FamilyUser, 20000},
+		{"v0/trap", coverage.V0(), template.FamilyTrap, 10000},
+	} {
+		for _, noFilter := range []bool{false, true} {
+			cfg := DefaultConfig()
+			cfg.Seed = 11
+			cfg.Coverage = tc.cov
+			cfg.Family = tc.fam
+			cfg.DisableFilter = noFilter
+			name := fmt.Sprintf("%s/no-filter=%t", tc.name, noFilter)
+			t.Run(name, func(t *testing.T) {
+				run := func(cfg Config, n uint64) *Fuzzer {
+					f, err := New(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := f.Run(n, 0); err != nil {
+						t.Fatal(err)
+					}
+					return f
+				}
+				check := func(kind string, f *Fuzzer) {
+					t.Helper()
+					corpus := f.Corpus()
+					min, err := Minimize(corpus, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(min, corpus) {
+						t.Errorf("%s: Minimize keeps %d of the corpus's %d cases, want all of them in order", kind, len(min), len(corpus))
+					}
+					st := f.Stats()
+					if noFilter && st.Timeouts < 100 {
+						t.Errorf("%s: %d timed-out runs, want at least 100 without the filter", kind, st.Timeouts)
+					}
+					t.Logf("%s: %d cases, %d timeouts, %d crashes", kind, len(corpus), st.Timeouts, st.Crashes)
+				}
+
+				plain := run(cfg, tc.execs)
+				check("plain", plain)
+
+				other := cfg
+				other.Seed = cfg.Seed + 1
+				seeded := cfg
+				seeded.Seeds = run(other, tc.execs).Corpus()
+				check("seeded", run(seeded, tc.execs))
+
+				dir := t.TempDir()
+				half := run(cfg, tc.execs/2)
+				if err := half.SaveCheckpoint(dir); err != nil {
+					t.Fatal(err)
+				}
+				resumed, err := Resume(cfg, dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := resumed.Run(tc.execs, 0); err != nil {
+					t.Fatal(err)
+				}
+				check("resumed", resumed)
+				if !reflect.DeepEqual(resumed.Corpus(), plain.Corpus()) {
+					t.Errorf("resumed corpus (%d cases) differs from the plain one (%d)", len(resumed.Corpus()), len(plain.Corpus()))
+				}
+			})
+		}
+	}
+}
+
 func TestParallelCampaign(t *testing.T) {
 	cfg := smallConfig(coverage.V1(), 23)
-	merged, stats, err := Campaign(context.Background(), cfg, CampaignConfig{Workers: 4, ExecsEach: 4000, Minimize: true})
+	merged, stats, err := Campaign(context.Background(), cfg, CampaignConfig{Workers: 4, ExecsEach: 4000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +193,7 @@ func TestParallelCampaign(t *testing.T) {
 		t.Fatal("empty merged corpus")
 	}
 	// Determinism of the merged result.
-	merged2, _, err := Campaign(context.Background(), cfg, CampaignConfig{Workers: 4, ExecsEach: 4000, Minimize: true})
+	merged2, _, err := Campaign(context.Background(), cfg, CampaignConfig{Workers: 4, ExecsEach: 4000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +207,7 @@ func TestParallelCampaign(t *testing.T) {
 	}
 	// More workers reach at least as much coverage as one worker with the
 	// same per-worker budget.
-	single, _, err := Campaign(context.Background(), cfg, CampaignConfig{Workers: 1, ExecsEach: 4000, Minimize: true})
+	single, _, err := Campaign(context.Background(), cfg, CampaignConfig{Workers: 1, ExecsEach: 4000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,11 +224,11 @@ func TestParallelCampaignDeterministic(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Seed = 3
 	for _, workers := range []int{1, 2, 8} {
-		a, _, err := Campaign(context.Background(), cfg, CampaignConfig{Workers: workers, ExecsEach: 6000, Minimize: true})
+		a, _, err := Campaign(context.Background(), cfg, CampaignConfig{Workers: workers, ExecsEach: 6000})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, _, err := Campaign(context.Background(), cfg, CampaignConfig{Workers: workers, ExecsEach: 6000, Minimize: true})
+		b, _, err := Campaign(context.Background(), cfg, CampaignConfig{Workers: workers, ExecsEach: 6000})
 		if err != nil {
 			t.Fatal(err)
 		}

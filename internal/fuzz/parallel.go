@@ -36,9 +36,6 @@ type CampaignConfig struct {
 	// CheckpointEvery is the periodic checkpoint interval in executions
 	// (default 100000 when checkpointing is enabled).
 	CheckpointEvery uint64
-	// Minimize replays the merged corpus and drops cases that add no
-	// coverage.
-	Minimize bool
 }
 
 // Campaign runs a campaign of cc.Workers independent fuzzers and merges
@@ -46,6 +43,12 @@ type CampaignConfig struct {
 // given (seed, workers, budget) triple regardless of scheduling — and,
 // with CheckpointDir set, regardless of how many times the campaign was
 // interrupted and resumed in between.
+//
+// A merge of two or more corpora is minimized (Minimize): a case one
+// worker found can be redundant next to another worker's cases. One
+// worker's corpus is returned as it is, because replaying it would keep
+// every case: a fuzzer admits a case only when it adds coverage to a map
+// holding exactly the coverage of the cases before it.
 //
 // On ctx cancellation every worker checkpoints (when enabled) and
 // Campaign returns ErrInterrupted with the partial per-worker stats.
@@ -109,13 +112,11 @@ func Campaign(ctx context.Context, cfg Config, cc CampaignConfig) ([][]byte, []S
 		cfg.Events.Emit(obs.Event{Type: "campaign_done", Worker: -1, Corpus: len(merged), Detail: "interrupted"})
 		return merged, stats, ErrInterrupted
 	}
-	if cc.Minimize {
-		minimized, err := Minimize(merged, cfg)
-		if err != nil {
+	if workers > 1 {
+		var err error
+		if merged, err = Minimize(merged, cfg); err != nil {
 			return nil, nil, err
 		}
-		cfg.Events.Emit(obs.Event{Type: "campaign_done", Worker: -1, Corpus: len(minimized)})
-		return minimized, stats, nil
 	}
 	cfg.Events.Emit(obs.Event{Type: "campaign_done", Worker: -1, Corpus: len(merged)})
 	return merged, stats, nil

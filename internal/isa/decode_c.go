@@ -114,11 +114,6 @@ func (d *Decoder) DecodeC(h uint16) Inst {
 	return Inst{Op: OpIllegal, Raw: uint32(h), Size: 2}
 }
 
-// ClassifyC returns the RVC classification of the encoding together with
-// its (possible) expansion. For CIllegal the returned Inst has
-// Op == OpIllegal.
-func ClassifyC(h uint16) (Inst, CKind) { return decodeC(h) }
-
 // decodeC is the single decode routine for RV32C.
 func decodeC(h uint16) (Inst, CKind) {
 	w := uint32(h)

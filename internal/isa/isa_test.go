@@ -200,7 +200,7 @@ func TestDecodeCompressedKnown(t *testing.T) {
 func TestCompressedReservedAndHints(t *testing.T) {
 	// c.lwsp x0, 0(sp): reserved non-hint (the paper's VP bug case).
 	const clwspX0 = 0x4002
-	if inst, kind := ClassifyC(clwspX0); kind != CReserved || inst.Op != OpLW || inst.Rd != 0 {
+	if inst, kind := decodeC(clwspX0); kind != CReserved || inst.Op != OpLW || inst.Rd != 0 {
 		t.Errorf("c.lwsp x0: classify = (%v, %v)", inst, kind)
 	}
 	if got := Ref.DecodeC(clwspX0); got.Op != OpIllegal {
@@ -220,26 +220,26 @@ func TestCompressedReservedAndHints(t *testing.T) {
 		t.Errorf("DecodeC(0x8000) = %v, want illegal", got.Op)
 	}
 	// c.jr with rs1=0 is reserved.
-	if _, kind := ClassifyC(0x8002); kind != CReserved {
+	if _, kind := decodeC(0x8002); kind != CReserved {
 		t.Errorf("c.jr x0: kind = %v, want reserved", kind)
 	}
 	// c.addi16sp with nzimm=0 is reserved.
-	if _, kind := ClassifyC(0x6101); kind != CReserved {
+	if _, kind := decodeC(0x6101); kind != CReserved {
 		t.Errorf("c.addi16sp 0: kind = %v, want reserved", kind)
 	}
 	// c.lui with rd!=0, imm=0 is reserved.
-	if _, kind := ClassifyC(0x6281); kind != CReserved {
+	if _, kind := decodeC(0x6281); kind != CReserved {
 		t.Errorf("c.lui x5, 0: kind = %v, want reserved", kind)
 	}
 	// c.li x0 is a hint and must execute (as a no-op).
-	if inst, kind := ClassifyC(0x4005); kind != CHint || inst.Rd != 0 {
+	if inst, kind := decodeC(0x4005); kind != CHint || inst.Rd != 0 {
 		t.Errorf("c.li x0: classify = (%v, %v), want hint", inst, kind)
 	}
 	if got := Ref.DecodeC(0x4005); got.Op != OpADDI {
 		t.Errorf("reference DecodeC(c.li x0) = %v, want addi (hint nop)", got.Op)
 	}
 	// c.slli with shamt[5] set is reserved on RV32.
-	if _, kind := ClassifyC(0x1282); kind != CReserved {
+	if _, kind := decodeC(0x1282); kind != CReserved {
 		t.Errorf("c.slli shamt>=32: kind = %v, want reserved", kind)
 	}
 }
@@ -488,7 +488,7 @@ func TestOpMetadata(t *testing.T) {
 	if OpLW.Info().MemSize != 4 || OpLB.Info().MemSize != 1 || OpFLD.Info().MemSize != 8 {
 		t.Error("memory sizes wrong")
 	}
-	if OpIllegal.Info() != nil || OpIllegal.Valid() {
+	if OpIllegal.Info() != nil {
 		t.Error("OpIllegal must have no info")
 	}
 	if OpADD.String() != "add" || OpIllegal.String() != "illegal" {
@@ -500,14 +500,14 @@ func TestOpMetadata(t *testing.T) {
 }
 
 // TestDecodeCExhaustive sweeps all 65536 compressed encodings, checking
-// the decoder is total, consistent with ClassifyC, and that the quirky
+// the decoder is total, consistent with decodeC, and that the quirky
 // (reserved-accepting) decoder accepts a strict superset.
 func TestDecodeCExhaustive(t *testing.T) {
 	buggy := &Decoder{Quirks: Quirks{AllowReservedC: true}}
 	counts := map[CKind]int{}
 	for h := 0; h <= 0xffff; h++ {
 		half := uint16(h)
-		inst, kind := ClassifyC(half)
+		inst, kind := decodeC(half)
 		counts[kind]++
 		ref := Ref.DecodeC(half)
 		bug := buggy.DecodeC(half)
@@ -516,14 +516,14 @@ func TestDecodeCExhaustive(t *testing.T) {
 			if ref != inst || bug != inst {
 				t.Fatalf("%#04x (%v): decode mismatch", half, kind)
 			}
-			if !inst.Op.Valid() {
+			if inst.Op.Info() == nil {
 				t.Fatalf("%#04x: %v expansion is illegal", half, kind)
 			}
 		case CReserved:
 			if ref.Op != OpIllegal {
 				t.Fatalf("%#04x: reserved must be illegal on reference", half)
 			}
-			if bug != inst || !inst.Op.Valid() {
+			if bug != inst || inst.Op.Info() == nil {
 				t.Fatalf("%#04x: buggy decoder must expand reserved to %v", half, inst.Op)
 			}
 		case CIllegal:
@@ -616,7 +616,7 @@ func TestCompressRoundtrip(t *testing.T) {
 			continue
 		}
 		produced++
-		exp, kind := ClassifyC(h)
+		exp, kind := decodeC(h)
 		if kind != CValid {
 			t.Fatalf("Compress(%+v) = %#04x classifies as %v", inst, h, kind)
 		}

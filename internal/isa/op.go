@@ -418,9 +418,6 @@ func (op Op) String() string {
 	return "illegal"
 }
 
-// Valid reports whether op names an actual operation (not OpIllegal).
-func (op Op) Valid() bool { return op != OpIllegal && op < opCount && infoByOp[op] != nil }
-
 // Flags returns the static property flags of the operation (zero for
 // OpIllegal).
 func (op Op) Flags() Flags {

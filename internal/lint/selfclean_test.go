@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -114,4 +115,120 @@ func funcKeys(t *testing.T, dir string) map[string]bool {
 		}
 	}
 	return keys
+}
+
+// deadAPIAllow lists the exported functions and methods in internal/...
+// that only tests call, each with the test that relies on it.
+var deadAPIAllow = map[string]string{
+	"internal/analysis.Analysis.InstAt":   "TestAnalysisParity and FuzzAnalysisReuse read every site through it",
+	"internal/coverage.Map.PointsCovered": "TestMapBuckets and TestDiscardRun count covered points with it",
+	"internal/coverage.Map.Reset":         "TestDiscardRun and FuzzCoverageBaselineDifferential reset maps between runs",
+	"internal/coverage.Map.RunFootprint":  "FuzzCoverageBaselineDifferential and the sim summary tests compare runs by their footprints",
+	"internal/fuzz.Stats.Deterministic":   "TestEncodeFuzzStatsMatchesMarshalIndent holds EncodeFuzzStats to it; the resume tests compare stats through it",
+	"internal/mem.Memory.Dirty":           "TestFastForwardFallbacks, TestExitSummaryFallbacks and TestPreloadIndependent check an image comes back clean",
+	"internal/mem.Memory.Read8":           "TestLittleEndian, TestPristine and elf's TestLoadInto read memory bytes with it",
+	"internal/mem.Memory.Read16":          "TestLittleEndian reads a halfword with it",
+	"internal/mem.Memory.Read64":          "TestLittleEndian and exec's TestDoublePrecisionAndBoxing read doublewords with it",
+	"internal/mem.Memory.Write8":          "TestFetch, TestSnapshotRestore and TestDirty write memory bytes with it",
+	"internal/mem.Memory.Write16":         "exec's TestCompressedGating, TestFetchAtMemoryEnd and the mtval tests place compressed encodings with it",
+	"internal/mem.Memory.Write64":         "TestLittleEndian and exec's TestDoublePrecisionAndBoxing write doublewords with it",
+	"internal/sim.SeededSchedule":         "TestSeededScheduleDeterministic and bench's fault-injection test plan faults with it",
+	"internal/template.Build":             "TestInjectionMatchesFullBuild compares Preload and Inject with a full assembly",
+	"internal/template.Source":            "TestSourceDeterminism and TestUserSourceUnchanged read the assembler text",
+}
+
+// interfaceMethodStd holds the method names of the standard interfaces
+// the module's types implement; a method of one of these names counts
+// as used.
+var interfaceMethodStd = map[string]string{
+	"String":      "fmt.Stringer",
+	"Error":       "error",
+	"MarshalJSON": "encoding/json.Marshaler",
+	"Write":       "io.Writer",
+	"Int63":       "math/rand.Source",
+	"Seed":        "math/rand.Source",
+}
+
+// TestExportedAPIHasCallers: every exported function or method declared
+// in internal/... is referenced by a non-test file of the module (cmd/,
+// bench/, examples/ and the root package count), or, for a method,
+// shares its name with a method of an interface (one of the module's,
+// or one in interfaceMethodStd). Tests do not count as callers: an API
+// only tests reach is dead weight or an oracle, and an oracle needs an
+// entry in deadAPIAllow. Every entry must still suppress something.
+func TestExportedAPIHasCallers(t *testing.T) {
+	units, err := LoadPackages(moduleRoot(t), "./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	used := map[string]bool{}
+	ifaceMethods := map[string]bool{}
+	type decl struct {
+		key    string
+		method string // empty for a function
+		pos    token.Position
+	}
+	var decls []decl
+	for _, u := range units {
+		for _, obj := range u.Info.Uses {
+			if fn, ok := obj.(*types.Func); ok {
+				used[funcObjKey(fn)] = true
+			}
+		}
+		for _, tv := range u.Info.Types {
+			if it, ok := tv.Type.(*types.Interface); ok {
+				for i := 0; i < it.NumMethods(); i++ {
+					ifaceMethods[it.Method(i).Name()] = true
+				}
+			}
+		}
+		if !strings.HasPrefix(u.Path, modulePrefix+"/internal/") {
+			continue
+		}
+		for _, f := range u.Files {
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok || !fd.Name.IsExported() {
+					continue
+				}
+				var method string
+				if fd.Recv != nil {
+					method = fd.Name.Name
+				}
+				decls = append(decls, decl{funcObjKey(u.Info.Defs[fd.Name].(*types.Func)), method, u.Fset.Position(fd.Pos())})
+			}
+		}
+	}
+	suppressed := map[string]bool{}
+	for _, d := range decls {
+		if used[d.key] || ifaceMethods[d.method] || interfaceMethodStd[d.method] != "" {
+			continue
+		}
+		if _, ok := deadAPIAllow[d.key]; ok {
+			suppressed[d.key] = true
+			continue
+		}
+		t.Errorf("%s: %s has no caller outside tests: delete it, or allowlist it in deadAPIAllow with the test that relies on it", d.pos, d.key)
+	}
+	for key := range deadAPIAllow {
+		if !suppressed[key] {
+			t.Errorf("deadAPIAllow key %q suppresses nothing: delete it", key)
+		}
+	}
+}
+
+// funcObjKey names a function or method as the allowlists do:
+// "internal/fuzz.Stats.Deterministic".
+func funcObjKey(fn *types.Func) string {
+	fn = fn.Origin()
+	key := fn.Name()
+	if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+		if n := namedOf(deref(recv.Type())); n != nil {
+			key = n.Obj().Name() + "." + key
+		}
+	}
+	if fn.Pkg() == nil {
+		return key
+	}
+	return strings.TrimPrefix(fn.Pkg().Path(), modulePrefix+"/") + "." + key
 }

@@ -95,9 +95,3 @@ func U32ToF32(v uint32, rm RM) (uint32, Flags) {
 func F32ToF64(a uint32) (uint64, Flags) {
 	return cvtFormat(fmt32, fmt64, uint64(a), RNE)
 }
-
-// IsNaN32 reports whether the bits encode any NaN.
-func IsNaN32(a uint32) bool {
-	u := unpack(fmt32, uint64(a))
-	return u.cls == clsQNaN || u.cls == clsSNaN
-}

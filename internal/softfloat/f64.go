@@ -66,12 +66,6 @@ func F64ToF32(a uint64, rm RM) (uint32, Flags) {
 	return uint32(v), fl
 }
 
-// IsNaN64 reports whether the bits encode any NaN.
-func IsNaN64(a uint64) bool {
-	u := unpack(fmt64, a)
-	return u.cls == clsQNaN || u.cls == clsSNaN
-}
-
 // NaN boxing helpers for RV32D register files: a binary32 value held in a
 // 64-bit FP register must be boxed with all-ones upper bits; any register
 // value that is not properly boxed must be treated as the canonical NaN

@@ -54,16 +54,20 @@ func randF32(rng *rand.Rand) uint32 {
 	}
 }
 
+// isNaN64 and isNaN32 read the bits through the host's floating point.
+func isNaN64(a uint64) bool { return math.IsNaN(math.Float64frombits(a)) }
+func isNaN32(a uint32) bool { return math.IsNaN(float64(math.Float32frombits(a))) }
+
 // sameF64 compares results treating every NaN encoding as equal.
 func sameF64(a, b uint64) bool {
-	if IsNaN64(a) && IsNaN64(b) {
+	if isNaN64(a) && isNaN64(b) {
 		return true
 	}
 	return a == b
 }
 
 func sameF32(a, b uint32) bool {
-	if IsNaN32(a) && IsNaN32(b) {
+	if isNaN32(a) && isNaN32(b) {
 		return true
 	}
 	return a == b
@@ -182,8 +186,8 @@ func TestDirectedRoundingBracketing(t *testing.T) {
 			ne, _ := op(a, b, RNE)
 			mm, _ := op(a, b, RMM)
 			tz, _ := op(a, b, RTZ)
-			if IsNaN64(ne) {
-				if !IsNaN64(dn) || !IsNaN64(up) || !IsNaN64(tz) || !IsNaN64(mm) {
+			if isNaN64(ne) {
+				if !isNaN64(dn) || !isNaN64(up) || !isNaN64(tz) || !isNaN64(mm) {
 					t.Fatalf("NaN disagreement for %#x,%#x", a, b)
 				}
 				continue
@@ -209,7 +213,7 @@ func TestDirectedRoundingBracketing(t *testing.T) {
 			} else {
 				continue // straddles zero only when exact zero; skip
 			}
-			if tz != wantTZ && !IsNaN64(tz) {
+			if tz != wantTZ && !isNaN64(tz) {
 				t.Fatalf("RTZ mismatch: a=%#x b=%#x dn=%#x up=%#x tz=%#x", a, b, dn, up, tz)
 			}
 		}

@@ -5,10 +5,10 @@
 #
 # Usage: scripts/identity.sh [--expect-diff ARTIFACT:REASON]... PARENT_REV
 #
-# The matrix (88 artifacts):
+# The matrix (52 artifacts):
 #   - rvfuzz -out and -stats-json for {user, trap} x {v0, v1, v3} x
-#     workers {1, 2, 8}, plain and with -minimize (seed 11, 60,000
-#     executions): fuzz-FAMILY-COV-wN[-min].{suite,stats};
+#     workers {1, 2, 8} (seed 11, 60,000 executions):
+#     fuzz-FAMILY-COV-wN.{suite,stats};
 #   - the same two files for user/v3 and trap/v0 at workers 1 and 2
 #     (seed 11, 200,000 executions), each run with -checkpoint,
 #     interrupted by a SIGINT as soon as its first worker checkpoint
@@ -134,13 +134,10 @@ echo "== running the matrix"
 for fam in user trap; do
   for cov in v0 v1 v3; do
     for w in 1 2 8; do
-      for min in "" -min; do
-        row=fuzz-$fam-$cov-w$w$min
-        flags=(-suite "$fam" -cov "$cov" -workers "$w" -seed 11 -execs 60000)
-        [ -z "$min" ] || flags+=(-minimize)
-        run "$row" "" rvfuzz "${flags[@]}" -out "$row.suite" -stats-json "$row.stats"
-        pairs+=("$row.suite $row" "$row.stats $row")
-      done
+      row=fuzz-$fam-$cov-w$w
+      run "$row" "" rvfuzz -suite "$fam" -cov "$cov" -workers "$w" -seed 11 -execs 60000 \
+        -out "$row.suite" -stats-json "$row.stats"
+      pairs+=("$row.suite $row" "$row.stats $row")
     done
   done
 done
