@@ -153,8 +153,8 @@ func BenchmarkFuzzerThroughput(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.Step()
+	if err := f.Run(uint64(b.N), 0); err != nil {
+		b.Fatal(err)
 	}
 	b.StopTimer()
 	st := f.Stats()

@@ -141,7 +141,7 @@ func (o options) run(w io.Writer) error {
 	out2 := s2.Run(bs)
 	printOutcome(w, p, v2.Name, out2)
 	if out.Signature != nil && out2.Signature != nil {
-		d := sig.Diff(out.Signature, out2.Signature)
+		d := sig.Compare(out.Signature, out2.Signature, nil)
 		if len(d) == 0 {
 			fmt.Fprintln(w, "signatures MATCH")
 		} else {

@@ -61,7 +61,7 @@ func demo(v *sim.Variant, cfg isa.Config, title string, bs []byte) {
 		fmt.Printf("   %s DID NOT TERMINATE (instruction limit reached)\n\n", v.Name)
 		return
 	}
-	d := sig.Diff(ref.Signature, got.Signature)
+	d := sig.Compare(ref.Signature, got.Signature, nil)
 	if len(d) == 0 {
 		fmt.Printf("   signatures match (no defect triggered)\n\n")
 		return

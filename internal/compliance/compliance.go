@@ -85,19 +85,25 @@ func (c Category) String() string {
 // reference signature and a test output. Signature words at index >=
 // trapBase belong to the trap-family record area and dominate every
 // other class (they are what the trap suite exists to compare);
-// trapBase == 0 disables the region (user-family layout).
+// trapBase == 0 disables the region (user-family layout). It is the
+// classification Cell.judge makes, with no don't-care rules.
 func ClassifyAt(ref, got []uint32, trapBase int) Category {
 	if len(got) < len(ref) {
 		return CatMissing
 	}
-	return classify(sig.Diff(sig.Signature(ref), sig.Signature(got)), trapBase)
+	cat, _ := classify(ref, got, nil, trapBase)
+	return cat
 }
 
-// classify files a full-length signature's differing word indexes under
-// ClassifyAt's rules.
-func classify(diffs []int, trapBase int) Category {
+// classify walks a test output and its reference once (sig.Mismatches)
+// and files the words that really differ under dc's rules by
+// ClassifyAt's rules; ok reports whether any does. Equal signatures file
+// as CatRegisterValue, and a short output is the caller's to file as
+// CatMissing.
+func classify(ref, got []uint32, dc *sig.DontCare, trapBase int) (cat Category, ok bool) {
 	hasTrapRec, hasCause, hasX26, hasReg, hasFP := false, false, false, false, false
-	for _, d := range diffs {
+	sig.Mismatches(ref, got, dc, func(d int) {
+		ok = true
 		switch {
 		case trapBase > 0 && d >= trapBase:
 			hasTrapRec = true
@@ -115,20 +121,20 @@ func classify(diffs []int, trapBase int) Category {
 		default:
 			hasFP = true
 		}
-	}
+	})
 	switch {
 	case hasTrapRec:
-		return CatTrapRecord
+		return CatTrapRecord, ok
 	case hasCause:
-		return CatTrapCause
+		return CatTrapCause, ok
 	case hasX26 && !hasReg:
-		return CatCompletionMarker
+		return CatCompletionMarker, ok
 	case hasReg:
-		return CatRegisterValue
+		return CatRegisterValue, ok
 	case hasFP:
-		return CatFPValue
+		return CatFPValue, ok
 	}
-	return CatRegisterValue
+	return CatRegisterValue, ok
 }
 
 // Cell is one (simulator, ISA configuration) result of Table I.
@@ -604,14 +610,12 @@ func (c *Cell) judge(ref []uint32, out sim.Outcome, i, maxEx, trapBase int, dc *
 		c.Timeouts++
 		cat = CatTimeout
 	default:
-		diffs := sig.Compare(sig.Signature(ref), sig.Signature(out.Signature), dc)
-		switch {
-		case len(diffs) == 0:
+		var ok bool
+		if cat, ok = classify(ref, out.Signature, dc, trapBase); !ok {
 			return
-		case len(out.Signature) < len(ref):
+		}
+		if len(out.Signature) < len(ref) {
 			cat = CatMissing
-		default:
-			cat = classify(diffs, trapBase)
 		}
 	}
 	c.Mismatches++

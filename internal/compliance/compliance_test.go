@@ -231,6 +231,27 @@ func TestJudgeClassifiesUnderDontCare(t *testing.T) {
 	}
 }
 
+// TestJudgeAllocsZero: judge files a mismatching case, under don't-care
+// rules or none, in one walk of the two signatures that builds no list
+// of the differing words, so it allocates nothing once the cell's
+// examples are full.
+func TestJudgeAllocsZero(t *testing.T) {
+	ref := make([]uint32, 96)
+	got := append([]uint32(nil), ref...)
+	got[3], got[26], got[40] = 1, 1, 5
+	dc := &sig.DontCare{Rules: []sig.Rule{{Word: 26, Kind: sig.CondAlways}}}
+	for _, rules := range []*sig.DontCare{nil, dc} {
+		var c Cell
+		allocs := testing.AllocsPerRun(100, func() {
+			c.judge(ref, sim.Outcome{Signature: got}, 0, 0, 0, rules)
+		})
+		if allocs != 0 || c.Categories[CatRegisterValue] != c.Mismatches || c.Mismatches == 0 {
+			t.Errorf("rules %v: %v allocations per judged case, categories %v of %d mismatches; want 0 allocations, all register-value",
+				rules, allocs, c.Categories, c.Mismatches)
+		}
+	}
+}
+
 // TestSkippedAccounting: cases whose reference run crashes or times out
 // are excluded from the comparison but must be *counted* — on the cells,
 // on the per-config report totals, and in the render — instead of being

@@ -89,7 +89,7 @@ func (f *Fuzzer) SaveCheckpoint(dir string) error {
 	st := checkpointState{
 		Fingerprint:   f.cfg.Fingerprint(),
 		Execs:         f.execs,
-		Dropped:       f.dropped,
+		Dropped:       f.fstats.Dropped(),
 		Crashes:       f.crashes,
 		Timeouts:      f.timeout,
 		HarnessFaults: f.hfaults,
@@ -132,7 +132,9 @@ func HasCheckpoint(dir string) bool {
 // checkpoint. Unless the filter is disabled, each entry is checked once
 // with the campaign's filter, and a corpus holding an entry the filter
 // drops is refused: a candidate identical to its corpus entry is
-// counted as accepted without a check.
+// counted as accepted without a check. So is a checkpoint whose drop
+// count disagrees with its filter counts, which hold every drop under
+// its reason.
 func Resume(cfg Config, dir string) (*Fuzzer, error) {
 	var st checkpointState
 	version, err := resilience.LoadJSON(filepath.Join(dir, stateFile), checkpointFormat, checkpointVersion, &st)
@@ -164,6 +166,9 @@ func Resume(cfg Config, dir string) (*Fuzzer, error) {
 			len(st.FilterCounts), len(f.fstats.Counts))
 	}
 	copy(f.fstats.Counts[:], st.FilterCounts)
+	if got := f.fstats.Dropped(); got != st.Dropped {
+		return nil, fmt.Errorf("fuzz: checkpoint filter counts hold %d drops, state records %d", got, st.Dropped)
+	}
 	f.corpus = make([][]byte, len(st.Cases))
 	f.cases = make([]caseRecord, len(st.Cases))
 	for i, c := range st.Cases {
@@ -177,18 +182,15 @@ func Resume(cfg Config, dir string) (*Fuzzer, error) {
 	}
 	f.pending = st.Pending
 	f.execs = st.Execs
-	f.dropped = st.Dropped
 	f.crashes = st.Crashes
 	f.timeout = st.Timeouts
 	f.hfaults = st.HarnessFaults
 	f.stall = st.Stall
 	f.curLen = st.CurLen
-	f.elapsed = time.Duration(st.ElapsedNS) // informational; excluded from Deterministic()
-	// The restored elapsed time is cumulative across sessions; the live
-	// execution rate must not be diluted by it. Session-local accounting
-	// starts from zero here, anchored at the checkpoint's exec count.
-	f.sessElapsed = 0
-	f.baseExecs = st.Execs
+	// The restored elapsed time is cumulative across sessions and
+	// informational (excluded from Deterministic()); the session's rate
+	// counts only this process's RunContext calls, from zero.
+	f.elapsed = time.Duration(st.ElapsedNS)
 	// The registry reports the session's share of the counts; the gauges
 	// start from zero, so they still report the absolute values.
 	if f.tel != nil {

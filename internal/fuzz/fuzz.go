@@ -130,17 +130,19 @@ type Stats struct {
 	// timeout — as opposed to modeled crash/timeout outcomes the
 	// simulator reported through its own error handling.
 	HarnessFaults uint64 `json:"harness_faults,omitempty"`
-	// Duration is the cumulative stepping time of the campaign across
+	// Duration is the campaign's cumulative RunContext wall time across
 	// every session (resumed campaigns carry the pre-interrupt elapsed
-	// time forward from the checkpoint).
+	// time forward from the checkpoint). Steps called directly, outside
+	// RunContext, are not charged.
 	Duration time.Duration `json:"duration_ns"`
-	// SessionDuration is the stepping time of the current process only;
-	// it backs ExecsPerSec so a resumed campaign reports its live rate
-	// instead of one diluted by pre-interrupt wall-clock.
+	// SessionDuration is the RunContext wall time of the current process
+	// only; it backs ExecsPerSec so a resumed campaign reports its live
+	// rate instead of one diluted by pre-interrupt wall-clock.
 	SessionDuration time.Duration `json:"session_duration_ns,omitempty"`
-	// ExecsPerSec is the live execution rate: executions performed in
-	// this session divided by SessionDuration. For a fresh campaign the
-	// session is the whole campaign, so it equals Execs/Duration.
+	// ExecsPerSec is the live execution rate: the executions this
+	// session's RunContext calls ran divided by SessionDuration. For a
+	// fresh campaign driven by RunContext alone it equals
+	// Execs/Duration.
 	ExecsPerSec float64        `json:"execs_per_sec"`
 	CovPoints   int            `json:"cov_points"` // coverage points defined
 	CovBits     int            `json:"cov_bits"`   // bucket bits discovered
@@ -183,7 +185,6 @@ type Fuzzer struct {
 	factKey []byte
 	fstats  analysis.Stats
 	execs   uint64
-	dropped uint64
 	crashes uint64
 	timeout uint64
 	hfaults uint64
@@ -193,12 +194,12 @@ type Fuzzer struct {
 	elapsed time.Duration
 	broken  error // set when the target could not be rebuilt after a wedge
 
-	// sessElapsed and baseExecs scope the live execution rate to the
-	// current process: a resumed fuzzer restores `elapsed` and `execs`
-	// cumulatively from the checkpoint, which must not dilute the rate
-	// this session actually achieves.
+	// sessElapsed and sessExecs are the wall time and the executions of
+	// this process's RunContext calls, the live execution rate: a resumed
+	// fuzzer restores `elapsed` and `execs` cumulatively from the
+	// checkpoint, which must not dilute the rate this session achieves.
 	sessElapsed time.Duration
-	baseExecs   uint64
+	sessExecs   uint64
 
 	tel *telemetry // nil when telemetry is disabled
 }
@@ -282,20 +283,44 @@ func (f *Fuzzer) rebuildTarget() {
 	f.col = col
 }
 
-// Step performs one fuzzer execution; it reports whether the input was
-// collected as a new test case.
+// Step performs one fuzzer execution: the stages mutate (nextInput),
+// filter (admit), execute and coverage-eval (evaluate), each run only
+// when the one before it let the input through. It reports whether the
+// input was collected as a new test case. Step charges no wall time:
+// RunContext does, for the steps it runs.
+//
+// With telemetry on, every obs.SampleEvery-th execution is sampled: it
+// reads the clock to open the mutate stage, closes each stage with a
+// lap, and publishes the fuzzer's counts. The filter stage is lapped
+// only when Filter.Check ran; a known-accepted input skips the check
+// (admit), and so does every input when the filter is disabled, and a
+// near-zero sample for those would understate the check's mean. What
+// admit takes for them goes to the execute stage.
 func (f *Fuzzer) Step() bool {
-	start := time.Now()
 	f.execs++
-	novel := false
+	var t *telemetry // non-nil on a sampled execution
 	if f.tel != nil && f.execs%obs.SampleEvery == 0 {
-		novel = f.tel.sampleStep(f, start)
-	} else if input, known := f.nextInput(); f.admit(input, known) && f.execute(input) {
-		novel = f.evaluate(input)
+		t = f.tel
+		t.t0 = time.Now()
 	}
-	d := time.Since(start)
-	f.elapsed += d
-	f.sessElapsed += d
+	input, known := f.nextInput()
+	t.lap(obs.StageMutate)
+	accepted := f.admit(input, known)
+	if !known && !f.cfg.DisableFilter {
+		t.lap(obs.StageFilter)
+	}
+	novel := false
+	if accepted {
+		completed := f.execute(input)
+		t.lap(obs.StageExecute)
+		if completed {
+			novel = f.evaluate(input)
+			t.lap(obs.StageCoverageEval)
+		}
+	}
+	if t != nil {
+		t.publish(f)
+	}
 	return novel
 }
 
@@ -315,9 +340,6 @@ func (f *Fuzzer) admit(input []byte, known bool) bool {
 	}
 	res := f.flt.Check(input)
 	f.fstats.Record(res.Reason)
-	if !res.Accepted {
-		f.dropped++
-	}
 	return res.Accepted
 }
 
@@ -475,12 +497,24 @@ func (f *Fuzzer) Run(maxExecs uint64, maxDur time.Duration) error {
 // RunContext is Run with cancellation: the loop stops cleanly between
 // steps when ctx is cancelled, returning ctx.Err(). It also stops with an
 // error if the foundation simulator wedged and could not be rebuilt.
+//
+// RunContext is the campaign's clock: it reads the time when it starts
+// and when it returns, charges the wall time between to Stats().Duration
+// and SessionDuration and the executions it ran to the session's rate,
+// and publishes the fuzzer's counts.
 func (f *Fuzzer) RunContext(ctx context.Context, maxExecs uint64, maxDur time.Duration) error {
 	if maxExecs == 0 && maxDur == 0 {
 		return fmt.Errorf("fuzz: Run needs an execution or duration bound")
 	}
-	defer f.tel.publish(f)
-	deadline := time.Now().Add(maxDur)
+	start, execs := time.Now(), f.execs
+	defer func() {
+		d := time.Since(start)
+		f.elapsed += d
+		f.sessElapsed += d
+		f.sessExecs += f.execs - execs
+		f.tel.publish(f)
+	}()
+	deadline := start.Add(maxDur)
 	for {
 		if f.broken != nil {
 			return f.broken
@@ -544,17 +578,13 @@ func (f *Fuzzer) growthTrace() []TracePoint {
 // a slice that later steps cannot mutate (the fuzzer keeps appending to
 // its own trace, which previously shared the backing array).
 func (f *Fuzzer) Stats() Stats {
-	// The live rate covers only this session's work: a resumed campaign
-	// restores cumulative execs and elapsed from the checkpoint, and
-	// dividing those would dilute the printed rate with pre-interrupt
-	// wall-clock.
 	eps := 0.0
-	if sessExecs := f.execs - f.baseExecs; f.sessElapsed > 0 {
-		eps = float64(sessExecs) / f.sessElapsed.Seconds()
+	if f.sessElapsed > 0 {
+		eps = float64(f.sessExecs) / f.sessElapsed.Seconds()
 	}
 	return Stats{
 		Execs:           f.execs,
-		Dropped:         f.dropped,
+		Dropped:         f.fstats.Dropped(),
 		TestCases:       len(f.corpus),
 		Crashes:         f.crashes,
 		Timeouts:        f.timeout,

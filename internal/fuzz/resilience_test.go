@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -279,6 +280,45 @@ func TestResumeRejectsDifferentCampaign(t *testing.T) {
 	}
 	if _, err := Resume(cfg, t.TempDir()); err == nil {
 		t.Fatal("Resume accepted an empty directory")
+	}
+}
+
+// TestResumeRefusesInconsistentDropCount: a checkpoint's dropped count
+// is its filter counts' drops, every drop recorded under its reason, so
+// Resume refuses a checkpoint whose two disagree, naming both.
+func TestResumeRefusesInconsistentDropCount(t *testing.T) {
+	cfg := smallConfig(coverage.V1(), 3)
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Run(2000, 0); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := f.SaveCheckpoint(dir); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, stateFile)
+	var st checkpointState
+	if _, err := resilience.LoadJSON(path, checkpointFormat, checkpointVersion, &st); err != nil {
+		t.Fatal(err)
+	}
+	if drops := f.fstats.Dropped(); st.Dropped == 0 || st.Dropped != drops {
+		t.Fatalf("checkpoint records %d drops, the filter counts %d", st.Dropped, drops)
+	}
+	st.Dropped++
+	if err := resilience.SaveJSON(path, checkpointFormat, checkpointVersion, st); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Resume(cfg, dir)
+	if err == nil {
+		t.Fatal("Resume accepted a drop count its filter counts disagree with")
+	}
+	for _, want := range []string{fmt.Sprint(st.Dropped - 1), fmt.Sprint(st.Dropped)} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("Resume error %q does not name %q", err, want)
+		}
 	}
 }
 

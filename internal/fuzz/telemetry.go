@@ -28,6 +28,7 @@ type telemetry struct {
 	lastCorpus, lastCovBits int64             // gauge values as of the previous publish
 
 	stages [obs.NumStages]obs.StageSummary // stage sums since the previous stage_summary
+	t0     time.Time                       // the clock reading that opened a sampled step's current stage
 }
 
 // counterNames names the counts Fuzzer.counts lists first; the filter's
@@ -74,40 +75,20 @@ func newTelemetry(cfg Config) *telemetry {
 	return t
 }
 
-// sampleStep is Step on a sampled execution: the same stages, each
-// timed with weight obs.SampleEvery, followed by a publish.
-// The filter stage is timed only when Filter.Check ran. A known-accepted
-// input skips the check (admit), and so does every input when the
-// filter is disabled; a near-zero sample for those would understate the
-// check's mean. What admit takes for them goes to the execute stage.
-func (t *telemetry) sampleStep(f *Fuzzer, start time.Time) bool {
-	defer t.publish(f)
-	input, known := f.nextInput()
-	lap := t.lap(obs.StageMutate, start)
-	accepted := f.admit(input, known)
-	if !known && !f.cfg.DisableFilter {
-		lap = t.lap(obs.StageFilter, lap)
+// lap closes stage s of a sampled step, in the registry
+// (obs.Registry.Lap) and in the fuzzer's own stage sums, and opens the
+// next stage. Safe on a nil receiver, an unsampled step's, which it
+// costs one inlined nil check.
+func (t *telemetry) lap(s obs.Stage) {
+	if t != nil {
+		t.closeStage(s)
 	}
-	if !accepted {
-		return false
-	}
-	completed := f.execute(input)
-	lap = t.lap(obs.StageExecute, lap)
-	if !completed {
-		return false
-	}
-	novel := f.evaluate(input)
-	t.lap(obs.StageCoverageEval, lap)
-	return novel
 }
 
-// lap closes stage s of a sampled step in the registry (obs.Registry.Lap)
-// and in the fuzzer's own stage sums, and returns the clock reading that
-// opens the next stage.
-func (t *telemetry) lap(s obs.Stage, t0 time.Time) time.Time {
-	next, d := t.reg.Lap(s, t0)
+func (t *telemetry) closeStage(s obs.Stage) {
+	var d time.Duration
+	t.t0, d = t.reg.Lap(s, t.t0)
 	t.addStage(s, d, obs.SampleEvery)
-	return next
 }
 
 // addStage adds n operations of duration d to stage s's sums, as

@@ -128,13 +128,15 @@ func TestResumeSessionRate(t *testing.T) {
 }
 
 // TestExecsPerSecMatchesWallTime: Stats().ExecsPerSec is the session's
-// executions over the wall time the campaign was charged, and that time
-// lies inside the wall time measured around the calls that ran them:
-// one RunContext, a loop of direct Step calls, and RunContext in a
-// resumed session. Each Step charges its own wall time, so the charged
-// time can never exceed the measured time and the rate is never below
-// the measured one; it may exceed it only by the time spent between
-// steps, which a factor of 4 leaves room for on a loaded machine.
+// RunContext executions over the wall time RunContext charged, and that
+// time lies inside the wall time measured around the calls that ran
+// them: one RunContext, and RunContext in a resumed session. RunContext
+// reads the clock after it is entered and before it returns, so the
+// charged time can never exceed the measured time and the rate is never
+// below the measured one; it may exceed it only by the time spent
+// entering and leaving the call, which a factor of 4 leaves room for on
+// a loaded machine. Steps called directly are not charged: a loop of
+// them leaves the time and the rate as they were.
 func TestExecsPerSecMatchesWallTime(t *testing.T) {
 	const execs = 20000
 	check := func(name string, f *Fuzzer, base uint64, calls func()) {
@@ -167,11 +169,23 @@ func TestExecsPerSecMatchesWallTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("Step", g, 0, func() {
-		for g.Execs() < execs {
-			g.Step()
-		}
-	})
+	if err := g.Run(execs/4, 0); err != nil {
+		t.Fatal(err)
+	}
+	before := g.Stats()
+	for g.Execs() < execs {
+		g.Step()
+	}
+	after := g.Stats()
+	if before.SessionDuration == 0 {
+		t.Fatal("RunContext charged no time; the Step check is vacuous")
+	}
+	if after.Duration != before.Duration || after.SessionDuration != before.SessionDuration ||
+		after.ExecsPerSec != before.ExecsPerSec {
+		t.Errorf("direct Steps changed the charged time: Duration %v -> %v, SessionDuration %v -> %v, ExecsPerSec %.0f -> %.0f",
+			before.Duration, after.Duration, before.SessionDuration, after.SessionDuration,
+			before.ExecsPerSec, after.ExecsPerSec)
+	}
 
 	dir := t.TempDir()
 	if err := f.SaveCheckpoint(dir); err != nil {

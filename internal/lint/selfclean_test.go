@@ -127,14 +127,12 @@ var deadAPIAllow = map[string]string{
 	"internal/fuzz.Stats.Deterministic":   "TestEncodeFuzzStatsMatchesMarshalIndent holds EncodeFuzzStats to it; the resume tests compare stats through it",
 	"internal/mem.Memory.Dirty":           "TestFastForwardFallbacks, TestExitSummaryFallbacks and TestPreloadIndependent check an image comes back clean",
 	"internal/mem.Memory.Read8":           "TestLittleEndian, TestPristine and elf's TestLoadInto read memory bytes with it",
-	"internal/mem.Memory.Read16":          "TestLittleEndian reads a halfword with it",
 	"internal/mem.Memory.Read64":          "TestLittleEndian and exec's TestDoublePrecisionAndBoxing read doublewords with it",
 	"internal/mem.Memory.Write8":          "TestFetch, TestSnapshotRestore and TestDirty write memory bytes with it",
 	"internal/mem.Memory.Write16":         "exec's TestCompressedGating, TestFetchAtMemoryEnd and the mtval tests place compressed encodings with it",
 	"internal/mem.Memory.Write64":         "TestLittleEndian and exec's TestDoublePrecisionAndBoxing write doublewords with it",
 	"internal/sim.SeededSchedule":         "TestSeededScheduleDeterministic and bench's fault-injection test plan faults with it",
 	"internal/template.Build":             "TestInjectionMatchesFullBuild compares Preload and Inject with a full assembly",
-	"internal/template.Source":            "TestSourceDeterminism and TestUserSourceUnchanged read the assembler text",
 }
 
 // interfaceMethodStd holds the method names of the standard interfaces

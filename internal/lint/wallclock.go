@@ -39,8 +39,8 @@ var wallclockAllow = map[string]string{
 	"internal/compliance.Runner.runConfig": "per-shard duration telemetry (cell_done DurNS)",
 	"internal/compliance.runCase":          "sampled signature-compare stage timer",
 	"internal/compliance.instance.run":     "sampled execute stage timer",
-	"internal/fuzz.Fuzzer.Step":            "execs/sec session accounting, opening a sampled step's stage timers",
-	"internal/fuzz.Fuzzer.RunContext":      "wall-clock campaign budget (-duration flag)",
+	"internal/fuzz.Fuzzer.Step":            "opening a sampled step's stage timers",
+	"internal/fuzz.Fuzzer.RunContext":      "wall-clock campaign budget (-duration flag) and the session's time (Stats().Duration, SessionDuration, ExecsPerSec)",
 	"internal/fuzz.Fuzzer.SaveCheckpoint":  "checkpoint stage timer (save latency, never in the fingerprint)",
 }
 

@@ -170,12 +170,6 @@ func (m *Memory) Read8(addr uint32) (uint8, error) {
 	return uint8(v), err
 }
 
-// Read16 loads a little-endian halfword.
-func (m *Memory) Read16(addr uint32) (uint16, error) {
-	v, err := m.read(addr, 2)
-	return uint16(v), err
-}
-
 // Read32 loads a little-endian word.
 func (m *Memory) Read32(addr uint32) (uint32, error) {
 	v, err := m.read(addr, 4)

@@ -34,9 +34,8 @@ func TestLittleEndian(t *testing.T) {
 			t.Errorf("byte %d = %d, %v", i, b, err)
 		}
 	}
-	h, _ := m.Read16(2)
-	if h != 0x0403 {
-		t.Errorf("read16 = %#x", h)
+	if h, err := m.ReadBytes(2, 2); err != nil || uint16(h[0])|uint16(h[1])<<8 != 0x0403 {
+		t.Errorf("halfword at 2 = % x, %v", h, err)
 	}
 	if err := m.Write64(8, 0x1122334455667788); err != nil {
 		t.Fatal(err)

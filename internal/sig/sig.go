@@ -54,22 +54,6 @@ func Parse(text string) (Signature, error) {
 	return out, nil
 }
 
-// Diff returns the indexes of differing words (including a length
-// difference, reported as index min(len)).
-func Diff(a, b Signature) []int {
-	var out []int
-	n := min(len(a), len(b))
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			out = append(out, i)
-		}
-	}
-	if len(a) != len(b) {
-		out = append(out, n)
-	}
-	return out
-}
-
 // Cond is a don't-care condition kind.
 type Cond uint8
 
@@ -96,47 +80,51 @@ type DontCare struct {
 	Rules []Rule
 }
 
-// rule looks up the rule for a word index.
-func (d *DontCare) rule(word int) (Rule, bool) {
+// ignores reports whether a rule excuses word i, whose test output got
+// differs from its reference ref.
+func (d *DontCare) ignores(i int, ref, got uint32) bool {
 	if d == nil {
-		return Rule{}, false
+		return false
 	}
 	for _, r := range d.Rules {
-		if r.Word == word {
-			return r, true
+		if r.Word != i {
+			continue
+		}
+		switch r.Kind {
+		case CondAlways:
+			return true
+		case CondIfZero:
+			return got == 0
+		case CondMask:
+			return ref&r.Mask == got&r.Mask
+		}
+		return false
+	}
+	return false
+}
+
+// Mismatches calls fn with the index of each real mismatch between a test
+// output and its reference under the don't-care rules (nil: none), in
+// ascending order; a length difference comes last, as index min(len). It
+// allocates nothing, so a caller that needs only a verdict reads it in
+// one walk of the two signatures.
+func Mismatches(ref, got Signature, dc *DontCare, fn func(int)) {
+	n := min(len(ref), len(got))
+	for i := 0; i < n; i++ {
+		if ref[i] != got[i] && !dc.ignores(i, ref[i], got[i]) {
+			fn(i)
 		}
 	}
-	return Rule{}, false
+	if len(ref) != len(got) {
+		fn(n)
+	}
 }
 
 // Compare checks a test output against a reference under the don't-care
-// rules, returning the indexes of real mismatches.
+// rules, returning the indexes of real mismatches (Mismatches).
 func Compare(ref, got Signature, dc *DontCare) []int {
 	var out []int
-	n := min(len(ref), len(got))
-	for i := 0; i < n; i++ {
-		if ref[i] == got[i] {
-			continue
-		}
-		if r, ok := dc.rule(i); ok {
-			switch r.Kind {
-			case CondAlways:
-				continue
-			case CondIfZero:
-				if got[i] == 0 {
-					continue
-				}
-			case CondMask:
-				if ref[i]&r.Mask == got[i]&r.Mask {
-					continue
-				}
-			}
-		}
-		out = append(out, i)
-	}
-	if len(ref) != len(got) {
-		out = append(out, n)
-	}
+	Mismatches(ref, got, dc, func(i int) { out = append(out, i) })
 	return out
 }
 

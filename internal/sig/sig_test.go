@@ -46,10 +46,10 @@ func TestEqualAndDiff(t *testing.T) {
 	if slices.Equal(a, b) || !slices.Equal(a, a) {
 		t.Error("Equal wrong")
 	}
-	if d := Diff(a, b); len(d) != 1 || d[0] != 1 {
-		t.Errorf("Diff = %v", d)
+	if d := Compare(a, b, nil); len(d) != 1 || d[0] != 1 {
+		t.Errorf("Compare = %v", d)
 	}
-	if d := Diff(a, a[:2]); len(d) != 1 || d[0] != 2 {
+	if d := Compare(a, a[:2], nil); len(d) != 1 || d[0] != 2 {
 		t.Errorf("length diff = %v", d)
 	}
 	if slices.Equal(a, a[:2]) {

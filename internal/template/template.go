@@ -240,19 +240,13 @@ var FInit = [32]uint64{
 	0x3fe0000000000000, // 0.5
 }
 
-// Source renders the complete assembler source for a bytestream in the
-// user-level family. The same source assembles for every platform;
-// platform variation enters only through Options.Defines and the layout
-// equates. An oversize bytestream (e.g. a hostile corpus entry fed to a
-// resumed campaign) is an error, not a panic.
-func Source(bs []byte, l Layout) (string, error) {
-	return SourceFamily(bs, l, FamilyUser)
-}
-
-// SourceFamily renders the assembler source for a bytestream in the given
-// template family. FamilyUser output is byte-identical to Source's
-// historical output; FamilyTrap swaps in the recording trap handler and
-// appends the trap-record signature region.
+// SourceFamily renders the complete assembler source for a bytestream in
+// the given template family. The same source assembles for every
+// platform; platform variation enters only through Options.Defines and
+// the layout equates. FamilyTrap swaps in the recording trap handler and
+// appends the trap-record signature region. An oversize bytestream (e.g.
+// a hostile corpus entry fed to a resumed campaign) is an error, not a
+// panic.
 func SourceFamily(bs []byte, l Layout, fam Family) (string, error) {
 	if len(bs) > l.MaxBytes() {
 		return "", fmt.Errorf("template: bytestream of %d bytes exceeds the %d-byte injection area", len(bs), l.MaxBytes())

@@ -232,11 +232,11 @@ func TestInjectTooLong(t *testing.T) {
 }
 
 func TestSourceDeterminism(t *testing.T) {
-	a, err := Source([]byte{1, 2, 3, 4}, DefaultLayout)
+	a, err := SourceFamily([]byte{1, 2, 3, 4}, DefaultLayout, FamilyUser)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Source([]byte{1, 2, 3, 4}, DefaultLayout)
+	b, err := SourceFamily([]byte{1, 2, 3, 4}, DefaultLayout, FamilyUser)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestSourceDeterminism(t *testing.T) {
 }
 
 func TestSourceOversizeError(t *testing.T) {
-	_, err := Source(make([]byte, DefaultLayout.MaxBytes()+1), DefaultLayout)
+	_, err := SourceFamily(make([]byte, DefaultLayout.MaxBytes()+1), DefaultLayout, FamilyUser)
 	if err == nil {
 		t.Fatal("oversize bytestream must be an error, not a panic")
 	}

@@ -22,7 +22,7 @@ func TestUserSourceUnchanged(t *testing.T) {
 		for i := range bs {
 			bs[i] = byte(i)
 		}
-		src, err := Source(bs, DefaultLayout)
+		src, err := SourceFamily(bs, DefaultLayout, FamilyUser)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,7 +5,7 @@
 #
 # Usage: scripts/identity.sh [--expect-diff ARTIFACT:REASON]... PARENT_REV
 #
-# The matrix (52 artifacts):
+# The matrix (58 artifacts):
 #   - rvfuzz -out and -stats-json for {user, trap} x {v0, v1, v3} x
 #     workers {1, 2, 8} (seed 11, 60,000 executions):
 #     fuzz-FAMILY-COV-wN.{suite,stats};
@@ -13,7 +13,10 @@
 #     (seed 11, 200,000 executions), each run with -checkpoint,
 #     interrupted by a SIGINT as soon as its first worker checkpoint
 #     exists (as scripts/kill_resume.sh does) and then resumed:
-#     fuzz-FAMILY-COV-wN-resumed.{suite,stats};
+#     fuzz-FAMILY-COV-wN-resumed.{suite,stats}, and each worker's
+#     checkpoint state.json after the resume, its "elapsed_ns" (the
+#     campaign's wall time) set to 0:
+#     fuzz-FAMILY-COV-wN-resumed.worker-NNN.state;
 #   - rvcompliance text and -json at workers 1 and 8, for a user suite
 #     file (the parent build's fuzz-user-v3-w1 suite, run by both
 #     builds) and for -suite trap -generate 20000:
@@ -105,7 +108,7 @@ run_resumed() {
   for side in parent head; do
     mkdir "$work/$side/$row.ckpt"
     (cd "$work/$side" && exec ./rvfuzz "$@" -execs "$execs" -checkpoint "$row.ckpt" \
-      -checkpoint-every $((execs / 8)) "${files[@]}" 2>>stderr.log) &
+      -checkpoint-every $((execs / 8)) "${files[@]}" >/dev/null 2>>stderr.log) &
     pid=$!
     for _ in $(seq 600); do
       if compgen -G "$work/$side/$row.ckpt/worker-*/state.json" >/dev/null || ! kill -0 "$pid" 2>/dev/null; then
@@ -124,7 +127,7 @@ run_resumed() {
       exit 2
     fi
     rc=0
-    (cd "$work/$side" && ./rvfuzz "$@" -execs "$execs" -resume "$row.ckpt" "${files[@]}" 2>>stderr.log) || rc=$?
+    (cd "$work/$side" && ./rvfuzz "$@" -execs "$execs" -resume "$row.ckpt" "${files[@]}" >/dev/null 2>>stderr.log) || rc=$?
     echo "$rc" >"$work/$side/$row.rc"
   done
   cmd[$row]="rvfuzz $* -execs $execs -checkpoint DIR, SIGINT, -resume DIR"
@@ -148,6 +151,16 @@ for fc in "user v3" "trap v0"; do
     row=fuzz-$fam-$cov-w$w-resumed
     run_resumed "$row" 200000 -suite "$fam" -cov "$cov" -workers "$w" -seed 11
     pairs+=("$row.suite $row" "$row.stats $row")
+    for ((k = 0; k < w; k++)); do
+      state=$(printf '%s.worker-%03d.state' "$row" "$k")
+      for side in parent head; do
+        src=$(printf '%s/%s/%s.ckpt/worker-%03d/state.json' "$work" "$side" "$row" "$k")
+        if [ -f "$src" ]; then
+          sed -E 's/"elapsed_ns":[0-9]+/"elapsed_ns":0/' "$src" >"$work/$side/$state"
+        fi
+      done
+      pairs+=("$state $row")
+    done
   done
 done
 
@@ -185,7 +198,7 @@ for p in "${pairs[@]}"; do
   else
     status=1
   fi
-  printf '%-9s %-32s %s (%s)\n' "$verdict" "$art" "${cmd[$row]}" "$rc"
+  printf '%-9s %-42s %s (%s)\n' "$verdict" "$art" "${cmd[$row]}" "$rc"
 done
 echo "== $same of ${#pairs[@]} artifacts identical"
 exit "$status"
